@@ -9,19 +9,10 @@ map recovering the metric from its spectral invariants.
 """
 
 from .casimir import (
-    AsymmetryResidue,
     GershgorinIntervals,
-    ImaginaryResidue,
-    IrrepBlock,
-    PatternViolation,
     TridiagBlock,
     build_irrep_block,
-    casimir_matrix,
-    casimir_matrix_oracle,
-    generator_matrices,
     gershgorin,
-    symmetrize,
-    tridiagonal_split,
 )
 from .core import (
     EigenPair,
@@ -35,14 +26,7 @@ from .core import (
     classify,
     normalize_triple,
 )
-from .eigensolve import (
-    EigenList,
-    NonConvergence,
-    eigen_block,
-    eigenvalues,
-    eigenvalues_batch,
-    sturm_count,
-)
+from .eigensolve import NonConvergence, eigen_block, eigenvalues
 from .geometry import (
     BergerExtremaReport,
     BoundViolation,
@@ -87,22 +71,18 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetryResidue",
     "BergerEigen",
     "BergerExtremaReport",
     "BoundViolation",
     "ClusterMergeWarning",
     "CutoffTooLarge",
     "DiamBounds",
-    "EigenList",
     "EigenPair",
     "EmptyProduct",
     "GershgorinIntervals",
     "GroupKind",
     "HomsphereError",
-    "ImaginaryResidue",
     "InconsistentInvariants",
-    "IrrepBlock",
     "IsospectralResult",
     "IsospectralVerdict",
     "Lambda1Result",
@@ -111,7 +91,6 @@ __all__ = [
     "NonConvergence",
     "NonPositiveParameter",
     "NotFound",
-    "PatternViolation",
     "ProductEstimate",
     "ProductSpec",
     "Regime",
@@ -122,14 +101,10 @@ __all__ = [
     "berger_lambda1_diam2_extrema",
     "berger_spectrum_up_to",
     "build_irrep_block",
-    "casimir_matrix",
-    "casimir_matrix_oracle",
     "classify",
     "diameter",
     "eigen_block",
     "eigenvalues",
-    "eigenvalues_batch",
-    "generator_matrices",
     "gershgorin",
     "invariants",
     "isospectral_check",
@@ -144,10 +119,7 @@ __all__ = [
     "recover_triple",
     "scalar_curvature",
     "spectrum_up_to",
-    "sturm_count",
     "sum_eigenvalue_positions",
-    "symmetrize",
-    "tridiagonal_split",
     "volume",
     "yamabe_gap",
 ]

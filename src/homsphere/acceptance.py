@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import build_irrep_block, casimir_matrix, casimir_matrix_oracle, gershgorin
+from .casimir import TridiagBlock, build_irrep_block, gershgorin
 from .core import GroupKind, MetricTriple, normalize_triple
-from .eigensolve import eigen_block, eigenvalues, eigenvalues_batch
+from .eigensolve import eigenvalues
 from .geometry import (
     SO3_PRODUCT_CAP,
     SU2_PRODUCT_CAP,
@@ -29,6 +29,7 @@ from .geometry import (
     volume,
     yamabe_gap,
 )
+from .oracle import casimir_matrix, casimir_matrix_oracle
 from .rigidity import IsospectralVerdict, invariants, isospectral_check, recover_triple
 from .spectrum import (
     berger_spectrum_up_to,
@@ -172,6 +173,16 @@ def criterion_2() -> CriterionResult:
     )
 
 
+def _stacked_eigvalsh(blocks: tuple[TridiagBlock, ...]) -> np.ndarray:
+    """Eigenvalues of same-sized tridiagonal blocks by one dense LAPACK call."""
+    n = blocks[0].n
+    dense = np.zeros((len(blocks), n, n))
+    i = np.arange(n)
+    dense[:, i, i] = [b.diag for b in blocks]
+    dense[:, i[1:], i[:-1]] = [b.offdiag for b in blocks]  # eigvalsh reads the lower half
+    return np.linalg.eigvalsh(dense)
+
+
 def criterion_3() -> CriterionResult:
     """Certified lower bounds and interval containment for block eigenvalues."""
     rng = np.random.default_rng(33)
@@ -179,15 +190,9 @@ def criterion_3() -> CriterionResult:
     violations = 0
     checked = 0
     for k in range(1, 51):
-        blocks = [build_irrep_block(k, t) for t in samples]
-        ev_even = eigenvalues_batch(
-            np.stack([b.even_block.diag for b in blocks]),
-            np.stack([b.even_block.offdiag for b in blocks]),
-        )
-        ev_odd = eigenvalues_batch(
-            np.stack([b.odd_block.diag for b in blocks]),
-            np.stack([b.odd_block.offdiag for b in blocks]),
-        )
+        evens, odds = zip(*(build_irrep_block(k, t) for t in samples))
+        ev_even = _stacked_eigvalsh(evens)
+        ev_odd = _stacked_eigvalsh(odds)
         for t, ee, eo in zip(samples, ev_even, ev_odd):
             eigs = np.concatenate([ee, eo])
             intervals = gershgorin(k, t)
@@ -224,11 +229,9 @@ def criterion_4() -> CriterionResult:
     worst = 0.0
     for t in samples:
         for k in range(13):
-            block = build_irrep_block(k, t)
-            split = sorted(
-                list(eigenvalues(block.even_block)) + list(eigenvalues(block.odd_block))
-            )
-            dense = np.sort(np.linalg.eigvals(block.dense).real)
+            even, odd = build_irrep_block(k, t)
+            split = sorted(eigenvalues(even) + eigenvalues(odd))
+            dense = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
             rel = float(
                 np.max(np.abs(dense - np.array(split)) / np.maximum(1.0, np.abs(dense)))
             )

@@ -1,16 +1,15 @@
-"""Casimir matrices of the irreducible SU(2) representations.
+"""Casimir blocks of the irreducible SU(2) representations.
 
 For the (k+1)-dimensional irrep acting on degree-k homogeneous polynomials
-in two variables (monomial basis P_0..P_k), this module builds the matrix
-of the negative Casimir operator of a metric triple, both from a closed
-entrywise formula and independently from the generator matrices.  The two
-constructions agree exactly (bitwise) on integer-scaled inputs and serve
-as mutual checks.
-
-The matrix couples only basis indices at distance two, so a similarity by
-a diagonal of binomial square roots makes it symmetric, and reordering the
-basis into even and odd indices splits it into two symmetric tridiagonal
-blocks.  Gershgorin column intervals give certified eigenvalue bounds.
+in two variables (monomial basis P_0..P_k), the negative Casimir operator
+of a metric triple couples only basis indices at distance two.  A
+similarity by a diagonal of binomial square roots makes it symmetric, and
+reordering the basis into even and odd indices splits it into two
+symmetric tridiagonal blocks.  ``build_irrep_block`` writes those two
+blocks directly from the closed entries in O(k); the dense matrix, its
+generator construction and the symmetrize/split checks live in
+``homsphere.oracle`` as independent references.  Gershgorin column
+intervals give certified eigenvalue bounds.
 """
 
 from __future__ import annotations
@@ -20,19 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HomsphereError, MetricTriple
-
-
-class ImaginaryResidue(HomsphereError, ArithmeticError):
-    """The generator-built Casimir matrix had a nonzero imaginary part."""
-
-
-class AsymmetryResidue(HomsphereError, ArithmeticError):
-    """The symmetrized matrix failed the symmetry check."""
-
-
-class PatternViolation(HomsphereError, ValueError):
-    """An entry outside the expected sparsity pattern is significantly nonzero."""
+from .core import MetricTriple
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,166 +65,31 @@ class GershgorinIntervals:
         return bool(np.any((self.lower - slack <= x) & (x <= self.upper + slack)))
 
 
-@dataclass(frozen=True, eq=False)
-class IrrepBlock:
-    """The dense Casimir matrix of irrep k plus its symmetric tridiagonal split."""
+def _diagonal(k: int, a2: float, bc2: float) -> list[float]:
+    """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2, l = 0..k, of the irrep-k matrix.
 
-    k: int
-    dense: np.ndarray
-    even_block: TridiagBlock
-    odd_block: TridiagBlock
-
-
-def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices of the three Lie-algebra generators on the k-th irrep.
-
-    In the monomial basis (zero-based l), the generators act by
-    M1: P_l -> (k-2l)i P_l,
-    M2: P_l -> -l P_{l-1} + (k-l) P_{l+1},
-    M3: P_l -> -l i P_{l-1} - (k-l) i P_{l+1},
-    with terms outside 0..k dropped.  They satisfy [M1,M2] = 2 M3,
-    [M3,M1] = 2 M2, [M2,M3] = 2 M1.
+    ``a2`` is a^2 and ``bc2`` is b^2 + c^2.  With b = c the matrix is this
+    diagonal alone, and 2 b^2 = b^2 + b^2 exactly, so the entries are
+    bitwise the closed Berger eigenvalues.
     """
     if k < 0:
         raise ValueError(f"irrep label must be nonnegative, got {k}")
-    n = k + 1
-    m1 = np.zeros((n, n), dtype=complex)
-    m2 = np.zeros((n, n), dtype=complex)
-    m3 = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        m1[l, l] = (k - 2 * l) * 1j
-        if l >= 1:
-            m2[l - 1, l] = -l
-            m3[l - 1, l] = -l * 1j
-        if l < k:
-            m2[l + 1, l] = k - l
-            m3[l + 1, l] = -(k - l) * 1j
-    return m1, m2, m3
-
-
-def casimir_matrix(k: int, t: MetricTriple) -> np.ndarray:
-    """Closed-form matrix of the negative Casimir operator on irrep k.
-
-    Zero-based entries (column l):
-      [l, l]   = (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2)
-      [l-2, l] = l(l-1) (c^2 - b^2)
-      [l+2, l] = (k-l)(k-l-1) (c^2 - b^2)
-    and zero elsewhere.  The off-diagonal sign matches the generator
-    product M2^2, M3^2 (see ``casimir_matrix_oracle``); flipping it is a
-    similarity that leaves every eigenvalue unchanged.
-    """
-    if k < 0:
-        raise ValueError(f"irrep label must be nonnegative, got {k}")
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    n = k + 1
-    m = np.zeros((n, n))
-    off = c2 - b2
-    for l in range(n):
-        m[l, l] = (k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * (b2 + c2)
-        if l >= 2:
-            m[l - 2, l] = l * (l - 1) * off
-        if l + 2 <= k:
-            m[l + 2, l] = (k - l) * (k - l - 1) * off
-    return m
-
-
-def casimir_matrix_oracle(k: int, t: MetricTriple) -> np.ndarray:
-    """Casimir matrix computed independently as -(a^2 M1^2 + b^2 M2^2 + c^2 M3^2).
-
-    On integer-scaled inputs every intermediate is an exactly representable
-    integer, so the result equals ``casimir_matrix(k, t)`` entrywise with no
-    rounding at all.
-
-    Raises:
-        ImaginaryResidue: if any entry has a nonzero imaginary part.
-    """
-    m1, m2, m3 = generator_matrices(k)
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    m = -(a2 * (m1 @ m1) + b2 * (m2 @ m2) + c2 * (m3 @ m3))
-    if np.max(np.abs(m.imag)) != 0.0:
-        raise ImaginaryResidue(
-            f"generator-built Casimir matrix is not real for k={k}, t={t.as_tuple()}"
-        )
-    return m.real.copy()
-
-
-def symmetrize(dense: np.ndarray, k: int) -> np.ndarray:
-    """Conjugate the dense Casimir matrix into an exactly symmetric one.
-
-    Uses the diagonal d_l = sqrt(binom(k, l)).  Only square roots of the
-    adjacent ratios (k-l+1)/l are ever formed, so no factorial overflows
-    for large k.  Eigenvalues are unchanged.
-
-    Raises:
-        AsymmetryResidue: if max |S_ij - S_ji| > 1e-12 * max|S|.
-    """
-    n = k + 1
-    if dense.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
-    s = np.array(dense, dtype=float, copy=True)
-    # ratio[l] = d_l / d_{l-1} = sqrt((k-l+1)/l)
-    ratio = np.ones(n)
-    for l in range(1, n):
-        ratio[l] = math.sqrt((k - l + 1) / l)
-    for l in range(2, n):
-        f = ratio[l] * ratio[l - 1]  # d_l / d_{l-2}
-        s[l - 2, l] = dense[l - 2, l] * f
-        s[l, l - 2] = dense[l, l - 2] / f
-    scale = float(np.max(np.abs(s))) or 1.0
-    asym = float(np.max(np.abs(s - s.T)))
-    if asym > 1e-12 * scale:
-        raise AsymmetryResidue(f"symmetrization residual {asym:.3e} exceeds tolerance")
-    # land exactly on a symmetric matrix for the downstream split
-    return 0.5 * (s + s.T)
-
-
-def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[TridiagBlock, TridiagBlock]:
-    """Split a distance-2-coupled symmetric matrix into two tridiagonal blocks.
-
-    Even basis indices {0,2,...} give a block of size floor((k+2)/2), odd
-    indices {1,3,...} one of size floor((k+1)/2).  The union of their
-    eigenvalue multisets equals that of the input.
-
-    Raises:
-        PatternViolation: if an entry with |i-j| not in {0, 2} exceeds
-            1e-12 * max|sym|.
-    """
-    n = k + 1
-    if sym.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
-    scale = float(np.max(np.abs(sym))) or 1.0
-    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    bad = np.abs(sym[(mask != 0) & (mask != 2)])
-    if bad.size and float(bad.max()) > 1e-12 * scale:
-        raise PatternViolation(
-            f"entry outside the distance-2 pattern has magnitude {bad.max():.3e}"
-        )
-
-    def block(idx: np.ndarray) -> TridiagBlock:
-        diag = sym[idx, idx].copy()
-        off = sym[idx[:-1], idx[1:]].copy() if idx.size > 1 else np.zeros(0)
-        return TridiagBlock(diag=diag, offdiag=off)
-
-    even = block(np.arange(0, n, 2))
-    odd = block(np.arange(1, n, 2))
-    return even, odd
+    return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in range(k + 1)]
 
 
 def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
     """Per-column Gershgorin intervals of the irrep-k Casimir matrix.
 
     For canonical triples (b >= c) the column radius is
-    ((j-2)(j-1) + (k-j)(k+1-j)) * (b^2 - c^2) with 1-based j, which is
+    ((l-1)l + (k-l-1)(k-l)) * (b^2 - c^2) with zero-based l, which is
     nonnegative and self-vanishing when an index falls outside the matrix.
-    Every eigenvalue lies in the union of [lower_j, upper_j], is at least
+    Every eigenvalue lies in the union of [lower_l, upper_l], is at least
     ``floor`` = 2k b^2 + k^2 c^2, and for odd k at least ``odd_floor``.
     """
-    if k < 0:
-        raise ValueError(f"irrep label must be nonnegative, got {k}")
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    js = np.arange(1, k + 2, dtype=float)
-    diag = (k - 2 * (js - 1)) ** 2 * a2 + ((2 * js - 1) * k - 2 * (js - 1) ** 2) * (b2 + c2)
-    radius = ((js - 2) * (js - 1) + (k - js) * (k + 1 - js)) * (b2 - c2)
+    diag = np.array(_diagonal(k, a2, b2 + c2))
+    l = np.arange(k + 1)
+    radius = ((l - 1) * l + (k - l - 1) * (k - l)) * (b2 - c2)
     floor = 2 * k * b2 + k * k * c2
     odd_floor = a2 + (2 * k - 1) * b2 + k * k * c2 if k % 2 == 1 else None
     return GershgorinIntervals(
@@ -245,9 +97,28 @@ def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
     )
 
 
-def build_irrep_block(k: int, t: MetricTriple) -> IrrepBlock:
-    """Assemble the dense matrix and its symmetrized even/odd split."""
-    dense = casimir_matrix(k, t)
-    sym = symmetrize(dense, k)
-    even, odd = tridiagonal_split(sym, k)
-    return IrrepBlock(k=k, dense=dense, even_block=even, odd_block=odd)
+def build_irrep_block(k: int, t: MetricTriple) -> tuple[TridiagBlock, TridiagBlock]:
+    """The (even, odd) symmetric tridiagonal blocks of the irrep-k Casimir matrix.
+
+    Column l of the matrix holds the diagonal entry, l(l-1)(c^2-b^2) at
+    row l-2 and (k-l)(k-l-1)(c^2-b^2) at row l+2.  Conjugating by
+    d_l = sqrt(binom(k, l)) scales the coupling of l-2 and l by
+    f = d_l / d_{l-2} above the diagonal and by 1/f below it; the block
+    entry is the mean of the two.  Only square roots of the adjacent ratios
+    (k-l+1)/l are formed, so nothing overflows for large k.  Even indices
+    {0,2,...} give a block of size floor((k+2)/2), odd indices {1,3,...}
+    one of size floor((k+1)/2).  Every entry is bitwise the one that
+    ``oracle.tridiagonal_split(oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)``
+    produces.
+    """
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    diag = _diagonal(k, a2, b2 + c2)
+    off = c2 - b2
+    ratio = [math.sqrt((k - l + 1) / l) for l in range(1, k + 1)]  # d_l / d_{l-1}
+    coupling = []
+    for l in range(2, k + 1):
+        f = ratio[l - 1] * ratio[l - 2]  # d_l / d_{l-2}
+        coupling.append(0.5 * (l * (l - 1) * off * f + (k - l + 2) * (k - l + 1) * off / f))
+    even = TridiagBlock(diag=np.array(diag[0::2]), offdiag=np.array(coupling[0::2]))
+    odd = TridiagBlock(diag=np.array(diag[1::2]), offdiag=np.array(coupling[1::2]))
+    return even, odd

@@ -2,8 +2,10 @@
 
 Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
-Exit codes: 0 success, 2 invalid parameters, 3 truncation cap exceeded.
-Warnings (for example suspicious cluster merges) go to stderr only.
+Exit codes: 0 success, 1 acceptance failure or internal error (a one-line
+``internal error:`` message on stderr), 2 invalid parameters (including
+an unreadable config file), 3 truncation cap exceeded.  Warnings (for
+example suspicious cluster merges) go to stderr only.
 
 An optional key=value config file (pointed to by the HOMSPHERE_CONFIG
 environment variable) can set ``tol``, ``cluster_tol`` and ``k_cap``;
@@ -41,6 +43,7 @@ from .geometry import (
     volume,
     yamabe_gap,
 )
+from .eigensolve import NonConvergence
 from .rigidity import invariants, isospectral_check, recover_triple
 from .spectrum import (
     DEFAULT_CLUSTER_TOL,
@@ -146,8 +149,14 @@ def _load_config() -> dict[str, float]:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read the {CONFIG_ENV} file {path!r}: {exc.strerror}"
+        ) from exc
     out: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
+    with handle:
         for raw in handle:
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
@@ -490,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NonPositiveParameter, EmptyProduct, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except BoundViolation as exc:
+    except (BoundViolation, NonConvergence) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -5,18 +5,15 @@ only eigenvalues are needed, every eigenvalue is bracketed with a
 guaranteed enclosure, the per-index searches are independent, and the
 initial brackets come directly from Gershgorin bounds.
 
-``eigenvalues`` handles one block in pure Python (blocks arising from the
-spectra here are small); ``eigenvalues_batch`` runs the same recurrence
-vectorized across a stack of same-sized blocks for bulk sweeps.
+``eigenvalues`` is the one bisection kernel, a pure-Python loop over a
+single block (the blocks arising from the spectra here are small).
+``eigen_block`` solves the even and odd blocks of one irrep, or reads the
+eigenvalues off the diagonal when b = c.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .casimir import TridiagBlock, build_irrep_block, casimir_matrix
+from .casimir import TridiagBlock, _diagonal, build_irrep_block
 from .core import HomsphereError, MetricTriple
 
 _EPS = 2.0**-52
@@ -27,59 +24,15 @@ class NonConvergence(HomsphereError, RuntimeError):
     """Bisection failed to shrink an eigenvalue bracket within budget."""
 
 
-@dataclass(frozen=True)
-class EigenList:
-    """Eigenvalues of one matrix, sorted ascending."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def _infinity_norm(diag: list[float], off: list[float]) -> float:
-    n = len(diag)
-    best = 0.0
-    for i in range(n):
-        row = abs(diag[i])
-        if i > 0:
-            row += abs(off[i - 1])
-        if i < n - 1:
-            row += abs(off[i])
-        best = max(best, row)
-    return best
-
-
-def sturm_count(t: TridiagBlock, x: float) -> int:
-    """Number of eigenvalues of ``t`` strictly less than ``x``.
-
-    Runs the signed pivot recurrence d_1 = T_11 - x,
-    d_i = (T_ii - x) - off_{i-1}^2 / d_{i-1}, counting negative pivots.
-    A zero pivot is replaced by +eps * |T|_inf so that an eigenvalue
-    exactly equal to ``x`` is not counted (strict inequality).
-    """
-    diag = [float(v) for v in t.diag]
-    off = [float(v) for v in t.offdiag]
-    pert = _EPS * (_infinity_norm(diag, off) or 1.0)
-    count = 0
-    d = 1.0
-    for i, di in enumerate(diag):
-        d = (di - x) - (off[i - 1] * off[i - 1] / d if i else 0.0)
-        if d == 0.0:
-            d = pert
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> EigenList:
+def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
     """All eigenvalues of a symmetric tridiagonal block, sorted ascending.
 
     Each eigenvalue is bisected inside the Gershgorin hull of the block
-    until the bracket width drops below tol * max(1, |midpoint|).
+    until the bracket width drops below tol * max(1, |midpoint|).  The
+    Sturm count of a midpoint runs the signed pivot recurrence
+    d_1 = T_11 - x, d_i = (T_ii - x) - off_{i-1}^2 / d_{i-1} and counts
+    negative pivots; a zero pivot is replaced by +eps * |T|_inf, so an
+    eigenvalue exactly at the midpoint is not counted.
 
     Raises:
         NonConvergence: if a bracket needs more than 200 bisections.
@@ -88,17 +41,21 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> EigenList:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = t.n
     if n == 0:
-        return EigenList(())
-    diag = [float(v) for v in t.diag]
-    off = [float(v) for v in t.offdiag]
+        return ()
+    diag = t.diag.tolist()
+    off = t.offdiag.tolist()
     off2 = [v * v for v in off]
-    pert = _EPS * (_infinity_norm(diag, off) or 1.0)
 
     lo0 = hi0 = diag[0]
+    norm = 0.0
     for i in range(n):
-        r = (abs(off[i - 1]) if i else 0.0) + (abs(off[i]) if i < n - 1 else 0.0)
+        left = abs(off[i - 1]) if i else 0.0
+        right = abs(off[i]) if i < n - 1 else 0.0
+        r = left + right
         lo0 = min(lo0, diag[i] - r)
         hi0 = max(hi0, diag[i] + r)
+        norm = max(norm, abs(diag[i]) + left + right)
+    pert = _EPS * (norm or 1.0)
 
     out = []
     for m in range(n):
@@ -127,68 +84,17 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> EigenList:
             else:
                 lo = mid
     out.sort()
-    return EigenList(tuple(out))
+    return tuple(out)
 
 
-def eigenvalues_batch(
-    diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-12
-) -> np.ndarray:
-    """Eigenvalues of a stack of same-sized symmetric tridiagonal matrices.
-
-    ``diag`` has shape (B, n) and ``offdiag`` shape (B, n-1); the result has
-    shape (B, n), each row sorted ascending.  All B*n bisections advance in
-    lockstep, so the cost is dominated by n vectorized recurrence steps per
-    bisection level.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(offdiag, dtype=float)
-    if diag.ndim != 2 or off.shape != (diag.shape[0], max(diag.shape[1] - 1, 0)):
-        raise ValueError("expected diag (B, n) and offdiag (B, n-1)")
-    nb, n = diag.shape
-    off2 = off * off
-
-    radius = np.zeros_like(diag)
-    if n > 1:
-        radius[:, :-1] += np.abs(off)
-        radius[:, 1:] += np.abs(off)
-    lo = np.broadcast_to((diag - radius).min(axis=1)[:, None], (nb, n)).copy()
-    hi = np.broadcast_to((diag + radius).max(axis=1)[:, None], (nb, n)).copy()
-    scale = (np.abs(diag) + radius).max(axis=1)
-    pert = (_EPS * np.where(scale > 0.0, scale, 1.0))[:, None]
-    target = np.arange(1, n + 1)[None, :]
-
-    for step in range(_MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
-            break
-        if step == _MAX_BISECTIONS:
-            raise NonConvergence("batched bisection exhausted its iteration budget")
-        count = np.zeros((nb, n), dtype=np.int64)
-        d = np.ones((nb, n))
-        for i in range(n):
-            d = (diag[:, i : i + 1] - mid) - (off2[:, i - 1 : i] / d if i else 0.0)
-            np.copyto(d, np.broadcast_to(pert, d.shape), where=(d == 0.0))
-            count += d < 0.0
-        take_hi = count >= target
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return np.sort(0.5 * (lo + hi), axis=1)
-
-
-def eigen_block(k: int, t: MetricTriple, tol: float = 1e-12) -> EigenList:
+def eigen_block(k: int, t: MetricTriple, tol: float = 1e-12) -> tuple[float, ...]:
     """Sorted eigenvalues of the irrep-k Casimir matrix for triple ``t``.
 
     When b = c the matrix is already diagonal, so the solver is bypassed
-    and the diagonal entries are returned as stored; otherwise the matrix
-    is symmetrized, split into even/odd tridiagonal blocks, and both are
-    solved and merged.
+    and the diagonal entries are returned as computed; otherwise the even
+    and odd tridiagonal blocks are solved and merged.
     """
     if t.b == t.c:
-        vals = sorted(float(v) for v in np.diagonal(casimir_matrix(k, t)))
-        return EigenList(tuple(vals))
-    block = build_irrep_block(k, t)
-    even = eigenvalues(block.even_block, tol)
-    odd = eigenvalues(block.odd_block, tol)
-    return EigenList(tuple(sorted((*even.values, *odd.values))))
+        return tuple(sorted(_diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c)))
+    even, odd = build_irrep_block(k, t)
+    return tuple(sorted((*eigenvalues(even, tol), *eigenvalues(odd, tol))))

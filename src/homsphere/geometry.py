@@ -143,6 +143,12 @@ def product_cap(n_su2: int, n_so3: int) -> float:
     return (8.0 * n_su2 + 6.0 * n_so3) * math.pi**2
 
 
+def _check_window(what: str, lo: float, hi: float, cap: float) -> None:
+    """Raise BoundViolation unless pi^2 < lo and hi <= cap (up to float dust)."""
+    if not (lo > math.pi**2 and hi <= cap * (1.0 + _REL_SLACK)):
+        raise BoundViolation(f"{what} [{lo}, {hi}] escapes (pi^2, {cap}]")
+
+
 def lambda1_diam2(t: MetricTriple, g: GroupKind) -> tuple[float, float]:
     """Certified interval for lambda1 * diam^2 (a point when diam is exact).
 
@@ -155,10 +161,7 @@ def lambda1_diam2(t: MetricTriple, g: GroupKind) -> tuple[float, float]:
     lo = lam * d.lower * d.lower
     hi = lam * d.upper * d.upper
     cap = SU2_PRODUCT_CAP if g is GroupKind.SU2 else SO3_PRODUCT_CAP
-    if not (lo > math.pi**2 and hi <= cap * (1.0 + _REL_SLACK)):
-        raise BoundViolation(
-            f"lambda1*diam^2 interval [{lo}, {hi}] escapes (pi^2, {cap}]"
-        )
+    _check_window("lambda1*diam^2 interval", lo, hi, cap)
     return lo, hi
 
 
@@ -254,10 +257,7 @@ def product_estimate(p: ProductSpec) -> ProductEstimate:
         hi2 += d.upper * d.upper
     cap = product_cap(len(p.su2_factors), len(p.so3_factors))
     p_lo, p_hi = lam * lo2, lam * hi2
-    if not (p_lo > math.pi**2 and p_hi <= cap * (1.0 + _REL_SLACK)):
-        raise BoundViolation(
-            f"product interval [{p_lo}, {p_hi}] escapes (pi^2, {cap}]"
-        )
+    _check_window("product interval", p_lo, p_hi, cap)
     return ProductEstimate(
         lambda1=lam,
         diam2_lower=lo2,

@@ -1,0 +1,173 @@
+"""Dense reference constructions of the irrep Casimir matrices.
+
+Nothing on the user path imports this module: ``casimir.build_irrep_block``
+writes the two tridiagonal blocks directly.  The functions here rebuild
+the same blocks the long way, so the acceptance suite and the tests can
+check the direct assembly against them:
+
+* ``casimir_matrix`` writes the dense (k+1)x(k+1) matrix from its closed
+  entrywise formula;
+* ``casimir_matrix_oracle`` builds it independently from the generator
+  matrices, and agrees bitwise on integer-scaled inputs;
+* ``symmetrize`` conjugates the dense matrix by a diagonal of binomial
+  square roots into a symmetric one, checking the residue;
+* ``tridiagonal_split`` reorders it into even and odd indices, checking
+  that nothing lies outside the distance-2 pattern.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .casimir import TridiagBlock
+from .core import HomsphereError, MetricTriple
+
+
+class ImaginaryResidue(HomsphereError, ArithmeticError):
+    """The generator-built Casimir matrix had a nonzero imaginary part."""
+
+
+class AsymmetryResidue(HomsphereError, ArithmeticError):
+    """The symmetrized matrix failed the symmetry check."""
+
+
+class PatternViolation(HomsphereError, ValueError):
+    """An entry outside the expected sparsity pattern is significantly nonzero."""
+
+
+
+def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrices of the three Lie-algebra generators on the k-th irrep.
+
+    In the monomial basis (zero-based l), the generators act by
+    M1: P_l -> (k-2l)i P_l,
+    M2: P_l -> -l P_{l-1} + (k-l) P_{l+1},
+    M3: P_l -> -l i P_{l-1} - (k-l) i P_{l+1},
+    with terms outside 0..k dropped.  They satisfy [M1,M2] = 2 M3,
+    [M3,M1] = 2 M2, [M2,M3] = 2 M1.
+    """
+    if k < 0:
+        raise ValueError(f"irrep label must be nonnegative, got {k}")
+    n = k + 1
+    m1 = np.zeros((n, n), dtype=complex)
+    m2 = np.zeros((n, n), dtype=complex)
+    m3 = np.zeros((n, n), dtype=complex)
+    for l in range(n):
+        m1[l, l] = (k - 2 * l) * 1j
+        if l >= 1:
+            m2[l - 1, l] = -l
+            m3[l - 1, l] = -l * 1j
+        if l < k:
+            m2[l + 1, l] = k - l
+            m3[l + 1, l] = -(k - l) * 1j
+    return m1, m2, m3
+
+
+def casimir_matrix(k: int, t: MetricTriple) -> np.ndarray:
+    """Closed-form matrix of the negative Casimir operator on irrep k.
+
+    Zero-based entries (column l):
+      [l, l]   = (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2)
+      [l-2, l] = l(l-1) (c^2 - b^2)
+      [l+2, l] = (k-l)(k-l-1) (c^2 - b^2)
+    and zero elsewhere.  The off-diagonal sign matches the generator
+    product M2^2, M3^2 (see ``casimir_matrix_oracle``); flipping it is a
+    similarity that leaves every eigenvalue unchanged.
+    """
+    if k < 0:
+        raise ValueError(f"irrep label must be nonnegative, got {k}")
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    n = k + 1
+    m = np.zeros((n, n))
+    off = c2 - b2
+    for l in range(n):
+        m[l, l] = (k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * (b2 + c2)
+        if l >= 2:
+            m[l - 2, l] = l * (l - 1) * off
+        if l + 2 <= k:
+            m[l + 2, l] = (k - l) * (k - l - 1) * off
+    return m
+
+
+def casimir_matrix_oracle(k: int, t: MetricTriple) -> np.ndarray:
+    """Casimir matrix computed independently as -(a^2 M1^2 + b^2 M2^2 + c^2 M3^2).
+
+    On integer-scaled inputs every intermediate is an exactly representable
+    integer, so the result equals ``casimir_matrix(k, t)`` entrywise with no
+    rounding at all.
+
+    Raises:
+        ImaginaryResidue: if any entry has a nonzero imaginary part.
+    """
+    m1, m2, m3 = generator_matrices(k)
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    m = -(a2 * (m1 @ m1) + b2 * (m2 @ m2) + c2 * (m3 @ m3))
+    if np.max(np.abs(m.imag)) != 0.0:
+        raise ImaginaryResidue(
+            f"generator-built Casimir matrix is not real for k={k}, t={t.as_tuple()}"
+        )
+    return m.real.copy()
+
+
+def symmetrize(dense: np.ndarray, k: int) -> np.ndarray:
+    """Conjugate the dense Casimir matrix into an exactly symmetric one.
+
+    Uses the diagonal d_l = sqrt(binom(k, l)).  Only square roots of the
+    adjacent ratios (k-l+1)/l are ever formed, so no factorial overflows
+    for large k.  Eigenvalues are unchanged.
+
+    Raises:
+        AsymmetryResidue: if max |S_ij - S_ji| > 1e-12 * max|S|.
+    """
+    n = k + 1
+    if dense.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
+    s = np.array(dense, dtype=float, copy=True)
+    # ratio[l] = d_l / d_{l-1} = sqrt((k-l+1)/l)
+    ratio = np.ones(n)
+    for l in range(1, n):
+        ratio[l] = math.sqrt((k - l + 1) / l)
+    for l in range(2, n):
+        f = ratio[l] * ratio[l - 1]  # d_l / d_{l-2}
+        s[l - 2, l] = dense[l - 2, l] * f
+        s[l, l - 2] = dense[l, l - 2] / f
+    scale = float(np.max(np.abs(s))) or 1.0
+    asym = float(np.max(np.abs(s - s.T)))
+    if asym > 1e-12 * scale:
+        raise AsymmetryResidue(f"symmetrization residual {asym:.3e} exceeds tolerance")
+    # land exactly on a symmetric matrix for the downstream split
+    return 0.5 * (s + s.T)
+
+
+def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[TridiagBlock, TridiagBlock]:
+    """Split a distance-2-coupled symmetric matrix into two tridiagonal blocks.
+
+    Even basis indices {0,2,...} give a block of size floor((k+2)/2), odd
+    indices {1,3,...} one of size floor((k+1)/2).  The union of their
+    eigenvalue multisets equals that of the input.
+
+    Raises:
+        PatternViolation: if an entry with |i-j| not in {0, 2} exceeds
+            1e-12 * max|sym|.
+    """
+    n = k + 1
+    if sym.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
+    scale = float(np.max(np.abs(sym))) or 1.0
+    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    bad = np.abs(sym[(mask != 0) & (mask != 2)])
+    if bad.size and float(bad.max()) > 1e-12 * scale:
+        raise PatternViolation(
+            f"entry outside the distance-2 pattern has magnitude {bad.max():.3e}"
+        )
+
+    def block(idx: np.ndarray) -> TridiagBlock:
+        diag = sym[idx, idx].copy()
+        off = sym[idx[:-1], idx[1:]].copy() if idx.size > 1 else np.zeros(0)
+        return TridiagBlock(diag=diag, offdiag=off)
+
+    even = block(np.arange(0, n, 2))
+    odd = block(np.arange(1, n, 2))
+    return even, odd

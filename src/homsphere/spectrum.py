@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .casimir import _diagonal
 from .core import (
     EigenPair,
     GroupKind,
@@ -115,10 +116,11 @@ def k_cutoff(
     contribute, which makes truncated tables complete.
 
     Raises:
+        ValueError: if ``lam_max`` is not a positive finite number.
         CutoffTooLarge: if K would exceed ``k_cap``.
     """
-    if lam_max <= 0.0:
-        raise ValueError(f"truncation bound must be positive, got {lam_max}")
+    if not 0.0 < lam_max < math.inf:
+        raise ValueError(f"truncation bound must be positive and finite, got {lam_max}")
     b2, c2 = t.b * t.b, t.c * t.c
 
     def bound(k: int) -> float:
@@ -195,7 +197,13 @@ def spectrum_up_to(
     Solves one Casimir block per admissible irrep (even k only for SO(3)),
     weights each block eigenvalue by the irrep dimension k+1, and clusters
     equal values.  The result is complete below ``lam_max``.
+
+    Raises:
+        ValueError: if ``tol`` is not positive or ``lam_max`` is not a
+            positive finite number, whichever branch the triple takes.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     cutoff = k_cutoff(lam_max, t, g, k_cap)
     step = 2 if g is GroupKind.SO3 else 1
     contributions: list[tuple[float, int, int]] = []
@@ -223,19 +231,17 @@ def berger_spectrum_up_to(
 ) -> SpectrumTable:
     """Closed-form truncated spectrum of the metric with parameters (a, b, b).
 
-    No eigensolver runs: block k is diagonal with entries
+    No eigensolver runs: block k is diagonal, with entries bitwise equal to
     ``berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of multiplicity
     k+1.  Works for either parameter order (a >= b or a < b).
     """
     t = normalize_triple(a, b, b)
     cutoff = k_cutoff(lam_max, t, g, k_cap)
     step = 2 if g is GroupKind.SO3 else 1
+    a2, bc2 = a * a, b * b + b * b
     contributions: list[tuple[float, int, int]] = []
     for k in range(0, cutoff + 1, step):
-        for j in range(k + 1):
-            value = berger_eigenvalue(k, j, a, b)
-            if value <= lam_max:
-                contributions.append((value, k + 1, k))
+        contributions += [(v, k + 1, k) for v in _diagonal(k, a2, bc2) if v <= lam_max]
     entries, sources = _cluster(contributions, cluster_tol)
     return SpectrumTable(
         entries=entries,

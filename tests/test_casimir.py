@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from homsphere.casimir import (
+from homsphere.casimir import build_irrep_block, gershgorin
+from homsphere.core import MetricTriple
+from homsphere.oracle import (
     PatternViolation,
-    build_irrep_block,
     casimir_matrix,
     casimir_matrix_oracle,
     generator_matrices,
-    gershgorin,
     symmetrize,
     tridiagonal_split,
 )
-from homsphere.core import MetricTriple
 
 TRIPLES = [
     MetricTriple(1, 1, 1),
@@ -131,20 +130,16 @@ def test_tridiagonal_split_rejects_wrong_pattern():
 def test_split_preserves_eigenvalue_multiset():
     t = MetricTriple(2.7, 1.4, 0.6)
     for k in range(13):
-        block = build_irrep_block(k, t)
+        even, odd = build_irrep_block(k, t)
         merged = np.sort(
             np.concatenate(
                 [
-                    np.linalg.eigvalsh(block.even_block.to_dense())
-                    if block.even_block.n
-                    else np.zeros(0),
-                    np.linalg.eigvalsh(block.odd_block.to_dense())
-                    if block.odd_block.n
-                    else np.zeros(0),
+                    np.linalg.eigvalsh(even.to_dense()) if even.n else np.zeros(0),
+                    np.linalg.eigvalsh(odd.to_dense()) if odd.n else np.zeros(0),
                 ]
             )
         )
-        dense = np.sort(np.linalg.eigvals(block.dense).real)
+        dense = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
         assert np.allclose(merged, dense, rtol=1e-11, atol=1e-11 * max(1.0, dense.max()))
 
 
@@ -176,16 +171,34 @@ def test_eigenvalues_nonnegative_and_inside_union():
     for _ in range(20):
         t = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
         for k in (1, 4, 9):
-            block = build_irrep_block(k, t)
+            even, odd = build_irrep_block(k, t)
             eigs = np.concatenate(
                 [
-                    np.linalg.eigvalsh(block.even_block.to_dense()),
-                    np.linalg.eigvalsh(block.odd_block.to_dense())
-                    if block.odd_block.n
-                    else np.zeros(0),
+                    np.linalg.eigvalsh(even.to_dense()),
+                    np.linalg.eigvalsh(odd.to_dense()) if odd.n else np.zeros(0),
                 ]
             )
             assert np.all(eigs > -1e-9)
             g = gershgorin(k, t)
             for value in eigs:
                 assert g.contains(value, slack=1e-9 * (1 + abs(value)))
+
+
+def _assembly_triples():
+    rng = np.random.default_rng(2024)
+    triples = [MetricTriple(*sorted(10.0 ** rng.uniform(-2, 2, size=3), reverse=True))
+               for _ in range(4)]
+    triples.append(MetricTriple(1e4, 1.0, 1.0))  # aspect ratio 1e4
+    triples.append(MetricTriple(3.0, 1.0, 1.0 - 2.0**-53))  # b - c of one ulp
+    triples.append(MetricTriple(1.7, float(np.nextafter(1.2, 2.0)), 1.2))  # and at 1.2
+    return triples
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 50, 199, 400])
+def test_direct_assembly_equals_dense_chain_bitwise(k):
+    for t in _assembly_triples():
+        got = build_irrep_block(k, t)
+        want = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
+        for g, w in zip(got, want):
+            assert g.diag.tobytes() == w.diag.tobytes()
+            assert g.offdiag.tobytes() == w.offdiag.tobytes()

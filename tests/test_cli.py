@@ -228,3 +228,40 @@ def test_verify_command_passes(capsys):
     lines = out.strip().splitlines()
     assert len([ln for ln in lines if ln.startswith("PASS")]) == 11
     assert lines[-1] == "11/11 criteria passed"
+
+
+SPECTRUM_GENERIC = [
+    "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",
+]
+
+
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_non_finite_lambda_max_exit_2(capsys, bound):
+    code, out, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", bound)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_tol_exit_2_on_diagonal_branch(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "spectrum", "--a", "1.7", "--b", "1.2", "--c", "1.2", "--group", "su2",
+        "--lambda-max", "20", "--tol", "-1",
+    )
+    assert code == 2
+    assert "tolerance" in err and "Traceback" not in err
+
+
+def test_nonconvergence_exit_1(capsys):
+    code, _, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", "20", "--tol", "1e-20")
+    assert code == 1
+    assert err.startswith("internal error:")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_missing_config_file_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMSPHERE_CONFIG", str(tmp_path / "absent.cfg"))
+    code, _, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", "20")
+    assert code == 2
+    assert "HOMSPHERE_CONFIG" in err and "Traceback" not in err

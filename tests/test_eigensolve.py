@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from homsphere.casimir import TridiagBlock, casimir_matrix
+from homsphere.casimir import TridiagBlock
 from homsphere.core import MetricTriple
-from homsphere.eigensolve import (
-    eigen_block,
-    eigenvalues,
-    eigenvalues_batch,
-    sturm_count,
-)
+from homsphere.eigensolve import eigen_block, eigenvalues
+from homsphere.oracle import casimir_matrix
 
 
 def _block(diag, off):
@@ -21,43 +17,9 @@ def _random_blocks(rng, count, n, scale=5.0):
     return diags, offs
 
 
-def test_sturm_count_diagonal_matrix():
-    t = _block([1.0, 2.0, 3.0], [0.0, 0.0])
-    assert sturm_count(t, 2.5) == 2
-    assert sturm_count(t, 0.5) == 0
-    assert sturm_count(t, 100.0) == 3
-
-
-def test_sturm_count_is_strict_at_an_eigenvalue():
-    assert sturm_count(_block([5.0], []), 5.0) == 0
-
-
-def test_sturm_count_two_by_two():
-    # eigenvalues of [[2,1],[1,2]] are 1 and 3
-    t = _block([2.0, 2.0], [1.0])
-    assert sturm_count(t, 2.0) == 1
-    assert sturm_count(t, 0.999) == 0
-    assert sturm_count(t, 3.001) == 2
-
-
-def test_sturm_count_monotone_and_saturates():
-    rng = np.random.default_rng(11)
-    diag = rng.standard_normal(7)
-    off = rng.standard_normal(6)
-    t = _block(diag, off)
-    hull_hi = max(
-        diag[i] + (abs(off[i - 1]) if i else 0) + (abs(off[i]) if i < 6 else 0)
-        for i in range(7)
-    )
-    xs = np.linspace(-20, 20, 81)
-    counts = [sturm_count(t, x) for x in xs]
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
-    assert sturm_count(t, hull_hi + 1e-9) == 7
-
-
 def test_eigenvalues_diagonal_exact():
     got = eigenvalues(_block([3.0, 3.0], [0.0]))
-    assert got.values == (3.0, 3.0)
+    assert got == (3.0, 3.0)
 
 
 def test_eigenvalues_match_dense_oracle():
@@ -66,7 +28,7 @@ def test_eigenvalues_match_dense_oracle():
         diags, offs = _random_blocks(rng, 3, n)
         for diag, off in zip(diags, offs):
             t = _block(diag, off)
-            got = np.array(eigenvalues(t, tol=1e-13).values)
+            got = np.array(eigenvalues(t, tol=1e-13))
             want = np.linalg.eigvalsh(t.to_dense())
             assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
@@ -76,49 +38,34 @@ def test_eigenvalue_sum_preserves_trace():
     diags, offs = _random_blocks(rng, 5, 9)
     for diag, off in zip(diags, offs):
         t = _block(diag, off)
-        vals = eigenvalues(t, tol=1e-13).values
+        vals = eigenvalues(t, tol=1e-13)
         scale = max(1.0, np.abs(diag).sum())
         assert abs(sum(vals) - diag.sum()) <= 9 * 1e-12 * scale
 
 
-def test_batch_agrees_with_scalar_path():
-    rng = np.random.default_rng(17)
-    for n in (1, 2, 6, 11):
-        diags, offs = _random_blocks(rng, 8, n)
-        batch = eigenvalues_batch(diags, offs, tol=1e-13)
-        for row, diag, off in zip(batch, diags, offs):
-            single = np.array(eigenvalues(_block(diag, off), tol=1e-13).values)
-            assert np.allclose(row, single, rtol=1e-10, atol=1e-10)
-
-
-def test_batch_shape_validation():
-    with pytest.raises(ValueError):
-        eigenvalues_batch(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 def test_eigen_block_k0_and_k1():
     t = MetricTriple(3.1, 2.2, 1.3)
-    assert eigen_block(0, t).values == (0.0,)
+    assert eigen_block(0, t) == (0.0,)
     s = t.a * t.a + (t.b * t.b + t.c * t.c)
-    assert eigen_block(1, t).values == (s, s)
+    assert eigen_block(1, t) == (s, s)
 
 
 def test_eigen_block_berger_bypass_values():
-    got = eigen_block(2, MetricTriple(3, 1, 1)).values
+    got = eigen_block(2, MetricTriple(3, 1, 1))
     assert got == (8.0, 40.0, 40.0)
 
 
 def test_eigen_block_berger_bypass_equals_matrix_diagonal():
     t = MetricTriple(2.5, 0.7, 0.7)
     for k in range(9):
-        got = eigen_block(k, t).values
+        got = eigen_block(k, t)
         assert got == tuple(sorted(np.diagonal(casimir_matrix(k, t))))
 
 
 def test_eigen_block_generic_matches_dense_oracle():
     t = MetricTriple(2.9, 1.7, 0.8)
     for k in range(11):
-        got = np.array(eigen_block(k, t).values)
+        got = np.array(eigen_block(k, t))
         want = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(1.0, want.max()))
 

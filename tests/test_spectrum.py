@@ -1,8 +1,16 @@
+import collections
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homsphere
+from homsphere import oracle
 from homsphere.core import GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
 from homsphere.spectrum import (
@@ -118,7 +126,7 @@ def test_spectrum_completeness_under_cutoff_doubling():
     lam = 30.0
     cutoff = k_cutoff(lam, t, SU2)
     for k in range(cutoff + 1, 2 * cutoff + 3):
-        assert min(eigen_block(k, t).values) > lam
+        assert min(eigen_block(k, t)) > lam
 
 
 def test_berger_consistency_is_exact():
@@ -182,7 +190,7 @@ def test_low_irrep_agrees_with_solver():
     t = MetricTriple(2.4, 1.9, 0.8)
     low = low_irrep_eigenvalues(t)
     for k in (0, 1, 2):
-        got = eigen_block(k, t).values
+        got = eigen_block(k, t)
         assert got == pytest.approx(low[k], rel=1e-11)
 
 
@@ -209,3 +217,86 @@ def test_suspicious_cluster_merges_are_reported():
         _warnings.simplefilter("error", ClusterMergeWarning)
         berger_spectrum_up_to(20.0, 1.0, 1.0, SU2)
         spectrum_up_to(20.0, MetricTriple(3, 2, 1), SU2)
+
+
+def test_cutoff_rejects_non_finite_bounds():
+    t = MetricTriple(1.7, 1.2, 0.8)
+    for lam in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            k_cutoff(lam, t, SU2)
+
+
+def test_spectrum_checks_tolerance_on_every_branch():
+    for t in (MetricTriple(1.7, 1.2, 0.8), MetricTriple(1.7, 1.2, 1.2), MetricTriple(1, 1, 1)):
+        for tol in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                spectrum_up_to(10.0, t, SU2, tol=tol)
+
+
+@pytest.mark.parametrize("a,b", [(2.5, 0.7), (3.7, 0.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
+def test_diagonal_branch_equals_berger_eigenvalue_bitwise(a, b):
+    t = MetricTriple(a, b, b)
+    for k in range(40):
+        closed = tuple(sorted(berger_eigenvalue(k, j, a, b) for j in range(k + 1)))
+        assert eigen_block(k, t) == closed
+
+
+@pytest.mark.parametrize("a,b", [(2.5, 0.7), (0.37, 1.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_berger_spectrum_values_equal_berger_eigenvalue_bitwise(a, b, g):
+    lam = 300.0
+    cutoff = k_cutoff(lam, normalize_triple(a, b, b), g)
+    mult = collections.Counter()
+    for k in range(0, cutoff + 1, 2 if g is SO3 else 1):
+        for j in range(k + 1):
+            value = berger_eigenvalue(k, j, a, b)
+            if value <= lam:
+                mult[value] += k + 1
+    # cluster_tol = 0 merges exactly equal values only
+    table = berger_spectrum_up_to(lam, a, b, g, cluster_tol=0.0)
+    assert [(e.value, e.multiplicity) for e in table.entries] == sorted(mult.items())
+
+
+def test_user_path_never_reaches_the_oracle(monkeypatch):
+    triples = [
+        MetricTriple(2.9, 1.7, 0.8),  # generic
+        MetricTriple(2.5, 0.7, 0.7),  # a > b = c
+        MetricTriple(1.3, 1.3, 0.6),  # a = b > c
+        MetricTriple(1.1, 1.1, 1.1),  # round
+    ]
+    berger = [(2.5, 0.7), (0.6, 1.3), (1.1, 1.1)]
+
+    def run():
+        tables = [spectrum_up_to(60.0, t, g) for t in triples for g in (SU2, SO3)]
+        tables += [berger_spectrum_up_to(60.0, a, b, g) for a, b in berger for g in (SU2, SO3)]
+        return [(tb.entries, tb.k_sources) for tb in tables]
+
+    before = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the user path called into homsphere.oracle")
+
+    modules = [m for n, m in list(sys.modules.items()) if m and n.startswith("homsphere")]
+    for fn in list(vars(oracle).values()):
+        if isinstance(fn, types.FunctionType) and fn.__module__ == oracle.__name__:
+            for mod in modules:
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, refuse)
+    assert run() == before
+
+
+def test_user_path_does_not_import_the_oracle():
+    code = (
+        "import sys, homsphere\n"
+        "t = homsphere.MetricTriple(1.7, 1.2, 0.8)\n"
+        "homsphere.spectrum_up_to(40.0, t, homsphere.GroupKind.SU2)\n"
+        "homsphere.berger_spectrum_up_to(40.0, 2.0, 1.0, homsphere.GroupKind.SO3)\n"
+        "print('homsphere.oracle' in sys.modules)\n"
+    )
+    src = str(Path(homsphere.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
