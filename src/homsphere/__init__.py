@@ -8,12 +8,7 @@ bounds, scale-invariant eigenvalue-diameter estimates, and the inverse
 map recovering the metric from its spectral invariants.
 """
 
-from .casimir import (
-    GershgorinIntervals,
-    TridiagBlock,
-    build_irrep_block,
-    gershgorin,
-)
+from .casimir import TridiagBlock, build_irrep_block
 from .core import (
     EigenPair,
     GroupKind,
@@ -48,11 +43,9 @@ from .rigidity import (
     IsospectralVerdict,
     invariants,
     isospectral_check,
-    mult3_auxiliary_root,
     recover_triple,
 )
 from .spectrum import (
-    BergerEigen,
     ClusterMergeWarning,
     CutoffTooLarge,
     Lambda1Result,
@@ -65,13 +58,11 @@ from .spectrum import (
     low_irrep_eigenvalues,
     mu_index_of,
     spectrum_up_to,
-    sum_eigenvalue_positions,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BergerEigen",
     "BergerExtremaReport",
     "BoundViolation",
     "ClusterMergeWarning",
@@ -79,7 +70,6 @@ __all__ = [
     "DiamBounds",
     "EigenPair",
     "EmptyProduct",
-    "GershgorinIntervals",
     "GroupKind",
     "HomsphereError",
     "InconsistentInvariants",
@@ -105,7 +95,6 @@ __all__ = [
     "diameter",
     "eigen_block",
     "eigenvalues",
-    "gershgorin",
     "invariants",
     "isospectral_check",
     "k_cutoff",
@@ -113,13 +102,11 @@ __all__ = [
     "lambda1_diam2",
     "low_irrep_eigenvalues",
     "mu_index_of",
-    "mult3_auxiliary_root",
     "normalize_triple",
     "product_estimate",
     "recover_triple",
     "scalar_curvature",
     "spectrum_up_to",
-    "sum_eigenvalue_positions",
     "volume",
     "yamabe_gap",
 ]

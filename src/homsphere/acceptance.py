@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import TridiagBlock, build_irrep_block, gershgorin
+from .casimir import TridiagBlock, build_irrep_block
 from .core import GroupKind, MetricTriple, normalize_triple
 from .eigensolve import eigenvalues
 from .geometry import (
@@ -29,7 +29,7 @@ from .geometry import (
     volume,
     yamabe_gap,
 )
-from .oracle import casimir_matrix, casimir_matrix_oracle
+from .oracle import casimir_matrix, casimir_matrix_oracle, gershgorin
 from .rigidity import IsospectralVerdict, invariants, isospectral_check, recover_triple
 from .spectrum import (
     berger_spectrum_up_to,

@@ -8,8 +8,10 @@ an unreadable config file), 3 truncation cap exceeded.  Warnings (for
 example suspicious cluster merges) go to stderr only.
 
 An optional key=value config file (pointed to by the HOMSPHERE_CONFIG
-environment variable) can set ``tol``, ``cluster_tol`` and ``k_cap``;
-explicit flags override it.
+environment variable) can set ``tol``, ``cluster_tol`` and ``k_cap`` for
+``spectrum``, the only subcommand that reads it; explicit flags override
+it.  Only ``verify`` imports the acceptance suite, and with it numpy and
+``homsphere.oracle``; every other subcommand runs on the standard library.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
-from . import acceptance
 from .core import (
     GroupKind,
     MetricClass,
@@ -175,7 +177,9 @@ def _resolve(args: argparse.Namespace) -> tuple[float, float, int]:
         if args.cluster_tol is not None
         else cfg.get("cluster_tol", DEFAULT_CLUSTER_TOL)
     )
-    cap = args.k_cap if args.k_cap is not None else int(cfg.get("k_cap", DEFAULT_K_CAP))
+    cap = args.k_cap if args.k_cap is not None else cfg.get("k_cap", DEFAULT_K_CAP)
+    if not math.isfinite(cap):
+        raise ValueError(f"k_cap must be finite, got {cap}")
     return float(tol), float(cluster), int(cap)
 
 
@@ -325,7 +329,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
-    tol, cluster_tol, k_cap = _resolve(args)
     t = normalize_triple(args.a, args.b, args.c)
     g = _group(args.group)
     inv = invariants(t, g)
@@ -393,6 +396,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import acceptance  # numpy and the oracle load only for this command
+
     results = acceptance.run_all()
     for res in results:
         print(res.line())
@@ -409,14 +414,6 @@ def _add_triple_flags(parser: argparse.ArgumentParser, required: bool = True) ->
         "--group", choices=["su2", "so3"], required=required,
         help="su2 for the 3-sphere, so3 for real projective 3-space",
     )
-
-
-def _add_numeric_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None, help="eigensolver tolerance")
-    parser.add_argument(
-        "--cluster-tol", type=float, default=None, help="multiplicity clustering tolerance"
-    )
-    parser.add_argument("--k-cap", type=int, default=None, help="hard cap on irrep blocks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,7 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the closed form (requires two equal parameters)",
     )
     spectrum_p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_numeric_flags(spectrum_p)
+    spectrum_p.add_argument("--tol", type=float, default=None, help="eigensolver tolerance")
+    spectrum_p.add_argument(
+        "--cluster-tol", type=float, default=None, help="multiplicity clustering tolerance"
+    )
+    spectrum_p.add_argument("--k-cap", type=int, default=None, help="hard cap on irrep blocks")
     spectrum_p.set_defaults(func=_cmd_spectrum)
 
     lambda1_p = sub.add_parser("lambda1", help="closed-form lowest positive eigenvalue")
@@ -469,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rigidity_p.add_argument("--lambda-max", type=float, default=None)
     rigidity_p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_numeric_flags(rigidity_p)
     rigidity_p.set_defaults(func=_cmd_rigidity)
 
     product_p = sub.add_parser("product", help="estimates for products of factors")

@@ -42,8 +42,8 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
     n = t.n
     if n == 0:
         return ()
-    diag = t.diag.tolist()
-    off = t.offdiag.tolist()
+    diag = t.diag
+    off = t.offdiag
     off2 = [v * v for v in off]
 
     lo0 = hi0 = diag[0]
@@ -92,8 +92,11 @@ def eigen_block(k: int, t: MetricTriple, tol: float = 1e-12) -> tuple[float, ...
 
     When b = c the matrix is already diagonal, so the solver is bypassed
     and the diagonal entries are returned as computed; otherwise the even
-    and odd tridiagonal blocks are solved and merged.
+    and odd tridiagonal blocks are solved and merged.  ``tol`` is checked
+    on both branches.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if t.b == t.c:
         return tuple(sorted(_diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c)))
     even, odd = build_irrep_block(k, t)

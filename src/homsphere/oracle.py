@@ -1,9 +1,8 @@
-"""Dense reference constructions of the irrep Casimir matrices.
+"""Verification-only references: nothing on the user path imports this module.
 
-Nothing on the user path imports this module: ``casimir.build_irrep_block``
-writes the two tridiagonal blocks directly.  The functions here rebuild
-the same blocks the long way, so the acceptance suite and the tests can
-check the direct assembly against them:
+Only this module, the acceptance suite and the tests need numpy.
+``casimir.build_irrep_block`` writes the two tridiagonal blocks directly;
+the functions here rebuild them the long way, so the checks can compare:
 
 * ``casimir_matrix`` writes the dense (k+1)x(k+1) matrix from its closed
   entrywise formula;
@@ -13,16 +12,24 @@ check the direct assembly against them:
   square roots into a symmetric one, checking the residue;
 * ``tridiagonal_split`` reorders it into even and odd indices, checking
   that nothing lies outside the distance-2 pattern.
+
+The other references: ``to_dense`` expands a block for a dense solver,
+``gershgorin`` gives certified eigenvalue intervals, and
+``mult3_auxiliary_root`` and ``sum_eigenvalue_positions`` are diagnostics
+of the inverse problem and of the spectrum's ordering.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import TridiagBlock
-from .core import HomsphereError, MetricTriple
+from .casimir import TridiagBlock, _diagonal
+from .core import GroupKind, HomsphereError, MetricTriple, normalize_triple
+from .rigidity import _bisect
+from .spectrum import DEFAULT_SOLVER_TOL, mu_index_of, spectrum_up_to
 
 
 class ImaginaryResidue(HomsphereError, ArithmeticError):
@@ -35,7 +42,6 @@ class AsymmetryResidue(HomsphereError, ArithmeticError):
 
 class PatternViolation(HomsphereError, ValueError):
     """An entry outside the expected sparsity pattern is significantly nonzero."""
-
 
 
 def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,10 +170,101 @@ def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[TridiagBlock, TridiagBlo
         )
 
     def block(idx: np.ndarray) -> TridiagBlock:
-        diag = sym[idx, idx].copy()
-        off = sym[idx[:-1], idx[1:]].copy() if idx.size > 1 else np.zeros(0)
+        diag = tuple(sym[idx, idx].tolist())
+        off = tuple(sym[idx[:-1], idx[1:]].tolist()) if idx.size > 1 else ()
         return TridiagBlock(diag=diag, offdiag=off)
 
     even = block(np.arange(0, n, 2))
     odd = block(np.arange(1, n, 2))
     return even, odd
+
+
+def to_dense(block: TridiagBlock) -> np.ndarray:
+    m = np.diag(block.diag)
+    for i, e in enumerate(block.offdiag):
+        m[i, i + 1] = e
+        m[i + 1, i] = e
+    return m
+
+
+@dataclass(frozen=True, eq=False)
+class GershgorinIntervals:
+    """Per-column eigenvalue intervals [lower_j, upper_j] plus closed floors.
+
+    ``floor`` is the global lower envelope 2k*b^2 + k^2*c^2; for odd k,
+    ``odd_floor`` is the sharper a^2 + (2k-1)*b^2 + k^2*c^2.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    floor: float
+    odd_floor: float | None
+
+    def contains(self, x: float, slack: float = 0.0) -> bool:
+        return bool(np.any((self.lower - slack <= x) & (x <= self.upper + slack)))
+
+
+def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
+    """Per-column Gershgorin intervals of the irrep-k Casimir matrix.
+
+    For canonical triples (b >= c) the column radius is
+    ((l-1)l + (k-l-1)(k-l)) * (b^2 - c^2) with zero-based l, which is
+    nonnegative and self-vanishing when an index falls outside the matrix.
+    Every eigenvalue lies in the union of [lower_l, upper_l], is at least
+    ``floor`` = 2k b^2 + k^2 c^2, and for odd k at least ``odd_floor``.
+    """
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    diag = np.array(_diagonal(k, a2, b2 + c2))
+    l = np.arange(k + 1)
+    radius = ((l - 1) * l + (k - l - 1) * (k - l)) * (b2 - c2)
+    floor = 2 * k * b2 + k * k * c2
+    odd_floor = a2 + (2 * k - 1) * b2 + k * k * c2 if k % 2 == 1 else None
+    return GershgorinIntervals(
+        lower=diag - radius, upper=diag + radius, floor=floor, odd_floor=odd_floor
+    )
+
+
+def mult3_auxiliary_root(t: MetricTriple) -> float:
+    """Positive root of the auxiliary polynomial that guards branch uniqueness.
+
+    g(x) = x^6 (b^2+c^2)^2 + x^4 a^2 (b^2-c^2)^2 - b^4 c^4 (x^2 + a^2) has
+    exactly one positive root, and that root lies strictly below (abc)^(1/3);
+    a second quartic candidate in the stretch branch would force the volume
+    below its known value.
+    """
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    s2 = (b2 + c2) ** 2
+    d2 = a2 * (b2 - c2) ** 2
+    w = b2 * b2 * c2 * c2
+
+    def gfun(x: float) -> float:
+        x2 = x * x
+        return ((s2 * x2 + d2) * x2 - w) * x2 - w * a2
+
+    hi = (t.a * t.b * t.c) ** (1.0 / 3.0)
+    for _ in range(200):
+        if gfun(hi) > 0.0:
+            break
+        hi *= 2.0
+    return _bisect(gfun, 0.0, hi)
+
+
+def sum_eigenvalue_positions(
+    a_values: tuple[float, ...] = (1.0, 5.0, 10.0, 20.0),
+    b: float = 1.0,
+    c: float = 1.0,
+    tol: float = DEFAULT_SOLVER_TOL,
+) -> list[tuple[float, int]]:
+    """Position of the eigenvalue a^2+b^2+c^2 as the stretch a grows.
+
+    For fixed b, c the value a^2+b^2+c^2 is always present in the spectrum,
+    but more and more distinct eigenvalues slide below it as a increases;
+    the returned positions form a nondecreasing, unbounded sequence.
+    """
+    out: list[tuple[float, int]] = []
+    for a in a_values:
+        t = normalize_triple(a, b, c)
+        s = t.a * t.a + (t.b * t.b + t.c * t.c)
+        table = spectrum_up_to(s, t, GroupKind.SU2, tol=tol)
+        out.append((a, mu_index_of(s, table)))
+    return out

@@ -280,31 +280,6 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     return triple
 
 
-def mult3_auxiliary_root(t: MetricTriple) -> float:
-    """Positive root of the auxiliary polynomial that guards branch uniqueness.
-
-    g(x) = x^6 (b^2+c^2)^2 + x^4 a^2 (b^2-c^2)^2 - b^4 c^4 (x^2 + a^2) has
-    exactly one positive root, and that root lies strictly below (abc)^(1/3);
-    a second quartic candidate in the stretch branch would force the volume
-    below its known value.  Exposed as a solver diagnostic.
-    """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    s2 = (b2 + c2) ** 2
-    d2 = a2 * (b2 - c2) ** 2
-    w = b2 * b2 * c2 * c2
-
-    def gfun(x: float) -> float:
-        x2 = x * x
-        return ((s2 * x2 + d2) * x2 - w) * x2 - w * a2
-
-    hi = (t.a * t.b * t.c) ** (1.0 / 3.0)
-    for _ in range(200):
-        if gfun(hi) > 0.0:
-            break
-        hi *= 2.0
-    return _bisect(gfun, 0.0, hi)
-
-
 def isospectral_check(
     t1: MetricTriple,
     t2: MetricTriple,

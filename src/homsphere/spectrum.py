@@ -63,15 +63,6 @@ class Lambda1Result:
     regime: Regime
 
 
-@dataclass(frozen=True)
-class BergerEigen:
-    """One closed-form eigenvalue of a metric with b = c (multiplicity k+1)."""
-
-    k: int
-    j: int
-    value: float
-
-
 def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     """Closed-form smallest positive eigenvalue with its multiplicity.
 
@@ -116,11 +107,14 @@ def k_cutoff(
     contribute, which makes truncated tables complete.
 
     Raises:
-        ValueError: if ``lam_max`` is not a positive finite number.
+        ValueError: if ``lam_max`` is not a positive finite number or
+            ``k_cap`` is negative.
         CutoffTooLarge: if K would exceed ``k_cap``.
     """
     if not 0.0 < lam_max < math.inf:
         raise ValueError(f"truncation bound must be positive and finite, got {lam_max}")
+    if k_cap < 0:
+        raise ValueError(f"k_cap must be nonnegative, got {k_cap}")
     b2, c2 = t.b * t.b, t.c * t.c
 
     def bound(k: int) -> float:
@@ -139,6 +133,11 @@ def k_cutoff(
             f"truncation bound {lam_max} needs blocks up to k={k}, cap is {k_cap}"
         )
     return k
+
+
+def _check_cluster_tol(cluster_tol: float) -> None:
+    if not 0.0 <= cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
 
 
 def _cluster(
@@ -199,11 +198,13 @@ def spectrum_up_to(
     equal values.  The result is complete below ``lam_max``.
 
     Raises:
-        ValueError: if ``tol`` is not positive or ``lam_max`` is not a
-            positive finite number, whichever branch the triple takes.
+        ValueError: if ``tol`` is not positive, ``cluster_tol`` is negative
+            or not finite, or ``lam_max`` is not a positive finite number,
+            whichever branch the triple takes.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_cluster_tol(cluster_tol)
     cutoff = k_cutoff(lam_max, t, g, k_cap)
     step = 2 if g is GroupKind.SO3 else 1
     contributions: list[tuple[float, int, int]] = []
@@ -234,7 +235,12 @@ def berger_spectrum_up_to(
     No eigensolver runs: block k is diagonal, with entries bitwise equal to
     ``berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of multiplicity
     k+1.  Works for either parameter order (a >= b or a < b).
+
+    Raises:
+        ValueError: if ``cluster_tol`` is negative or not finite, or
+            ``lam_max`` is not a positive finite number.
     """
+    _check_cluster_tol(cluster_tol)
     t = normalize_triple(a, b, b)
     cutoff = k_cutoff(lam_max, t, g, k_cap)
     step = 2 if g is GroupKind.SO3 else 1
@@ -279,24 +285,3 @@ def low_irrep_eigenvalues(t: MetricTriple) -> dict[int, tuple[float, ...]]:
     s = a2 + (b2 + c2)
     pi2 = tuple(sorted((4.0 * (b2 + c2), 4.0 * (a2 + c2), 4.0 * (a2 + b2))))
     return {0: (0.0,), 1: (s, s), 2: pi2}
-
-
-def sum_eigenvalue_positions(
-    a_values: tuple[float, ...] = (1.0, 5.0, 10.0, 20.0),
-    b: float = 1.0,
-    c: float = 1.0,
-    tol: float = DEFAULT_SOLVER_TOL,
-) -> list[tuple[float, int]]:
-    """Position of the eigenvalue a^2+b^2+c^2 as the stretch a grows.
-
-    For fixed b, c the value a^2+b^2+c^2 is always present in the spectrum,
-    but more and more distinct eigenvalues slide below it as a increases;
-    the returned positions form a nondecreasing, unbounded sequence.
-    """
-    out: list[tuple[float, int]] = []
-    for a in a_values:
-        t = normalize_triple(a, b, c)
-        s = t.a * t.a + (t.b * t.b + t.c * t.c)
-        table = spectrum_up_to(s, t, GroupKind.SU2, tol=tol)
-        out.append((a, mu_index_of(s, table)))
-    return out

@@ -265,3 +265,42 @@ def test_missing_config_file_exit_2(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", "20")
     assert code == 2
     assert "HOMSPHERE_CONFIG" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "triple,flag,value",
+    [
+        (("1", "1", "1"), "--k-cap", "-1"),
+        (("1.7", "1.2", "0.8"), "--cluster-tol", "-1"),
+        (("1.7", "1.2", "0.8"), "--cluster-tol", "nan"),
+        (("2", "1", "0.5"), "--cluster-tol", "inf"),
+    ],
+)
+def test_bad_numeric_flag_exit_2(capsys, triple, flag, value):
+    a, b, c = triple
+    code, out, err = run_cli(
+        capsys,
+        "spectrum", "--a", a, "--b", b, "--c", c, "--group", "su2",
+        "--lambda-max", "10", flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+
+def test_infinite_k_cap_in_config_exit_2(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "homsphere.cfg"
+    cfg.write_text("k_cap = inf\n")
+    monkeypatch.setenv("HOMSPHERE_CONFIG", str(cfg))
+    code, _, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", "20")
+    assert code == 2
+    assert "k_cap" in err and "Traceback" not in err
+
+
+def test_rigidity_reads_no_config_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMSPHERE_CONFIG", str(tmp_path / "absent.cfg"))
+    code, out, _ = run_cli(
+        capsys, "rigidity", "--a", "2", "--b", "1", "--c", "1", "--group", "su2"
+    )
+    assert code == 0
+    assert json.loads(out)["command"] == "rigidity"

@@ -4,7 +4,7 @@ import pytest
 from homsphere.casimir import TridiagBlock
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import eigen_block, eigenvalues
-from homsphere.oracle import casimir_matrix
+from homsphere.oracle import casimir_matrix, to_dense
 
 
 def _block(diag, off):
@@ -29,7 +29,7 @@ def test_eigenvalues_match_dense_oracle():
         for diag, off in zip(diags, offs):
             t = _block(diag, off)
             got = np.array(eigenvalues(t, tol=1e-13))
-            want = np.linalg.eigvalsh(t.to_dense())
+            want = np.linalg.eigvalsh(to_dense(t))
             assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
@@ -73,3 +73,6 @@ def test_eigen_block_generic_matches_dense_oracle():
 def test_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         eigenvalues(_block([1.0], []), tol=0.0)
+    for t in (MetricTriple(2, 1, 0.5), MetricTriple(2, 1, 1)):  # solver and b = c branches
+        with pytest.raises(ValueError):
+            eigen_block(3, t, tol=-1.0)

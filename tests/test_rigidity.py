@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from homsphere.core import GroupKind, MetricTriple, normalize_triple
+from homsphere.oracle import mult3_auxiliary_root
 from homsphere.rigidity import (
     InconsistentInvariants,
     IsospectralVerdict,
     invariants,
     isospectral_check,
-    mult3_auxiliary_root,
     recover_triple,
 )
 

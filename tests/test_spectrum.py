@@ -11,6 +11,7 @@ import pytest
 
 import homsphere
 from homsphere import oracle
+from homsphere.oracle import sum_eigenvalue_positions
 from homsphere.core import GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
 from homsphere.spectrum import (
@@ -24,7 +25,6 @@ from homsphere.spectrum import (
     low_irrep_eigenvalues,
     mu_index_of,
     spectrum_up_to,
-    sum_eigenvalue_positions,
 )
 
 SU2 = GroupKind.SU2
@@ -74,14 +74,6 @@ def test_berger_eigenvalue_closed_values():
     assert berger_eigenvalue(0, 0, 3.3, 4.4) == 0.0
     with pytest.raises(ValueError):
         berger_eigenvalue(2, 3, 1.0, 1.0)
-
-
-def test_berger_eigen_record():
-    from homsphere.spectrum import BergerEigen
-
-    entry = BergerEigen(k=2, j=1, value=berger_eigenvalue(2, 1, 3.0, 1.0))
-    assert entry.value == 8.0
-    assert (entry.k, entry.j) == (2, 1)
 
 
 def test_k_cutoff_examples():
@@ -286,17 +278,34 @@ def test_user_path_never_reaches_the_oracle(monkeypatch):
     assert run() == before
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_user_path_does_not_import_the_oracle():
+    commands = [
+        line.split()[1:]
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("homsphere ") and line.split()[1] != "verify"
+    ]
+    assert {argv[0] for argv in commands} == {
+        "spectrum", "lambda1", "geometry", "estimate", "product", "rigidity"
+    }
     code = (
-        "import sys, homsphere\n"
+        "import contextlib, io, sys\n"
+        "import homsphere\n"
+        "from homsphere.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
         "t = homsphere.MetricTriple(1.7, 1.2, 0.8)\n"
         "homsphere.spectrum_up_to(40.0, t, homsphere.GroupKind.SU2)\n"
         "homsphere.berger_spectrum_up_to(40.0, 2.0, 1.0, homsphere.GroupKind.SO3)\n"
-        "print('homsphere.oracle' in sys.modules)\n"
+        "print(sorted(m for m in ('numpy', 'homsphere.oracle', 'homsphere.acceptance')"
+        " if m in sys.modules))\n"
     )
     src = str(Path(homsphere.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
