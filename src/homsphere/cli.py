@@ -4,13 +4,11 @@ Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
 Exit codes: 0 success, 1 acceptance failure or internal error (a one-line
 ``internal error:`` message on stderr), 2 invalid parameters (including
-an unreadable config file), 3 truncation cap exceeded.  Warnings (for
-example suspicious cluster merges) go to stderr only.
+parameters whose results leave the floating-point range), 3 truncation
+cap exceeded.  Warnings (for example suspicious cluster merges) go to
+stderr only.
 
-An optional key=value config file (pointed to by the HOMSPHERE_CONFIG
-environment variable) can set ``tol``, ``cluster_tol`` and ``k_cap`` for
-``spectrum``, the only subcommand that reads it; explicit flags override
-it.  Only ``verify`` imports the acceptance suite, and with it numpy and
+Only ``verify`` imports the acceptance suite, and with it numpy and
 ``homsphere.oracle``; every other subcommand runs on the standard library.
 """
 
@@ -21,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .core import (
@@ -29,7 +26,6 @@ from .core import (
     MetricClass,
     MetricTriple,
     NonPositiveParameter,
-    SpectrumTable,
     classify,
     normalize_triple,
 )
@@ -58,15 +54,18 @@ from .spectrum import (
 )
 
 SCHEMA_VERSION = "1"
-CONFIG_ENV = "HOMSPHERE_CONFIG"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BAD_PARAMS = 2
 EXIT_CUTOFF = 3
 
+Payload = tuple[dict, dict]  # (inputs, results) of one record
+
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise OverflowError(f"a result is {x}")
     return f"{x:.17g}"
 
 
@@ -117,10 +116,9 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, str(obj)))
 
 
-def _record_to_csv(record: dict) -> str:
+def _record_to_csv(results: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    results = record.get("results", {})
     if "entries" in results:
         writer.writerow(["value", "multiplicity", "k_sources"])
         for entry in results["entries"]:
@@ -140,59 +138,48 @@ def _record_to_csv(record: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _print_record(record: dict, fmt: str) -> None:
-    if fmt == "csv":
-        print(_record_to_csv(record))
-    else:
-        print(_record_to_json(record))
-
-
-def _load_config() -> dict[str, float]:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(
-            f"cannot read the {CONFIG_ENV} file {path!r}: {exc.strerror}"
-        ) from exc
-    out: dict[str, float] = {}
-    with handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = float(value.strip())
-    return out
-
-
-def _resolve(args: argparse.Namespace) -> tuple[float, float, int]:
-    """tol, cluster_tol, k_cap with precedence flags > config file > defaults."""
-    cfg = _load_config()
-    tol = args.tol if args.tol is not None else cfg.get("tol", DEFAULT_SOLVER_TOL)
-    cluster = (
-        args.cluster_tol
-        if args.cluster_tol is not None
-        else cfg.get("cluster_tol", DEFAULT_CLUSTER_TOL)
-    )
-    cap = args.k_cap if args.k_cap is not None else cfg.get("k_cap", DEFAULT_K_CAP)
-    if not math.isfinite(cap):
-        raise ValueError(f"k_cap must be finite, got {cap}")
-    return float(tol), float(cluster), int(cap)
-
-
-def _group(name: str) -> GroupKind:
-    return GroupKind(name.lower())
+def _triple_and_group(args: argparse.Namespace) -> tuple[MetricTriple, GroupKind]:
+    return normalize_triple(args.a, args.b, args.c), GroupKind(args.group)
 
 
 def _triple_inputs(t: MetricTriple, g: GroupKind) -> dict:
     return {"a": t.a, "b": t.b, "c": t.c, "group": g.value}
 
 
-def _table_payload(table: SpectrumTable) -> dict:
-    return {
+def _diameter_payload(t: MetricTriple, g: GroupKind) -> dict:
+    d = diameter(t, g)
+    return {"lower": d.lower, "upper": d.upper, "exact": d.exact}
+
+
+def _parse_triple_arg(text: str) -> MetricTriple:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise NonPositiveParameter(f"expected 'a,b,c', got {text!r}")
+    return normalize_triple(*(float(p) for p in parts))
+
+
+def _cmd_spectrum(args: argparse.Namespace) -> Payload:
+    t, g = _triple_and_group(args)
+    if args.berger_closed_form:
+        cls = classify(t)
+        if cls is MetricClass.GENERIC:
+            raise ValueError("--berger-closed-form needs two equal parameters")
+        # the closed form covers g_(x,y,y); a=b>c realizes it as (c, b, b)
+        x, y = (t.c, t.b) if cls is MetricClass.BERGER_AB else (t.a, t.b)
+        table = berger_spectrum_up_to(
+            args.lambda_max, x, y, g, cluster_tol=args.cluster_tol, k_cap=args.k_cap
+        )
+    else:
+        table = spectrum_up_to(
+            args.lambda_max, t, g,
+            tol=args.tol, cluster_tol=args.cluster_tol, k_cap=args.k_cap,
+        )
+    inputs = {
+        **_triple_inputs(t, g),
+        "lambda_max": args.lambda_max,
+        "berger_closed_form": args.berger_closed_form,
+    }
+    return inputs, {
         "truncation_bound": table.truncation_bound,
         "entries": [
             {
@@ -206,131 +193,49 @@ def _table_payload(table: SpectrumTable) -> dict:
     }
 
 
-def _parse_triple_arg(text: str) -> MetricTriple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise NonPositiveParameter(f"expected 'a,b,c', got {text!r}")
-    return normalize_triple(*(float(p) for p in parts))
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    tol, cluster_tol, k_cap = _resolve(args)
-    t = normalize_triple(args.a, args.b, args.c)
-    g = _group(args.group)
-    if args.berger_closed_form:
-        cls = classify(t)
-        if cls is MetricClass.GENERIC:
-            print(
-                "error: --berger-closed-form needs two equal parameters",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_PARAMS
-        # the closed form covers g_(x,y,y); a=b>c realizes it as (c, b, b)
-        x, y = (t.c, t.b) if cls is MetricClass.BERGER_AB else (t.a, t.b)
-        table = berger_spectrum_up_to(
-            args.lambda_max, x, y, g, cluster_tol=cluster_tol, k_cap=k_cap
-        )
-    else:
-        table = spectrum_up_to(
-            args.lambda_max, t, g, tol=tol, cluster_tol=cluster_tol, k_cap=k_cap
-        )
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "inputs": {
-            **_triple_inputs(t, g),
-            "lambda_max": args.lambda_max,
-            "berger_closed_form": bool(args.berger_closed_form),
-        },
-        "results": _table_payload(table),
-    }
-    _print_record(record, args.format)
-    return EXIT_OK
-
-
-def _cmd_lambda1(args: argparse.Namespace) -> int:
-    t = normalize_triple(args.a, args.b, args.c)
-    g = _group(args.group)
+def _cmd_lambda1(args: argparse.Namespace) -> Payload:
+    t, g = _triple_and_group(args)
     res = lambda1_closed(t, g)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lambda1",
-        "inputs": _triple_inputs(t, g),
-        "results": {
-            "value": res.value,
-            "multiplicity": res.multiplicity,
-            "regime": res.regime.value,
-        },
+    return _triple_inputs(t, g), {
+        "value": res.value,
+        "multiplicity": res.multiplicity,
+        "regime": res.regime.value,
     }
-    _print_record(record, args.format)
-    return EXIT_OK
 
 
-def _cmd_geometry(args: argparse.Namespace) -> int:
-    t = normalize_triple(args.a, args.b, args.c)
-    g = _group(args.group)
-    d = diameter(t, g)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "geometry",
-        "inputs": _triple_inputs(t, g),
-        "results": {
-            "classification": classify(t).value,
-            "scalar_curvature": scalar_curvature(t),
-            "volume": volume(t, g),
-            "diameter": {
-                "lower": d.lower,
-                "upper": d.upper,
-                "exact": d.exact,
-            },
-            "yamabe_gap": yamabe_gap(t, g),
-        },
+def _cmd_geometry(args: argparse.Namespace) -> Payload:
+    t, g = _triple_and_group(args)
+    return _triple_inputs(t, g), {
+        "classification": classify(t).value,
+        "scalar_curvature": scalar_curvature(t),
+        "volume": volume(t, g),
+        "diameter": _diameter_payload(t, g),
+        "yamabe_gap": yamabe_gap(t, g),
     }
-    _print_record(record, args.format)
-    return EXIT_OK
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> Payload:
     if args.berger_extrema:
         report = berger_lambda1_diam2_extrema()
-        results = {
+        return {"berger_extrema": True}, {
             "min": report.min_value,
             "min_triple": list(report.min_triple.as_tuple()),
             "max": report.max_value,
             "max_triple": list(report.max_triple.as_tuple()),
         }
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "estimate",
-            "inputs": {"berger_extrema": True},
-            "results": results,
-        }
-        _print_record(record, args.format)
-        return EXIT_OK
     if args.a is None or args.b is None or args.c is None or args.group is None:
-        print("error: give --a --b --c --group or --berger-extrema", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    t = normalize_triple(args.a, args.b, args.c)
-    g = _group(args.group)
+        raise ValueError("give --a --b --c --group or --berger-extrema")
+    t, g = _triple_and_group(args)
     lo, hi = lambda1_diam2(t, g)
-    d = diameter(t, g)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "estimate",
-        "inputs": _triple_inputs(t, g),
-        "results": {
-            "lambda1": lambda1_closed(t, g).value,
-            "diameter": {"lower": d.lower, "upper": d.upper, "exact": d.exact},
-            "lambda1_diam2": {"lower": lo, "upper": hi, "exact_point": lo == hi},
-        },
+    return _triple_inputs(t, g), {
+        "lambda1": lambda1_closed(t, g).value,
+        "diameter": _diameter_payload(t, g),
+        "lambda1_diam2": {"lower": lo, "upper": hi, "exact_point": lo == hi},
     }
-    _print_record(record, args.format)
-    return EXIT_OK
 
 
-def _cmd_rigidity(args: argparse.Namespace) -> int:
-    t = normalize_triple(args.a, args.b, args.c)
-    g = _group(args.group)
+def _cmd_rigidity(args: argparse.Namespace) -> Payload:
+    t, g = _triple_and_group(args)
     inv = invariants(t, g)
     recovered = recover_triple(inv, g)
     roundtrip_err = max(
@@ -363,39 +268,26 @@ def _cmd_rigidity(args: argparse.Namespace) -> int:
             "first_differing_index": outcome.mu_index,
             "first_differing_values": list(outcome.values) if outcome.values else None,
         }
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rigidity",
-        "inputs": inputs,
-        "results": results,
-    }
-    _print_record(record, args.format)
-    return EXIT_OK
+    return inputs, results
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
+def _cmd_product(args: argparse.Namespace) -> Payload:
     su2 = tuple(_parse_triple_arg(arg) for arg in (args.su2 or []))
     so3 = tuple(_parse_triple_arg(arg) for arg in (args.so3 or []))
     est = product_estimate(ProductSpec(su2_factors=su2, so3_factors=so3))
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "product",
-        "inputs": {
-            "su2": [list(t.as_tuple()) for t in su2],
-            "so3": [list(t.as_tuple()) for t in so3],
-        },
-        "results": {
-            "lambda1": est.lambda1,
-            "diam2": {"lower": est.diam2_lower, "upper": est.diam2_upper},
-            "product": {"lower": est.product_lower, "upper": est.product_upper},
-            "cap": est.cap,
-        },
+    inputs = {
+        "su2": [list(t.as_tuple()) for t in su2],
+        "so3": [list(t.as_tuple()) for t in so3],
     }
-    _print_record(record, args.format)
-    return EXIT_OK
+    return inputs, {
+        "lambda1": est.lambda1,
+        "diam2": {"lower": est.diam2_lower, "upper": est.diam2_upper},
+        "product": {"lower": est.product_lower, "upper": est.product_upper},
+        "cap": est.cap,
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify() -> int:
     from . import acceptance  # numpy and the oracle load only for this command
 
     results = acceptance.run_all()
@@ -425,8 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    record = argparse.ArgumentParser(add_help=False)
+    record.add_argument("--format", choices=["json", "csv"], default="json")
 
-    spectrum_p = sub.add_parser("spectrum", help="truncated spectrum of one metric")
+    spectrum_p = sub.add_parser(
+        "spectrum", parents=[record], help="truncated spectrum of one metric"
+    )
     _add_triple_flags(spectrum_p)
     spectrum_p.add_argument("--lambda-max", type=float, required=True)
     spectrum_p.add_argument(
@@ -434,65 +330,81 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the closed form (requires two equal parameters)",
     )
-    spectrum_p.add_argument("--format", choices=["json", "csv"], default="json")
-    spectrum_p.add_argument("--tol", type=float, default=None, help="eigensolver tolerance")
     spectrum_p.add_argument(
-        "--cluster-tol", type=float, default=None, help="multiplicity clustering tolerance"
+        "--tol", type=float, default=DEFAULT_SOLVER_TOL, help="eigensolver tolerance"
     )
-    spectrum_p.add_argument("--k-cap", type=int, default=None, help="hard cap on irrep blocks")
+    spectrum_p.add_argument(
+        "--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
+        help="multiplicity clustering tolerance",
+    )
+    spectrum_p.add_argument(
+        "--k-cap", type=int, default=DEFAULT_K_CAP, help="hard cap on irrep blocks"
+    )
     spectrum_p.set_defaults(func=_cmd_spectrum)
 
-    lambda1_p = sub.add_parser("lambda1", help="closed-form lowest positive eigenvalue")
+    lambda1_p = sub.add_parser(
+        "lambda1", parents=[record], help="closed-form lowest positive eigenvalue"
+    )
     _add_triple_flags(lambda1_p)
-    lambda1_p.add_argument("--format", choices=["json", "csv"], default="json")
     lambda1_p.set_defaults(func=_cmd_lambda1)
 
-    geometry_p = sub.add_parser("geometry", help="curvature, volume, diameter, gap")
+    geometry_p = sub.add_parser(
+        "geometry", parents=[record], help="curvature, volume, diameter, gap"
+    )
     _add_triple_flags(geometry_p)
-    geometry_p.add_argument("--format", choices=["json", "csv"], default="json")
     geometry_p.set_defaults(func=_cmd_geometry)
 
-    estimate_p = sub.add_parser("estimate", help="lambda1 * diam^2 estimates")
+    estimate_p = sub.add_parser(
+        "estimate", parents=[record], help="lambda1 * diam^2 estimates"
+    )
     _add_triple_flags(estimate_p, required=False)
     estimate_p.add_argument(
         "--berger-extrema",
         action="store_true",
         help="sweep the two-equal-parameter families and report the extrema",
     )
-    estimate_p.add_argument("--format", choices=["json", "csv"], default="json")
     estimate_p.set_defaults(func=_cmd_estimate)
 
-    rigidity_p = sub.add_parser("rigidity", help="spectral invariants and inversion")
+    rigidity_p = sub.add_parser(
+        "rigidity", parents=[record], help="spectral invariants and inversion"
+    )
     _add_triple_flags(rigidity_p)
     rigidity_p.add_argument(
         "--compare", type=str, default=None, metavar="A,B,C",
         help="second triple for an isospectrality comparison",
     )
     rigidity_p.add_argument("--lambda-max", type=float, default=None)
-    rigidity_p.add_argument("--format", choices=["json", "csv"], default="json")
     rigidity_p.set_defaults(func=_cmd_rigidity)
 
-    product_p = sub.add_parser("product", help="estimates for products of factors")
+    product_p = sub.add_parser(
+        "product", parents=[record], help="estimates for products of factors"
+    )
     product_p.add_argument(
         "--su2", action="append", metavar="A,B,C", help="add one SU(2) factor"
     )
     product_p.add_argument(
         "--so3", action="append", metavar="A,B,C", help="add one SO(3) factor"
     )
-    product_p.add_argument("--format", choices=["json", "csv"], default="json")
     product_p.set_defaults(func=_cmd_product)
 
-    verify_p = sub.add_parser("verify", help="run the acceptance suite")
-    verify_p.set_defaults(func=_cmd_verify)
+    sub.add_parser("verify", help="run the acceptance suite")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            return _cmd_verify()
+        inputs, results = args.func(args)
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+        }
+        text = _record_to_csv(results) if args.format == "csv" else _record_to_json(record)
     except CutoffTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CUTOFF
@@ -502,6 +414,11 @@ def main(argv: list[str] | None = None) -> int:
     except (BoundViolation, NonConvergence) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except ArithmeticError as exc:  # ZeroDivisionError, OverflowError
+        print(f"error: parameters out of floating-point range: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    print(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
     Raises:
         NonConvergence: if a bracket needs more than 200 bisections.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = t.n
     if n == 0:

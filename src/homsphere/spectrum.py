@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .casimir import _diagonal
@@ -120,24 +121,21 @@ def k_cutoff(
     def bound(k: int) -> float:
         return 2.0 * k * b2 + float(k) * k * c2
 
-    k = int((-b2 + math.sqrt(b2 * b2 + lam_max * c2)) / c2)
-    k = max(k, 0)
-    while bound(k + 1) <= lam_max:
-        k += 1
-    while k > 0 and bound(k) > lam_max:
-        k -= 1
+    k = max(int((-b2 + math.sqrt(b2 * b2 + lam_max * c2)) / c2), 0)
+    # Far beyond the cap the estimate alone decides; there the walk could
+    # stall, since above 2**53 bound(k + 1) rounds to bound(k).
+    if k <= k_cap + 2:
+        while bound(k + 1) <= lam_max:
+            k += 1
+        while k > 0 and bound(k) > lam_max:
+            k -= 1
     if g is GroupKind.SO3:
         k -= k % 2
     if k > k_cap:
         raise CutoffTooLarge(
-            f"truncation bound {lam_max} needs blocks up to k={k}, cap is {k_cap}"
+            f"truncation bound {lam_max} needs blocks up to k={k:.17g}, cap is {k_cap}"
         )
     return k
-
-
-def _check_cluster_tol(cluster_tol: float) -> None:
-    if not 0.0 <= cluster_tol < math.inf:
-        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
 
 
 def _cluster(
@@ -178,9 +176,38 @@ def _cluster(
         warnings.warn(
             f"merged near-degenerate eigenvalue clusters: {detail}",
             ClusterMergeWarning,
-            stacklevel=3,
+            stacklevel=4,  # past _assemble and the public function, to its caller
         )
     return tuple(entries), tuple(sources)
+
+
+def _assemble(
+    lam_max: float,
+    t: MetricTriple,
+    g: GroupKind,
+    block_values: Callable[[int], Iterable[float]],
+    cluster_tol: float,
+    k_cap: int,
+) -> SpectrumTable:
+    """Table of the values of blocks 0..K that are <= lam_max, each of weight k+1."""
+    if not 0.0 <= cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
+    cutoff = k_cutoff(lam_max, t, g, k_cap)
+    step = 2 if g is GroupKind.SO3 else 1
+    contributions = [
+        (value, k + 1, k)
+        for k in range(0, cutoff + 1, step)
+        for value in block_values(k)
+        if value <= lam_max
+    ]
+    entries, sources = _cluster(contributions, cluster_tol)
+    return SpectrumTable(
+        entries=entries,
+        truncation_bound=lam_max,
+        group=g,
+        triple=t,
+        k_sources=sources,
+    )
 
 
 def spectrum_up_to(
@@ -204,22 +231,7 @@ def spectrum_up_to(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    _check_cluster_tol(cluster_tol)
-    cutoff = k_cutoff(lam_max, t, g, k_cap)
-    step = 2 if g is GroupKind.SO3 else 1
-    contributions: list[tuple[float, int, int]] = []
-    for k in range(0, cutoff + 1, step):
-        for value in eigen_block(k, t, tol):
-            if value <= lam_max:
-                contributions.append((value, k + 1, k))
-    entries, sources = _cluster(contributions, cluster_tol)
-    return SpectrumTable(
-        entries=entries,
-        truncation_bound=lam_max,
-        group=g,
-        triple=t,
-        k_sources=sources,
-    )
+    return _assemble(lam_max, t, g, lambda k: eigen_block(k, t, tol), cluster_tol, k_cap)
 
 
 def berger_spectrum_up_to(
@@ -240,22 +252,9 @@ def berger_spectrum_up_to(
         ValueError: if ``cluster_tol`` is negative or not finite, or
             ``lam_max`` is not a positive finite number.
     """
-    _check_cluster_tol(cluster_tol)
     t = normalize_triple(a, b, b)
-    cutoff = k_cutoff(lam_max, t, g, k_cap)
-    step = 2 if g is GroupKind.SO3 else 1
     a2, bc2 = a * a, b * b + b * b
-    contributions: list[tuple[float, int, int]] = []
-    for k in range(0, cutoff + 1, step):
-        contributions += [(v, k + 1, k) for v in _diagonal(k, a2, bc2) if v <= lam_max]
-    entries, sources = _cluster(contributions, cluster_tol)
-    return SpectrumTable(
-        entries=entries,
-        truncation_bound=lam_max,
-        group=g,
-        triple=t,
-        k_sources=sources,
-    )
+    return _assemble(lam_max, t, g, lambda k: _diagonal(k, a2, bc2), cluster_tol, k_cap)
 
 
 def mu_index_of(value: float, table: SpectrumTable, tol: float = 1e-9) -> int:

@@ -71,8 +71,9 @@ def test_eigen_block_generic_matches_dense_oracle():
 
 
 def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        eigenvalues(_block([1.0], []), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            eigenvalues(_block([1.0], []), tol=tol)
     for t in (MetricTriple(2, 1, 0.5), MetricTriple(2, 1, 1)):  # solver and b = c branches
         with pytest.raises(ValueError):
             eigen_block(3, t, tol=-1.0)

@@ -202,8 +202,11 @@ def test_suspicious_cluster_merges_are_reported():
     # 4a^2 + 4b^2 and a^2 + 14b^2 collide when 3a^2 = 10b^2; nudging a
     # leaves a gap far above solver noise yet inside the clustering window
     a = math.sqrt(10.0 / 3.0) * (1.0 + 3e-9)
-    with pytest.warns(ClusterMergeWarning):
+    with pytest.warns(ClusterMergeWarning) as record:
         berger_spectrum_up_to(20.0, a, 1.0, SU2)
+        spectrum_up_to(20.0, MetricTriple(a, 1, 1), SU2)
+    # both point at this caller, not into the library
+    assert [r.filename for r in record] == [__file__, __file__]
     # clean spectra merge only exactly repeated values: no warning
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", ClusterMergeWarning)
