@@ -49,14 +49,10 @@ from .spectrum import (
     ClusterMergeWarning,
     CutoffTooLarge,
     Lambda1Result,
-    NotFound,
     Regime,
-    berger_eigenvalue,
     berger_spectrum_up_to,
     k_cutoff,
     lambda1_closed,
-    low_irrep_eigenvalues,
-    mu_index_of,
     spectrum_up_to,
 )
 
@@ -80,14 +76,12 @@ __all__ = [
     "MetricTriple",
     "NonConvergence",
     "NonPositiveParameter",
-    "NotFound",
     "ProductEstimate",
     "ProductSpec",
     "Regime",
     "SpectralInvariants",
     "SpectrumTable",
     "TridiagBlock",
-    "berger_eigenvalue",
     "berger_lambda1_diam2_extrema",
     "berger_spectrum_up_to",
     "build_irrep_block",
@@ -100,8 +94,6 @@ __all__ = [
     "k_cutoff",
     "lambda1_closed",
     "lambda1_diam2",
-    "low_irrep_eigenvalues",
-    "mu_index_of",
     "normalize_triple",
     "product_estimate",
     "recover_triple",

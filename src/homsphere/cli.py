@@ -48,7 +48,6 @@ from .spectrum import (
     DEFAULT_K_CAP,
     DEFAULT_SOLVER_TOL,
     CutoffTooLarge,
-    berger_spectrum_up_to,
     lambda1_closed,
     spectrum_up_to,
 )
@@ -160,20 +159,12 @@ def _parse_triple_arg(text: str) -> MetricTriple:
 
 def _cmd_spectrum(args: argparse.Namespace) -> Payload:
     t, g = _triple_and_group(args)
-    if args.berger_closed_form:
-        cls = classify(t)
-        if cls is MetricClass.GENERIC:
-            raise ValueError("--berger-closed-form needs two equal parameters")
-        # the closed form covers g_(x,y,y); a=b>c realizes it as (c, b, b)
-        x, y = (t.c, t.b) if cls is MetricClass.BERGER_AB else (t.a, t.b)
-        table = berger_spectrum_up_to(
-            args.lambda_max, x, y, g, cluster_tol=args.cluster_tol, k_cap=args.k_cap
-        )
-    else:
-        table = spectrum_up_to(
-            args.lambda_max, t, g,
-            tol=args.tol, cluster_tol=args.cluster_tol, k_cap=args.k_cap,
-        )
+    if args.berger_closed_form and classify(t) is MetricClass.GENERIC:
+        raise ValueError("--berger-closed-form needs two equal parameters")
+    table = spectrum_up_to(
+        args.lambda_max, t, g,
+        tol=args.tol, cluster_tol=args.cluster_tol, k_cap=args.k_cap,
+    )
     inputs = {
         **_triple_inputs(t, g),
         "lambda_max": args.lambda_max,
@@ -328,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum_p.add_argument(
         "--berger-closed-form",
         action="store_true",
-        help="use the closed form (requires two equal parameters)",
+        help="require two equal parameters (closed-form spectrum)",
     )
     spectrum_p.add_argument(
         "--tol", type=float, default=DEFAULT_SOLVER_TOL, help="eigensolver tolerance"

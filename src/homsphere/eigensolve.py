@@ -8,7 +8,7 @@ initial brackets come directly from Gershgorin bounds.
 ``eigenvalues`` is the one bisection kernel, a pure-Python loop over a
 single block (the blocks arising from the spectra here are small).
 ``eigen_block`` solves the even and odd blocks of one irrep, or reads the
-eigenvalues off the diagonal when b = c.
+eigenvalues off the diagonal when two parameters are equal.
 """
 
 from __future__ import annotations
@@ -91,13 +91,17 @@ def eigen_block(k: int, t: MetricTriple, tol: float = 1e-12) -> tuple[float, ...
     """Sorted eigenvalues of the irrep-k Casimir matrix for triple ``t``.
 
     When b = c the matrix is already diagonal, so the solver is bypassed
-    and the diagonal entries are returned as computed; otherwise the even
-    and odd tridiagonal blocks are solved and merged.  ``tol`` is checked
-    on both branches.
+    and the diagonal entries are returned as computed.  When a = b > c the
+    metric is isometric to (c, a, b), whose matrix is diagonal in the same
+    way.  Either way the values are bitwise the closed Berger eigenvalues
+    ``oracle.berger_eigenvalue``.  Otherwise the even and odd tridiagonal
+    blocks are solved and merged.  ``tol`` is checked on every branch.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if t.b == t.c:
         return tuple(sorted(_diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c)))
+    if t.a == t.b:
+        return tuple(sorted(_diagonal(k, t.c * t.c, t.a * t.a + t.b * t.b)))
     even, odd = build_irrep_block(k, t)
     return tuple(sorted((*eigenvalues(even, tol), *eigenvalues(odd, tol))))

@@ -14,9 +14,11 @@ the functions here rebuild them the long way, so the checks can compare:
   that nothing lies outside the distance-2 pattern.
 
 The other references: ``to_dense`` expands a block for a dense solver,
-``gershgorin`` gives certified eigenvalue intervals, and
-``mult3_auxiliary_root`` and ``sum_eigenvalue_positions`` are diagnostics
-of the inverse problem and of the spectrum's ordering.
+``gershgorin`` gives certified eigenvalue intervals,
+``berger_eigenvalue`` and ``low_irrep_eigenvalues`` are closed forms the
+spectra are checked against, ``mu_index_of`` looks a value up in a
+table, and ``mult3_auxiliary_root`` and ``sum_eigenvalue_positions`` are
+diagnostics of the inverse problem and of the spectrum's ordering.
 """
 
 from __future__ import annotations
@@ -27,9 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .casimir import TridiagBlock, _diagonal
-from .core import GroupKind, HomsphereError, MetricTriple, normalize_triple
+from .core import (
+    GroupKind,
+    HomsphereError,
+    MetricTriple,
+    SpectrumTable,
+    normalize_triple,
+)
 from .rigidity import _bisect
-from .spectrum import DEFAULT_SOLVER_TOL, mu_index_of, spectrum_up_to
+from .spectrum import DEFAULT_SOLVER_TOL, spectrum_up_to
 
 
 class ImaginaryResidue(HomsphereError, ArithmeticError):
@@ -42,6 +50,10 @@ class AsymmetryResidue(HomsphereError, ArithmeticError):
 
 class PatternViolation(HomsphereError, ValueError):
     """An entry outside the expected sparsity pattern is significantly nonzero."""
+
+
+class NotFound(HomsphereError, LookupError):
+    """No spectrum entry matches the queried eigenvalue."""
 
 
 def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,6 +234,42 @@ def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
     return GershgorinIntervals(
         lower=diag - radius, upper=diag + radius, floor=floor, odd_floor=odd_floor
     )
+
+
+def berger_eigenvalue(k: int, j: int, a: float, b: float) -> float:
+    """Closed eigenvalue a^2 (k-2j)^2 + 2 b^2 ((2j+1)k - 2j^2) of g_(a,b,b)."""
+    if not 0 <= j <= k:
+        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
+    return a * a * (k - 2 * j) ** 2 + 2.0 * (b * b) * ((2 * j + 1) * k - 2 * j * j)
+
+
+def low_irrep_eigenvalues(t: MetricTriple) -> dict[int, tuple[float, ...]]:
+    """Closed eigenvalues of the first three irrep blocks (k = 0, 1, 2).
+
+    k=0 gives {0}; k=1 gives a^2+b^2+c^2 twice; k=2 gives
+    4(b^2+c^2), 4(a^2+c^2), 4(a^2+b^2) sorted ascending.
+    """
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    s = a2 + (b2 + c2)
+    pi2 = tuple(sorted((4.0 * (b2 + c2), 4.0 * (a2 + c2), 4.0 * (a2 + b2))))
+    return {0: (0.0,), 1: (s, s), 2: pi2}
+
+
+def mu_index_of(value: float, table: SpectrumTable, tol: float = 1e-9) -> int:
+    """Position of ``value`` among the distinct positive eigenvalues (1-based).
+
+    Raises:
+        NotFound: if no positive entry matches within tol * max(1, |value|).
+    """
+    slack = tol * max(1.0, abs(value))
+    index = 0
+    for entry in table.entries:
+        if entry.value == 0.0:
+            continue
+        index += 1
+        if abs(entry.value - value) <= slack:
+            return index
+    raise NotFound(f"no positive spectrum entry within {slack:.3e} of {value}")
 
 
 def mult3_auxiliary_root(t: MetricTriple) -> float:

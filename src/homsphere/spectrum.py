@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 import warnings
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .casimir import _diagonal
 from .core import (
     EigenPair,
     GroupKind,
@@ -32,14 +32,12 @@ DEFAULT_K_CAP = 10000
 
 # relative gap above which a cluster merge is reported as suspicious
 _MERGE_WARN_GAP = 1e-10
+# warnings are attributed to the first frame outside this directory
+_PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")
 
 
 class CutoffTooLarge(HomsphereError, ValueError):
     """The truncation bound requires more irrep blocks than the configured cap."""
-
-
-class NotFound(HomsphereError, LookupError):
-    """No spectrum entry matches the queried eigenvalue."""
 
 
 class ClusterMergeWarning(UserWarning):
@@ -90,13 +88,6 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     return Lambda1Result(value=f, multiplicity=3, regime=Regime.FOUR_BC)
 
 
-def berger_eigenvalue(k: int, j: int, a: float, b: float) -> float:
-    """Closed eigenvalue a^2 (k-2j)^2 + 2 b^2 ((2j+1)k - 2j^2) of g_(a,b,b)."""
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
-    return a * a * (k - 2 * j) ** 2 + 2.0 * (b * b) * ((2 * j + 1) * k - 2 * j * j)
-
-
 def k_cutoff(
     lam_max: float, t: MetricTriple, g: GroupKind, k_cap: int = DEFAULT_K_CAP
 ) -> int:
@@ -121,7 +112,8 @@ def k_cutoff(
     def bound(k: int) -> float:
         return 2.0 * k * b2 + float(k) * k * c2
 
-    k = max(int((-b2 + math.sqrt(b2 * b2 + lam_max * c2)) / c2), 0)
+    # the root of bound(k) = lam_max, in a form that neither cancels nor overflows
+    k = int(lam_max / (b2 + math.hypot(b2, math.sqrt(lam_max) * t.c)))
     # Far beyond the cap the estimate alone decides; there the walk could
     # stall, since above 2**53 bound(k + 1) rounds to bound(k).
     if k <= k_cap + 2:
@@ -176,38 +168,23 @@ def _cluster(
         warnings.warn(
             f"merged near-degenerate eigenvalue clusters: {detail}",
             ClusterMergeWarning,
-            stacklevel=4,  # past _assemble and the public function, to its caller
+            stacklevel=_caller_stacklevel(),
         )
     return tuple(entries), tuple(sources)
 
 
-def _assemble(
-    lam_max: float,
-    t: MetricTriple,
-    g: GroupKind,
-    block_values: Callable[[int], Iterable[float]],
-    cluster_tol: float,
-    k_cap: int,
-) -> SpectrumTable:
-    """Table of the values of blocks 0..K that are <= lam_max, each of weight k+1."""
-    if not 0.0 <= cluster_tol < math.inf:
-        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
-    cutoff = k_cutoff(lam_max, t, g, k_cap)
-    step = 2 if g is GroupKind.SO3 else 1
-    contributions = [
-        (value, k + 1, k)
-        for k in range(0, cutoff + 1, step)
-        for value in block_values(k)
-        if value <= lam_max
-    ]
-    entries, sources = _cluster(contributions, cluster_tol)
-    return SpectrumTable(
-        entries=entries,
-        truncation_bound=lam_max,
-        group=g,
-        triple=t,
-        k_sources=sources,
-    )
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that points a warning at the first frame outside this package.
+
+    Counted from the function that calls this one and then warns, so the
+    warning names the user's call whichever public function led to it.
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def spectrum_up_to(
@@ -220,18 +197,40 @@ def spectrum_up_to(
 ) -> SpectrumTable:
     """All distinct eigenvalues <= lam_max with multiplicities (inclusive bound).
 
-    Solves one Casimir block per admissible irrep (even k only for SO(3)),
-    weights each block eigenvalue by the irrep dimension k+1, and clusters
-    equal values.  The result is complete below ``lam_max``.
+    Takes the eigenvalues of one Casimir block per admissible irrep (even k
+    only for SO(3)) from ``eigen_block``, so a triple with two equal
+    parameters gets its closed form and any other the solver, weights each
+    by the irrep dimension k+1, and clusters equal values.  The result is
+    complete below ``lam_max``.
 
     Raises:
         ValueError: if ``tol`` is not positive, ``cluster_tol`` is negative
             or not finite, or ``lam_max`` is not a positive finite number,
             whichever branch the triple takes.
+        OverflowError: if a^2 + b^2 + c^2 is 0 or infinite in floating point.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    return _assemble(lam_max, t, g, lambda k: eigen_block(k, t, tol), cluster_tol, k_cap)
+    if not 0.0 <= cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
+    if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c < math.inf:
+        raise OverflowError(f"the squares of {t.as_tuple()} leave the float range")
+    cutoff = k_cutoff(lam_max, t, g, k_cap)
+    step = 2 if g is GroupKind.SO3 else 1
+    contributions = [
+        (value, k + 1, k)
+        for k in range(0, cutoff + 1, step)
+        for value in eigen_block(k, t, tol)
+        if value <= lam_max
+    ]
+    entries, sources = _cluster(contributions, cluster_tol)
+    return SpectrumTable(
+        entries=entries,
+        truncation_bound=lam_max,
+        group=g,
+        triple=t,
+        k_sources=sources,
+    )
 
 
 def berger_spectrum_up_to(
@@ -244,43 +243,14 @@ def berger_spectrum_up_to(
 ) -> SpectrumTable:
     """Closed-form truncated spectrum of the metric with parameters (a, b, b).
 
-    No eigensolver runs: block k is diagonal, with entries bitwise equal to
-    ``berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of multiplicity
-    k+1.  Works for either parameter order (a >= b or a < b).
+    The same table as ``spectrum_up_to`` on ``normalize_triple(a, b, b)``:
+    no eigensolver runs, since block k is diagonal with entries bitwise
+    equal to ``oracle.berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of
+    multiplicity k+1.  Works for either parameter order (a >= b or a < b).
 
     Raises:
         ValueError: if ``cluster_tol`` is negative or not finite, or
             ``lam_max`` is not a positive finite number.
     """
     t = normalize_triple(a, b, b)
-    a2, bc2 = a * a, b * b + b * b
-    return _assemble(lam_max, t, g, lambda k: _diagonal(k, a2, bc2), cluster_tol, k_cap)
-
-
-def mu_index_of(value: float, table: SpectrumTable, tol: float = 1e-9) -> int:
-    """Position of ``value`` among the distinct positive eigenvalues (1-based).
-
-    Raises:
-        NotFound: if no positive entry matches within tol * max(1, |value|).
-    """
-    slack = tol * max(1.0, abs(value))
-    index = 0
-    for entry in table.entries:
-        if entry.value == 0.0:
-            continue
-        index += 1
-        if abs(entry.value - value) <= slack:
-            return index
-    raise NotFound(f"no positive spectrum entry within {slack:.3e} of {value}")
-
-
-def low_irrep_eigenvalues(t: MetricTriple) -> dict[int, tuple[float, ...]]:
-    """Closed eigenvalues of the first three irrep blocks (k = 0, 1, 2).
-
-    k=0 gives {0}; k=1 gives a^2+b^2+c^2 twice; k=2 gives
-    4(b^2+c^2), 4(a^2+c^2), 4(a^2+b^2) sorted ascending.
-    """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    s = a2 + (b2 + c2)
-    pi2 = tuple(sorted((4.0 * (b2 + c2), 4.0 * (a2 + c2), 4.0 * (a2 + b2))))
-    return {0: (0.0,), 1: (s, s), 2: pi2}
+    return spectrum_up_to(lam_max, t, g, cluster_tol=cluster_tol, k_cap=k_cap)

@@ -73,13 +73,15 @@ def test_spectrum_csv_format(capsys):
 
 
 def test_spectrum_berger_closed_form_matches_numeric(capsys):
-    args = ["--a", "2", "--b", "1", "--c", "1", "--group", "su2", "--lambda-max", "25"]
-    code1, out1, _ = run_cli(capsys, "spectrum", *args)
-    code2, out2, _ = run_cli(capsys, "spectrum", *args, "--berger-closed-form")
-    assert code1 == code2 == 0
-    r1 = json.loads(out1)["results"]["entries"]
-    r2 = json.loads(out2)["results"]["entries"]
-    assert r1 == r2
+    # a > b = c and both a = b > c shapes print the same bytes with the flag
+    for a, b, c, group in [("2", "1", "1", "su2"), ("3", "3", "1", "su2"),
+                           ("1.3", "1.3", "0.5", "so3")]:
+        args = ["spectrum", "--a", a, "--b", b, "--c", c, "--group", group,
+                "--lambda-max", "25", "--format", "csv"]
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args, "--berger-closed-form")
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 def test_spectrum_berger_closed_form_rejects_generic(capsys):
@@ -235,13 +237,14 @@ def test_non_finite_lambda_max_exit_2(capsys, bound):
 
 
 def test_negative_tol_exit_2_on_diagonal_branch(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "spectrum", "--a", "1.7", "--b", "1.2", "--c", "1.2", "--group", "su2",
-        "--lambda-max", "20", "--tol", "-1",
-    )
-    assert code == 2
-    assert "tolerance" in err and "Traceback" not in err
+    for argv in (
+        "spectrum --a 1.7 --b 1.2 --c 1.2 --group su2 --lambda-max 20 --tol -1",
+        "spectrum --a 1 --b 1 --c 0.5 --group su2 --lambda-max 20 --berger-closed-form"
+        " --tol -1",
+    ):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert "tolerance" in err and "Traceback" not in err
 
 
 def test_nonconvergence_exit_1(capsys):
@@ -280,6 +283,8 @@ def test_bad_numeric_flag_exit_2(capsys, triple, flag, value):
         "rigidity --a 1e60 --b 1 --c 1e-60 --group su2",
         "geometry --a 1e150 --b 1 --c 1e-150 --group su2",
         "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2",
+        "spectrum --a 1e154 --b 1e154 --c 1e154 --group su2 --lambda-max 10",
+        "spectrum --a 1.5e154 --b 1 --c 1 --group su2 --lambda-max 10",
     ],
 )
 def test_parameters_beyond_float_range_exit_2(capsys, argv):
@@ -302,6 +307,8 @@ def test_large_representable_parameters_still_work(capsys):
     [
         "spectrum --a 1 --b 1 --c 1 --group su2 --lambda-max 1e300 --k-cap 5",
         "rigidity --a 2 --b 1 --c 1 --group su2 --compare 2,1,1 --lambda-max 1e300",
+        "spectrum --a 1e10 --b 1e10 --c 1e10 --group su2 --lambda-max 1e300",
+        "spectrum --a 1 --b 1 --c 1e-30 --group su2 --lambda-max 1e12",
     ],
 )
 def test_huge_finite_bound_exits_3_promptly(argv):

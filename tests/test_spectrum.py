@@ -10,20 +10,23 @@ import numpy as np
 import pytest
 
 import homsphere
-from homsphere import oracle
-from homsphere.oracle import sum_eigenvalue_positions
+from homsphere import casimir, eigensolve, oracle
+from homsphere.oracle import (
+    NotFound,
+    berger_eigenvalue,
+    low_irrep_eigenvalues,
+    mu_index_of,
+    sum_eigenvalue_positions,
+)
 from homsphere.core import GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
+from homsphere.rigidity import isospectral_check
 from homsphere.spectrum import (
     CutoffTooLarge,
-    NotFound,
     Regime,
-    berger_eigenvalue,
     berger_spectrum_up_to,
     k_cutoff,
     lambda1_closed,
-    low_irrep_eigenvalues,
-    mu_index_of,
     spectrum_up_to,
 )
 
@@ -83,6 +86,8 @@ def test_k_cutoff_examples():
     assert k_cutoff(0.5, t, SU2) == 0
     assert k_cutoff(10.0, t, SO3) == 2
     assert k_cutoff(3.0, t, SO3) == 0
+    # an aspect ratio near 1e10, where a cancelling estimate overshoots twofold
+    assert k_cutoff(14000.0, MetricTriple(1, 1, 1.26e-10), SU2) == 7000
 
 
 def test_k_cutoff_cap():
@@ -139,13 +144,24 @@ def test_berger_round_matches_k_law():
 
 def test_berger_spectrum_handles_swapped_parameters():
     # (a, b, b) with a < b normalizes to a metric with its two large
-    # parameters equal; closed form and solver must still agree
+    # parameters equal; closed form and numeric pipeline must still agree
     closed = berger_spectrum_up_to(40.0, 0.5, 1.3, SU2)
     numeric = spectrum_up_to(40.0, normalize_triple(0.5, 1.3, 1.3), SU2)
-    assert len(closed.entries) == len(numeric.entries)
-    for x, y in zip(closed.entries, numeric.entries):
-        assert x.value == pytest.approx(y.value, rel=1e-10)
-        assert x.multiplicity == y.multiplicity
+    assert closed.entries == numeric.entries
+    assert closed.k_sources == numeric.k_sources
+
+
+@pytest.mark.parametrize("triple", [(1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7)])
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-equal-parameter spectrum reached the solver")
+
+    monkeypatch.setattr(eigensolve, "eigenvalues", refuse)
+    monkeypatch.setattr(eigensolve, "build_irrep_block", refuse)
+    monkeypatch.setattr(casimir, "build_irrep_block", refuse)
+    table = spectrum_up_to(80.0, MetricTriple(*triple), g)
+    assert table.entries[0].value == 0.0 and len(table.entries) > 2
 
 
 def test_mu_index_examples():
@@ -202,11 +218,13 @@ def test_suspicious_cluster_merges_are_reported():
     # 4a^2 + 4b^2 and a^2 + 14b^2 collide when 3a^2 = 10b^2; nudging a
     # leaves a gap far above solver noise yet inside the clustering window
     a = math.sqrt(10.0 / 3.0) * (1.0 + 3e-9)
+    t = MetricTriple(a, 1, 1)
     with pytest.warns(ClusterMergeWarning) as record:
         berger_spectrum_up_to(20.0, a, 1.0, SU2)
-        spectrum_up_to(20.0, MetricTriple(a, 1, 1), SU2)
-    # both point at this caller, not into the library
-    assert [r.filename for r in record] == [__file__, __file__]
+        spectrum_up_to(20.0, t, SU2)
+        isospectral_check(t, t, SU2, 20.0)
+    # all point at this caller, not into the library
+    assert [r.filename for r in record] == [__file__] * 4
     # clean spectra merge only exactly repeated values: no warning
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", ClusterMergeWarning)
@@ -230,10 +248,11 @@ def test_spectrum_checks_tolerance_on_every_branch():
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (3.7, 0.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
 def test_diagonal_branch_equals_berger_eigenvalue_bitwise(a, b):
-    t = MetricTriple(a, b, b)
-    for k in range(40):
-        closed = tuple(sorted(berger_eigenvalue(k, j, a, b) for j in range(k + 1)))
-        assert eigen_block(k, t) == closed
+    for x, y in ((a, b), (b, a)):  # swapped, (0.7, 2.5, 2.5) is the a = b > c shape
+        t = MetricTriple(x, y, y)
+        for k in range(40):
+            closed = tuple(sorted(berger_eigenvalue(k, j, x, y) for j in range(k + 1)))
+            assert eigen_block(k, t) == closed
 
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (0.37, 1.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
