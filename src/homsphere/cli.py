@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate_p.add_argument(
         "--berger-extrema",
         action="store_true",
-        help="sweep the two-equal-parameter families and report the extrema",
+        help="report the closed-form extrema over the two-equal-parameter families",
     )
     estimate_p.set_defaults(func=_cmd_estimate)
 

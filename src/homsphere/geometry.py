@@ -66,7 +66,10 @@ class ProductEstimate:
 
 @dataclass(frozen=True)
 class BergerExtremaReport:
-    """Extrema of lambda1 * diam^2 over the metrics with two equal parameters."""
+    """Extrema of lambda1 * diam^2 over the metrics with two equal parameters.
+
+    The values are closed forms, attained at the unit-scale triples given.
+    """
 
     min_value: float
     min_triple: MetricTriple
@@ -144,7 +147,13 @@ def product_cap(n_su2: int, n_so3: int) -> float:
 
 
 def _check_window(what: str, lo: float, hi: float, cap: float) -> None:
-    """Raise BoundViolation unless pi^2 < lo and hi <= cap (up to float dust)."""
+    """Raise BoundViolation unless pi^2 < lo and hi <= cap (up to float dust).
+
+    An interval not inside (0, inf) means lambda1 or diam^2 left the float
+    range; that raises OverflowError instead.
+    """
+    if not (0.0 < lo and hi < math.inf):
+        raise OverflowError(f"{what} [{lo}, {hi}] leaves the floating-point range")
     if not (lo > math.pi**2 and hi <= cap * (1.0 + _REL_SLACK)):
         raise BoundViolation(f"{what} [{lo}, {hi}] escapes (pi^2, {cap}]")
 
@@ -154,7 +163,8 @@ def lambda1_diam2(t: MetricTriple, g: GroupKind) -> tuple[float, float]:
 
     The result always lies in (pi^2, 8 pi^2] for SU(2) and in
     (pi^2, (9 - 4 sqrt(2)) pi^2] for SO(3); escaping that range would mean
-    an implementation bug, reported as BoundViolation.
+    an implementation bug, reported as BoundViolation.  OverflowError
+    means lambda1 or diam^2 left the floating-point range.
     """
     lam = lambda1_closed(t, g).value
     d = diameter(t, g)
@@ -165,70 +175,26 @@ def lambda1_diam2(t: MetricTriple, g: GroupKind) -> tuple[float, float]:
     return lo, hi
 
 
-def _golden_min(f, lo: float, hi: float, rel_tol: float = 1e-13) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > rel_tol * max(1.0, abs(lo) + abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def berger_lambda1_diam2_extrema(grid: int = 4000) -> BergerExtremaReport:
-    """Sweep lambda1 * diam^2 over both two-equal-parameter families.
+def berger_lambda1_diam2_extrema() -> BergerExtremaReport:
+    """Extrema of lambda1 * diam^2 over both two-equal-parameter families.
 
     The product is scale invariant, so the families are parametrized at
-    unit scale: (1, 1, c) for 0 < c <= 1 and (a, 1, 1) for a >= 1.  A dense
-    grid locates the candidate extrema and golden-section refines the
-    interior ones.  The maximum 3 pi^2 sits at the round metric; the
-    minimum (1 + sqrt(3)/2) pi^2 at a stretched b = c metric.
+    unit scale: (1, 1, c) for 0 < c <= 1 and (a, 1, 1) for a >= 1.  On
+    (1, 1, c) the product is (2 + c^2) pi^2, increasing in c.  On (a, 1, 1)
+    it is (1 + 2/a^2) pi^2 for a^2 <= 2, a^2 (a^2 + 2) pi^2 / (4 (a^2 - 1))
+    for 2 <= a^2 <= 6, and 2 a^2 pi^2 / (a^2 - 1) for a^2 >= 6, which falls
+    towards 2 pi^2.  The middle branch has its minimum where
+    a^4 - 2 a^2 - 2 = 0, that is a^2 = 1 + sqrt(3).  Hence the maximum
+    3 pi^2 sits at the round metric (1, 1, 1) and the minimum
+    (1 + sqrt(3)/2) pi^2 at (sqrt(1 + sqrt(3)), 1, 1).  Both values are
+    evaluated by ``lambda1_diam2`` at their triples.
     """
-
-    def prod_ab(c: float) -> float:
-        return lambda1_diam2(MetricTriple(1.0, 1.0, c), GroupKind.SU2)[0]
-
-    def prod_bc(a: float) -> float:
-        return lambda1_diam2(MetricTriple(a, 1.0, 1.0), GroupKind.SU2)[0]
-
-    cs = [0.02 + (1.0 - 0.02) * i / (grid - 1) for i in range(grid)]
-    a_s = [1.0 + (12.0 - 1.0) * i / (grid - 1) for i in range(grid)]
-    families = (
-        (prod_ab, cs, lambda c: MetricTriple(1.0, 1.0, c)),
-        (prod_bc, a_s, lambda a: MetricTriple(a, 1.0, 1.0)),
-    )
-
-    candidates: list[tuple[float, MetricTriple]] = []
-    for fn, xs, make in families:
-        vals = [(fn(x), x) for x in xs]
-        for pick in (min, max):
-            v0, x0 = pick(vals)
-            candidates.append((v0, make(x0)))
-            i = xs.index(x0)
-            lo = xs[max(i - 1, 0)]
-            hi = xs[min(i + 1, len(xs) - 1)]
-            if pick is min:
-                x, v = _golden_min(fn, lo, hi)
-            else:
-                x, negv = _golden_min(lambda y: -fn(y), lo, hi)
-                v = -negv
-            candidates.append((v, make(x)))
-
-    min_value, min_triple = min(candidates, key=lambda p: p[0])
-    max_value, max_triple = max(candidates, key=lambda p: p[0])
+    min_triple = MetricTriple(math.sqrt(1.0 + math.sqrt(3.0)), 1.0, 1.0)
+    max_triple = MetricTriple(1.0, 1.0, 1.0)
     return BergerExtremaReport(
-        min_value=min_value,
+        min_value=lambda1_diam2(min_triple, GroupKind.SU2)[0],
         min_triple=min_triple,
-        max_value=max_value,
+        max_value=lambda1_diam2(max_triple, GroupKind.SU2)[0],
         max_triple=max_triple,
     )
 
@@ -244,6 +210,7 @@ def product_estimate(p: ProductSpec) -> ProductEstimate:
     Raises:
         EmptyProduct: if ``p`` has no factors.
         BoundViolation: if the certified interval escapes the range above.
+        OverflowError: if lambda1 or diam^2 leaves the floating-point range.
     """
     factors = [(t, GroupKind.SU2) for t in p.su2_factors]
     factors += [(t, GroupKind.SO3) for t in p.so3_factors]

@@ -28,6 +28,8 @@ from .geometry import scalar_curvature
 from .spectrum import lambda1_closed, spectrum_up_to
 
 _VALIDATION_RTOL = 1e-6
+# isospectral_check counts x and y as equal when |x - y| <= this * max(1, |x|)
+_ISOSPECTRAL_RTOL = 1e-9
 _MAX_BISECTIONS = 200
 
 
@@ -285,16 +287,16 @@ def isospectral_check(
     t2: MetricTriple,
     g: GroupKind,
     lam_max: float,
-    tol: float = 1e-9,
 ) -> IsospectralResult:
     """Compare two truncated spectra entry by entry.
 
     ``lam_max`` must be at least 1.1 times both lowest eigenvalues so the
-    truncation sees past the fundamental tone.  Identical tables for equal
-    canonical triples give ISOMETRIC; the first differing distinct
-    eigenvalue (value or multiplicity) gives DISTINCT_SPECTRA; identical
-    tables for unequal triples give UNDECIDED (truncation too short to
-    separate them).
+    truncation sees past the fundamental tone.  Eigenvalues and triple
+    components x, y count as equal when |x - y| <= 1e-9 max(1, |x|).
+    Identical tables for equal canonical triples give ISOMETRIC; the first
+    differing distinct eigenvalue (value or multiplicity) gives
+    DISTINCT_SPECTRA; identical tables for unequal triples give UNDECIDED
+    (truncation too short to separate them).
     """
     needed = 1.1 * max(lambda1_closed(t1, g).value, lambda1_closed(t2, g).value)
     if lam_max < needed * (1.0 - 1e-12):
@@ -314,14 +316,14 @@ def isospectral_check(
             )
         e1, e2 = pos1[idx], pos2[idx]
         if (
-            abs(e1.value - e2.value) > tol * max(1.0, abs(e1.value))
+            abs(e1.value - e2.value) > _ISOSPECTRAL_RTOL * max(1.0, abs(e1.value))
             or e1.multiplicity != e2.multiplicity
         ):
             return IsospectralResult(
                 IsospectralVerdict.DISTINCT_SPECTRA, idx + 1, (e1.value, e2.value)
             )
     same_triple = all(
-        abs(x - y) <= tol * max(1.0, abs(x))
+        abs(x - y) <= _ISOSPECTRAL_RTOL * max(1.0, abs(x))
         for x, y in zip(t1.as_tuple(), t2.as_tuple())
     )
     if same_triple:

@@ -215,12 +215,37 @@ def test_cutoff_cap_exit_3(capsys):
     assert "cap" in err
 
 
-def test_verify_command_passes(capsys):
+def _stub_criteria(monkeypatch, verdicts):
+    # the real criteria run in tests/test_acceptance.py; these stubs check
+    # only how `verify` reports them
+    from homsphere import acceptance
+
+    stubs = tuple(
+        (lambda cid=cid, ok=ok: acceptance.CriterionResult(cid, f"stub {cid}", ok, "d"))
+        for cid, ok in enumerate(verdicts, start=1)
+    )
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs)
+
+
+def test_verify_command_passes(capsys, monkeypatch):
+    _stub_criteria(monkeypatch, [True] * 11)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len([ln for ln in lines if ln.startswith("PASS")]) == 11
+    assert lines[:-1] == [f"PASS  criterion {i:2d}  stub {i}: d" for i in range(1, 12)]
     assert lines[-1] == "11/11 criteria passed"
+
+
+def test_verify_command_fails(capsys, monkeypatch):
+    _stub_criteria(monkeypatch, [True, False])
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines == [
+        "PASS  criterion  1  stub 1: d",
+        "FAIL  criterion  2  stub 2: d",
+        "1/2 criteria passed",
+    ]
 
 
 SPECTRUM_GENERIC = [
@@ -285,6 +310,10 @@ def test_bad_numeric_flag_exit_2(capsys, triple, flag, value):
         "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2",
         "spectrum --a 1e154 --b 1e154 --c 1e154 --group su2 --lambda-max 10",
         "spectrum --a 1.5e154 --b 1 --c 1 --group su2 --lambda-max 10",
+        "estimate --a 1e300 --b 1e300 --c 1 --group su2",
+        "estimate --a 1e200 --b 1e200 --c 1e200 --group so3",
+        "estimate --a 1e-200 --b 1e-200 --c 1e-200 --group so3",
+        "product --su2 1e300,1e300,1",
     ],
 )
 def test_parameters_beyond_float_range_exit_2(capsys, argv):
@@ -343,7 +372,7 @@ PINNED_STDOUT = {
     "estimate --a 2 --b 1 --c 1 --group su2":
         "c4b0c48aca9b3554111e8ef73663e405ae702ac2d690ac7e2cca78dc39154462",
     "estimate --berger-extrema":
-        "bf72e2267c334370655120c70cb1d5875425ebffe6be4443f7f7206bb510bb13",
+        "dec85feb0df52f9df432c791857a491087799448e9757ad3168bdfa3563ea9eb",
     "product --su2 1,1,1 --su2 1,1,1 --so3 2,1,0.5":
         "4e98dfa2c65d572b086b010d0ad3ecef90fe21edfdab307fe45f019bc104555a",
     "rigidity --a 3 --b 1 --c 1 --group su2 --compare 3.0001,1,1 --lambda-max 12":

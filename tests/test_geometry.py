@@ -176,13 +176,38 @@ def test_lambda1_diam2_stays_in_proven_window():
 
 
 def test_berger_extrema_report():
-    report = berger_lambda1_diam2_extrema(grid=2000)
+    report = berger_lambda1_diam2_extrema()
     assert report.max_value == pytest.approx(3 * PI2, rel=1e-12)
     assert report.min_value == pytest.approx((1 + math.sqrt(3.0) / 2.0) * PI2, rel=1e-10)
     # the minimizer has its two small parameters equal and a^2/b^2 = 2/(sqrt(3)-1)
     mt = report.min_triple
     assert mt.b == pytest.approx(mt.c, rel=1e-9)
     assert (mt.a / mt.b) ** 2 == pytest.approx(2.0 / (math.sqrt(3.0) - 1.0), rel=1e-5)
+    # the reported values are lambda1_diam2 at the reported triples
+    assert report.min_value == lambda1_diam2(report.min_triple, SU2)[0]
+    assert report.max_value == lambda1_diam2(report.max_triple, SU2)[0]
+    assert report.max_triple == MetricTriple(1, 1, 1)
+    # no point of either family lies beyond the closed-form extrema
+    idx = range(2000)
+    scan = [MetricTriple(1, 1, 0.02 + (1 - 0.02) * i / 1999) for i in idx]
+    scan += [MetricTriple(1 + (12 - 1) * i / 1999, 1, 1) for i in idx]
+    for t in scan:
+        v = lambda1_diam2(t, SU2)[0]
+        assert report.min_value * (1 - 1e-12) <= v <= report.max_value * (1 + 1e-12)
+
+
+def test_berger_extrema_match_40_digit_closed_form():
+    import mpmath
+
+    report = berger_lambda1_diam2_extrema()
+    with mpmath.workdps(40):
+        pi2 = mpmath.pi**2
+        for got, want, ulps in (
+            (report.min_value, (1 + mpmath.sqrt(3) / 2) * pi2, 2),
+            (report.max_value, 3 * pi2, 2),
+            (report.min_triple.a, mpmath.sqrt(1 + mpmath.sqrt(3)), 1),
+        ):
+            assert abs(mpmath.mpf(got) - want) <= ulps * math.ulp(float(want))
 
 
 def test_product_round_factors_exact():

@@ -246,6 +246,17 @@ def test_spectrum_checks_tolerance_on_every_branch():
                 spectrum_up_to(10.0, t, SU2, tol=tol)
 
 
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_extreme_aspect_ratio_converges(g):
+    # the Gershgorin hull is about 1e62 wide, so bisection needs well over
+    # 200 halvings to reach the default relative width at the small values
+    table = spectrum_up_to(100.0, MetricTriple(1e30, 1.0, 0.5), g)
+    ks = (0, 2, 4, 6, 8, 10)
+    for e, k in zip(table.entries, ks, strict=True):
+        assert e.value == pytest.approx(k * (k + 2) * 1.25 / 2, rel=1e-12, abs=1e-12)
+        assert e.multiplicity == k + 1
+
+
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (3.7, 0.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
 def test_diagonal_branch_equals_berger_eigenvalue_bitwise(a, b):
     for x, y in ((a, b), (b, a)):  # swapped, (0.7, 2.5, 2.5) is the a = b > c shape
