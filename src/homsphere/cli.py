@@ -2,11 +2,13 @@
 
 Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
-Exit codes: 0 success, 1 acceptance failure or internal error (a one-line
-``internal error:`` message on stderr), 2 invalid parameters (including
-parameters whose results leave the floating-point range), 3 truncation
-cap exceeded.  Warnings (for example suspicious cluster merges) go to
-stderr only.
+Exit codes: 0 success, 1 acceptance failure, internal error (a one-line
+``internal error:`` message on stderr) or a reader that closed stdout
+early (no message), 2 invalid parameters (including parameters whose
+results leave the floating-point range), 3 truncation bound needing more
+than ``spectrum.K_CAP`` irrep blocks.  Warnings (for example suspicious
+cluster merges) go to stderr only.  No subcommand takes a tolerance: the
+solver, clustering and comparison tolerances are fixed.
 
 Only ``verify`` imports the acceptance suite, and with it numpy and
 ``homsphere.oracle``; every other subcommand runs on the standard library.
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .core import (
@@ -43,14 +46,7 @@ from .geometry import (
 )
 from .eigensolve import NonConvergence
 from .rigidity import invariants, isospectral_check, recover_triple
-from .spectrum import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_K_CAP,
-    DEFAULT_SOLVER_TOL,
-    CutoffTooLarge,
-    lambda1_closed,
-    spectrum_up_to,
-)
+from .spectrum import CutoffTooLarge, lambda1_closed, spectrum_up_to
 
 SCHEMA_VERSION = "1"
 
@@ -161,10 +157,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Payload:
     t, g = _triple_and_group(args)
     if args.berger_closed_form and classify(t) is MetricClass.GENERIC:
         raise ValueError("--berger-closed-form needs two equal parameters")
-    table = spectrum_up_to(
-        args.lambda_max, t, g,
-        tol=args.tol, cluster_tol=args.cluster_tol, k_cap=args.k_cap,
-    )
+    table = spectrum_up_to(args.lambda_max, t, g)
     inputs = {
         **_triple_inputs(t, g),
         "lambda_max": args.lambda_max,
@@ -229,10 +222,7 @@ def _cmd_rigidity(args: argparse.Namespace) -> Payload:
     t, g = _triple_and_group(args)
     inv = invariants(t, g)
     recovered = recover_triple(inv, g)
-    roundtrip_err = max(
-        abs(x - y) / max(1.0, abs(y))
-        for x, y in zip(recovered.as_tuple(), t.as_tuple())
-    )
+    roundtrip_err = max(abs(x - y) / y for x, y in zip(recovered.as_tuple(), t.as_tuple()))
     results = {
         "invariants": {
             "vol_param": inv.vol_param,
@@ -321,16 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="require two equal parameters (closed-form spectrum)",
     )
-    spectrum_p.add_argument(
-        "--tol", type=float, default=DEFAULT_SOLVER_TOL, help="eigensolver tolerance"
-    )
-    spectrum_p.add_argument(
-        "--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
-        help="multiplicity clustering tolerance",
-    )
-    spectrum_p.add_argument(
-        "--k-cap", type=int, default=DEFAULT_K_CAP, help="hard cap on irrep blocks"
-    )
     spectrum_p.set_defaults(func=_cmd_spectrum)
 
     lambda1_p = sub.add_parser(
@@ -408,7 +388,14 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # ZeroDivisionError, OverflowError
         print(f"error: parameters out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     return EXIT_OK
 
 

@@ -13,21 +13,25 @@ eigenvalues off the diagonal when two parameters are equal.
 
 from __future__ import annotations
 
+import math
+
 from .casimir import TridiagBlock, _diagonal, build_irrep_block
 from .core import HomsphereError, MetricTriple
 
 _EPS = 2.0**-52
+# bisection stops at a bracket width of TOL * max(1, |midpoint|)
+TOL = 1e-12
 
 
 class NonConvergence(HomsphereError, RuntimeError):
     """Bisection cannot shrink an eigenvalue bracket to the tolerance."""
 
 
-def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
+def eigenvalues(t: TridiagBlock) -> tuple[float, ...]:
     """All eigenvalues of a symmetric tridiagonal block, sorted ascending.
 
     Each eigenvalue is bisected inside the Gershgorin hull of the block
-    until the bracket width drops below tol * max(1, |midpoint|), however
+    until the bracket width drops below TOL * max(1, |midpoint|), however
     many halvings that takes (a few hundred at extreme aspect ratios).  The
     Sturm count of a midpoint runs the signed pivot recurrence
     d_1 = T_11 - x, d_i = (T_ii - x) - off_{i-1}^2 / d_{i-1} and counts
@@ -35,11 +39,10 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
     eigenvalue exactly at the midpoint is not counted.
 
     Raises:
-        NonConvergence: if the midpoint of a bracket rounds to one of its
-            ends before the width test passes (tol below the float spacing).
+        OverflowError: if an entry or a squared coupling is not finite.
+        NonConvergence: if the midpoint of a bracket is not strictly inside
+            it before the width test passes (a NaN entry).
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     n = t.n
     if n == 0:
         return ()
@@ -56,6 +59,8 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
         lo0 = min(lo0, diag[i] - r)
         hi0 = max(hi0, diag[i] + r)
         norm = max(norm, abs(diag[i]) + left + right)
+    if not math.isfinite(norm + max(off2, default=0.0)):
+        raise OverflowError(f"entries of a {n}x{n} block leave the float range")
     pert = _EPS * (norm or 1.0)
 
     out = []
@@ -63,7 +68,7 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
         lo, hi = lo0, hi0
         while True:
             mid = 0.5 * (lo + hi)
-            if hi - lo <= tol * max(1.0, abs(mid)):
+            if hi - lo <= TOL * max(1.0, abs(mid)):
                 out.append(mid)
                 break
             if not lo < mid < hi:
@@ -86,7 +91,7 @@ def eigenvalues(t: TridiagBlock, tol: float = 1e-12) -> tuple[float, ...]:
     return tuple(out)
 
 
-def eigen_block(k: int, t: MetricTriple, tol: float = 1e-12) -> tuple[float, ...]:
+def eigen_block(k: int, t: MetricTriple) -> tuple[float, ...]:
     """Sorted eigenvalues of the irrep-k Casimir matrix for triple ``t``.
 
     When b = c the matrix is already diagonal, so the solver is bypassed
@@ -94,13 +99,16 @@ def eigen_block(k: int, t: MetricTriple, tol: float = 1e-12) -> tuple[float, ...
     metric is isometric to (c, a, b), whose matrix is diagonal in the same
     way.  Either way the values are bitwise the closed Berger eigenvalues
     ``oracle.berger_eigenvalue``.  Otherwise the even and odd tridiagonal
-    blocks are solved and merged.  ``tol`` is checked on every branch.
+    blocks are solved and merged.  With b >= 1 every positive eigenvalue
+    is at least 2, so the floor of the stopping width never binds; this is
+    why ``spectrum_up_to`` calls it at a power-of-two scale with b in [1, 2).
+
+    Raises:
+        OverflowError: if a block entry leaves the float range.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if t.b == t.c:
         return tuple(sorted(_diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c)))
     if t.a == t.b:
         return tuple(sorted(_diagonal(k, t.c * t.c, t.a * t.a + t.b * t.b)))
     even, odd = build_irrep_block(k, t)
-    return tuple(sorted((*eigenvalues(even, tol), *eigenvalues(odd, tol))))
+    return tuple(sorted((*eigenvalues(even), *eigenvalues(odd))))

@@ -37,7 +37,7 @@ from .core import (
     normalize_triple,
 )
 from .rigidity import _bisect
-from .spectrum import DEFAULT_SOLVER_TOL, spectrum_up_to
+from .spectrum import spectrum_up_to
 
 
 class ImaginaryResidue(HomsphereError, ArithmeticError):
@@ -255,13 +255,13 @@ def low_irrep_eigenvalues(t: MetricTriple) -> dict[int, tuple[float, ...]]:
     return {0: (0.0,), 1: (s, s), 2: pi2}
 
 
-def mu_index_of(value: float, table: SpectrumTable, tol: float = 1e-9) -> int:
+def mu_index_of(value: float, table: SpectrumTable) -> int:
     """Position of ``value`` among the distinct positive eigenvalues (1-based).
 
     Raises:
-        NotFound: if no positive entry matches within tol * max(1, |value|).
+        NotFound: if no positive entry matches within 1e-9 * max(1, |value|).
     """
-    slack = tol * max(1.0, abs(value))
+    slack = 1e-9 * max(1.0, abs(value))
     index = 0
     for entry in table.entries:
         if entry.value == 0.0:
@@ -301,7 +301,6 @@ def sum_eigenvalue_positions(
     a_values: tuple[float, ...] = (1.0, 5.0, 10.0, 20.0),
     b: float = 1.0,
     c: float = 1.0,
-    tol: float = DEFAULT_SOLVER_TOL,
 ) -> list[tuple[float, int]]:
     """Position of the eigenvalue a^2+b^2+c^2 as the stretch a grows.
 
@@ -313,6 +312,6 @@ def sum_eigenvalue_positions(
     for a in a_values:
         t = normalize_triple(a, b, c)
         s = t.a * t.a + (t.b * t.b + t.c * t.c)
-        table = spectrum_up_to(s, t, GroupKind.SU2, tol=tol)
+        table = spectrum_up_to(s, t, GroupKind.SU2)
         out.append((a, mu_index_of(s, table)))
     return out

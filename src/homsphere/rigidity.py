@@ -15,6 +15,9 @@ triple uniquely.  ``recover_triple`` inverts them:
   enumerated by bracketed bisection and each candidate is validated by
   recomputing the invariants; the spurious root never survives validation
   because its re-sorted triple changes the invariants.
+
+Under t -> 2^h t the invariants scale by (8^h, 4^h, 4^h), so the inversion
+runs where lambda1 is in [1, 4) and scales the triple back.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .geometry import scalar_curvature
 from .spectrum import lambda1_closed, spectrum_up_to
 
 _VALIDATION_RTOL = 1e-6
-# isospectral_check counts x and y as equal when |x - y| <= this * max(1, |x|)
+# isospectral_check counts x and y as equal when |x - y| <= this * |x|
 _ISOSPECTRAL_RTOL = 1e-9
 _MAX_BISECTIONS = 200
 
@@ -256,14 +259,24 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
 
     The multiplicity selects the inversion branch; the reconstructed triple
     is accepted only if its own invariants agree with the input within
-    relative 1e-6.
+    1e-6 relative (floored at 1).  Both run on the invariants scaled by a
+    power of two to lambda1 in [1, 4), where that floor sits at the scale
+    of lambda1.
 
     Raises:
         InconsistentInvariants: if the invariants are not realized by any
             metric in the family (to tolerance).
+        OverflowError: if the scaled volume parameter leaves the float range.
     """
     if inv.vol_param <= 0.0 or inv.lambda1 <= 0.0:
         raise InconsistentInvariants("volume parameter and lambda1 must be positive")
+    h = (math.frexp(inv.lambda1)[1] - 1) // 2
+    inv = SpectralInvariants(
+        vol_param=math.ldexp(inv.vol_param, -3 * h),
+        scal=math.ldexp(inv.scal, -2 * h),
+        lambda1=math.ldexp(inv.lambda1, -2 * h),
+        mult1=inv.mult1,
+    )
     if g is GroupKind.SU2 and inv.mult1 in (4, 7):
         triple = _recover_sum_branch(inv)
     elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
@@ -279,7 +292,7 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
         raise InconsistentInvariants(
             f"reconstructed triple misses the invariants (residual {res:.3e})"
         )
-    return triple
+    return MetricTriple(*(math.ldexp(x, h) for x in triple.as_tuple()))
 
 
 def isospectral_check(
@@ -292,7 +305,7 @@ def isospectral_check(
 
     ``lam_max`` must be at least 1.1 times both lowest eigenvalues so the
     truncation sees past the fundamental tone.  Eigenvalues and triple
-    components x, y count as equal when |x - y| <= 1e-9 max(1, |x|).
+    components x, y count as equal when |x - y| <= 1e-9 |x|.
     Identical tables for equal canonical triples give ISOMETRIC; the first
     differing distinct eigenvalue (value or multiplicity) gives
     DISTINCT_SPECTRA; identical tables for unequal triples give UNDECIDED
@@ -316,14 +329,14 @@ def isospectral_check(
             )
         e1, e2 = pos1[idx], pos2[idx]
         if (
-            abs(e1.value - e2.value) > _ISOSPECTRAL_RTOL * max(1.0, abs(e1.value))
+            abs(e1.value - e2.value) > _ISOSPECTRAL_RTOL * e1.value
             or e1.multiplicity != e2.multiplicity
         ):
             return IsospectralResult(
                 IsospectralVerdict.DISTINCT_SPECTRA, idx + 1, (e1.value, e2.value)
             )
     same_triple = all(
-        abs(x - y) <= _ISOSPECTRAL_RTOL * max(1.0, abs(x))
+        abs(x - y) <= _ISOSPECTRAL_RTOL * x
         for x, y in zip(t1.as_tuple(), t2.as_tuple())
     )
     if same_triple:

@@ -4,7 +4,8 @@ Every eigenvalue of the Laplace-Beltrami operator of a left-invariant
 metric arises from the Casimir matrix of some irrep k, repeated (k+1)
 times.  SO(3) sees only the even-k irreps.  The lower envelope
 2k b^2 + k^2 c^2 of the block eigenvalues turns any truncation bound into
-a finite, provably complete set of blocks to solve.
+a finite, provably complete set of blocks to solve.  Tolerances and the
+block cap are module constants, and every comparison is relative.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .core import (
 )
 from .eigensolve import eigen_block
 
-DEFAULT_SOLVER_TOL = 1e-12
+# two values merge when their relative gap is at most this
 DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_K_CAP = 10000
+# the most irrep blocks a table may need: beyond this, pure-Python
+# bisection takes hours
+K_CAP = 10000
 
 # relative gap above which a cluster merge is reported as suspicious
 _MERGE_WARN_GAP = 1e-10
@@ -37,7 +40,7 @@ _PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")
 
 
 class CutoffTooLarge(HomsphereError, ValueError):
-    """The truncation bound requires more irrep blocks than the configured cap."""
+    """The truncation bound requires more irrep blocks than ``K_CAP``."""
 
 
 class ClusterMergeWarning(UserWarning):
@@ -88,9 +91,7 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     return Lambda1Result(value=f, multiplicity=3, regime=Regime.FOUR_BC)
 
 
-def k_cutoff(
-    lam_max: float, t: MetricTriple, g: GroupKind, k_cap: int = DEFAULT_K_CAP
-) -> int:
+def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
     """Largest irrep label whose block can still contain an eigenvalue <= lam_max.
 
     Every eigenvalue of block k is at least 2k b^2 + k^2 c^2, so the
@@ -99,14 +100,11 @@ def k_cutoff(
     contribute, which makes truncated tables complete.
 
     Raises:
-        ValueError: if ``lam_max`` is not a positive finite number or
-            ``k_cap`` is negative.
-        CutoffTooLarge: if K would exceed ``k_cap``.
+        ValueError: if ``lam_max`` is not a positive finite number.
+        CutoffTooLarge: if K would exceed ``K_CAP``.
     """
     if not 0.0 < lam_max < math.inf:
         raise ValueError(f"truncation bound must be positive and finite, got {lam_max}")
-    if k_cap < 0:
-        raise ValueError(f"k_cap must be nonnegative, got {k_cap}")
     b2, c2 = t.b * t.b, t.c * t.c
 
     def bound(k: int) -> float:
@@ -116,31 +114,31 @@ def k_cutoff(
     k = int(lam_max / (b2 + math.hypot(b2, math.sqrt(lam_max) * t.c)))
     # Far beyond the cap the estimate alone decides; there the walk could
     # stall, since above 2**53 bound(k + 1) rounds to bound(k).
-    if k <= k_cap + 2:
+    if k <= K_CAP + 2:
         while bound(k + 1) <= lam_max:
             k += 1
         while k > 0 and bound(k) > lam_max:
             k -= 1
     if g is GroupKind.SO3:
         k -= k % 2
-    if k > k_cap:
+    if k > K_CAP:
         raise CutoffTooLarge(
-            f"truncation bound {lam_max} needs blocks up to k={k:.17g}, cap is {k_cap}"
+            f"truncation bound {lam_max} needs blocks up to k={k:.17g}, cap is {K_CAP}"
         )
     return k
 
 
 def _cluster(
-    contributions: list[tuple[float, int, int]], cluster_tol: float
+    contributions: list[tuple[float, int, int]],
 ) -> tuple[tuple[EigenPair, ...], tuple[tuple[int, ...], ...]]:
     """Merge near-equal eigenvalue contributions into (value, multiplicity) pairs.
 
-    ``contributions`` holds (value, multiplicity, source_k) records.  Two
-    values are merged when they differ by at most cluster_tol * max(1, value);
-    the cluster keeps its first (smallest) value as representative.  Merges
-    with a relative gap above 1e-10 are reported via ClusterMergeWarning,
-    since they may indicate an accidental near-degeneracy rather than a
-    genuinely repeated eigenvalue.
+    ``contributions`` holds (value, multiplicity, source_k) records.  A
+    value is merged into the current cluster when it exceeds the cluster's
+    first (smallest) value, its representative, by at most
+    DEFAULT_CLUSTER_TOL times that value.  Merges with a relative gap above
+    1e-10 are reported via ClusterMergeWarning, since they may indicate an
+    accidental near-degeneracy rather than a genuinely repeated eigenvalue.
     """
     entries: list[EigenPair] = []
     sources: list[tuple[int, ...]] = []
@@ -149,9 +147,9 @@ def _cluster(
     mult = 0
     ks: set[int] = set()
     for value, m, k in sorted(contributions):
-        if rep is not None and value - rep <= cluster_tol * max(1.0, abs(rep)):
+        if rep is not None and value - rep <= DEFAULT_CLUSTER_TOL * rep:
             gap = value - rep
-            if gap > _MERGE_WARN_GAP * max(1.0, abs(rep)):
+            if gap > _MERGE_WARN_GAP * rep:
                 suspicious.append((rep, gap))
             mult += m
             ks.add(k)
@@ -187,43 +185,38 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def spectrum_up_to(
-    lam_max: float,
-    t: MetricTriple,
-    g: GroupKind,
-    tol: float = DEFAULT_SOLVER_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    k_cap: int = DEFAULT_K_CAP,
-) -> SpectrumTable:
+def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTable:
     """All distinct eigenvalues <= lam_max with multiplicities (inclusive bound).
 
     Takes the eigenvalues of one Casimir block per admissible irrep (even k
     only for SO(3)) from ``eigen_block``, so a triple with two equal
     parameters gets its closed form and any other the solver, weights each
     by the irrep dimension k+1, and clusters equal values.  The result is
-    complete below ``lam_max``.
+    complete below ``lam_max``.  The blocks are solved for the triple
+    scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
+    4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
+    value by 4^j exactly.
 
     Raises:
-        ValueError: if ``tol`` is not positive, ``cluster_tol`` is negative
-            or not finite, or ``lam_max`` is not a positive finite number,
-            whichever branch the triple takes.
-        OverflowError: if a^2 + b^2 + c^2 is 0 or infinite in floating point.
+        ValueError: if ``lam_max`` is not a positive finite number.
+        OverflowError: if a^2 + b^2 + c^2 is 0 or infinite in floating
+            point, or a block entry leaves the float range.
+        CutoffTooLarge: if the bound needs more than ``K_CAP`` blocks.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if not 0.0 <= cluster_tol < math.inf:
-        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
     if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c < math.inf:
         raise OverflowError(f"the squares of {t.as_tuple()} leave the float range")
-    cutoff = k_cutoff(lam_max, t, g, k_cap)
+    cutoff = k_cutoff(lam_max, t, g)
+    h = math.frexp(t.b)[1] - 1
+    unit = MetricTriple(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    lam_unit = math.ldexp(lam_max, -2 * h)
     step = 2 if g is GroupKind.SO3 else 1
     contributions = [
-        (value, k + 1, k)
+        (math.ldexp(value, 2 * h), k + 1, k)
         for k in range(0, cutoff + 1, step)
-        for value in eigen_block(k, t, tol)
-        if value <= lam_max
+        for value in eigen_block(k, unit)
+        if value <= lam_unit
     ]
-    entries, sources = _cluster(contributions, cluster_tol)
+    entries, sources = _cluster(contributions)
     return SpectrumTable(
         entries=entries,
         truncation_bound=lam_max,
@@ -233,14 +226,7 @@ def spectrum_up_to(
     )
 
 
-def berger_spectrum_up_to(
-    lam_max: float,
-    a: float,
-    b: float,
-    g: GroupKind,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    k_cap: int = DEFAULT_K_CAP,
-) -> SpectrumTable:
+def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> SpectrumTable:
     """Closed-form truncated spectrum of the metric with parameters (a, b, b).
 
     The same table as ``spectrum_up_to`` on ``normalize_triple(a, b, b)``:
@@ -249,8 +235,6 @@ def berger_spectrum_up_to(
     multiplicity k+1.  Works for either parameter order (a >= b or a < b).
 
     Raises:
-        ValueError: if ``cluster_tol`` is negative or not finite, or
-            ``lam_max`` is not a positive finite number.
+        ValueError: if ``lam_max`` is not a positive finite number.
     """
-    t = normalize_triple(a, b, b)
-    return spectrum_up_to(lam_max, t, g, cluster_tol=cluster_tol, k_cap=k_cap)
+    return spectrum_up_to(lam_max, normalize_triple(a, b, b), g)

@@ -13,6 +13,7 @@ from homsphere.rigidity import (
     isospectral_check,
     recover_triple,
 )
+from homsphere.spectrum import lambda1_closed
 
 SU2 = GroupKind.SU2
 SO3 = GroupKind.SO3
@@ -73,6 +74,20 @@ def test_recover_round_trip_random_all_regimes():
             assert max(
                 abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())
             ) < 1e-8
+
+
+@pytest.mark.parametrize("triple", [(1.7, 1.2, 0.8), (3.0, 1.0, 0.9), (1.4, 1.4, 0.8), (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_recover_round_trip_at_every_scale(triple, g):
+    base = recover_triple(invariants(MetricTriple(*triple), g), g)
+    for j in range(-100, 101):
+        s = math.ldexp(1.0, j)
+        assert recover_triple(invariants(MetricTriple(*triple).scaled(s), g), g) == base.scaled(s)
+    for e in range(-30, 51):
+        t = normalize_triple(*(x * 10.0**e for x in triple))
+        rec = recover_triple(invariants(t, g), g)
+        err = max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple()))
+        assert err < 1e-8, e
 
 
 def test_recover_boundary_multiplicity_seven():
@@ -146,6 +161,16 @@ def test_isospectral_detects_perturbation():
     assert res.verdict is IsospectralVerdict.DISTINCT_SPECTRA
     assert res.mu_index == 1
     assert res.values == pytest.approx((6.0, 6.00040001), rel=1e-9)
+
+
+def test_isospectral_separates_small_metrics():
+    # the old max(1, |x|) floor counted these eigenvalues of size 1e-10 equal
+    t1 = normalize_triple(1.7e-5, 1.2e-5, 0.8e-5)
+    t2 = normalize_triple(1.7e-5, 1.25e-5, 0.8e-5)
+    lam_max = 1.2 * max(lambda1_closed(t, SU2).value for t in (t1, t2))
+    res = isospectral_check(t1, t2, SU2, lam_max)
+    assert res.verdict is IsospectralVerdict.DISTINCT_SPECTRA
+    assert res.mu_index == 1
 
 
 def test_isospectral_undecided_when_truncation_cannot_separate():

@@ -18,10 +18,12 @@ from homsphere.oracle import (
     mu_index_of,
     sum_eigenvalue_positions,
 )
-from homsphere.core import GroupKind, MetricTriple, normalize_triple
+from homsphere.core import EigenPair, GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
 from homsphere.rigidity import isospectral_check
 from homsphere.spectrum import (
+    DEFAULT_CLUSTER_TOL,
+    K_CAP,
     CutoffTooLarge,
     Regime,
     berger_spectrum_up_to,
@@ -91,8 +93,11 @@ def test_k_cutoff_examples():
 
 
 def test_k_cutoff_cap():
+    # the round metric needs K = 31,621 > K_CAP blocks below 1e9
+    assert K_CAP == 10000
+    assert k_cutoff(K_CAP * (K_CAP + 2), MetricTriple(1, 1, 1), SU2) == K_CAP
     with pytest.raises(CutoffTooLarge):
-        k_cutoff(1e9, MetricTriple(1, 1, 1), SU2, k_cap=100)
+        k_cutoff(1e9, MetricTriple(1, 1, 1), SU2)
 
 
 def test_round_spectrum_su2():
@@ -239,13 +244,6 @@ def test_cutoff_rejects_non_finite_bounds():
             k_cutoff(lam, t, SU2)
 
 
-def test_spectrum_checks_tolerance_on_every_branch():
-    for t in (MetricTriple(1.7, 1.2, 0.8), MetricTriple(1.7, 1.2, 1.2), MetricTriple(1, 1, 1)):
-        for tol in (-1.0, 0.0, math.nan):
-            with pytest.raises(ValueError):
-                spectrum_up_to(10.0, t, SU2, tol=tol)
-
-
 @pytest.mark.parametrize("g", [SU2, SO3])
 def test_extreme_aspect_ratio_converges(g):
     # the Gershgorin hull is about 1e62 wide, so bisection needs well over
@@ -277,9 +275,51 @@ def test_berger_spectrum_values_equal_berger_eigenvalue_bitwise(a, b, g):
             value = berger_eigenvalue(k, j, a, b)
             if value <= lam:
                 mult[value] += k + 1
-    # cluster_tol = 0 merges exactly equal values only
-    table = berger_spectrum_up_to(lam, a, b, g, cluster_tol=0.0)
-    assert [(e.value, e.multiplicity) for e in table.entries] == sorted(mult.items())
+    # the library's rule: a value joins the cluster whose first value it
+    # exceeds by at most DEFAULT_CLUSTER_TOL relative
+    clusters = []
+    for value, m in sorted(mult.items()):
+        if clusters and value - clusters[-1][0] <= DEFAULT_CLUSTER_TOL * clusters[-1][0]:
+            clusters[-1][1] += m
+        else:
+            clusters.append([value, m])
+    table = berger_spectrum_up_to(lam, a, b, g)
+    assert [[e.value, e.multiplicity] for e in table.entries] == clusters
+
+
+SCALING_TRIPLES = [(1.7, 1.2, 0.8), (2.9, 1.7, 0.8), (3.0, 1.0, 0.9), (0.58297, 0.31466, 0.18775)]
+
+
+def _scaling_base(triple, g):
+    t = MetricTriple(*triple)
+    lam = 4.0 * lambda1_closed(t, g).value
+    return t, lam, spectrum_up_to(lam, t, g)
+
+
+@pytest.mark.parametrize("triple", SCALING_TRIPLES)
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_spectrum_exact_under_power_of_two_scaling(triple, g):
+    t, lam, base = _scaling_base(triple, g)
+    for j in range(-150, 151):
+        table = spectrum_up_to(math.ldexp(lam, 2 * j), t.scaled(math.ldexp(1.0, j)), g)
+        assert table.entries == tuple(
+            EigenPair(math.ldexp(e.value, 2 * j), e.multiplicity) for e in base.entries
+        ), j
+        assert table.k_sources == base.k_sources, j
+
+
+@pytest.mark.parametrize("triple", SCALING_TRIPLES)
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_spectrum_scales_with_decimal_factors(triple, g):
+    t, lam, base = _scaling_base(triple, g)
+    for e in range(-60, 80):
+        s = 10.0**e
+        table = spectrum_up_to(lam * s * s, normalize_triple(*(s * x for x in triple)), g)
+        assert [x.multiplicity for x in table.entries] == [
+            x.multiplicity for x in base.entries
+        ], e
+        for got, want in zip(table.entries, base.entries):
+            assert abs(got.value - want.value * s * s) <= 1e-12 * want.value * s * s, e
 
 
 def test_user_path_never_reaches_the_oracle(monkeypatch):
