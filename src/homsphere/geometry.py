@@ -81,10 +81,11 @@ def scalar_curvature(t: MetricTriple) -> float:
     """Scalar curvature 4(a^2+b^2+c^2) - 2(b^2c^2/a^2 + a^2c^2/b^2 + a^2b^2/c^2).
 
     The same value holds for SU(2) and SO(3), and at every point (the
-    metrics are homogeneous).
+    metrics are homogeneous).  Each ratio is divided before it is
+    multiplied, so no intermediate overflows where the curvature does not.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    return 4.0 * (a2 + b2 + c2) - 2.0 * (b2 * c2 / a2 + a2 * c2 / b2 + a2 * b2 / c2)
+    return 4.0 * (a2 + b2 + c2) - 2.0 * (b2 / a2 * c2 + a2 / b2 * c2 + a2 / c2 * b2)
 
 
 def volume(t: MetricTriple, g: GroupKind) -> float:

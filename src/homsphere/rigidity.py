@@ -1,20 +1,27 @@
 """Spectral invariants and the constructive inverse problem.
 
-Four spectral invariants, the volume parameter abc, the scalar curvature,
-the lowest positive eigenvalue and its multiplicity, pin down the metric
-triple uniquely.  ``recover_triple`` inverts them:
+Four spectral invariants, the volume parameter v = abc, the scalar
+curvature, the lowest positive eigenvalue lambda1 and its multiplicity,
+pin down the metric triple uniquely.  ``recover_triple`` inverts them by
+solving for u = a^2 alone:
 
-* When the lowest eigenvalue equals a^2+b^2+c^2 (multiplicity 4 or 7),
-  the three squares a^2, b^2, c^2 are recovered as the roots of a cubic
-  whose coefficients are the elementary symmetric functions, all of which
-  are determined by the invariants.
+* When lambda1 = a^2 + b^2 + c^2 (SU(2), multiplicity 4 or 7), u is the
+  largest root of the cubic with roots a^2, b^2, c^2, whose coefficients
+  the invariants determine.
 
-* Otherwise (multiplicity 3, and every SO(3) case) the lowest eigenvalue
-  fixes b^2 + c^2 and the volume fixes a*b*c, which turns the scalar
-  curvature equation into a quartic in a^2.  Its positive roots are
-  enumerated by bracketed bisection and each candidate is validated by
-  recomputing the invariants; the spurious root never survives validation
-  because its re-sorted triple changes the invariants.
+* When lambda1 = 4(b^2 + c^2) (SU(2) multiplicity 3, every SO(3) case),
+  eliminating b and c from the scalar curvature leaves a quartic in u
+  with at most two positive roots; both are candidates.
+
+Then b^2 + c^2 = P is known (lambda1 - u or lambda1/4) and b^2 c^2 =
+v^2/u, so one split takes b^2 and c^2 as the roots of x^2 - P x + v^2/u,
+with c^2 = v^2/(u b^2) free of cancellation.  Every candidate is scored
+by recomputing its invariants and the best one is kept: a spurious
+quartic root never survives, because its re-sorted triple changes
+lambda1.  Near b = c the invariants fix (b^2 - c^2)^2, so b and c come
+back with about half the digits (errors up to 5e-7 relative, 3e-5 near
+the round metric); a split below the noise floor is taken as b = c
+exactly.
 
 Under t -> 2^h t the invariants scale by (8^h, 4^h, 4^h), so the inversion
 runs where lambda1 is in [1, 4) and scales the triple back.
@@ -33,7 +40,6 @@ from .spectrum import lambda1_closed, spectrum_up_to
 _VALIDATION_RTOL = 1e-6
 # isospectral_check counts x and y as equal when |x - y| <= this * |x|
 _ISOSPECTRAL_RTOL = 1e-9
-_MAX_BISECTIONS = 200
 
 
 class InconsistentInvariants(HomsphereError, ValueError):
@@ -71,176 +77,101 @@ def invariants(t: MetricTriple, g: GroupKind) -> SpectralInvariants:
     )
 
 
-def _bisect(f, lo: float, hi: float, rel_tol: float = 1e-15) -> float:
-    """Root of f on [lo, hi] given a sign change; plain bisection."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] given a sign change, bisected to the last bit.
+
+    Stops when the midpoint is no longer strictly inside the bracket.
+    """
     flo = f(lo)
-    for _ in range(_MAX_BISECTIONS):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
+        if not lo < mid < hi:
             return mid
         fm = f(mid)
         if (fm < 0.0) == (flo < 0.0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
-def _cubic_roots_descending(e1: float, e2: float, e3: float) -> tuple[float, float, float]:
-    """The three real roots of u^3 - e1 u^2 + e2 u - e3, sorted descending.
+def _largest_cubic_root(e1: float, e2: float, e3: float) -> float:
+    """Largest root of u^3 - e1 u^2 + e2 u - e3, whose roots are positive.
 
-    The roots are known a priori to be real and positive (they are squared
-    metric parameters), possibly repeated.  Repetition is detected from the
-    polynomial values at the critical points rather than by a discriminant
-    branch, which stays robust when the input sits exactly on a repeated
-    root.
+    A repeated largest root is read off the critical points, where the
+    polynomial vanishes to within its rounding noise; otherwise the root
+    is bisected above the upper critical point.
 
     Raises:
-        InconsistentInvariants: if the polynomial has complex or
-            nonpositive roots beyond tolerance.
+        InconsistentInvariants: if the cubic has a complex root pair.
     """
 
     def p(u: float) -> float:
         return ((u - e1) * u + e2) * u - e3
 
-    if e3 <= 0.0 or e1 <= 0.0:
-        raise InconsistentInvariants("cubic coefficients imply nonpositive roots")
-    crit_disc = e1 * e1 - 3.0 * e2
-    scale = abs(e1) ** 3 + abs(e3) + 1.0
-    tau = 8.0 * 2.0**-52 * scale
-    if crit_disc <= 0.0:
-        # no two critical points: only possible (within noise) for a triple root
-        if crit_disc < -1e-10 * max(e1 * e1, 1.0) or abs(p(e1 / 3.0)) > tau:
-            raise InconsistentInvariants("cubic has complex roots")
-        r = e1 / 3.0
-        return (r, r, r)
-    sq = math.sqrt(crit_disc)
-    u_lo = (e1 - sq) / 3.0
-    u_hi = (e1 + sq) / 3.0
+    sq = math.sqrt(max(e1 * e1 - 3.0 * e2, 0.0))
+    u_lo, u_hi = (e1 - sq) / 3.0, (e1 + sq) / 3.0
     p_lo, p_hi = p(u_lo), p(u_hi)
-    hi_edge = e1 * (1.0 + 1e-9) + tau  # all roots are positive and sum to e1
-
-    roots: list[float]
+    tau = 8.0 * 2.0**-52 * (e1**3 + e3 + 1.0)
     if abs(p_lo) <= tau and abs(p_hi) <= tau:
-        r = e1 / 3.0
-        roots = [r, r, r]
-    elif abs(p_lo) <= tau:
-        roots = [u_lo, u_lo, _bisect(p, u_hi, hi_edge)]
-    elif abs(p_hi) <= tau:
-        roots = [_bisect(p, 0.0, u_lo), u_hi, u_hi]
-    elif p_lo > 0.0 and p_hi < 0.0:
-        roots = [
-            _bisect(p, 0.0, u_lo),
-            _bisect(p, u_lo, u_hi),
-            _bisect(p, u_hi, hi_edge),
-        ]
-    else:
+        return e1 / 3.0
+    if abs(p_hi) <= tau:
+        return u_hi
+    if p_lo < -tau or p_hi > 0.0:
         raise InconsistentInvariants("cubic has a complex conjugate root pair")
-    roots.sort(reverse=True)
-    if roots[-1] <= 0.0:
-        raise InconsistentInvariants("cubic has a nonpositive root")
-    return (roots[0], roots[1], roots[2])
+    # all roots are positive and sum to e1
+    return _bisect(p, u_hi, e1 * (1.0 + 1e-9) + tau)
 
 
-def _recover_sum_branch(inv: SpectralInvariants) -> MetricTriple:
-    """Inversion when lambda1 = a^2 + b^2 + c^2 (multiplicity 4 or 7)."""
-    e1 = inv.lambda1
-    e3 = inv.vol_param * inv.vol_param
-    quartic_power_sum = (4.0 * e1 - inv.scal) * e3 / 2.0  # (ab)^4+(ac)^4+(bc)^4
-    e2_sq = quartic_power_sum + 2.0 * e1 * e3
-    if e2_sq < 0.0:
-        raise InconsistentInvariants("scalar curvature incompatible with lambda1")
-    e2 = math.sqrt(e2_sq)
-    ra, rb, rc = _cubic_roots_descending(e1, e2, e3)
-    return MetricTriple(math.sqrt(ra), math.sqrt(rb), math.sqrt(rc))
+def _quartic_roots(p_sum: float, v: float, scal: float) -> list[float]:
+    """Positive roots u = a^2 of the residual quartic when b^2 + c^2 = p_sum.
 
-
-def _quartic_candidates(inv: SpectralInvariants) -> list[float]:
-    """Positive roots u = a^2 of the scalar-curvature residual quartic.
-
-    With P = lambda1/4 = b^2+c^2 and v = abc fixed, eliminating b and c
-    from the curvature formula leaves
-    R(u) = -(2 P^2 / v^2) u^4 + 8 u^3 + (4P - Scal) u^2 - 2 v^2 = 0.
-    R is negative at 0 and at infinity with at most one positive local
-    maximum, so it has at most two positive roots.
+    Eliminating b and c from the curvature formula with abc = v leaves
+    R(u) = -alpha u^4 + 8 u^3 + gamma u^2 - 2 v^2, alpha = 2 p_sum^2 / v^2,
+    gamma = 4 p_sum - scal.  R(0) < 0, R has one positive local maximum
+    u_top, and alpha u^2 < 8 u + |gamma| at every positive root, so each
+    root has a bracket on one side of u_top.
     """
-    p_sum = inv.lambda1 / 4.0
-    v2 = inv.vol_param * inv.vol_param
+    v2 = v * v
     alpha = 2.0 * p_sum * p_sum / v2
-    gamma = 4.0 * p_sum - inv.scal
+    gamma = 4.0 * p_sum - scal
 
     def rfun(u: float) -> float:
         return ((-alpha * u + 8.0) * u + gamma) * u * u - 2.0 * v2
 
-    # positive critical points solve -2 alpha u^2 + 12 u + gamma = 0
+    # the critical points solve -2 alpha u^2 + 12 u + gamma = 0
     disc = 144.0 + 8.0 * alpha * gamma
     if disc < 0.0:
         return []
-    sq = math.sqrt(disc)
-    crits = sorted(u for u in ((12.0 - sq) / (4.0 * alpha), (12.0 + sq) / (4.0 * alpha)) if u > 0.0)
-    if not crits:
-        return []
-    u_top = crits[-1]
+    u_top = (12.0 + math.sqrt(disc)) / (4.0 * alpha)
     r_top = rfun(u_top)
     tau = 8.0 * 2.0**-52 * (alpha * u_top**4 + 8.0 * u_top**3 + abs(gamma) * u_top**2 + 2.0 * v2)
     if abs(r_top) <= tau:
         return [u_top]
     if r_top < 0.0:
         return []
-    # left root: walk down from the maximum until R < 0, then bisect
-    lo = u_top
-    for _ in range(4400):
-        lo *= 0.5
-        if rfun(lo) < 0.0:
-            break
-    else:
-        raise InconsistentInvariants("failed to bracket the residual quartic")
-    left = _bisect(rfun, lo, u_top)
-    # right root: walk up until R < 0
-    hi = u_top
-    for _ in range(4400):
-        hi *= 2.0
-        if rfun(hi) < 0.0:
-            break
-    else:
-        raise InconsistentInvariants("failed to bracket the residual quartic")
-    right = _bisect(rfun, u_top, hi)
-    return [left, right]
+    u_max = (8.0 + math.sqrt(64.0 + 4.0 * alpha * abs(gamma))) / (2.0 * alpha)
+    return [_bisect(rfun, 0.0, u_top), _bisect(rfun, u_top, u_max)]
 
 
-def _recover_four_bc_branch(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
-    """Inversion when lambda1 = 4(b^2+c^2) (SU(2) mult 3 and all SO(3))."""
-    p_sum = inv.lambda1 / 4.0
-    v = inv.vol_param
-    best: MetricTriple | None = None
-    best_res = math.inf
-    for u in _quartic_candidates(inv):
-        disc = p_sum * p_sum - 4.0 * v * v / u
-        if disc < -1e-10 * p_sum * p_sum:
-            continue
-        try:
-            if disc <= 1e-13 * p_sum * p_sum:
-                # the split (b^2-c^2)^2 is below the noise floor of the
-                # reconstruction: take b = c exactly, which also gives the
-                # stretch directly as a = v / (bc) without the root's noise
-                half = math.sqrt(0.5 * p_sum)
-                cand = MetricTriple(2.0 * v / p_sum, half, half)
-            else:
-                sq = math.sqrt(disc)
-                b2 = 0.5 * (p_sum + sq)
-                c2 = 2.0 * v * v / (u * (p_sum + sq))  # stable form of (P - sq)/2
-                cand = MetricTriple(math.sqrt(u), math.sqrt(b2), math.sqrt(c2))
-        except ValueError:
-            continue
-        res = _invariant_residual(inv, cand, g)
-        if res < best_res:
-            best, best_res = cand, res
-    if best is None or best_res > _VALIDATION_RTOL:
-        raise InconsistentInvariants(
-            f"no admissible stretch parameter reproduces the invariants "
-            f"(best residual {best_res:.3e})"
-        )
-    return best
+def _split(u: float, p_sum: float, v: float, floor: float) -> MetricTriple:
+    """The triple (sqrt(u), b, c) with b^2, c^2 the roots of x^2 - p_sum x + v^2/u.
+
+    A split with (b^2 - c^2)^2 <= floor * p_sum^2, below the noise of the
+    reconstruction, is taken as b = c exactly, which also gives a = v / (bc)
+    without the noise of u.
+
+    Raises:
+        ValueError: if the roots are complex beyond noise or a parameter
+            is not positive.
+    """
+    disc = p_sum * p_sum - 4.0 * v * v / u
+    if disc < -1e-10 * p_sum * p_sum:
+        raise ValueError("complex split")
+    if disc <= floor * p_sum * p_sum:
+        half = math.sqrt(0.5 * p_sum)
+        return MetricTriple(2.0 * v / p_sum, half, half)
+    b2 = 0.5 * (p_sum + math.sqrt(disc))
+    return MetricTriple(math.sqrt(u), math.sqrt(b2), v / math.sqrt(u * b2))
 
 
 def _invariant_residual(inv: SpectralInvariants, t: MetricTriple, g: GroupKind) -> float:
@@ -257,11 +188,11 @@ def _invariant_residual(inv: SpectralInvariants, t: MetricTriple, g: GroupKind) 
 def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     """Reconstruct the canonical metric triple from its spectral invariants.
 
-    The multiplicity selects the inversion branch; the reconstructed triple
-    is accepted only if its own invariants agree with the input within
-    1e-6 relative (floored at 1).  Both run on the invariants scaled by a
-    power of two to lambda1 in [1, 4), where that floor sits at the scale
-    of lambda1.
+    The multiplicity selects the equation for u = a^2; each root gives a
+    candidate triple, and the one whose own invariants agree best with the
+    input is returned if they agree within 1e-6 relative (floored at 1).
+    Both steps run on the invariants scaled by a power of two to lambda1
+    in [1, 4), where that floor sits at the scale of lambda1.
 
     Raises:
         InconsistentInvariants: if the invariants are not realized by any
@@ -277,22 +208,40 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
         lambda1=math.ldexp(inv.lambda1, -2 * h),
         mult1=inv.mult1,
     )
+    lam, v = inv.lambda1, inv.vol_param
     if g is GroupKind.SU2 and inv.mult1 in (4, 7):
-        triple = _recover_sum_branch(inv)
+        # e2^2 = (ab)^4 + (ac)^4 + (bc)^4 + 2 lambda1 v^2, and the sum of
+        # fourth powers is (4 lambda1 - Scal) v^2 / 2
+        e2_sq = (8.0 * lam - inv.scal) * v * v / 2.0
+        if e2_sq < 0.0:
+            raise InconsistentInvariants("scalar curvature incompatible with lambda1")
+        u = _largest_cubic_root(lam, math.sqrt(e2_sq), v * v)
+        # P = lambda1 - u carries the error of u, which grows as a^2 nears
+        # b^2 ~ c^2 (a near-triple root): the floor scales as u / (u - P/2)
+        floor = 1e-13 * u / max(1.5 * u - 0.5 * lam, 1e-13 * u)
+        candidates = [(u, lam - u, floor)]
     elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
         g is GroupKind.SO3 and inv.mult1 in (3, 6, 9)
     ):
-        triple = _recover_four_bc_branch(inv, g)
+        candidates = [(u, lam / 4.0, 1e-13) for u in _quartic_roots(lam / 4.0, v, inv.scal)]
     else:
         raise InconsistentInvariants(
             f"multiplicity {inv.mult1} is not attained on {g.value}"
         )
-    res = _invariant_residual(inv, triple, g)
-    if res > _VALIDATION_RTOL:
+    best, best_res = None, math.inf
+    for u, p_sum, floor in candidates:
+        try:
+            cand = _split(u, p_sum, v, floor)
+        except ValueError:
+            continue
+        res = _invariant_residual(inv, cand, g)
+        if res < best_res:
+            best, best_res = cand, res
+    if best is None or best_res > _VALIDATION_RTOL:
         raise InconsistentInvariants(
-            f"reconstructed triple misses the invariants (residual {res:.3e})"
+            f"no metric reproduces the invariants (best residual {best_res:.3e})"
         )
-    return MetricTriple(*(math.ldexp(x, h) for x in triple.as_tuple()))
+    return MetricTriple(*(math.ldexp(x, h) for x in best.as_tuple()))
 
 
 def isospectral_check(

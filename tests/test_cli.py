@@ -183,6 +183,12 @@ def test_rigidity_command_round_trip(capsys):
     assert results["roundtrip_rel_err"] < 1e-9
     assert results["recovered_triple"] == pytest.approx([3.1, 1.7, 0.9], rel=1e-9)
     assert results["invariants"]["multiplicity"] == 3
+    # a thin SU(2) metric: c^2 is split off a^2 and b^2 without cancellation
+    code, out, _ = run_cli(
+        capsys, "rigidity", "--a", "1", "--b", "1", "--c", "1e-6", "--group", "su2"
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["roundtrip_rel_err"] <= 1e-12
 
 
 def test_rigidity_compare(capsys):
@@ -304,6 +310,20 @@ def test_large_representable_parameters_still_work(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"] == {"value": 8.0, "multiplicity": 3, "regime": "FourBC"}
+
+
+@pytest.mark.parametrize("command", ["geometry", "rigidity"])
+def test_curvature_near_1e154_is_representable(capsys, command):
+    # Scal is about 6.3e154 here, while a^2 b^2 alone would overflow
+    code, out, err = run_cli(
+        capsys, command, "--a", "3e77", "--b", "1e77", "--c", "0.9e77", "--group", "su2"
+    )
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    if command == "rigidity":
+        assert results["roundtrip_rel_err"] < 1e-12
+        results = results["invariants"]
+    assert results["scalar_curvature"] == pytest.approx(6.2577777777777724e154, rel=1e-14)
 
 
 @pytest.mark.parametrize(

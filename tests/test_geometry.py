@@ -40,6 +40,15 @@ def test_scalar_curvature_scaling():
     )
 
 
+@pytest.mark.parametrize("triple", [(2.3, 1.1, 0.7), (3.0, 1.0, 0.9), (1.4, 1.4, 0.8), (1.7, 1.0, 1.0)])
+def test_scalar_curvature_exact_under_power_of_two_scaling(triple):
+    # no intermediate product may overflow or underflow before the curvature does
+    t = MetricTriple(*triple)
+    base = scalar_curvature(t)
+    for j in range(-500, 501):
+        assert scalar_curvature(t.scaled(math.ldexp(1.0, j))) == math.ldexp(base, 2 * j), j
+
+
 def test_volume_values():
     assert volume(MetricTriple(1, 1, 1), SU2) == pytest.approx(2 * PI2, rel=1e-15)
     assert volume(MetricTriple(1, 1, 1), SO3) == pytest.approx(PI2, rel=1e-15)

@@ -57,6 +57,8 @@ def test_recover_round_from_raw_invariants():
         ((0.7, 0.7, 0.7), SO3),
         ((9.4, 0.5, 0.31), SU2),
         ((9.4, 0.5, 0.31), SO3),
+        ((1, 1, 1e-6), SU2),
+        ((1.2, 1, 1e-5), SU2),
     ],
 )
 def test_recover_round_trip(triple, group):
