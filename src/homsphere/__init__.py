@@ -6,9 +6,12 @@ spectra for any such metric, closed forms for the lowest eigenvalue and
 for all spectra with two equal parameters, diameters with certified
 bounds, scale-invariant eigenvalue-diameter estimates, and the inverse
 map recovering the metric from its spectral invariants.
+
+``__all__`` is the public API.  Solver internals (block assembly, the
+bisection kernel, the block cutoff) stay importable from ``casimir``,
+``eigensolve`` and ``spectrum`` but are not exported here.
 """
 
-from .casimir import TridiagBlock, build_irrep_block
 from .core import (
     EigenPair,
     GroupKind,
@@ -21,7 +24,7 @@ from .core import (
     classify,
     normalize_triple,
 )
-from .eigensolve import NonConvergence, eigen_block, eigenvalues
+from .eigensolve import NonConvergence
 from .geometry import (
     BergerExtremaReport,
     BoundViolation,
@@ -51,7 +54,6 @@ from .spectrum import (
     Lambda1Result,
     Regime,
     berger_spectrum_up_to,
-    k_cutoff,
     lambda1_closed,
     spectrum_up_to,
 )
@@ -81,17 +83,12 @@ __all__ = [
     "Regime",
     "SpectralInvariants",
     "SpectrumTable",
-    "TridiagBlock",
     "berger_lambda1_diam2_extrema",
     "berger_spectrum_up_to",
-    "build_irrep_block",
     "classify",
     "diameter",
-    "eigen_block",
-    "eigenvalues",
     "invariants",
     "isospectral_check",
-    "k_cutoff",
     "lambda1_closed",
     "lambda1_diam2",
     "normalize_triple",

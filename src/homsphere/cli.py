@@ -2,16 +2,19 @@
 
 Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
-Exit codes: 0 success, 1 acceptance failure, internal error (a one-line
-``internal error:`` message on stderr) or a reader that closed stdout
-early (no message), 2 invalid parameters (including parameters whose
-results leave the floating-point range), 3 truncation bound needing more
-than ``spectrum.K_CAP`` irrep blocks.  Warnings (for example suspicious
+Exit codes: 0 success, 1 acceptance failure, ``verify`` without numpy
+(one ``error:`` line), internal error (a one-line ``internal error:``
+message on stderr) or a reader that closed stdout early (no message), 2
+invalid parameters (including parameters whose results leave the
+floating-point range), 3 truncation bound needing more than
+``spectrum.K_CAP`` irrep blocks.  Warnings (for example suspicious
 cluster merges) go to stderr only.  No subcommand takes a tolerance: the
 solver, clustering and comparison tolerances are fixed.
 
-Only ``verify`` imports the acceptance suite, and with it numpy and
-``homsphere.oracle``; every other subcommand runs on the standard library.
+Only ``verify`` imports the acceptance suite, and with it numpy (the
+``homsphere[verify]`` extra) and ``homsphere.oracle``; every other
+subcommand runs on the standard library.  All of them print through
+``main``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .core import (
 )
 from .geometry import (
     BoundViolation,
-    EmptyProduct,
     ProductSpec,
     berger_lambda1_diam2_extrema,
     diameter,
@@ -268,15 +270,22 @@ def _cmd_product(args: argparse.Namespace) -> Payload:
     }
 
 
-def _cmd_verify() -> int:
-    from . import acceptance  # numpy and the oracle load only for this command
+class _MissingExtra(Exception):
+    """An optional dependency of one subcommand is not installed."""
 
+
+def _cmd_verify() -> tuple[str, int]:
+    try:
+        from . import acceptance  # numpy and the oracle load only for this command
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise _MissingExtra("verify needs numpy: pip install 'homsphere[verify]'") from None
     results = acceptance.run_all()
-    for res in results:
-        print(res.line())
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return EXIT_OK if not failed else EXIT_FAILURE
+    failed = sum(not r.passed for r in results)
+    lines = [r.line() for r in results]
+    lines.append(f"{len(results) - failed}/{len(results)} criteria passed")
+    return "\n".join(lines), EXIT_OK if not failed else EXIT_FAILURE
 
 
 def _add_triple_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -367,19 +376,24 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_verify()
-        inputs, results = args.func(args)
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "inputs": inputs,
-            "results": results,
-        }
-        text = _record_to_csv(results) if args.format == "csv" else _record_to_json(record)
+            text, status = _cmd_verify()
+        else:
+            inputs, results = args.func(args)
+            record = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "inputs": inputs,
+                "results": results,
+            }
+            text = _record_to_csv(results) if args.format == "csv" else _record_to_json(record)
+            status = EXIT_OK
+    except _MissingExtra as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except CutoffTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CUTOFF
-    except (NonPositiveParameter, EmptyProduct, ValueError) as exc:
+    except ValueError as exc:  # NonPositiveParameter, EmptyProduct among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except (BoundViolation, NonConvergence) as exc:
@@ -396,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         # at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILURE
-    return EXIT_OK
+    return status
 
 
 if __name__ == "__main__":

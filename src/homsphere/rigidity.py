@@ -129,28 +129,34 @@ def _quartic_roots(p_sum: float, v: float, scal: float) -> list[float]:
     R(u) = -alpha u^4 + 8 u^3 + gamma u^2 - 2 v^2, alpha = 2 p_sum^2 / v^2,
     gamma = 4 p_sum - scal.  R(0) < 0, R has one positive local maximum
     u_top, and alpha u^2 < 8 u + |gamma| at every positive root, so each
-    root has a bracket on one side of u_top.
+    root has a bracket on one side of u_top.  R is evaluated as
+    R(2^e w) / 2^(4e), with 2^e the binade of u_top: every term stays
+    finite where u_top^4 alone would overflow, and no rounding changes.
     """
     v2 = v * v
     alpha = 2.0 * p_sum * p_sum / v2
     gamma = 4.0 * p_sum - scal
-
-    def rfun(u: float) -> float:
-        return ((-alpha * u + 8.0) * u + gamma) * u * u - 2.0 * v2
-
     # the critical points solve -2 alpha u^2 + 12 u + gamma = 0
     disc = 144.0 + 8.0 * alpha * gamma
     if disc < 0.0:
         return []
     u_top = (12.0 + math.sqrt(disc)) / (4.0 * alpha)
-    r_top = rfun(u_top)
-    tau = 8.0 * 2.0**-52 * (alpha * u_top**4 + 8.0 * u_top**3 + abs(gamma) * u_top**2 + 2.0 * v2)
+    e = math.frexp(u_top)[1]
+    c3, c2, c0 = math.ldexp(8.0, -e), math.ldexp(gamma, -2 * e), math.ldexp(2.0 * v2, -4 * e)
+
+    def rfun(w: float) -> float:
+        return ((-alpha * w + c3) * w + c2) * w * w - c0
+
+    w_top = math.ldexp(u_top, -e)
+    r_top = rfun(w_top)
+    tau = 8.0 * 2.0**-52 * (alpha * w_top**4 + c3 * w_top**3 + abs(c2) * w_top**2 + c0)
     if abs(r_top) <= tau:
         return [u_top]
     if r_top < 0.0:
         return []
     u_max = (8.0 + math.sqrt(64.0 + 4.0 * alpha * abs(gamma))) / (2.0 * alpha)
-    return [_bisect(rfun, 0.0, u_top), _bisect(rfun, u_top, u_max)]
+    roots = (_bisect(rfun, 0.0, w_top), _bisect(rfun, w_top, math.ldexp(u_max, -e)))
+    return [math.ldexp(w, e) for w in roots]
 
 
 def _split(u: float, p_sum: float, v: float, floor: float) -> MetricTriple:

@@ -254,6 +254,41 @@ def test_verify_command_fails(capsys, monkeypatch):
     ]
 
 
+def _run_verify_in_child(prelude: str) -> subprocess.Popen:
+    src = str(Path(homsphere.__file__).resolve().parents[1])
+    code = f"import sys\n{prelude}\nfrom homsphere.cli import main\nsys.exit(main(['verify']))\n"
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_verify_without_numpy_exits_1_with_one_line():
+    proc = _run_verify_in_child("sys.modules['numpy'] = None  # as if not installed")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "homsphere[verify]" in err and "Traceback" not in err
+
+
+def test_verify_reader_closing_early_exits_1_silently():
+    stub = (
+        "from homsphere import acceptance\n"
+        "acceptance.ALL_CRITERIA = tuple(\n"
+        "    (lambda i=i: acceptance.CriterionResult(i, 'stub', True, 'd')) for i in range(11)\n"
+        ")"
+    )
+    proc = _run_verify_in_child(stub)
+    proc.stdout.close()  # before the child can write, so its write fails
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == ""
+
+
 SPECTRUM_GENERIC = [
     "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",
 ]
@@ -285,7 +320,6 @@ def test_nonconvergence_exit_1(capsys, monkeypatch):
     [
         "geometry --a 1e200 --b 1 --c 1e-200 --group su2",
         "spectrum --a 1e-200 --b 1e-200 --c 1e-200 --group su2 --lambda-max 1",
-        "rigidity --a 1e60 --b 1 --c 1e-60 --group su2",
         "geometry --a 1e150 --b 1 --c 1e-150 --group su2",
         "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2",
         "spectrum --a 1e154 --b 1e154 --c 1e154 --group su2 --lambda-max 10",

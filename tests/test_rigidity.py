@@ -59,6 +59,9 @@ def test_recover_round_from_raw_invariants():
         ((9.4, 0.5, 0.31), SO3),
         ((1, 1, 1e-6), SU2),
         ((1.2, 1, 1e-5), SU2),
+        # Scal is about -2e240: the residual quartic must not overflow
+        ((1e60, 1, 1e-60), SU2),
+        ((1e60, 1, 1e-60), SO3),
     ],
 )
 def test_recover_round_trip(triple, group):

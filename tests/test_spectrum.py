@@ -382,3 +382,30 @@ def test_user_path_does_not_import_the_oracle():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = {
+    "BergerExtremaReport", "BoundViolation", "ClusterMergeWarning", "CutoffTooLarge",
+    "DiamBounds", "EigenPair", "EmptyProduct", "GroupKind", "HomsphereError",
+    "InconsistentInvariants", "IsospectralResult", "IsospectralVerdict", "Lambda1Result",
+    "MetricClass", "MetricTriple", "NonConvergence", "NonPositiveParameter",
+    "ProductEstimate", "ProductSpec", "Regime", "SpectralInvariants", "SpectrumTable",
+    "berger_lambda1_diam2_extrema", "berger_spectrum_up_to", "classify", "diameter",
+    "invariants", "isospectral_check", "lambda1_closed", "lambda1_diam2",
+    "normalize_triple", "product_estimate", "recover_triple", "scalar_curvature",
+    "spectrum_up_to", "volume", "yamabe_gap",
+}
+
+
+def test_public_names_leave_out_solver_internals():
+    assert len(homsphere.__all__) == 37
+    assert set(homsphere.__all__) == PUBLIC_NAMES
+    internals = {
+        casimir: ("TridiagBlock", "build_irrep_block"),
+        eigensolve: ("eigenvalues", "eigen_block"),
+        homsphere.spectrum: ("k_cutoff",),
+    }
+    for module, names in internals.items():
+        for name in names:
+            assert callable(getattr(module, name))
+            assert not hasattr(homsphere, name)
