@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .core import MetricTriple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TridiagBlock:
     """A real symmetric tridiagonal matrix stored as diagonal/off-diagonal."""
 

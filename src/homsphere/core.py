@@ -36,7 +36,7 @@ class MetricClass(enum.Enum):
     GENERIC = "Generic"      # a > b > c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricTriple:
     """Canonical parameters of the metric making {aX1, bX2, cX3} orthonormal.
 
@@ -95,7 +95,7 @@ def classify(t: MetricTriple) -> MetricClass:
     return MetricClass.GENERIC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenPair:
     """A distinct Laplace eigenvalue together with its multiplicity."""
 
@@ -109,7 +109,7 @@ class EigenPair:
             raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumTable:
     """Sorted distinct eigenvalues <= truncation_bound, with multiplicities.
 
@@ -140,7 +140,7 @@ class SpectrumTable:
         return sum(e.multiplicity for e in self.entries if e.value <= lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralInvariants:
     """The rigidity fingerprint: (abc, scalar curvature, lambda_1, mult).
 

@@ -29,7 +29,7 @@ class EmptyProduct(HomsphereError, ValueError):
     """A product estimate was requested with no factors."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiamBounds:
     """Diameter as an exact value or a certified [lower, upper] interval."""
 
@@ -44,7 +44,7 @@ class DiamBounds:
             raise ValueError("diameter lower bound exceeds upper bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductSpec:
     """Factors of a Riemannian product, one metric triple per factor."""
 
@@ -52,7 +52,7 @@ class ProductSpec:
     so3_factors: tuple[MetricTriple, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductEstimate:
     """Lowest eigenvalue and diameter-squared interval of a product metric."""
 
@@ -64,7 +64,7 @@ class ProductEstimate:
     cap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BergerExtremaReport:
     """Extrema of lambda1 * diam^2 over the metrics with two equal parameters.
 

@@ -52,7 +52,7 @@ class IsospectralVerdict(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsospectralResult:
     """Outcome of comparing two truncated spectra.
 
@@ -122,6 +122,25 @@ def _largest_cubic_root(e1: float, e2: float, e3: float) -> float:
     return _bisect(p, u_hi, e1 * (1.0 + 1e-9) + tau)
 
 
+def _critical_point(c: float, k: float, am: float, g: float, ev: int) -> float | None:
+    """(c + sqrt(c^2 + k alpha g)) / (k alpha / 2), alpha = am 4^-ev, or None.
+
+    None when the discriminant is negative.  The square root is taken in
+    factored form, 2^j sqrt(c^2 4^-j + k alpha g 4^-j), so neither alpha
+    nor k alpha g is formed: with the volume parameter near 1e-150 both
+    leave the float range while the result does not.  Scaling by powers
+    of two changes no rounding, so where nothing over- or underflows this
+    is bitwise the unfactored formula.
+    """
+    gm, eg = math.frexp(g)
+    e = eg - 2 * ev  # k alpha g = k am gm 2^e
+    j = max(e // 2, 0)
+    disc = math.ldexp(c * c, -2 * j) + math.ldexp(k * am * gm, e - 2 * j)
+    if disc < 0.0:
+        return None
+    return math.ldexp((math.ldexp(c, -j) + math.sqrt(disc)) / (0.5 * k * am), j + 2 * ev)
+
+
 def _quartic_roots(p_sum: float, v: float, scal: float) -> list[float]:
     """Positive roots u = a^2 of the residual quartic when b^2 + c^2 = p_sum.
 
@@ -129,32 +148,37 @@ def _quartic_roots(p_sum: float, v: float, scal: float) -> list[float]:
     R(u) = -alpha u^4 + 8 u^3 + gamma u^2 - 2 v^2, alpha = 2 p_sum^2 / v^2,
     gamma = 4 p_sum - scal.  R(0) < 0, R has one positive local maximum
     u_top, and alpha u^2 < 8 u + |gamma| at every positive root, so each
-    root has a bracket on one side of u_top.  R is evaluated as
-    R(2^e w) / 2^(4e), with 2^e the binade of u_top: every term stays
-    finite where u_top^4 alone would overflow, and no rounding changes.
+    root has a bracket on one side of u_top.  With v = vm 2^ev, vm in
+    [1/2, 1), R is evaluated as 4^ev R(2^e w) / 2^(4e), with 2^e the
+    binade of u_top: its leading coefficient 2 p_sum^2 / vm^2 is near 1,
+    and every term stays finite where alpha, v^2 or u_top^4 alone would
+    leave the float range.  Where nothing over- or underflows, no rounding
+    changes.
     """
-    v2 = v * v
-    alpha = 2.0 * p_sum * p_sum / v2
+    vm, ev = math.frexp(v)
+    am = 2.0 * p_sum * p_sum / (vm * vm)  # alpha = am 4^-ev
     gamma = 4.0 * p_sum - scal
     # the critical points solve -2 alpha u^2 + 12 u + gamma = 0
-    disc = 144.0 + 8.0 * alpha * gamma
-    if disc < 0.0:
+    u_top = _critical_point(12.0, 8.0, am, gamma, ev)
+    if u_top is None:
         return []
-    u_top = (12.0 + math.sqrt(disc)) / (4.0 * alpha)
     e = math.frexp(u_top)[1]
-    c3, c2, c0 = math.ldexp(8.0, -e), math.ldexp(gamma, -2 * e), math.ldexp(2.0 * v2, -4 * e)
+    c3 = math.ldexp(8.0, 2 * ev - e)
+    c2 = math.ldexp(gamma, 2 * ev - 2 * e)
+    c0 = math.ldexp(2.0 * vm * vm, 4 * ev - 4 * e)
 
     def rfun(w: float) -> float:
-        return ((-alpha * w + c3) * w + c2) * w * w - c0
+        return ((-am * w + c3) * w + c2) * w * w - c0
 
     w_top = math.ldexp(u_top, -e)
     r_top = rfun(w_top)
-    tau = 8.0 * 2.0**-52 * (alpha * w_top**4 + c3 * w_top**3 + abs(c2) * w_top**2 + c0)
+    tau = 8.0 * 2.0**-52 * (am * w_top**4 + c3 * w_top**3 + abs(c2) * w_top**2 + c0)
     if abs(r_top) <= tau:
         return [u_top]
     if r_top < 0.0:
         return []
-    u_max = (8.0 + math.sqrt(64.0 + 4.0 * alpha * abs(gamma))) / (2.0 * alpha)
+    # alpha u^2 = 8 u + |gamma| bounds the roots above
+    u_max = _critical_point(8.0, 4.0, am, abs(gamma), ev)
     roots = (_bisect(rfun, 0.0, w_top), _bisect(rfun, w_top, math.ldexp(u_max, -e)))
     return [math.ldexp(w, e) for w in roots]
 
@@ -203,8 +227,13 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     Raises:
         InconsistentInvariants: if the invariants are not realized by any
             metric in the family (to tolerance).
-        OverflowError: if the scaled volume parameter leaves the float range.
+        OverflowError: if an invariant is not finite (the scalar curvature
+            of a metric thinner than about 1e-154 is -inf), or leaves the
+            float range when scaled.
     """
+    if not all(map(math.isfinite, (inv.vol_param, inv.scal, inv.lambda1))):
+        values = (inv.vol_param, inv.scal, inv.lambda1)
+        raise OverflowError(f"the invariants {values} are not finite")
     if inv.vol_param <= 0.0 or inv.lambda1 <= 0.0:
         raise InconsistentInvariants("volume parameter and lambda1 must be positive")
     h = (math.frexp(inv.lambda1)[1] - 1) // 2

@@ -56,7 +56,7 @@ class Regime(enum.Enum):
     SO3 = "SO3"                      # SO(3): lambda1 = 4(b^2+c^2) always
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lambda1Result:
     """Smallest positive eigenvalue, its multiplicity, and the active regime."""
 
@@ -190,8 +190,9 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
 
     Takes the eigenvalues of one Casimir block per admissible irrep (even k
     only for SO(3)) from ``eigen_block``, so a triple with two equal
-    parameters gets its closed form and any other the solver, weights each
-    by the irrep dimension k+1, and clusters equal values.  The result is
+    parameters gets its closed form and any other the solver, which
+    bisects only below the bound, keeps the values <= lam_max, weights
+    each by the irrep dimension k+1, and clusters equal values.  The result is
     complete below ``lam_max``.  The blocks are solved for the triple
     scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
     4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
@@ -213,7 +214,7 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     contributions = [
         (math.ldexp(value, 2 * h), k + 1, k)
         for k in range(0, cutoff + 1, step)
-        for value in eigen_block(k, unit)
+        for value in eigen_block(k, unit, lam_unit)
         if value <= lam_unit
     ]
     entries, sources = _cluster(contributions)

@@ -191,6 +191,15 @@ def test_rigidity_command_round_trip(capsys):
     assert json.loads(out)["results"]["roundtrip_rel_err"] <= 1e-12
 
 
+def test_rigidity_with_infinite_curvature_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--a", "1", "--b", "1", "--c", "1e-160", "--group", "su2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameters out of floating-point range")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_rigidity_compare(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -305,7 +314,7 @@ def test_non_finite_lambda_max_exit_2(capsys, bound):
 def test_nonconvergence_exit_1(capsys, monkeypatch):
     from homsphere import NonConvergence, eigensolve
 
-    def stuck(block):
+    def stuck(block, upper=None):
         raise NonConvergence(f"eigenvalue 0 of a {block.n}x{block.n} block did not converge")
 
     monkeypatch.setattr(eigensolve, "eigenvalues", stuck)
@@ -407,6 +416,11 @@ PINNED_STDOUT = {
         "e934b6da8f1578852d227898989519734ba893a267739e40106aef9f875447a2",
     "spectrum --a 2 --b 1 --c 1 --group su2 --lambda-max 40 --berger-closed-form --format csv":
         "7ce7a6f1c68b5d710dc633caa2db2e794abccaec158c67a2dff4c89cfd1c02bc",
+    # generic triples: these two go through the tridiagonal solver
+    "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 200":
+        "f76a71cfd9801c39a929d0147cd1ab6a69a42dffc9e2af1ad7e8a8adc0fea4b3",
+    "spectrum --a 2 --b 1 --c 0.95 --group so3 --lambda-max 120 --format csv":
+        "e0f43fc3c771f0636897c186c22a6f64e914bce6ed8f53aad816d6c59f256701",
     "lambda1 --a 2 --b 1 --c 1 --group su2":
         "2afe9e677f96d804bc276291dacb53fdcd6c08de6d892af1a55b3048f98be176",
     "geometry --a 2 --b 1 --c 1 --group so3":

@@ -62,6 +62,10 @@ def test_recover_round_from_raw_invariants():
         # Scal is about -2e240: the residual quartic must not overflow
         ((1e60, 1, 1e-60), SU2),
         ((1e60, 1, 1e-60), SO3),
+        # v^2 and alpha = 2 P^2 / v^2 leave the float range: the quartic's
+        # critical points are taken in factored form
+        ((2, 1, 1e-150), SO3),
+        ((1, 1, 1e-100), SO3),
     ],
 )
 def test_recover_round_trip(triple, group):
@@ -93,6 +97,29 @@ def test_recover_round_trip_at_every_scale(triple, g):
         rec = recover_triple(invariants(t, g), g)
         err = max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple()))
         assert err < 1e-8, e
+
+
+def test_recover_thin_triples_near_the_float_limit():
+    # with lambda1 near 1, Scal is about -2 (ab/c)^2, so ab/c up to 1e153.5
+    # keeps it finite while v^2 = (abc)^2 drops to about 1e-309
+    rng = np.random.default_rng(12)
+    for i in range(400):
+        b = rng.uniform(0.5, 1.0)
+        a = b * 10.0 ** rng.uniform(0, 0.8)
+        t = MetricTriple(a, b, a * b * 10.0 ** rng.uniform(-153.5, -140))
+        g = (SU2, SO3)[i % 2]
+        inv = invariants(t, g)
+        assert math.isfinite(inv.scal)
+        rec = recover_triple(inv, g)
+        assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) < 1e-8
+
+
+def test_recover_rejects_infinite_invariants():
+    # Scal of (1, 1, 1e-160) is about -2e320, which is -inf in floating point
+    inv = invariants(MetricTriple(1, 1, 1e-160), SU2)
+    assert inv.scal == -math.inf
+    with pytest.raises(OverflowError):
+        recover_triple(inv, SU2)
 
 
 def test_recover_boundary_multiplicity_seven():
