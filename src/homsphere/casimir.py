@@ -6,7 +6,9 @@ of a metric triple couples only basis indices at distance two.  A
 similarity by a diagonal of binomial square roots makes it symmetric, and
 reordering the basis into even and odd indices splits it into two
 symmetric tridiagonal blocks.  ``build_irrep_block`` writes those two
-blocks directly from the closed entries in O(k); the dense matrix, its
+blocks directly from the closed entries in O(k).  The solver path reads
+only their first halves: ``_wang_halves`` splits the blocks by the
+symmetry l <-> k-l into halves of about k/4 rows.  The dense matrix, its
 generator construction and the symmetrize/split checks live in
 ``homsphere.oracle`` as independent references.  Entries are plain
 Python floats, so nothing here needs numpy.
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .core import MetricTriple
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -36,40 +40,93 @@ class TridiagBlock:
         return len(self.diag)
 
 
-def _diagonal(k: int, a2: float, bc2: float) -> list[float]:
-    """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2, l = 0..k, of the irrep-k matrix.
+def _diagonal(k: int, a2: float, bc2: float, ls: range | None = None) -> list[float]:
+    """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 of the irrep-k matrix, l in ``ls``.
 
-    ``a2`` is a^2 and ``bc2`` is b^2 + c^2.  With b = c the matrix is this
-    diagonal alone, and 2 b^2 = b^2 + b^2 exactly, so the entries are
-    bitwise the closed Berger eigenvalues.
+    ``a2`` is a^2, ``bc2`` is b^2 + c^2 and ``ls`` defaults to 0..k.  With
+    b = c the matrix is this diagonal alone, and 2 b^2 = b^2 + b^2
+    exactly, so the entries are bitwise the closed Berger eigenvalues.
     """
     if k < 0:
         raise ValueError(f"irrep label must be nonnegative, got {k}")
-    return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in range(k + 1)]
+    if ls is None:
+        ls = range(k + 1)
+    return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
+
+
+def _parity_entries(
+    k: int, a2: float, bc2: float, off: float, p: int, rows: int, couplings: int
+) -> tuple[list[float], list[float]]:
+    """The first ``rows`` diagonal entries and ``couplings`` couplings of one block.
+
+    The block holds the basis indices l = p, p+2, ...; ``off`` is
+    c^2 - b^2.  Column l of the matrix holds l(l-1) off at row l-2 and
+    (k-l)(k-l-1) off at row l+2.  Conjugating by d_l = sqrt(binom(k, l))
+    scales the coupling of l-2 and l by f = d_l / d_{l-2} above the
+    diagonal and by 1/f below it; the block entry is the mean of the two.
+    f is a product of the square roots of two adjacent ratios
+    (k-l+1)/l, so nothing overflows for large k.
+    """
+    diag = _diagonal(k, a2, bc2, range(p, p + 2 * rows, 2))
+    coupling = []
+    for l in range(p + 2, p + 2 + 2 * couplings, 2):
+        f = math.sqrt((k - l + 1) / l) * math.sqrt((k - l + 2) / (l - 1))
+        coupling.append(0.5 * (l * (l - 1) * off * f + (k - l + 2) * (k - l + 1) * off / f))
+    return diag, coupling
 
 
 def build_irrep_block(k: int, t: MetricTriple) -> tuple[TridiagBlock, TridiagBlock]:
     """The (even, odd) symmetric tridiagonal blocks of the irrep-k Casimir matrix.
 
-    Column l of the matrix holds the diagonal entry, l(l-1)(c^2-b^2) at
-    row l-2 and (k-l)(k-l-1)(c^2-b^2) at row l+2.  Conjugating by
-    d_l = sqrt(binom(k, l)) scales the coupling of l-2 and l by
-    f = d_l / d_{l-2} above the diagonal and by 1/f below it; the block
-    entry is the mean of the two.  Only square roots of the adjacent ratios
-    (k-l+1)/l are formed, so nothing overflows for large k.  Even indices
-    {0,2,...} give a block of size floor((k+2)/2), odd indices {1,3,...}
-    one of size floor((k+1)/2).  Every entry is bitwise the one that
+    Even indices {0,2,...} give a block of size floor((k+2)/2), odd
+    indices {1,3,...} one of size floor((k+1)/2), with the entries of
+    ``_parity_entries``.  Every entry is bitwise the one that
     ``oracle.tridiagonal_split(oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)``
     produces.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    diag = _diagonal(k, a2, b2 + c2)
-    off = c2 - b2
-    ratio = [math.sqrt((k - l + 1) / l) for l in range(1, k + 1)]  # d_l / d_{l-1}
-    coupling = []
-    for l in range(2, k + 1):
-        f = ratio[l - 1] * ratio[l - 2]  # d_l / d_{l-2}
-        coupling.append(0.5 * (l * (l - 1) * off * f + (k - l + 2) * (k - l + 1) * off / f))
-    even = TridiagBlock(diag=tuple(diag[0::2]), offdiag=tuple(coupling[0::2]))
-    odd = TridiagBlock(diag=tuple(diag[1::2]), offdiag=tuple(coupling[1::2]))
-    return even, odd
+    blocks = []
+    for p in (0, 1):
+        n = (k - p) // 2 + 1
+        diag, coupling = _parity_entries(k, a2, b2 + c2, c2 - b2, p, n, n - 1)
+        blocks.append(TridiagBlock(diag=tuple(diag), offdiag=tuple(coupling)))
+    return blocks[0], blocks[1]
+
+
+def _wang_halves(k: int, t: MetricTriple) -> tuple[TridiagBlock, ...]:
+    """Blocks whose eigenvalues, the odd-k ones counted twice, are those of irrep k.
+
+    The matrix is persymmetric under l <-> k-l (Wang 1929).  For odd k
+    that map swaps even and odd indices, so the odd block is the even
+    block reversed: only the even block is returned.  For even k it
+    reverses each block, and a block of size n splits into a symmetric
+    and an antisymmetric half:
+
+    * n = 2m+1: d[:m+1] with its last coupling times sqrt 2, and d[:m];
+    * n = 2m: d[:m] with its last diagonal entry d_{m-1} + e_{m-1}, and
+      the same with d_{m-1} - e_{m-1}.
+
+    Only the first half of each block is assembled, with the entries of
+    ``build_irrep_block`` bitwise; its couplings are persymmetric only to
+    an ulp, so the second half is never read.
+    """
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+    bc2, off = b2 + c2, c2 - b2
+    if k % 2:
+        n = (k + 1) // 2
+        diag, coupling = _parity_entries(k, a2, bc2, off, 0, n, n - 1)
+        return (TridiagBlock(diag=tuple(diag), offdiag=tuple(coupling)),)
+    halves = []
+    for p in (0, 1) if k else (0,):
+        m, odd = divmod((k - p) // 2 + 1, 2)
+        diag, coupling = _parity_entries(k, a2, bc2, off, p, m + odd, m)
+        if odd:
+            if m:
+                halves.append(TridiagBlock(diag=tuple(diag[:m]), offdiag=tuple(coupling[:-1])))
+                coupling[-1] *= _SQRT2
+            halves.append(TridiagBlock(diag=tuple(diag), offdiag=tuple(coupling)))
+        else:
+            d, e = diag.pop(), coupling.pop()
+            halves.append(TridiagBlock(diag=(*diag, d + e), offdiag=tuple(coupling)))
+            halves.append(TridiagBlock(diag=(*diag, d - e), offdiag=tuple(coupling)))
+    return tuple(halves)

@@ -1,30 +1,32 @@
-"""Symmetric tridiagonal eigenvalues by Sturm-sequence bisection.
+"""Symmetric tridiagonal eigenvalues by Sturm-count bisection and Newton steps.
 
-Bisection with Sturm counts was chosen over QL/QR style iterations:
-only eigenvalues are needed, every eigenvalue is bracketed with a
-guaranteed enclosure, the initial bracket comes directly from Gershgorin
-bounds, and bisection can stop at a bound: a table below L needs only the
-eigenvalues below L, which are usually a small share of each block.
-
-``eigenvalues`` is the one bisection kernel, a pure-Python loop over a
-single block (the blocks arising from the spectra here are small).  It
-bisects brackets of eigenvalue indices rather than one index at a time:
-the indices a bracket holds share its Sturm counts, the count at its
-midpoint splits it, and a bracket that lies above the bound is dropped
-(Barth, Martin & Wilkinson 1967; LAPACK ``dstebz`` with RANGE='V').
-``eigen_block`` solves the even and odd blocks of one irrep, or reads the
-eigenvalues off the diagonal when two parameters are equal.
+``eigenvalues`` is the one solver, a pure-Python loop over a single
+block (the blocks arising from the spectra here are small).  Only
+eigenvalues are needed, and a table below L needs only those below L,
+usually a small share of each block, so the solver works on brackets
+from the Gershgorin hull rather than on the whole matrix: the indices a
+bracket holds share its Sturm counts, the count at its midpoint splits
+it, and a bracket that lies above the bound is dropped (Barth, Martin &
+Wilkinson 1967; LAPACK ``dstebz`` with RANGE='V').  A bracket that holds
+one index is finished by Newton steps on the characteristic polynomial,
+whose derivative comes from the same pivot recurrence; the bracket
+guards every step, and counts certify the result to the same width as
+a bisected midpoint.  This needs no second kernel: QL would need a
+fallback for a value that fails its certificate.  ``eigen_block``
+solves the Wang halves of one irrep, or reads the eigenvalues off the
+diagonal when two parameters are equal.
 """
 
 from __future__ import annotations
 
 import math
 
-from .casimir import TridiagBlock, _diagonal, build_irrep_block
+from .casimir import TridiagBlock, _diagonal, _wang_halves
 from .core import HomsphereError, MetricTriple
 
 _EPS = 2.0**-52
-# bisection stops at a bracket width of TOL * max(1, |midpoint|)
+# bisection stops at a bracket width of TOL * max(1, |midpoint|); a Newton
+# result is certified to the same half-width
 TOL = 1e-12
 
 
@@ -33,23 +35,19 @@ class NonConvergence(HomsphereError, RuntimeError):
 
 
 def eigenvalues(t: TridiagBlock, upper: float = math.inf) -> tuple[float, ...]:
-    """Eigenvalues of a symmetric tridiagonal block, sorted ascending.
+    """The eigenvalues <= ``upper`` of a symmetric tridiagonal block, sorted.
 
-    Every eigenvalue <= ``upper`` is returned; some above it may be too.
     Bisection starts from one bracket, the Gershgorin hull, holding every
     index.  Each bracket [lo, hi] holds the indices first..last-1; the
     Sturm count at its midpoint, clamped to [first, last], splits it in
-    two, so the indices that share a path count each midpoint once.  A
-    bracket whose width drops below TOL * max(1, |midpoint|), however many
-    halvings that takes (a few hundred at extreme aspect ratios), gives its
-    midpoint once per index it holds.  A bracket with lo > ``upper`` is
-    dropped.  Index m goes left iff the count is >= m + 1, exactly as if
-    it were bisected alone, so every value is bitwise independent of
-    ``upper``.  The Sturm count of a midpoint runs the signed pivot
-    recurrence d_1 = T_11 - x, d_i = (T_ii - x) - off_{i-1}^2 / d_{i-1}
-    and counts negative pivots; a zero pivot is replaced by
-    +eps * |T|_inf, so an eigenvalue exactly at the midpoint is not
-    counted.
+    two, so the indices that share a path count each midpoint once (Barth,
+    Martin & Wilkinson 1967).  A bracket with lo > ``upper`` is dropped.
+    A bracket whose width drops below TOL * max(1, |midpoint|), however
+    many halvings that takes (a few hundred at extreme aspect ratios),
+    gives its midpoint once per index it holds.  A bracket that holds one
+    index is finished by ``_newton``.  A bracket that is kept takes the
+    same path as in an unbounded call, so every value is bitwise what an
+    unbounded call gives.  A 1x1 block gives its entry.
 
     Raises:
         OverflowError: if an entry or a squared coupling is not finite.
@@ -57,22 +55,22 @@ def eigenvalues(t: TridiagBlock, upper: float = math.inf) -> tuple[float, ...]:
             it before the width test passes (a NaN entry).
     """
     n = t.n
+    diag = t.diag
+    if n == 1:
+        value = diag[0]
+        if not math.isfinite(value):
+            raise OverflowError("the entry of a 1x1 block leaves the float range")
+        return (value,) if value <= upper else ()
     if n == 0:
         return ()
-    diag = t.diag
     off = t.offdiag
     off2 = [v * v for v in off]
-
-    lo0 = hi0 = diag[0]
-    norm = 0.0
-    for i in range(n):
-        left = abs(off[i - 1]) if i else 0.0
-        right = abs(off[i]) if i < n - 1 else 0.0
-        r = left + right
-        lo0 = min(lo0, diag[i] - r)
-        hi0 = max(hi0, diag[i] + r)
-        norm = max(norm, abs(diag[i]) + left + right)
-    if not math.isfinite(norm + max(off2, default=0.0)):
+    absoff = [abs(v) for v in off]
+    radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
+    lo0 = min([d - r for d, r in zip(diag, radius)])
+    hi0 = max([d + r for d, r in zip(diag, radius)])
+    norm = max([abs(d) + r for d, r in zip(diag, radius)])
+    if not math.isfinite(norm + max(off2)):
         raise OverflowError(f"entries of a {n}x{n} block leave the float range")
     pert = _EPS * (norm or 1.0)
     if lo0 > upper:
@@ -84,31 +82,122 @@ def eigenvalues(t: TridiagBlock, upper: float = math.inf) -> tuple[float, ...]:
     stack = [(lo0, hi0, 0, n)]
     while stack:
         lo, hi, first, last = stack.pop()
+        if last - first == 1:
+            value = _newton(lo, hi, first, d0, rows, pert, upper)
+            if value <= upper:
+                out.append(value)
+            continue
         mid = 0.5 * (lo + hi)
         if hi - lo <= TOL * max(1.0, abs(mid)):
-            out.extend([mid] * (last - first))
+            if mid <= upper:
+                out.extend([mid] * (last - first))
             continue
         if not lo < mid < hi:
             raise NonConvergence(
                 f"eigenvalue {first} of a {n}x{n} block did not converge"
             )
-        d = d0 - mid
-        if d == 0.0:
-            d = pert
-        count = 1 if d < 0.0 else 0
-        for di, o2 in rows:
-            d = (di - mid) - o2 / d
-            if d == 0.0:
-                d = pert
-            if d < 0.0:
-                count += 1
-        split = min(max(count, first), last)
+        split = min(max(_sturm_count(mid, d0, rows, pert), first), last)
         if split < last and mid <= upper:
             stack.append((mid, hi, split, last))
         if split > first:
             stack.append((lo, mid, first, split))
     out.sort()
     return tuple(out)
+
+
+def _sturm_count(x: float, d0: float, rows: list, pert: float) -> int:
+    """Number of eigenvalues below ``x``: the negative pivots of T - x.
+
+    The signed pivot recurrence is d_1 = T_11 - x,
+    d_i = (T_ii - x) - off_{i-1}^2 / d_{i-1}; ``rows`` holds the pairs
+    (T_ii, off_{i-1}^2) for i >= 2.  A zero pivot is replaced by ``pert``
+    (eps * |T|_inf), so an eigenvalue exactly at x is not counted.
+    """
+    d = d0 - x
+    if d == 0.0:
+        d = pert
+    count = 1 if d < 0.0 else 0
+    for di, o2 in rows:
+        d = (di - x) - o2 / d
+        if d == 0.0:
+            d = pert
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
+            upper: float) -> float:
+    """Eigenvalue m, the only one in [lo, hi], or a value > ``upper``.
+
+    Newton's method on det(T - x), safeguarded by the bracket.  One pass
+    of the pivot recurrence gives the Sturm count at x, which shrinks
+    [lo, hi], and det'/det = sum g_i with g_i = d_i'/d_i: d_1' = -1 and
+    d_i' = q g_{i-1} - 1 with q = off_{i-1}^2 / d_{i-1}.
+    A step x -> x' shorter than h = TOL/2 * max(1, |x'|) is accepted once
+    the counts at x' - h and x' + h, taken only where they fall inside
+    the bracket, put [lo, hi] inside [x' - h, x' + h]: x' is then as close
+    to the eigenvalue as a midpoint that passes the width test.  A longer
+    step is clipped to the bracket, since an eigenvalue on a Gershgorin
+    end is approached from outside; the midpoint replaces it if it is NaN,
+    moves nothing, or moves more than half the previous step.  The width
+    test and its midpoint stay in force.  Once lo > ``upper``, lo is
+    returned.
+    """
+    x = 0.5 * (lo + hi)
+    prev = hi - lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= TOL * max(1.0, abs(mid)):
+            return mid
+        if not lo < mid < hi:
+            n = len(rows) + 1
+            raise NonConvergence(f"eigenvalue {m} of a {n}x{n} block did not converge")
+        d = d0 - x
+        if d == 0.0:
+            d = pert
+        g = -1.0 / d
+        slope = g
+        count = 1 if d < 0.0 else 0
+        for di, o2 in rows:
+            q = o2 / d
+            d = (di - x) - q
+            if d == 0.0:
+                d = pert
+            if d < 0.0:
+                count += 1
+            g = (q * g - 1.0) / d
+            slope += g
+        if count > m:
+            hi = x
+        else:
+            lo = x
+            if lo > upper:
+                return lo
+        step = -1.0 / slope if slope else math.nan
+        h = 0.5 * TOL * max(1.0, abs(x + step))
+        if abs(step) <= h:
+            x += step
+            if lo < x - h < hi:
+                if _sturm_count(x - h, d0, rows, pert) > m:
+                    hi = x - h
+                else:
+                    lo = x - h
+            if lo < x + h < hi:
+                if _sturm_count(x + h, d0, rows, pert) > m:
+                    hi = x + h
+                else:
+                    lo = x + h
+            if x - h <= lo and hi <= x + h:
+                return x
+        else:
+            nxt = min(max(x + step, lo), hi)
+            if 0.0 < abs(nxt - x) <= 0.5 * prev:
+                prev = abs(nxt - x)
+                x = nxt
+                continue
+        x = 0.5 * (lo + hi)
+        prev = hi - lo
 
 
 def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float, ...]:
@@ -120,11 +209,13 @@ def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float
     whole diagonal is returned as computed.  When a = b > c the metric is
     isometric to (c, a, b), whose matrix is diagonal in the same way.
     Either way the values are bitwise the closed Berger eigenvalues
-    ``oracle.berger_eigenvalue``.  Otherwise the even and odd tridiagonal
-    blocks are solved below ``upper`` and merged.  With b >= 1 every
-    positive eigenvalue is at least 2, so the floor of the stopping width
-    never binds; this is why ``spectrum_up_to`` calls it at a power-of-two
-    scale with b in [1, 2).
+    ``oracle.berger_eigenvalue``.  Otherwise ``eigenvalues`` solves the
+    Wang halves of ``casimir._wang_halves`` below ``upper``: for odd k
+    the one block of the Kramers pair, whose values are returned twice,
+    exactly equal; for even k the four halves of about k/4 rows.  With
+    b >= 1 every positive eigenvalue is at least 2, so the floor of the
+    stopping width never binds; this is why ``spectrum_up_to`` calls it
+    at a power-of-two scale with b in [1, 2).
 
     Raises:
         OverflowError: if a block entry leaves the float range.
@@ -133,5 +224,8 @@ def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float
         return tuple(sorted(_diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c)))
     if t.a == t.b:
         return tuple(sorted(_diagonal(k, t.c * t.c, t.a * t.a + t.b * t.b)))
-    even, odd = build_irrep_block(k, t)
-    return tuple(sorted((*eigenvalues(even, upper), *eigenvalues(odd, upper))))
+    values = [v for half in _wang_halves(k, t) for v in eigenvalues(half, upper)]
+    if k % 2:
+        values += values
+    values.sort()
+    return tuple(values)

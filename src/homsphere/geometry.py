@@ -81,11 +81,14 @@ def scalar_curvature(t: MetricTriple) -> float:
     """Scalar curvature 4(a^2+b^2+c^2) - 2(b^2c^2/a^2 + a^2c^2/b^2 + a^2b^2/c^2).
 
     The same value holds for SU(2) and SO(3), and at every point (the
-    metrics are homogeneous).  Each ratio is divided before it is
-    multiplied, so no intermediate overflows where the curvature does not.
+    metrics are homogeneous).  Each ratio term is the square of
+    bc/a, ac/b or ab/c, formed as a ratio times the remaining parameter,
+    so with a >= b >= c no intermediate overflows where the curvature
+    does not.
     """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    return 4.0 * (a2 + b2 + c2) - 2.0 * (b2 / a2 * c2 + a2 / b2 * c2 + a2 / c2 * b2)
+    a, b, c = t.a, t.b, t.c
+    bc_a, ac_b, ab_c = c / a * b, c / b * a, b / c * a
+    return 4.0 * (a * a + b * b + c * c) - 2.0 * (bc_a * bc_a + ac_b * ac_b + ab_c * ab_c)
 
 
 def volume(t: MetricTriple, g: GroupKind) -> float:

@@ -222,21 +222,31 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     candidate triple, and the one whose own invariants agree best with the
     input is returned if they agree within 1e-6 relative (floored at 1).
     Both steps run on the invariants scaled by a power of two to lambda1
-    in [1, 4), where that floor sits at the scale of lambda1.
+    in [1, 4), where that floor sits at the scale of lambda1, or on a
+    thin metric to the largest lambda1 that keeps |Scal| below 2^1020.
 
     Raises:
         InconsistentInvariants: if the invariants are not realized by any
             metric in the family (to tolerance).
         OverflowError: if an invariant is not finite (the scalar curvature
-            of a metric thinner than about 1e-154 is -inf), or leaves the
-            float range when scaled.
+            of a metric with ab/c above about 1e154 is -inf), or if lambda1
+            and Scal are so far apart that no common power-of-two scale
+            keeps |Scal| below 2^1020 and lambda1 above 2^-500.
     """
     if not all(map(math.isfinite, (inv.vol_param, inv.scal, inv.lambda1))):
         values = (inv.vol_param, inv.scal, inv.lambda1)
         raise OverflowError(f"the invariants {values} are not finite")
     if inv.vol_param <= 0.0 or inv.lambda1 <= 0.0:
         raise InconsistentInvariants("volume parameter and lambda1 must be positive")
-    h = (math.frexp(inv.lambda1)[1] - 1) // 2
+    # lambda1 in [1, 4), unless |Scal| (about 2 (ab/c)^2 on a thin metric)
+    # would then pass 2^1020: it is kept 16 times below the float range
+    h = max((math.frexp(inv.lambda1)[1] - 1) // 2, -((1020 - math.frexp(inv.scal)[1]) // 2))
+    if math.ldexp(inv.lambda1, 500 - 2 * h) < 1.0:
+        # lambda1 below 2^-500 would make its square subnormal
+        raise OverflowError(
+            f"lambda1 {inv.lambda1:.17g} and the scalar curvature {inv.scal:.17g} "
+            "are too far apart to scale into the float range together"
+        )
     inv = SpectralInvariants(
         vol_param=math.ldexp(inv.vol_param, -3 * h),
         scal=math.ldexp(inv.scal, -2 * h),

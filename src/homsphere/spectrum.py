@@ -191,7 +191,7 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     Takes the eigenvalues of one Casimir block per admissible irrep (even k
     only for SO(3)) from ``eigen_block``, so a triple with two equal
     parameters gets its closed form and any other the solver, which
-    bisects only below the bound, keeps the values <= lam_max, weights
+    works only below the bound, keeps the values <= lam_max, weights
     each by the irrep dimension k+1, and clusters equal values.  The result is
     complete below ``lam_max``.  The blocks are solved for the triple
     scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by

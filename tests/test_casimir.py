@@ -1,14 +1,19 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 
-from homsphere.casimir import build_irrep_block
+from homsphere.casimir import TridiagBlock, _wang_halves, build_irrep_block
 from homsphere.core import MetricTriple
+from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
     PatternViolation,
     casimir_matrix,
     casimir_matrix_oracle,
     generator_matrices,
     gershgorin,
+    low_irrep_eigenvalues,
     symmetrize,
     to_dense,
     tridiagonal_split,
@@ -204,3 +209,91 @@ def test_direct_assembly_equals_dense_chain_bitwise(k):
         for g, w in zip(got, want):
             assert np.array(g.diag).tobytes() == np.array(w.diag).tobytes()
             assert np.array(g.offdiag).tobytes() == np.array(w.offdiag).tobytes()
+
+
+# ---- Wang halves ----
+
+WANG_TRIPLES = [
+    MetricTriple(2.9, 1.7, 0.8),  # generic
+    MetricTriple(0.58297, 0.31466, 0.18775),
+    MetricTriple(2.0, 1.0, 1.0 - 1e-9),  # near-prolate: b ~ c
+    MetricTriple(1.7, 1.0, 1.0 - 1e-4),
+    MetricTriple(1.0, 1.0 - 1e-9, 0.6),  # near-oblate: a ~ b
+    MetricTriple(1.0, 1.0 - 1e-4, 0.3),
+]
+
+
+def _halves_of_blocks(k, t):
+    """The Wang halves cut from the full blocks of ``build_irrep_block``."""
+    even, odd = build_irrep_block(k, t)
+    if k % 2:
+        return [even]
+    halves = []
+    for block in (even, odd):
+        n, d, e = block.n, block.diag, block.offdiag
+        m = n // 2
+        if n % 2:
+            last = (e[m - 1] * math.sqrt(2.0),) if m else ()
+            halves.append(TridiagBlock(diag=d[: m + 1], offdiag=e[: m - 1] + last))
+            if m:
+                halves.append(TridiagBlock(diag=d[:m], offdiag=e[: m - 1]))
+        elif n:
+            for edge in (d[m - 1] + e[m - 1], d[m - 1] - e[m - 1]):
+                halves.append(TridiagBlock(diag=d[: m - 1] + (edge,), offdiag=e[: m - 1]))
+    return halves
+
+
+def _bits(block):
+    return (tuple(map(float.hex, block.diag)), tuple(map(float.hex, block.offdiag)))
+
+
+@pytest.mark.parametrize("t", WANG_TRIPLES + _assembly_triples(), ids=repr)
+def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
+    for k in (*range(41), 199, 400):
+        got = collections.Counter(map(_bits, _wang_halves(k, t)))
+        assert got == collections.Counter(map(_bits, _halves_of_blocks(k, t)))
+
+
+def test_wang_half_sizes():
+    t = WANG_TRIPLES[0]
+    sizes = {k: sorted(h.n for h in _wang_halves(k, t)) for k in range(8)}
+    assert sizes == {
+        0: [1], 1: [1], 2: [1, 1, 1], 3: [2], 4: [1, 1, 1, 2], 5: [3],
+        6: [1, 2, 2, 2], 7: [4],
+    }
+
+
+@pytest.mark.parametrize("t", WANG_TRIPLES, ids=repr)
+def test_wang_halves_carry_the_spectrum(t):
+    for k in range(41):
+        dense = np.linalg.eigvalsh(symmetrize(casimir_matrix(k, t), k))
+        scale = 1e-12 * max(1.0, float(np.abs(dense).max()))
+        halves = [np.linalg.eigvalsh(to_dense(h)) for h in _wang_halves(k, t)]
+        union = np.sort(np.concatenate(halves * (2 if k % 2 else 1)))
+        assert np.allclose(union, dense, rtol=0.0, atol=scale)
+        assert np.allclose(eigen_block(k, t), dense, rtol=0.0, atol=scale)
+
+
+@pytest.mark.parametrize("t", WANG_TRIPLES, ids=repr)
+def test_odd_k_values_come_in_exact_pairs(t):
+    for k in range(1, 60, 2):
+        counts = collections.Counter(eigen_block(k, t))
+        assert all(c % 2 == 0 for c in counts.values())
+
+
+@pytest.mark.parametrize("t", WANG_TRIPLES, ids=repr)
+def test_low_irreps_from_one_by_one_halves_match_closed_forms(t):
+    closed = low_irrep_eigenvalues(t)
+    for k in (0, 1, 2):
+        got = eigen_block(k, t)
+        assert len(got) == len(closed[k])
+        for value, want in zip(got, closed[k]):
+            assert abs(value - want) <= 4 * math.ulp(want)
+
+
+def test_bound_below_the_hull_gives_no_block_values():
+    t = WANG_TRIPLES[0]
+    for k in (3, 4, 10, 31):
+        floor = 2 * k * t.b**2 + k * k * t.c**2  # below every eigenvalue of block k
+        assert eigen_block(k, t, 0.5 * floor) == ()
+        assert eigen_block(k, t, math.nextafter(min(eigen_block(k, t)), 0.0)) == ()

@@ -12,6 +12,7 @@ import homsphere
 from homsphere.cli import main
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.geometry import berger_lambda1_diam2_extrema
+from homsphere.oracle import low_irrep_eigenvalues
 from homsphere.spectrum import lambda1_closed, spectrum_up_to
 
 
@@ -197,6 +198,39 @@ def test_rigidity_with_infinite_curvature_exits_2(capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: parameters out of floating-point range")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_geometry_of_a_thin_metric_with_finite_curvature(capsys):
+    # (a/c)^2 = 1e310 overflows, while Scal = -2 (ab/c)^2 = -2e306 does not
+    code, out, _ = run_cli(
+        capsys, "geometry", "--a", "1", "--b", "1e-2", "--c", "1e-155", "--group", "su2"
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["scalar_curvature"] == pytest.approx(-2e306, rel=1e-15)
+
+
+def test_rigidity_of_a_thin_metric_scales_to_a_finite_curvature(capsys):
+    # lambda1 = 9.3e-4: scaled to [1, 4), Scal = -4.7e304 would reach -1.9e308
+    triple = ("0.021560479293827695", "0.015211490393212417", "2.1490768618697476e-156")
+    code, out, _ = run_cli(
+        capsys, "rigidity", "--a", triple[0], "--b", triple[1], "--c", triple[2],
+        "--group", "so3",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["roundtrip_rel_err"] <= 1e-15
+    assert results["recovered_triple"] == pytest.approx(list(map(float, triple)), rel=1e-15)
+
+
+def test_rigidity_with_invariants_no_scale_can_hold_exits_2(capsys):
+    # lambda1 = 1.3e-192 and Scal = -8.4e303: |Scal| < 2^1020 leaves lambda1 < 2^-500
+    code, out, err = run_cli(
+        capsys, "rigidity", "--a", "9.378564640743972e+125", "--b", "5.754525979001847e-97",
+        "--c", "8.335200757708145e-123", "--group", "su2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameters out of floating-point range: lambda1")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -416,11 +450,13 @@ PINNED_STDOUT = {
         "e934b6da8f1578852d227898989519734ba893a267739e40106aef9f875447a2",
     "spectrum --a 2 --b 1 --c 1 --group su2 --lambda-max 40 --berger-closed-form --format csv":
         "7ce7a6f1c68b5d710dc633caa2db2e794abccaec158c67a2dff4c89cfd1c02bc",
-    # generic triples: these two go through the tridiagonal solver
+    # generic triples: these two go through the tridiagonal solver; pinned
+    # again when Newton finishing moved their values (by at most 4.9e-13
+    # relative) to within 5e-16 of a 40-digit solve
     "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 200":
-        "f76a71cfd9801c39a929d0147cd1ab6a69a42dffc9e2af1ad7e8a8adc0fea4b3",
+        "18a4f2323c78a614f103912a72805a121e8a1a8380d6be5732c22de9a97e3013",
     "spectrum --a 2 --b 1 --c 0.95 --group so3 --lambda-max 120 --format csv":
-        "e0f43fc3c771f0636897c186c22a6f64e914bce6ed8f53aad816d6c59f256701",
+        "bc0540195bb9f27efc47f35618fad200f0027e29d492508dc2724c0051acec4e",
     "lambda1 --a 2 --b 1 --c 1 --group su2":
         "2afe9e677f96d804bc276291dacb53fdcd6c08de6d892af1a55b3048f98be176",
     "geometry --a 2 --b 1 --c 1 --group so3":
@@ -443,3 +479,18 @@ def test_output_bytes_are_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_generic_table_low_irreps_match_closed_forms(capsys):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",
+        "--lambda-max", "200",
+    )
+    assert code == 0
+    closed = low_irrep_eigenvalues(MetricTriple(1.7, 1.2, 0.8))
+    entries = json.loads(out)["results"]["entries"]
+    for k in (0, 1, 2):
+        got = [e["value"] for e in entries if e["k_sources"] == [k]]
+        assert len(got) == len(set(closed[k]))
+        for value, want in zip(got, sorted(set(closed[k]))):
+            assert abs(value - want) <= 4 * math.ulp(want)

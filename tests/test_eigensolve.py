@@ -1,10 +1,10 @@
-import collections
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from homsphere.casimir import TridiagBlock, build_irrep_block
+from homsphere.casimir import TridiagBlock, _wang_halves, build_irrep_block
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import TOL, eigen_block, eigenvalues
 from homsphere.oracle import casimir_matrix, to_dense
@@ -80,15 +80,15 @@ def test_entries_beyond_float_range_raise_overflow():
         eigenvalues(TridiagBlock(diag=(1.0, 2.0), offdiag=(1e160,)))  # its square overflows
 
 
-# ---- bounded bisection against the per-index reference ----
+# ---- the kernel contract: certified, accurate, independent of the bound ----
 
 
 def _reference_eigenvalues(t):
-    """The unbounded per-index bisection that ``eigenvalues`` replaced.
+    """Per-index bisection from the Gershgorin hull to the width test.
 
-    Each index is bisected alone from the Gershgorin hull, with the same
-    width test, zero-pivot rule and float arithmetic, so the interval-
-    splitting kernel must reproduce its values bit for bit.
+    Each index is bisected alone, with the kernel's width test and
+    zero-pivot rule, so every value is within TOL/2 * max(1, |value|) of
+    its eigenvalue.
     """
     n = t.n
     if n == 0:
@@ -129,17 +129,56 @@ def _reference_eigenvalues(t):
     return tuple(out)
 
 
+def _sturm_count(t, x):
+    """Eigenvalues of ``t`` below ``x``, counted as the kernel counts them."""
+    diag, off = t.diag, t.offdiag
+    norm = max(
+        abs(diag[i]) + (abs(off[i - 1]) if i else 0.0) + (abs(off[i]) if i < t.n - 1 else 0.0)
+        for i in range(t.n)
+    )
+    count = 0
+    d = 1.0
+    for i in range(t.n):
+        d = (diag[i] - x) - (off[i - 1] ** 2 / d if i else 0.0)
+        if d == 0.0:
+            d = 2.0**-52 * (norm or 1.0)
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def _mp_eigenvalues(t):
+    """The eigenvalues of ``t`` from a 40-digit mpmath solve."""
+    with mpmath.workdps(40):
+        dense = mpmath.matrix(t.n)
+        for i, v in enumerate(t.diag):
+            dense[i, i] = v
+        for i, v in enumerate(t.offdiag):
+            dense[i, i + 1] = dense[i + 1, i] = v
+        return sorted(mpmath.eigsy(dense, eigvals_only=True))
+
+
+def _assert_contract(t, mp=True):
+    """Counts certify every value, which is within TOL/2 of per-index
+    bisection and, with ``mp``, within 1e-14 * max(1, |value|) of mpmath."""
+    got = eigenvalues(t)
+    assert len(got) == t.n and list(got) == sorted(got)
+    for m, (value, ref) in enumerate(zip(got, _reference_eigenvalues(t))):
+        h = 0.5 * TOL * max(1.0, abs(value))
+        assert _sturm_count(t, value - h) <= m < _sturm_count(t, value + h)
+        assert abs(value - ref) <= 0.5 * TOL * max(1.0, abs(ref))
+    if mp:
+        for value, exact in zip(got, _mp_eigenvalues(t)):
+            assert abs(value - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
 def _bits(values):
     return [float.hex(float(v)) for v in values]
 
 
-def _assert_bounded_matches_reference(t, upper):
-    ref = _reference_eigenvalues(t)
-    got = eigenvalues(t, upper)
-    assert list(got) == sorted(got)
-    # every value <= upper, bitwise; anything above it is a reference value
-    assert _bits(v for v in got if v <= upper) == _bits(v for v in ref if v <= upper)
-    assert not collections.Counter(_bits(got)) - collections.Counter(_bits(ref))
+def _assert_bounded_equals_unbounded(t, upper):
+    full = eigenvalues(t)
+    assert _bits(eigenvalues(t, upper)) == _bits(v for v in full if v <= upper)
 
 
 def _random_block(rng, n):
@@ -147,23 +186,23 @@ def _random_block(rng, n):
     return _block(diags[0], offs[0])
 
 
-def test_unbounded_equals_reference_bitwise():
+def test_unbounded_values_are_certified_and_accurate():
     rng = np.random.default_rng(2026)
     for n in (1, 2, 3, 5, 8, 13, 21, 34):
         for _ in range(4):
             t = _random_block(rng, n)
-            assert _bits(eigenvalues(t)) == _bits(_reference_eigenvalues(t))
-            assert _bits(eigenvalues(t, math.inf)) == _bits(_reference_eigenvalues(t))
+            _assert_contract(t, mp=n <= 21)
+            assert _bits(eigenvalues(t, math.inf)) == _bits(eigenvalues(t))
 
 
-def test_bounded_equals_reference_on_random_blocks():
+def test_bounded_equals_unbounded_on_random_blocks():
     rng = np.random.default_rng(11)
     for n in (1, 2, 4, 7, 12, 20):
         for _ in range(4):
             t = _random_block(rng, n)
-            ref = _reference_eigenvalues(t)
-            for upper in (*rng.uniform(ref[0] - 1.0, ref[-1] + 1.0, 5), ref[n // 2]):
-                _assert_bounded_matches_reference(t, float(upper))
+            full = eigenvalues(t)
+            for upper in (*rng.uniform(full[0] - 1.0, full[-1] + 1.0, 5), full[n // 2]):
+                _assert_bounded_equals_unbounded(t, float(upper))
 
 
 def test_bounded_with_repeated_eigenvalues():
@@ -174,10 +213,13 @@ def test_bounded_with_repeated_eigenvalues():
         _block([4.0, 1.0, 4.0, 1.0, 4.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0]),
     ]
     for t in blocks:
-        ref = _reference_eigenvalues(t)
-        assert _bits(eigenvalues(t)) == _bits(ref)
-        for upper in (*ref, 0.5, 1.5, 2.5, 10.0):
-            _assert_bounded_matches_reference(t, upper)
+        # a repeated eigenvalue is never isolated, so it gets the midpoint
+        # of its bracket, within TOL/2 but not within 1e-14
+        _assert_contract(t, mp=False)
+        for upper in (*eigenvalues(t), 0.5, 1.5, 2.5, 10.0):
+            _assert_bounded_equals_unbounded(t, upper)
+    # the simple eigenvalue 3 sits on the Gershgorin end; Newton still finds it
+    assert abs(eigenvalues(blocks[0])[-1] - 3.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -193,16 +235,29 @@ def test_bounded_with_repeated_eigenvalues():
 def test_bounded_on_near_degenerate_casimir_blocks(triple):
     t = MetricTriple(*triple)
     for k in (2, 5, 9, 16, 25):
-        for block in build_irrep_block(k, t):
-            ref = _reference_eigenvalues(block)
-            assert _bits(eigenvalues(block)) == _bits(ref)
-            for value in (ref[0], ref[len(ref) // 2], ref[-1]):
+        # Near b = c the even and odd blocks hold the Wang pairs, whose
+        # splitting can be below TOL: those values have the certificate
+        # only.  The halves the solver sees separate each pair.
+        blocks = [(b, False) for b in build_irrep_block(k, t)]
+        for block, mp in blocks + [(h, True) for h in _wang_halves(k, t)]:
+            _assert_contract(block, mp)
+            full = eigenvalues(block)
+            for value in (full[0], full[len(full) // 2], full[-1]):
                 for upper in (
                     value,
                     math.nextafter(value, -math.inf),
                     math.nextafter(value, math.inf),
                 ):
-                    _assert_bounded_matches_reference(block, upper)
+                    _assert_bounded_equals_unbounded(block, upper)
+
+
+def test_newton_never_settles_on_a_neighbour_outside_its_bracket():
+    # The bracket [2, 3] holds only 2.11725.  Its first Newton step, from
+    # near a critical point, is clipped to lo = 2, where the next step
+    # heads for the eigenvalue 2 - 1e-13 just outside; the counts reject it.
+    t = _block([0.0, 2.0 - 1e-13, 2.11725, 3.1, 3.2, 3.3, 4.0], [0.0] * 6)
+    _assert_contract(t)
+    assert abs(eigenvalues(t)[2] - 2.11725) <= 1e-15
 
 
 def test_bound_below_the_hull_returns_nothing():
@@ -217,7 +272,16 @@ def test_bound_drops_brackets_above_it():
     t = _block([0.0, 10.0, 20.0, 30.0], [0.1, 0.1, 0.1])
     got = eigenvalues(t, 5.0)
     assert len(got) == 1
-    assert _bits(got) == _bits(_reference_eigenvalues(t)[:1])
+    assert _bits(got) == _bits(eigenvalues(t)[:1])
+    _assert_contract(t)
+
+
+def test_one_by_one_block_is_its_entry():
+    assert eigenvalues(_block([-2.5], [])) == (-2.5,)
+    assert eigenvalues(_block([7.0], []), 7.0) == (7.0,)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OverflowError):
+            eigenvalues(TridiagBlock(diag=(bad,), offdiag=()))
 
 
 def test_eigen_block_bound_keeps_every_value_below_it():

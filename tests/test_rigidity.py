@@ -114,6 +114,22 @@ def test_recover_thin_triples_near_the_float_limit():
         assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) < 1e-8
 
 
+def test_recover_thin_triples_whose_curvature_outgrows_lambda1():
+    # ab/c near 1e153.5 with lambda1 ~ b^2 small: at lambda1 in [1, 4) the
+    # scaled Scal would overflow, so the solve runs at a smaller lambda1.
+    # a > 2b keeps SU(2) on the quartic (multiplicity 3) path, as for SO(3).
+    rng = np.random.default_rng(13)
+    for i in range(200):
+        b = rng.uniform(0.5, 1.0) * 10.0 ** rng.uniform(-3, -1)
+        a = b * 10.0 ** rng.uniform(0.31, 0.8)
+        t = MetricTriple(a, b, a * b * 10.0 ** -rng.uniform(153, 153.9))
+        g = (SU2, SO3)[i % 2]
+        inv = invariants(t, g)
+        assert math.isfinite(inv.scal) and abs(inv.scal) / inv.lambda1 > 2.0**1020
+        rec = recover_triple(inv, g)
+        assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) < 1e-8
+
+
 def test_recover_rejects_infinite_invariants():
     # Scal of (1, 1, 1e-160) is about -2e320, which is -inf in floating point
     inv = invariants(MetricTriple(1, 1, 1e-160), SU2)

@@ -163,7 +163,7 @@ def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
         raise AssertionError("a two-equal-parameter spectrum reached the solver")
 
     monkeypatch.setattr(eigensolve, "eigenvalues", refuse)
-    monkeypatch.setattr(eigensolve, "build_irrep_block", refuse)
+    monkeypatch.setattr(eigensolve, "_wang_halves", refuse)
     monkeypatch.setattr(casimir, "build_irrep_block", refuse)
     table = spectrum_up_to(80.0, MetricTriple(*triple), g)
     assert table.entries[0].value == 0.0 and len(table.entries) > 2
