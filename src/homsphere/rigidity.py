@@ -2,38 +2,45 @@
 
 Four spectral invariants, the volume parameter v = abc, the scalar
 curvature, the lowest positive eigenvalue lambda1 and its multiplicity,
-pin down the metric triple uniquely.  ``recover_triple`` inverts them by
-solving for u = a^2 alone:
+pin down the metric triple uniquely.  ``recover_triple`` solves one
+equation for one unknown, so each case yields one candidate:
 
-* When lambda1 = a^2 + b^2 + c^2 (SU(2), multiplicity 4 or 7), u is the
+* When lambda1 = a^2 + b^2 + c^2 (SU(2), multiplicity 4 or 7), a^2 is the
   largest root of the cubic with roots a^2, b^2, c^2, whose coefficients
-  the invariants determine.
+  the invariants determine.  Under t -> 2^h t the invariants v and lambda1
+  scale by 8^h and 4^h, so the cubic is solved with both scaled to
+  lambda1 in [1, 4), where its noise floor is set.  Its middle
+  coefficient is formed from the given invariants and then scaled; Scal
+  itself is never scaled.
 
-* When lambda1 = 4(b^2 + c^2) (SU(2) multiplicity 3, every SO(3) case),
-  eliminating b and c from the scalar curvature leaves a quartic in u
-  with at most two positive roots; both are candidates.
+* When lambda1 = 4(b^2 + c^2) = 4P (SU(2) multiplicity 3, every SO(3)
+  case), z = a^2 P / v = a(b^2 + c^2)/(bc) turns the curvature into
+  h(z) = 2 z^2 + 2 (P/z)^2 - 8 (v/P) z + Scal - 4P = 0.  Every term has
+  the size of Scal or lambda1, so h is solved unscaled.  h is convex, and
+  the metric is its larger root: h' > 0 there reduces to
+  a^4 (b^4 + c^4) > b^4 c^4.  Then a^2 = z v / P.
 
-Then b^2 + c^2 = P is known (lambda1 - u or lambda1/4) and b^2 c^2 =
-v^2/u, so one split takes b^2 and c^2 as the roots of x^2 - P x + v^2/u,
-with c^2 = v^2/(u b^2) free of cancellation.  Every candidate is scored
-by recomputing its invariants and the best one is kept: a spurious
-quartic root never survives, because its re-sorted triple changes
-lambda1.  Near b = c the invariants fix (b^2 - c^2)^2, so b and c come
-back with about half the digits (errors up to 5e-7 relative, 3e-5 near
-the round metric); a split below the noise floor is taken as b = c
-exactly.
-
-Under t -> 2^h t the invariants scale by (8^h, 4^h, 4^h), so the inversion
-runs where lambda1 is in [1, 4) and scales the triple back.
+Then b^2 + c^2 = P and bc = v/a are known, and one split gives b and c
+without forming v^2.  Near b = c the invariants fix (b^2 - c^2)^2, so b
+and c come back with about half the digits (errors up to 5e-7 relative,
+3e-5 near the round metric); a split below the noise floor is taken as
+b = c exactly.  The candidate is checked by recomputing its invariants.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .core import GroupKind, HomsphereError, MetricTriple, SpectralInvariants
+from .core import (
+    GroupKind,
+    HomsphereError,
+    MetricTriple,
+    NonPositiveParameter,
+    SpectralInvariants,
+)
 from .geometry import scalar_curvature
 from .spectrum import lambda1_closed, spectrum_up_to
 
@@ -99,7 +106,8 @@ def _largest_cubic_root(e1: float, e2: float, e3: float) -> float:
 
     A repeated largest root is read off the critical points, where the
     polynomial vanishes to within its rounding noise; otherwise the root
-    is bisected above the upper critical point.
+    is bisected above the upper critical point.  The noise floor is
+    absolute, sized for e1 in [1, 4).
 
     Raises:
         InconsistentInvariants: if the cubic has a complex root pair.
@@ -122,171 +130,127 @@ def _largest_cubic_root(e1: float, e2: float, e3: float) -> float:
     return _bisect(p, u_hi, e1 * (1.0 + 1e-9) + tau)
 
 
-def _critical_point(c: float, k: float, am: float, g: float, ev: int) -> float | None:
-    """(c + sqrt(c^2 + k alpha g)) / (k alpha / 2), alpha = am 4^-ev, or None.
+def _z_root(p: float, v: float, scal: float) -> float:
+    """The larger root of h(z) = 2 z^2 + 2 (p/z)^2 - 8 (v/p) z + scal - 4p.
 
-    None when the discriminant is negative.  The square root is taken in
-    factored form, 2^j sqrt(c^2 4^-j + k alpha g 4^-j), so neither alpha
-    nor k alpha g is formed: with the volume parameter near 1e-150 both
-    leave the float range while the result does not.  Scaling by powers
-    of two changes no rounding, so where nothing over- or underflows this
-    is bitwise the unfactored formula.
+    h is convex, and h'(sqrt p) = -8 v/p < 0 < h'(sqrt p + 2 v/p), so its
+    minimum is bisected on that bracket.  Above the minimum h increases,
+    and the root lies below the larger root of 2 z^2 - 8 (v/p) z + scal - 4p,
+    which is at most h.  (p/z)^2 and z^2 are products, not powers, so
+    that a term too large for a float becomes inf rather than an error.
+
+    Raises:
+        InconsistentInvariants: if h has no root.
     """
-    gm, eg = math.frexp(g)
-    e = eg - 2 * ev  # k alpha g = k am gm 2^e
-    j = max(e // 2, 0)
-    disc = math.ldexp(c * c, -2 * j) + math.ldexp(k * am * gm, e - 2 * j)
-    if disc < 0.0:
-        return None
-    return math.ldexp((math.ldexp(c, -j) + math.sqrt(disc)) / (0.5 * k * am), j + 2 * ev)
+    w = v / p
 
+    def h(z: float) -> float:
+        q = p / z
+        return 2.0 * (z * z) + 2.0 * (q * q) - 8.0 * w * z + (scal - 4.0 * p)
 
-def _quartic_roots(p_sum: float, v: float, scal: float) -> list[float]:
-    """Positive roots u = a^2 of the residual quartic when b^2 + c^2 = p_sum.
+    def dh(z: float) -> float:
+        q = p / z
+        return 4.0 * z - 4.0 * (q * q) / z - 8.0 * w
 
-    Eliminating b and c from the curvature formula with abc = v leaves
-    R(u) = -alpha u^4 + 8 u^3 + gamma u^2 - 2 v^2, alpha = 2 p_sum^2 / v^2,
-    gamma = 4 p_sum - scal.  R(0) < 0, R has one positive local maximum
-    u_top, and alpha u^2 < 8 u + |gamma| at every positive root, so each
-    root has a bracket on one side of u_top.  With v = vm 2^ev, vm in
-    [1/2, 1), R is evaluated as 4^ev R(2^e w) / 2^(4e), with 2^e the
-    binade of u_top: its leading coefficient 2 p_sum^2 / vm^2 is near 1,
-    and every term stays finite where alpha, v^2 or u_top^4 alone would
-    leave the float range.  Where nothing over- or underflows, no rounding
-    changes.
-    """
-    vm, ev = math.frexp(v)
-    am = 2.0 * p_sum * p_sum / (vm * vm)  # alpha = am 4^-ev
-    gamma = 4.0 * p_sum - scal
-    # the critical points solve -2 alpha u^2 + 12 u + gamma = 0
-    u_top = _critical_point(12.0, 8.0, am, gamma, ev)
-    if u_top is None:
-        return []
-    e = math.frexp(u_top)[1]
-    c3 = math.ldexp(8.0, 2 * ev - e)
-    c2 = math.ldexp(gamma, 2 * ev - 2 * e)
-    c0 = math.ldexp(2.0 * vm * vm, 4 * ev - 4 * e)
-
-    def rfun(w: float) -> float:
-        return ((-am * w + c3) * w + c2) * w * w - c0
-
-    w_top = math.ldexp(u_top, -e)
-    r_top = rfun(w_top)
-    tau = 8.0 * 2.0**-52 * (am * w_top**4 + c3 * w_top**3 + abs(c2) * w_top**2 + c0)
-    if abs(r_top) <= tau:
-        return [u_top]
-    if r_top < 0.0:
-        return []
-    # alpha u^2 = 8 u + |gamma| bounds the roots above
-    u_max = _critical_point(8.0, 4.0, am, abs(gamma), ev)
-    roots = (_bisect(rfun, 0.0, w_top), _bisect(rfun, w_top, math.ldexp(u_max, -e)))
-    return [math.ldexp(w, e) for w in roots]
+    root_p = math.sqrt(p)
+    z_min = _bisect(dh, root_p, root_p + 2.0 * w)
+    if h(z_min) >= 0.0:
+        raise InconsistentInvariants("scalar curvature incompatible with lambda1")
+    z_max = 2.0 * w + math.sqrt(max(4.0 * w * w - 0.5 * (scal - 4.0 * p), 0.0))
+    return _bisect(h, z_min, z_max)
 
 
 def _split(u: float, p_sum: float, v: float, floor: float) -> MetricTriple:
-    """The triple (sqrt(u), b, c) with b^2, c^2 the roots of x^2 - p_sum x + v^2/u.
+    """The triple (sqrt(u), b, c) with b^2 + c^2 = p_sum and bc = v / sqrt(u).
 
-    A split with (b^2 - c^2)^2 <= floor * p_sum^2, below the noise of the
-    reconstruction, is taken as b = c exactly, which also gives a = v / (bc)
-    without the noise of u.
+    (b^2 - c^2)^2 / p_sum = p_sum - 4 (bc)^2 / p_sum is formed as
+    p_sum - 4 (bc / p_sum) bc, so neither v^2 nor p_sum^2 is.  A split with
+    (b^2 - c^2)^2 <= floor * p_sum^2, below the noise of the reconstruction,
+    is taken as b = c exactly, which also gives a = 2 v / p_sum without the
+    noise of u.
 
     Raises:
-        ValueError: if the roots are complex beyond noise or a parameter
-            is not positive.
+        InconsistentInvariants: if b and c are complex beyond noise.
     """
-    disc = p_sum * p_sum - 4.0 * v * v / u
-    if disc < -1e-10 * p_sum * p_sum:
-        raise ValueError("complex split")
-    if disc <= floor * p_sum * p_sum:
+    a = math.sqrt(u)
+    bc = v / a
+    disc = p_sum - 4.0 * (bc / p_sum) * bc
+    if disc < -1e-10 * p_sum:
+        raise InconsistentInvariants("b^2 and c^2 are complex")
+    if disc <= floor * p_sum:
         half = math.sqrt(0.5 * p_sum)
-        return MetricTriple(2.0 * v / p_sum, half, half)
-    b2 = 0.5 * (p_sum + math.sqrt(disc))
-    return MetricTriple(math.sqrt(u), math.sqrt(b2), v / math.sqrt(u * b2))
-
-
-def _invariant_residual(inv: SpectralInvariants, t: MetricTriple, g: GroupKind) -> float:
-    """Worst relative mismatch between ``inv`` and the invariants of ``t``."""
-    fwd = invariants(t, g)
-    pairs = (
-        (fwd.vol_param, inv.vol_param),
-        (fwd.scal, inv.scal),
-        (fwd.lambda1, inv.lambda1),
-    )
-    return max(abs(x - y) / max(1.0, abs(y)) for x, y in pairs)
+        return MetricTriple(2.0 * (v / p_sum), half, half)
+    b = math.sqrt(0.5 * (p_sum + math.sqrt(p_sum) * math.sqrt(disc)))
+    # not bc / b: bc = v / a underflows where c does not
+    return MetricTriple(a, b, v / (a * b))
 
 
 def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     """Reconstruct the canonical metric triple from its spectral invariants.
 
-    The multiplicity selects the equation for u = a^2; each root gives a
-    candidate triple, and the one whose own invariants agree best with the
-    input is returned if they agree within 1e-6 relative (floored at 1).
-    Both steps run on the invariants scaled by a power of two to lambda1
-    in [1, 4), where that floor sits at the scale of lambda1, or on a
-    thin metric to the largest lambda1 that keeps |Scal| below 2^1020.
+    The multiplicity selects the equation, and its one solution gives the
+    one candidate triple: a^2 from the cubic, solved with lambda1 and v
+    scaled by powers of two to lambda1 in [1, 4), or z from h(z) = 0,
+    solved at the given scale.  The candidate is returned if its own
+    invariants reproduce v and lambda1 within 1e-6 of themselves, and Scal
+    within 1e-6 of 4(a^2+b^2+c^2) + 2((bc/a)^2 + (ac/b)^2 + (ab/c)^2), the
+    size of its rounding: Scal cancels when a >> b ~ c.
 
     Raises:
         InconsistentInvariants: if the invariants are not realized by any
             metric in the family (to tolerance).
         OverflowError: if an invariant is not finite (the scalar curvature
-            of a metric with ab/c above about 1e154 is -inf), or if lambda1
-            and Scal are so far apart that no common power-of-two scale
-            keeps |Scal| below 2^1020 and lambda1 above 2^-500.
+            of a metric with ab/c above about 1e154 is -inf).
+        ArithmeticError: if v or lambda1 is a subnormal float, which
+            carries fewer than 53 significant bits.
     """
-    if not all(map(math.isfinite, (inv.vol_param, inv.scal, inv.lambda1))):
-        values = (inv.vol_param, inv.scal, inv.lambda1)
-        raise OverflowError(f"the invariants {values} are not finite")
-    if inv.vol_param <= 0.0 or inv.lambda1 <= 0.0:
+    v, scal, lam = inv.vol_param, inv.scal, inv.lambda1
+    if not all(map(math.isfinite, (v, scal, lam))):
+        raise OverflowError(f"the invariants {(v, scal, lam)} are not finite")
+    if v <= 0.0 or lam <= 0.0:
         raise InconsistentInvariants("volume parameter and lambda1 must be positive")
-    # lambda1 in [1, 4), unless |Scal| (about 2 (ab/c)^2 on a thin metric)
-    # would then pass 2^1020: it is kept 16 times below the float range
-    h = max((math.frexp(inv.lambda1)[1] - 1) // 2, -((1020 - math.frexp(inv.scal)[1]) // 2))
-    if math.ldexp(inv.lambda1, 500 - 2 * h) < 1.0:
-        # lambda1 below 2^-500 would make its square subnormal
-        raise OverflowError(
-            f"lambda1 {inv.lambda1:.17g} and the scalar curvature {inv.scal:.17g} "
-            "are too far apart to scale into the float range together"
-        )
-    inv = SpectralInvariants(
-        vol_param=math.ldexp(inv.vol_param, -3 * h),
-        scal=math.ldexp(inv.scal, -2 * h),
-        lambda1=math.ldexp(inv.lambda1, -2 * h),
-        mult1=inv.mult1,
+    if min(v, lam) < sys.float_info.min:
+        # the noise floors below assume invariants rounded to 53 bits
+        raise ArithmeticError(f"v = {v:.17g} or lambda1 = {lam:.17g} is subnormal")
+    try:
+        if g is GroupKind.SU2 and inv.mult1 in (4, 7):
+            # e2^2 = (ab)^4 + (ac)^4 + (bc)^4 + 2 lambda1 v^2, and the sum of
+            # fourth powers is (4 lambda1 - Scal) v^2 / 2, so e2 = v sqrt(e2_v)
+            e2_v = 4.0 * lam - 0.5 * scal
+            if e2_v < 0.0:
+                raise InconsistentInvariants("scalar curvature incompatible with lambda1")
+            # under t -> 2^h t, v, e2 and lambda1 scale by 8^h, 16^h and 4^h
+            h = (math.frexp(lam)[1] - 1) // 2
+            lam, v = math.ldexp(lam, -2 * h), math.ldexp(v, -3 * h)
+            u = _largest_cubic_root(lam, v * math.ldexp(math.sqrt(e2_v), -h), v * v)
+            # P = lambda1 - u carries the error of u, which grows as a^2 nears
+            # b^2 ~ c^2 (a near-triple root): the floor scales as u / (u - P/2)
+            floor = 1e-13 * u / max(1.5 * u - 0.5 * lam, 1e-13 * u)
+            t = _split(u, lam - u, v, floor).scaled(math.ldexp(1.0, h))
+        elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
+            g is GroupKind.SO3 and inv.mult1 in (3, 6, 9)
+        ):
+            p_sum = lam / 4.0
+            z = _z_root(p_sum, v, scal)
+            t = _split(z * (v / p_sum), p_sum, v, 1e-13)
+        else:
+            raise InconsistentInvariants(
+                f"multiplicity {inv.mult1} is not attained on {g.value}"
+            )
+    except (ArithmeticError, NonPositiveParameter) as exc:
+        # a float range error or a non-positive parameter in the candidate
+        raise InconsistentInvariants(f"no metric reproduces the invariants: {exc}") from exc
+    fwd = invariants(t, g)
+    # 8(a^2+b^2+c^2) - Scal is the sum of the magnitudes of Scal's terms
+    scal_size = 8.0 * (t.a * t.a + t.b * t.b + t.c * t.c) - fwd.scal
+    checks = (
+        (fwd.vol_param, inv.vol_param, inv.vol_param),
+        (fwd.lambda1, inv.lambda1, inv.lambda1),
+        (fwd.scal, inv.scal, scal_size),
     )
-    lam, v = inv.lambda1, inv.vol_param
-    if g is GroupKind.SU2 and inv.mult1 in (4, 7):
-        # e2^2 = (ab)^4 + (ac)^4 + (bc)^4 + 2 lambda1 v^2, and the sum of
-        # fourth powers is (4 lambda1 - Scal) v^2 / 2
-        e2_sq = (8.0 * lam - inv.scal) * v * v / 2.0
-        if e2_sq < 0.0:
-            raise InconsistentInvariants("scalar curvature incompatible with lambda1")
-        u = _largest_cubic_root(lam, math.sqrt(e2_sq), v * v)
-        # P = lambda1 - u carries the error of u, which grows as a^2 nears
-        # b^2 ~ c^2 (a near-triple root): the floor scales as u / (u - P/2)
-        floor = 1e-13 * u / max(1.5 * u - 0.5 * lam, 1e-13 * u)
-        candidates = [(u, lam - u, floor)]
-    elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
-        g is GroupKind.SO3 and inv.mult1 in (3, 6, 9)
-    ):
-        candidates = [(u, lam / 4.0, 1e-13) for u in _quartic_roots(lam / 4.0, v, inv.scal)]
-    else:
-        raise InconsistentInvariants(
-            f"multiplicity {inv.mult1} is not attained on {g.value}"
-        )
-    best, best_res = None, math.inf
-    for u, p_sum, floor in candidates:
-        try:
-            cand = _split(u, p_sum, v, floor)
-        except ValueError:
-            continue
-        res = _invariant_residual(inv, cand, g)
-        if res < best_res:
-            best, best_res = cand, res
-    if best is None or best_res > _VALIDATION_RTOL:
-        raise InconsistentInvariants(
-            f"no metric reproduces the invariants (best residual {best_res:.3e})"
-        )
-    return MetricTriple(*(math.ldexp(x, h) for x in best.as_tuple()))
+    if not all(abs(x - y) <= _VALIDATION_RTOL * size for x, y, size in checks):
+        raise InconsistentInvariants("no metric reproduces the invariants to 1e-6")
+    return t
 
 
 def isospectral_check(

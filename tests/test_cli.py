@@ -223,15 +223,43 @@ def test_rigidity_of_a_thin_metric_scales_to_a_finite_curvature(capsys):
     assert results["recovered_triple"] == pytest.approx(list(map(float, triple)), rel=1e-15)
 
 
-def test_rigidity_with_invariants_no_scale_can_hold_exits_2(capsys):
-    # lambda1 = 1.3e-192 and Scal = -8.4e303: |Scal| < 2^1020 leaves lambda1 < 2^-500
+def test_rigidity_with_lambda1_and_curvature_far_apart_round_trips(capsys):
+    # lambda1 = 1.3e-192 and Scal = -8.4e303: no power-of-two scale brings
+    # both near 1, and the z equation needs none
+    triple = ("9.378564640743972e+125", "5.754525979001847e-97", "8.335200757708145e-123")
+    code, out, _ = run_cli(
+        capsys, "rigidity", "--a", triple[0], "--b", triple[1], "--c", triple[2],
+        "--group", "su2",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["roundtrip_rel_err"] <= 1e-15
+    assert results["recovered_triple"] == pytest.approx(list(map(float, triple)), rel=1e-15)
+
+
+def test_rigidity_with_a_subnormal_volume_parameter_exits_2(capsys):
+    # abc is one subnormal ulp, 4.9e-324, so v carries no digits of the metric
     code, out, err = run_cli(
-        capsys, "rigidity", "--a", "9.378564640743972e+125", "--b", "5.754525979001847e-97",
-        "--c", "8.335200757708145e-123", "--group", "su2",
+        capsys, "rigidity", "--a", "1.967167815186089e-72", "--b", "2.524406037927144e-106",
+        "--c", "5.066134399917201e-147", "--group", "su2",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range: lambda1")
+    assert err.startswith("error: parameters out of floating-point range: v = 4.94")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_rigidity_of_a_thin_metric_on_the_cubic_path(capsys):
+    # multiplicity 4 with lambda1 = 2.1e-6: the cubic is solved at lambda1
+    # in [1, 4), where its noise floor is set
+    triple = ("0.0012439181670596115", "0.0007274974906688384", "1.3215241791093798e-160")
+    code, out, _ = run_cli(
+        capsys, "rigidity", "--a", triple[0], "--b", triple[1], "--c", triple[2],
+        "--group", "su2",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["invariants"]["multiplicity"] == 4
+    assert results["roundtrip_rel_err"] <= 1e-8
 
 
 def test_rigidity_compare(capsys):

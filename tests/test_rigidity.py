@@ -59,13 +59,14 @@ def test_recover_round_from_raw_invariants():
         ((9.4, 0.5, 0.31), SO3),
         ((1, 1, 1e-6), SU2),
         ((1.2, 1, 1e-5), SU2),
-        # Scal is about -2e240: the residual quartic must not overflow
+        # Scal is about -2e240 and z = a(b^2 + c^2)/(bc) about 1e120
         ((1e60, 1, 1e-60), SU2),
         ((1e60, 1, 1e-60), SO3),
-        # v^2 and alpha = 2 P^2 / v^2 leave the float range: the quartic's
-        # critical points are taken in factored form
+        # v^2 leaves the float range: the split forms bc = v/a instead
         ((2, 1, 1e-150), SO3),
         ((1, 1, 1e-100), SO3),
+        # bc = 1e-325 underflows, while c = v/(ab) does not
+        ((1e100, 1e-150, 1e-175), SO3),
     ],
 )
 def test_recover_round_trip(triple, group):
@@ -115,9 +116,9 @@ def test_recover_thin_triples_near_the_float_limit():
 
 
 def test_recover_thin_triples_whose_curvature_outgrows_lambda1():
-    # ab/c near 1e153.5 with lambda1 ~ b^2 small: at lambda1 in [1, 4) the
-    # scaled Scal would overflow, so the solve runs at a smaller lambda1.
-    # a > 2b keeps SU(2) on the quartic (multiplicity 3) path, as for SO(3).
+    # ab/c near 1e153.5 with lambda1 ~ b^2 small: at lambda1 in [1, 4) a
+    # scaled Scal would overflow, and the z equation is solved unscaled.
+    # a > 2b keeps SU(2) on the z (multiplicity 3) path, as for SO(3).
     rng = np.random.default_rng(13)
     for i in range(200):
         b = rng.uniform(0.5, 1.0) * 10.0 ** rng.uniform(-3, -1)
@@ -128,6 +129,19 @@ def test_recover_thin_triples_whose_curvature_outgrows_lambda1():
         assert math.isfinite(inv.scal) and abs(inv.scal) / inv.lambda1 > 2.0**1020
         rec = recover_triple(inv, g)
         assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) < 1e-8
+
+
+def test_recover_near_b_equal_c_at_large_aspect_ratio():
+    # Scal cancels to a few digits when a >> b ~ c; validation compares it
+    # with the size of its own rounding, so no valid triple is rejected
+    rng = np.random.default_rng(14)
+    for i in range(1200):
+        b = 10.0 ** rng.uniform(-1, 1)
+        c = b / (1.0 + 10.0 ** rng.uniform(-7, -5))
+        t = MetricTriple(b * 10.0 ** rng.uniform(3, 6), b, c)
+        g = (SU2, SO3)[i % 2]
+        rec = recover_triple(invariants(t, g), g)
+        assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) <= 1e-6
 
 
 def test_recover_rejects_infinite_invariants():
