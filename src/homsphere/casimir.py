@@ -5,13 +5,13 @@ in two variables (monomial basis P_0..P_k), the negative Casimir operator
 of a metric triple couples only basis indices at distance two.  A
 similarity by a diagonal of binomial square roots makes it symmetric, and
 reordering the basis into even and odd indices splits it into two
-symmetric tridiagonal blocks.  ``build_irrep_block`` writes those two
-blocks directly from the closed entries in O(k).  The solver path reads
-only their first halves: ``_wang_halves`` splits the blocks by the
-symmetry l <-> k-l into halves of about k/4 rows.  The dense matrix, its
-generator construction and the symmetrize/split checks live in
-``homsphere.oracle`` as independent references.  Entries are plain
-Python floats, so nothing here needs numpy.
+symmetric tridiagonal blocks.  The symmetry l <-> k-l splits those
+blocks again, into halves of about k/4 rows, and ``_wang_halves``, the
+only assembly, writes the halves directly from the closed entries in
+O(k).  The dense matrix, its generator construction and the
+symmetrize/split steps live in ``homsphere.oracle`` as independent
+references: the full blocks come only from that chain.  Entries are
+plain Python floats, so nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -75,24 +75,6 @@ def _parity_entries(
     return diag, coupling
 
 
-def build_irrep_block(k: int, t: MetricTriple) -> tuple[TridiagBlock, TridiagBlock]:
-    """The (even, odd) symmetric tridiagonal blocks of the irrep-k Casimir matrix.
-
-    Even indices {0,2,...} give a block of size floor((k+2)/2), odd
-    indices {1,3,...} one of size floor((k+1)/2), with the entries of
-    ``_parity_entries``.  Every entry is bitwise the one that
-    ``oracle.tridiagonal_split(oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)``
-    produces.
-    """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    blocks = []
-    for p in (0, 1):
-        n = (k - p) // 2 + 1
-        diag, coupling = _parity_entries(k, a2, b2 + c2, c2 - b2, p, n, n - 1)
-        blocks.append(TridiagBlock(diag=tuple(diag), offdiag=tuple(coupling)))
-    return blocks[0], blocks[1]
-
-
 def _wang_halves(k: int, t: MetricTriple) -> tuple[TridiagBlock, ...]:
     """Blocks whose eigenvalues, the odd-k ones counted twice, are those of irrep k.
 
@@ -106,9 +88,11 @@ def _wang_halves(k: int, t: MetricTriple) -> tuple[TridiagBlock, ...]:
     * n = 2m: d[:m] with its last diagonal entry d_{m-1} + e_{m-1}, and
       the same with d_{m-1} - e_{m-1}.
 
-    Only the first half of each block is assembled, with the entries of
-    ``build_irrep_block`` bitwise; its couplings are persymmetric only to
-    an ulp, so the second half is never read.
+    Only the first half of each block is assembled, and its entries are
+    bitwise those of the block that
+    ``oracle.tridiagonal_split(oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)``
+    produces.  The couplings of a block are persymmetric only to an ulp,
+    so its second half is never read.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
     bc2, off = b2 + c2, c2 - b2

@@ -202,6 +202,8 @@ def _cmd_geometry(args: argparse.Namespace) -> Payload:
 
 def _cmd_estimate(args: argparse.Namespace) -> Payload:
     if args.berger_extrema:
+        if (args.a, args.b, args.c, args.group) != (None,) * 4:
+            raise ValueError("--berger-extrema takes no --a --b --c --group")
         report = berger_lambda1_diam2_extrema()
         return {"berger_extrema": True}, {
             "min": report.min_value,
@@ -221,6 +223,8 @@ def _cmd_estimate(args: argparse.Namespace) -> Payload:
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> Payload:
+    if args.lambda_max is not None and args.compare is None:
+        raise ValueError("--lambda-max needs --compare")
     t, g = _triple_and_group(args)
     inv = invariants(t, g)
     recovered = recover_triple(inv, g)

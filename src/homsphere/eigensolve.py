@@ -14,7 +14,8 @@ guards every step, and counts certify the result to the same width as
 a bisected midpoint.  This needs no second kernel: QL would need a
 fallback for a value that fails its certificate.  ``eigen_block``
 solves the Wang halves of one irrep, or reads the eigenvalues off the
-diagonal when two parameters are equal.
+diagonal when two parameters are equal; either way it returns exactly
+the values <= its bound.
 """
 
 from __future__ import annotations
@@ -201,14 +202,13 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
 
 
 def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float, ...]:
-    """Sorted eigenvalues of the irrep-k Casimir matrix for triple ``t``.
+    """Sorted eigenvalues <= ``upper`` of the irrep-k Casimir matrix for triple ``t``.
 
-    Every eigenvalue <= ``upper`` is returned; some above it may be too,
-    and each value is bitwise what an unbounded call gives.  When b = c
-    the matrix is already diagonal, so the solver is bypassed and the
-    whole diagonal is returned as computed.  When a = b > c the metric is
-    isometric to (c, a, b), whose matrix is diagonal in the same way.
-    Either way the values are bitwise the closed Berger eigenvalues
+    Each value is bitwise what an unbounded call gives.  When b = c the
+    matrix is already diagonal, and when a = b > c the metric is
+    isometric to (c, a, b), whose matrix is diagonal in the same way: the
+    solver is bypassed and the diagonal entries <= ``upper`` are
+    returned, bitwise the closed Berger eigenvalues
     ``oracle.berger_eigenvalue``.  Otherwise ``eigenvalues`` solves the
     Wang halves of ``casimir._wang_halves`` below ``upper``: for odd k
     the one block of the Kramers pair, whose values are returned twice,
@@ -220,10 +220,9 @@ def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float
     Raises:
         OverflowError: if a block entry leaves the float range.
     """
-    if t.b == t.c:
-        return tuple(sorted(_diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c)))
-    if t.a == t.b:
-        return tuple(sorted(_diagonal(k, t.c * t.c, t.a * t.a + t.b * t.b)))
+    if t.b == t.c or t.a == t.b:
+        a, b, c = t.as_tuple() if t.b == t.c else (t.c, t.a, t.b)
+        return tuple(sorted(v for v in _diagonal(k, a * a, b * b + c * c) if v <= upper))
     values = [v for half in _wang_halves(k, t) for v in eigenvalues(half, upper)]
     if k % 2:
         values += values

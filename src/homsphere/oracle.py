@@ -1,8 +1,10 @@
 """Verification-only references: nothing on the user path imports this module.
 
 Only this module, the acceptance suite and the tests need numpy.
-``casimir.build_irrep_block`` writes the two tridiagonal blocks directly;
-the functions here rebuild them the long way, so the checks can compare:
+``casimir._wang_halves`` writes the Wang halves of the two tridiagonal
+blocks directly; the functions here build the full blocks the long way,
+the only way anything builds them, and the tests check the halves
+against them bit for bit:
 
 * ``casimir_matrix`` writes the dense (k+1)x(k+1) matrix from its closed
   entrywise formula;

@@ -188,11 +188,11 @@ def _caller_stacklevel() -> int:
 def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTable:
     """All distinct eigenvalues <= lam_max with multiplicities (inclusive bound).
 
-    Takes the eigenvalues of one Casimir block per admissible irrep (even k
-    only for SO(3)) from ``eigen_block``, so a triple with two equal
-    parameters gets its closed form and any other the solver, which
-    works only below the bound, keeps the values <= lam_max, weights
-    each by the irrep dimension k+1, and clusters equal values.  The result is
+    Takes the eigenvalues <= lam_max of one Casimir block per admissible
+    irrep (even k only for SO(3)) from ``eigen_block``, so a triple with
+    two equal parameters gets its closed form and any other the solver,
+    which works only below the bound, weights each value by the irrep
+    dimension k+1, and clusters equal values.  The result is
     complete below ``lam_max``.  The blocks are solved for the triple
     scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
     4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
@@ -215,7 +215,6 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
         (math.ldexp(value, 2 * h), k + 1, k)
         for k in range(0, cutoff + 1, step)
         for value in eigen_block(k, unit, lam_unit)
-        if value <= lam_unit
     ]
     entries, sources = _cluster(contributions)
     return SpectrumTable(

@@ -7,7 +7,9 @@ same checks back the ``homsphere verify`` CLI subcommand.
 
 import pytest
 
-from homsphere.acceptance import ALL_CRITERIA
+from homsphere import eigensolve
+from homsphere.acceptance import ALL_CRITERIA, criterion_4
+from homsphere.casimir import TridiagBlock, _wang_halves
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
@@ -15,3 +17,19 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criterion_4_checks_the_halves_the_solver_solves(monkeypatch):
+    # one coupling of one Wang half off by 1e-6 relative, as eigen_block sees it
+    def skewed(k, t):
+        halves = list(_wang_halves(k, t))
+        for i, half in enumerate(halves):
+            if half.offdiag:
+                off = (half.offdiag[0] * (1 + 1e-6), *half.offdiag[1:])
+                halves[i] = TridiagBlock(diag=half.diag, offdiag=off)
+                break
+        return tuple(halves)
+
+    monkeypatch.setattr(eigensolve, "_wang_halves", skewed)
+    result = criterion_4()
+    assert not result.passed, result.line()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from homsphere.casimir import TridiagBlock, _wang_halves, build_irrep_block
+from homsphere.casimir import TridiagBlock, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
@@ -18,6 +18,12 @@ from homsphere.oracle import (
     to_dense,
     tridiagonal_split,
 )
+
+
+def _blocks(k, t):
+    """The (even, odd) tridiagonal blocks of irrep k, by the dense oracle chain."""
+    return tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
+
 
 TRIPLES = [
     MetricTriple(1, 1, 1),
@@ -137,7 +143,7 @@ def test_tridiagonal_split_rejects_wrong_pattern():
 def test_split_preserves_eigenvalue_multiset():
     t = MetricTriple(2.7, 1.4, 0.6)
     for k in range(13):
-        even, odd = build_irrep_block(k, t)
+        even, odd = _blocks(k, t)
         merged = np.sort(
             np.concatenate(
                 [
@@ -178,7 +184,7 @@ def test_eigenvalues_nonnegative_and_inside_union():
     for _ in range(20):
         t = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
         for k in (1, 4, 9):
-            even, odd = build_irrep_block(k, t)
+            even, odd = _blocks(k, t)
             eigs = np.concatenate(
                 [
                     np.linalg.eigvalsh(to_dense(even)),
@@ -201,16 +207,6 @@ def _assembly_triples():
     return triples
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 50, 199, 400])
-def test_direct_assembly_equals_dense_chain_bitwise(k):
-    for t in _assembly_triples():
-        got = build_irrep_block(k, t)
-        want = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
-        for g, w in zip(got, want):
-            assert np.array(g.diag).tobytes() == np.array(w.diag).tobytes()
-            assert np.array(g.offdiag).tobytes() == np.array(w.offdiag).tobytes()
-
-
 # ---- Wang halves ----
 
 WANG_TRIPLES = [
@@ -224,8 +220,8 @@ WANG_TRIPLES = [
 
 
 def _halves_of_blocks(k, t):
-    """The Wang halves cut from the full blocks of ``build_irrep_block``."""
-    even, odd = build_irrep_block(k, t)
+    """The Wang halves cut from the full blocks of the dense oracle chain."""
+    even, odd = _blocks(k, t)
     if k % 2:
         return [even]
     halves = []
@@ -249,7 +245,8 @@ def _bits(block):
 
 @pytest.mark.parametrize("t", WANG_TRIPLES + _assembly_triples(), ids=repr)
 def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
-    for k in (*range(41), 199, 400):
+    # bitwise, so the one direct assembly agrees with the dense chain entry by entry
+    for k in (*range(41), 50, 199, 400):
         got = collections.Counter(map(_bits, _wang_halves(k, t)))
         assert got == collections.Counter(map(_bits, _halves_of_blocks(k, t)))
 

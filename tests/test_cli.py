@@ -160,6 +160,21 @@ def test_estimate_berger_extrema(capsys):
     assert results["max"] == pytest.approx(3 * math.pi**2, rel=1e-12)
 
 
+def test_estimate_berger_extrema_rejects_a_triple(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--berger-extrema", "--a", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_rigidity_lambda_max_needs_compare(capsys):
+    code, out, err = run_cli(
+        capsys, "rigidity", "--a", "2", "--b", "1", "--c", "1", "--group", "su2",
+        "--lambda-max", "12",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_product_command(capsys):
     code, out, _ = run_cli(capsys, "product", "--su2", "1,1,1", "--su2", "1,1,1")
     assert code == 0

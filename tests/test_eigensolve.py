@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from homsphere.casimir import TridiagBlock, _wang_halves, build_irrep_block
+from homsphere.casimir import TridiagBlock, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import TOL, eigen_block, eigenvalues
-from homsphere.oracle import casimir_matrix, to_dense
+from homsphere.oracle import casimir_matrix, symmetrize, to_dense, tridiagonal_split
 
 
 def _block(diag, off):
@@ -238,7 +238,8 @@ def test_bounded_on_near_degenerate_casimir_blocks(triple):
         # Near b = c the even and odd blocks hold the Wang pairs, whose
         # splitting can be below TOL: those values have the certificate
         # only.  The halves the solver sees separate each pair.
-        blocks = [(b, False) for b in build_irrep_block(k, t)]
+        split = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
+        blocks = [(b, False) for b in split]
         for block, mp in blocks + [(h, True) for h in _wang_halves(k, t)]:
             _assert_contract(block, mp)
             full = eigenvalues(block)
@@ -285,10 +286,10 @@ def test_one_by_one_block_is_its_entry():
 
 
 def test_eigen_block_bound_keeps_every_value_below_it():
-    t = MetricTriple(1.7, 1.2, 0.8)
-    for k in (3, 8, 14):
-        full = eigen_block(k, t)
-        for upper in (full[0], full[len(full) // 2], 0.5 * (full[0] + full[-1])):
-            got = eigen_block(k, t, upper)
-            assert [v for v in got if v <= upper] == [v for v in full if v <= upper]
-            assert set(got) <= set(full)
+    # a generic triple takes the solver; b = c and a = b take the diagonal
+    for triple in ((1.7, 1.2, 0.8), (2.0, 1.0, 1.0), (1.4, 1.4, 0.6)):
+        t = MetricTriple(*triple)
+        for k in (3, 8, 14):
+            full = eigen_block(k, t)
+            for upper in (full[0], full[len(full) // 2], 0.5 * (full[0] + full[-1])):
+                assert eigen_block(k, t, upper) == tuple(v for v in full if v <= upper)

@@ -164,7 +164,6 @@ def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
 
     monkeypatch.setattr(eigensolve, "eigenvalues", refuse)
     monkeypatch.setattr(eigensolve, "_wang_halves", refuse)
-    monkeypatch.setattr(casimir, "build_irrep_block", refuse)
     table = spectrum_up_to(80.0, MetricTriple(*triple), g)
     assert table.entries[0].value == 0.0 and len(table.entries) > 2
 
@@ -401,7 +400,7 @@ def test_public_names_leave_out_solver_internals():
     assert len(homsphere.__all__) == 37
     assert set(homsphere.__all__) == PUBLIC_NAMES
     internals = {
-        casimir: ("TridiagBlock", "build_irrep_block"),
+        casimir: ("TridiagBlock",),
         eigensolve: ("eigenvalues", "eigen_block"),
         homsphere.spectrum: ("k_cutoff",),
     }
