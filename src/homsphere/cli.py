@@ -14,14 +14,20 @@ solver, clustering and comparison tolerances are fixed.
 Only ``verify`` imports the acceptance suite, and with it numpy (the
 ``homsphere[verify]`` extra) and ``homsphere.oracle``; every other
 subcommand runs on the standard library.  All of them print through
-``main``.
+``main``, which builds the parser once per process and calls
+``_cmd_<command>`` by name.
+
+A spectrum's entries travel as ``(value, multiplicity, k_sources)`` rows
+and are written row by row, in JSON and in CSV alike.  CSV fields are
+never quoted, because none can hold a comma, a quote or a line break:
+each is a number, an enum value, ``True``, ``False``, ``None``, a key path
+such as ``diameter.lower`` or a ``;``-joined list of irrep labels.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import os
@@ -66,73 +72,51 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit_json(obj, out: list[str]) -> None:
-    """Serialize with insertion-ordered keys and 17-significant-digit floats."""
+_ROW_JSON = '{"value":%s,"multiplicity":%d,"k_sources":[%s]}'
+
+
+def _to_json(obj) -> str:
+    """Serialize with insertion-ordered keys and 17-significant-digit floats.
+
+    A spectrum's ``entries`` are ``(value, multiplicity, k_sources)`` rows,
+    each written by one format string.
+    """
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit_json(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit_json(val, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt(obj))
-    else:
-        out.append(json.dumps(obj))
+        return "{%s}" % ",".join(
+            f"{json.dumps(key)}:{_rows_to_json(val) if key == 'entries' else _to_json(val)}"
+            for key, val in obj.items()
+        )
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(map(_to_json, obj))
+    return _fmt(obj) if isinstance(obj, float) else json.dumps(obj)
 
 
-def _record_to_json(record: dict) -> str:
-    parts: list[str] = []
-    _emit_json(record, parts)
-    return "".join(parts)
+def _rows_to_json(rows: list[tuple]) -> str:
+    return "[%s]" % ",".join(
+        _ROW_JSON % (_fmt(v), m, ",".join(map(str, ks))) for v, m, ks in rows
+    )
 
 
-def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
+def _flatten(prefix: str, obj, lines: list[str]) -> None:
     if isinstance(obj, dict):
         for key, val in obj.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), val, rows)
+            _flatten(f"{prefix}.{key}" if prefix else str(key), val, lines)
     elif isinstance(obj, (list, tuple)):
         for i, val in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", val, rows)
-    elif isinstance(obj, float):
-        rows.append((prefix, _fmt(obj)))
+            _flatten(f"{prefix}[{i}]", val, lines)
     else:
-        rows.append((prefix, str(obj)))
+        lines.append(f"{prefix},{_fmt(obj) if isinstance(obj, float) else obj}")
 
 
 def _record_to_csv(results: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # no field needs quoting (see the module docstring)
     if "entries" in results:
-        writer.writerow(["value", "multiplicity", "k_sources"])
-        for entry in results["entries"]:
-            writer.writerow(
-                [
-                    _fmt(entry["value"]),
-                    entry["multiplicity"],
-                    ";".join(str(k) for k in entry["k_sources"]),
-                ]
-            )
+        lines = ["value,multiplicity,k_sources"]
+        lines += [f"{_fmt(v)},{m},{';'.join(map(str, ks))}" for v, m, ks in results["entries"]]
     else:
-        writer.writerow(["key", "value"])
-        rows: list[tuple[str, str]] = []
-        _flatten("", results, rows)
-        for key, val in rows:
-            writer.writerow([key, val])
-    return buf.getvalue().rstrip("\n")
+        lines = ["key,value"]
+        _flatten("", results, lines)
+    return "\n".join(lines)
 
 
 def _triple_and_group(args: argparse.Namespace) -> tuple[MetricTriple, GroupKind]:
@@ -168,11 +152,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Payload:
     return inputs, {
         "truncation_bound": table.truncation_bound,
         "entries": [
-            {
-                "value": entry.value,
-                "multiplicity": entry.multiplicity,
-                "k_sources": list(ks),
-            }
+            (entry.value, entry.multiplicity, ks)
             for entry, ks in zip(table.entries, table.k_sources)
         ],
         "eigenvalues_counted": table.counting_function(table.truncation_bound),
@@ -302,7 +282,10 @@ def _add_triple_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it holds no handlers, so ``main`` looks
+    each ``_cmd_*`` up at call time."""
     parser = argparse.ArgumentParser(
         prog="homsphere",
         description=(
@@ -324,19 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="require two equal parameters (closed-form spectrum)",
     )
-    spectrum_p.set_defaults(func=_cmd_spectrum)
 
     lambda1_p = sub.add_parser(
         "lambda1", parents=[record], help="closed-form lowest positive eigenvalue"
     )
     _add_triple_flags(lambda1_p)
-    lambda1_p.set_defaults(func=_cmd_lambda1)
 
     geometry_p = sub.add_parser(
         "geometry", parents=[record], help="curvature, volume, diameter, gap"
     )
     _add_triple_flags(geometry_p)
-    geometry_p.set_defaults(func=_cmd_geometry)
 
     estimate_p = sub.add_parser(
         "estimate", parents=[record], help="lambda1 * diam^2 estimates"
@@ -347,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report the closed-form extrema over the two-equal-parameter families",
     )
-    estimate_p.set_defaults(func=_cmd_estimate)
 
     rigidity_p = sub.add_parser(
         "rigidity", parents=[record], help="spectral invariants and inversion"
@@ -358,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="second triple for an isospectrality comparison",
     )
     rigidity_p.add_argument("--lambda-max", type=float, default=None)
-    rigidity_p.set_defaults(func=_cmd_rigidity)
 
     product_p = sub.add_parser(
         "product", parents=[record], help="estimates for products of factors"
@@ -369,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     product_p.add_argument(
         "--so3", action="append", metavar="A,B,C", help="add one SO(3) factor"
     )
-    product_p.set_defaults(func=_cmd_product)
 
     sub.add_parser("verify", help="run the acceptance suite")
 
@@ -382,14 +359,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             text, status = _cmd_verify()
         else:
-            inputs, results = args.func(args)
+            inputs, results = globals()[f"_cmd_{args.command}"](args)
             record = {
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
                 "inputs": inputs,
                 "results": results,
             }
-            text = _record_to_csv(results) if args.format == "csv" else _record_to_json(record)
+            text = _record_to_csv(results) if args.format == "csv" else _to_json(record)
             status = EXIT_OK
     except _MissingExtra as exc:
         print(f"error: {exc}", file=sys.stderr)

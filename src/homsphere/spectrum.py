@@ -72,23 +72,30 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     to whether a^2+b^2+c^2 is below, equal to, or above 4(b^2+c^2).
     SO(3): 4(b^2+c^2); multiplicity 3 if a > b, 6 if a = b > c, 9 if round.
     The tie test is exact on the computed floats.
+
+    Raises:
+        OverflowError: if the eigenvalue is not a positive, normal, finite
+            float.  Below the normal range a^2+b^2+c^2 and 4(b^2+c^2) lose
+            their digits (to 0 for a round metric at 1e-170, which then
+            reads as a tie), so neither the value nor the regime would hold.
     """
     bc2 = t.b * t.b + t.c * t.c
     s = t.a * t.a + bc2
     f = 4.0 * bc2
     if g is GroupKind.SO3:
-        if t.a > t.b:
-            mult = 3
-        elif t.b > t.c:
-            mult = 6
-        else:
-            mult = 9
-        return Lambda1Result(value=f, multiplicity=mult, regime=Regime.SO3)
-    if s < f:
-        return Lambda1Result(value=s, multiplicity=4, regime=Regime.SUM_DOMINATES)
-    if s == f:
-        return Lambda1Result(value=s, multiplicity=7, regime=Regime.BOUNDARY)
-    return Lambda1Result(value=f, multiplicity=3, regime=Regime.FOUR_BC)
+        value, regime = f, Regime.SO3
+        mult = 3 if t.a > t.b else 6 if t.b > t.c else 9
+    elif s < f:
+        value, mult, regime = s, 4, Regime.SUM_DOMINATES
+    elif s == f:
+        value, mult, regime = s, 7, Regime.BOUNDARY
+    else:
+        value, mult, regime = f, 3, Regime.FOUR_BC
+    # value is the smaller of s and f: when it is normal, the other one is
+    # normal too or inf, and the comparison and the regime hold
+    if not sys.float_info.min <= value < math.inf:
+        raise OverflowError(f"lambda1 = {value:.17g} is outside the normal float range")
+    return Lambda1Result(value=value, multiplicity=mult, regime=regime)
 
 
 def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:

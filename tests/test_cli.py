@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import homsphere
+from homsphere import cli
 from homsphere.cli import main
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.geometry import berger_lambda1_diam2_extrema
@@ -424,6 +425,17 @@ def test_parameters_beyond_float_range_exit_2(capsys, argv):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("group", ["su2", "so3"])
+@pytest.mark.parametrize("x", ["1e-170", "1e-160"])
+def test_lambda1_below_the_normal_range_exits_2(capsys, x, group):
+    # squares to 0 (1e-170) or to a subnormal (1e-160): printing that as
+    # lambda1 would give 0 with a Boundary tie, or a value short of digits
+    code, out, err = run_cli(capsys, "lambda1", "--a", x, "--b", x, "--c", x, "--group", group)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameters out of floating-point range")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_large_representable_parameters_still_work(capsys):
     code, out, _ = run_cli(
         capsys, "lambda1", "--a", "1e160", "--b", "1", "--c", "1", "--group", "su2"
@@ -514,14 +526,47 @@ PINNED_STDOUT = {
         "4e98dfa2c65d572b086b010d0ad3ecef90fe21edfdab307fe45f019bc104555a",
     "rigidity --a 3 --b 1 --c 1 --group su2 --compare 3.0001,1,1 --lambda-max 12":
         "dc5f1ac2b31088a033d05163cdfb04263153621a3ece4c06f682f8f945209a22",
+    # entries from two irreps: 21 from k = (4, 6) and 45 from k = (6, 10),
+    # so the "," join (JSON) and the ";" join (CSV) of k_sources are pinned
+    "spectrum --a 1 --b 1 --c 0.5 --group su2 --lambda-max 60":
+        "5cf91a1d854e9693d5be8667245f38f369495d55f35ea5840440f27e7ecb72ee",
+    "spectrum --a 1 --b 1 --c 0.5 --group su2 --lambda-max 60 --format csv":
+        "7643cebdd2a56e6b14d6b9095fc059e9beadb36b2f9f13785e42584a1eaa35ff",
 }
+
+
+def _assert_pinned(capsys, argvs):
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv], argv
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
 def test_output_bytes_are_pinned(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv.split())
+    _assert_pinned(capsys, [argv])
+
+
+def test_shared_parser_gives_pinned_bytes_in_any_order_and_after_rejections(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    order = sorted(PINNED_STDOUT)
+    order = order[::2] + order[1::2]  # alternate subcommands and formats
+    rejected = (["spectrum"], ["lambda1", "--a", "1", "--format", "xml"])
+    for argv, argvs in zip(rejected, (order, order[::-1])):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        _assert_pinned(capsys, argvs)
+
+
+def test_command_patched_after_the_first_call_takes_effect(capsys, monkeypatch):
+    argv = "lambda1 --a 2 --b 1 --c 1 --group su2".split()
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "_cmd_lambda1", lambda args: ({"patched": True}, {"value": 1.5}))
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+    assert json.loads(out)["inputs"] == {"patched": True}
+    assert json.loads(out)["results"] == {"value": 1.5}
 
 
 def test_generic_table_low_irreps_match_closed_forms(capsys):

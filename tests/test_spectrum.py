@@ -45,6 +45,11 @@ SO3 = GroupKind.SO3
         ((1, 1, 1), SO3, 8.0, 9, Regime.SO3),
         ((2, 1, 1), SO3, 8.0, 3, Regime.SO3),
         ((2, 2, 1), SO3, 20.0, 6, Regime.SO3),
+        # 2^-510 squares to 2^-1020, two binades above the smallest normal
+        ((2.0**-510,) * 3, SU2, 3 * 2.0**-1020, 4, Regime.SUM_DOMINATES),
+        ((2.0**-510,) * 3, SO3, 8 * 2.0**-1020, 9, Regime.SO3),
+        # a^2+b^2+c^2 overflows, but the smaller 4(b^2+c^2) is exact
+        ((1e160, 1, 1), SU2, 8.0, 3, Regime.FOUR_BC),
     ],
 )
 def test_lambda1_closed_cases(triple, group, value, mult, regime):
@@ -62,6 +67,15 @@ def test_lambda1_boundary_multiplicity_seven():
         got = lambda1_closed(MetricTriple(a, b, c), SU2)
         assert got.multiplicity == 7
         assert got.regime is Regime.BOUNDARY
+
+
+@pytest.mark.parametrize("group", [SU2, SO3])
+@pytest.mark.parametrize("x", [1e-170, 1e-160, 2.0**-513, 1e155])
+def test_lambda1_outside_the_normal_range_raises(x, group):
+    # lambda1 underflows to 0 or to a subnormal, or overflows to inf;
+    # 2^-513 is the largest power of two where it is subnormal in both groups
+    with pytest.raises(OverflowError):
+        lambda1_closed(MetricTriple(x, x, x), group)
 
 
 def test_lambda1_scaling_covariance():
