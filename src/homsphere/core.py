@@ -144,8 +144,12 @@ class SpectrumTable:
 class SpectralInvariants:
     """The rigidity fingerprint: (abc, scalar curvature, lambda_1, mult).
 
-    For metrics in this family ``mult1`` is one of {3, 4, 6, 7, 9}; the
-    inverse solver rejects fingerprints no metric can produce.
+    For metrics in this family ``mult1`` is one of {3, 4, 6, 7, 9}.  The
+    inverse solver uses the multiplicity only to select the equation it
+    solves, and rejects fingerprints whose v, Scal and lambda1 no metric
+    reproduces.  It does not check the multiplicity of the triple it
+    returns, so a fingerprint with a wrong multiplicity can come back as a
+    triple whose own multiplicity differs.
     """
 
     vol_param: float

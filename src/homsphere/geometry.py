@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GroupKind, HomsphereError, MetricClass, MetricTriple, classify
+from .core import GroupKind, HomsphereError, MetricTriple
 from .spectrum import lambda1_closed
 
 # tolerance for float dust on closed-form boundary comparisons
@@ -119,30 +119,27 @@ def _so3_upper_diameter(t: MetricTriple) -> float:
 def diameter(t: MetricTriple, g: GroupKind) -> DiamBounds:
     """Diameter, exact when two parameters coincide, else a certified interval.
 
-    Exact values (SU(2)): pi/b if a = b; pi/a if a > b = c >= a/sqrt(2);
-    pi / (2b sqrt(1 - b^2/a^2)) if b = c < a/sqrt(2).
-    Exact values (SO(3)): pi/(2b) if a > b = c; pi/(2c) if a = b and
-    c >= b/sqrt(2); (pi/b) sqrt(1 + 1/(4(c^2/b^2 - 1))) if a = b, c < b/sqrt(2).
-    Generic triples are squeezed between (a,b,b) and (b,b,c), whose exact
-    diameters bound the true one on both sides.  Adjacent exact formulas
-    agree at the case boundaries, so exact comparisons are safe.
+    The metric (a, b, c) is squeezed between (a, b, b) and (b, b, c), whose
+    exact diameters bound its own on both sides.
+    SU(2): the lower bound is the diameter of (a, b, b), pi/a if
+    a <= sqrt(2) b and pi / (2b sqrt(1 - b^2/a^2)) otherwise; the upper
+    bound is pi/b, the diameter of (b, b, c).
+    SO(3): the upper bound is the diameter of (b, b, c), pi/(2c) if
+    c >= b/sqrt(2) and (pi/b) sqrt(1 + 1/(4(c^2/b^2 - 1))) otherwise; the
+    lower bound is pi/(2b), the diameter of (a, b, b).
+    When b = c (SU(2)) or a = b (SO(3)) the metric is its own bounding
+    metric, so that bound is the diameter; when a = b (SU(2)) or b = c
+    (SO(3)) the two bounds are the same float.  So the diameter is exact
+    iff a = b or b = c.
     """
-    cls = classify(t)
     if g is GroupKind.SU2:
-        if cls in (MetricClass.ROUND, MetricClass.BERGER_AB):
-            d = math.pi / t.b
-            return DiamBounds(d, d, d)
-        if cls is MetricClass.BERGER_BC:
-            d = _su2_lower_diameter(t)
-            return DiamBounds(d, d, d)
-        return DiamBounds(_su2_lower_diameter(t), math.pi / t.b)
-    if cls is MetricClass.BERGER_BC:
-        d = math.pi / (2.0 * t.b)
-        return DiamBounds(d, d, d)
-    if cls in (MetricClass.ROUND, MetricClass.BERGER_AB):
-        d = _so3_upper_diameter(t)
-        return DiamBounds(d, d, d)
-    return DiamBounds(math.pi / (2.0 * t.b), _so3_upper_diameter(t))
+        lo = _su2_lower_diameter(t)
+        hi = lo if t.b == t.c else math.pi / t.b
+    else:
+        hi = _so3_upper_diameter(t)
+        lo = hi if t.a == t.b else math.pi / (2.0 * t.b)
+    exact = lo if t.a == t.b or t.b == t.c else None
+    return DiamBounds(lo, hi, exact)
 
 
 def product_cap(n_su2: int, n_so3: int) -> float:

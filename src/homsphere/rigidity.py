@@ -33,6 +33,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .core import (
     GroupKind,
@@ -274,25 +275,13 @@ def isospectral_check(
         raise ValueError(f"lam_max {lam_max} below required {needed}")
     tab1 = spectrum_up_to(lam_max, t1, g)
     tab2 = spectrum_up_to(lam_max, t2, g)
-    pos1 = [e for e in tab1.entries if e.value > 0.0]
-    pos2 = [e for e in tab2.entries if e.value > 0.0]
-    for idx in range(max(len(pos1), len(pos2))):
-        if idx >= len(pos1):
-            return IsospectralResult(
-                IsospectralVerdict.DISTINCT_SPECTRA, idx + 1, (None, pos2[idx].value)
-            )
-        if idx >= len(pos2):
-            return IsospectralResult(
-                IsospectralVerdict.DISTINCT_SPECTRA, idx + 1, (pos1[idx].value, None)
-            )
-        e1, e2 = pos1[idx], pos2[idx]
-        if (
-            abs(e1.value - e2.value) > _ISOSPECTRAL_RTOL * e1.value
-            or e1.multiplicity != e2.multiplicity
-        ):
-            return IsospectralResult(
-                IsospectralVerdict.DISTINCT_SPECTRA, idx + 1, (e1.value, e2.value)
-            )
+    pos1 = [(e.value, e.multiplicity) for e in tab1.entries if e.value > 0.0]
+    pos2 = [(e.value, e.multiplicity) for e in tab2.entries if e.value > 0.0]
+    # a table that runs out reads as (None, 0) from there on
+    pairs = zip_longest(pos1, pos2, fillvalue=(None, 0))
+    for idx, ((x, m1), (y, m2)) in enumerate(pairs, 1):
+        if x is None or y is None or abs(x - y) > _ISOSPECTRAL_RTOL * x or m1 != m2:
+            return IsospectralResult(IsospectralVerdict.DISTINCT_SPECTRA, idx, (x, y))
     same_triple = all(
         abs(x - y) <= _ISOSPECTRAL_RTOL * x
         for x, y in zip(t1.as_tuple(), t2.as_tuple())

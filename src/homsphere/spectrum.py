@@ -104,7 +104,14 @@ def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
     Every eigenvalue of block k is at least 2k b^2 + k^2 c^2, so the
     returned K satisfies 2K b^2 + K^2 c^2 <= lam_max while K+1 (K+2 for
     SO(3), which only sees even k) does not.  Blocks beyond K cannot
-    contribute, which makes truncated tables complete.
+    contribute, which makes truncated tables complete.  K is found by
+    walking the admissible k upwards along the envelope as computed in
+    floating point.  Each of its two terms is a rounded product of
+    nondecreasing factors, so the computed envelope never decreases in k,
+    and the first k whose envelope exceeds ``lam_max`` ends the walk.  The
+    walk also ends at the first admissible k past ``K_CAP``, so it takes
+    at most ``K_CAP`` + 1 steps whatever the parameters: where b^2 and c^2
+    underflow to 0, every envelope reads 0 and the walk ends at the cap.
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.
@@ -113,26 +120,15 @@ def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
     if not 0.0 < lam_max < math.inf:
         raise ValueError(f"truncation bound must be positive and finite, got {lam_max}")
     b2, c2 = t.b * t.b, t.c * t.c
-
-    def bound(k: int) -> float:
-        return 2.0 * k * b2 + float(k) * k * c2
-
-    # the root of bound(k) = lam_max, in a form that neither cancels nor overflows
-    k = int(lam_max / (b2 + math.hypot(b2, math.sqrt(lam_max) * t.c)))
-    # Far beyond the cap the estimate alone decides; there the walk could
-    # stall, since above 2**53 bound(k + 1) rounds to bound(k).
-    if k <= K_CAP + 2:
-        while bound(k + 1) <= lam_max:
-            k += 1
-        while k > 0 and bound(k) > lam_max:
-            k -= 1
-    if g is GroupKind.SO3:
-        k -= k % 2
-    if k > K_CAP:
-        raise CutoffTooLarge(
-            f"truncation bound {lam_max} needs blocks up to k={k:.17g}, cap is {K_CAP}"
-        )
-    return k
+    step = 2 if g is GroupKind.SO3 else 1
+    k = step  # the next admissible label to test
+    while 2.0 * k * b2 + float(k) * k * c2 <= lam_max:
+        if k > K_CAP:
+            raise CutoffTooLarge(
+                f"truncation bound {lam_max} needs more than {K_CAP} blocks, cap is {K_CAP}"
+            )
+        k += step
+    return k - step
 
 
 def _cluster(
@@ -147,27 +143,16 @@ def _cluster(
     1e-10 are reported via ClusterMergeWarning, since they may indicate an
     accidental near-degeneracy rather than a genuinely repeated eigenvalue.
     """
-    entries: list[EigenPair] = []
-    sources: list[tuple[int, ...]] = []
+    clusters: list[tuple[float, int, tuple[int, ...]]] = []  # (rep, mult, ks)
     suspicious: list[tuple[float, float]] = []
-    rep = None
-    mult = 0
-    ks: set[int] = set()
     for value, m, k in sorted(contributions):
-        if rep is not None and value - rep <= DEFAULT_CLUSTER_TOL * rep:
-            gap = value - rep
-            if gap > _MERGE_WARN_GAP * rep:
-                suspicious.append((rep, gap))
-            mult += m
-            ks.add(k)
-            continue
-        if rep is not None:
-            entries.append(EigenPair(rep, mult))
-            sources.append(tuple(sorted(ks)))
-        rep, mult, ks = value, m, {k}
-    if rep is not None:
-        entries.append(EigenPair(rep, mult))
-        sources.append(tuple(sorted(ks)))
+        if clusters and value - clusters[-1][0] <= DEFAULT_CLUSTER_TOL * clusters[-1][0]:
+            rep, mult, ks = clusters[-1]
+            if value - rep > _MERGE_WARN_GAP * rep:
+                suspicious.append((rep, value - rep))
+            clusters[-1] = (rep, mult + m, ks if k in ks else tuple(sorted((*ks, k))))
+        else:
+            clusters.append((value, m, (k,)))
     if suspicious:
         detail = ", ".join(f"{v:.12g} (gap {g:.3e})" for v, g in suspicious)
         warnings.warn(
@@ -175,7 +160,10 @@ def _cluster(
             ClusterMergeWarning,
             stacklevel=_caller_stacklevel(),
         )
-    return tuple(entries), tuple(sources)
+    return (
+        tuple(EigenPair(rep, mult) for rep, mult, _ in clusters),
+        tuple(ks for _, _, ks in clusters),
+    )
 
 
 def _caller_stacklevel() -> int:

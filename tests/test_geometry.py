@@ -118,6 +118,22 @@ def test_generic_interval_brackets_nearby_exact_values():
             assert stretched.exact is None or d.upper >= stretched.exact * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_bounds_are_the_exact_diameters_of_the_squeezing_metrics(g):
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a, b, c = sorted(10.0 ** rng.uniform(-2, 2, size=3), reverse=True)
+        for t in (MetricTriple(a, b, c), MetricTriple(a, math.nextafter(a, 0.0), c),
+                  MetricTriple(a, b, math.nextafter(b, 0.0))):
+            d = diameter(t, g)
+            assert d.lower == diameter(MetricTriple(t.a, t.b, t.b), g).exact
+            assert d.upper == diameter(MetricTriple(t.b, t.b, t.c), g).exact
+            assert d.exact is None
+        for t in (MetricTriple(a, a, c), MetricTriple(a, c, c), MetricTriple(b, b, b)):
+            d = diameter(t, g)
+            assert d.exact is not None and d.lower == d.exact == d.upper
+
+
 def test_exact_berger_diameter_scaling():
     t = MetricTriple(2, 1, 1)
     d1 = diameter(t, SU2).exact

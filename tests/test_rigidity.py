@@ -8,12 +8,13 @@ from homsphere.core import GroupKind, MetricTriple, normalize_triple
 from homsphere.oracle import mult3_auxiliary_root
 from homsphere.rigidity import (
     InconsistentInvariants,
+    IsospectralResult,
     IsospectralVerdict,
     invariants,
     isospectral_check,
     recover_triple,
 )
-from homsphere.spectrum import lambda1_closed
+from homsphere.spectrum import lambda1_closed, spectrum_up_to
 
 SU2 = GroupKind.SU2
 SO3 = GroupKind.SO3
@@ -181,6 +182,31 @@ def test_recover_rejects_unrealizable_invariants():
         recover_triple(SpectralInvariants(-1.0, 6.0, 3.0, 4), SU2)
 
 
+@pytest.mark.parametrize(
+    "fingerprint,g,reason",
+    [
+        # e2 = v sqrt(4 lambda1 - Scal/2) would be imaginary
+        ((0.00205, 0.652, 0.00873, 4), SU2, "scalar curvature incompatible"),
+        ((587.0, -0.0123, 1.72, 4), SU2, "complex conjugate root pair"),
+        # h(z) stays positive: no z, the 4(b^2+c^2) branch
+        ((100.0, 1.0e6, 8.0, 3), SU2, "scalar curvature incompatible"),
+        ((0.0498, 0.0107, 0.00297, 6), SO3, r"b\^2 and c\^2 are complex"),
+        # a float range error while building the candidate
+        ((5.66e285, -5.83e-127, 8.9e-273, 7), SU2, "math range error"),
+        # a candidate that misses the invariants by more than 1e-6
+        ((5.46, -110.0, 28.2, 7), SU2, "to 1e-6"),
+        ((-1.0, 6.0, 3.0, 4), SU2, "must be positive"),
+        ((1.0, 6.0, 3.0, 5), SU2, "multiplicity 5 is not attained on su2"),
+        ((1.0, 6.0, 3.0, 4), SO3, "multiplicity 4 is not attained on so3"),
+    ],
+)
+def test_recover_rejection_paths(fingerprint, g, reason):
+    from homsphere.core import SpectralInvariants
+
+    with pytest.raises(InconsistentInvariants, match=reason):
+        recover_triple(SpectralInvariants(*fingerprint), g)
+
+
 def test_auxiliary_root_stays_below_volume_scale():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -246,6 +272,19 @@ def test_isospectral_undecided_when_truncation_cannot_separate():
     lam_max = 1.15 * s1
     res = isospectral_check(t1, t2, SU2, lam_max)
     assert res.verdict is IsospectralVerdict.UNDECIDED
+
+
+def test_isospectral_table_that_runs_out_first_differs():
+    # the scaled round metric has every value 2e-10 relative above the
+    # round one's, which counts as equal, but its 15 lies above the bound
+    s = 1.0 + 1e-10
+    short, full = MetricTriple(s, s, s), MetricTriple(1, 1, 1)
+    lam_max = 15.0 * (1.0 + 1e-10)
+    assert [e.value for e in spectrum_up_to(lam_max, full, SU2).entries] == [0.0, 3.0, 8.0, 15.0]
+    res = isospectral_check(full, short, SU2, lam_max)
+    assert res == IsospectralResult(IsospectralVerdict.DISTINCT_SPECTRA, 3, (15.0, None))
+    res = isospectral_check(short, full, SU2, lam_max)
+    assert res == IsospectralResult(IsospectralVerdict.DISTINCT_SPECTRA, 3, (None, 15.0))
 
 
 def test_isospectral_requires_bound_past_fundamental_tone():

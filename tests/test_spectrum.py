@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,56 @@ def test_k_cutoff_cap():
     assert k_cutoff(K_CAP * (K_CAP + 2), MetricTriple(1, 1, 1), SU2) == K_CAP
     with pytest.raises(CutoffTooLarge):
         k_cutoff(1e9, MetricTriple(1, 1, 1), SU2)
+
+
+def _float_envelope_count(lam, t, g):
+    # admissible blocks up to K_CAP + 2 whose envelope, in the floats
+    # k_cutoff computes, is <= lam
+    b2, c2 = t.b * t.b, t.c * t.c
+    step = 2 if g is SO3 else 1
+    return sum(2.0 * k * b2 + float(k) * k * c2 <= lam for k in range(0, K_CAP + 3, step))
+
+
+def _exact_envelope_count(lam, t, g):
+    # the same count in exact arithmetic: with b^2 = B/Q, c^2 = C/Q and
+    # lam = p/q, block k counts when q (2k B + k^2 C) <= p Q
+    b2, c2 = Fraction(t.b) ** 2, Fraction(t.c) ** 2
+    p, q = lam.as_integer_ratio()
+    x = 2 * q * b2.numerator * c2.denominator
+    y = q * c2.numerator * b2.denominator
+    z = p * b2.denominator * c2.denominator
+    step = 2 if g is SO3 else 1
+    return sum(k * x + k * k * y <= z for k in range(0, K_CAP + 3, step))
+
+
+@pytest.mark.parametrize("g", [SU2, SO3])
+@pytest.mark.parametrize(
+    "triple,dyadic",
+    [
+        # few-bit dyadic parameters: 2k b^2 + k^2 c^2 is exact in floats
+        ((3.0, 1.5, 0.75), True),
+        ((1.0, 0.25, 0.125), True),
+        ((2.0, 2.0, 2.0), True),
+        ((1.7, 1.2, 0.8), False),
+        ((1e3, 0.3, 1e-4), False),
+        ((1.0, 1.0, 1.26e-10), False),
+    ],
+)
+def test_k_cutoff_one_ulp_around_envelope_boundaries(triple, dyadic, g):
+    t = MetricTriple(*triple)
+    b2, c2 = t.b * t.b, t.c * t.c
+    step = 2 if g is SO3 else 1
+    for edge_k in (1, 2, 3, 10, 57, 1000, K_CAP - 1, K_CAP, K_CAP + 1, K_CAP + 2):
+        edge = 2.0 * edge_k * b2 + float(edge_k) * edge_k * c2
+        for lam in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            count = _float_envelope_count(lam, t, g)
+            if dyadic:
+                assert count == _exact_envelope_count(lam, t, g)
+            if step * (count - 1) > K_CAP:
+                with pytest.raises(CutoffTooLarge):
+                    k_cutoff(lam, t, g)
+            else:
+                assert k_cutoff(lam, t, g) == step * (count - 1)
 
 
 def test_round_spectrum_su2():
