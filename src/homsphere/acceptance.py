@@ -232,7 +232,8 @@ def criterion_4() -> CriterionResult:
     worst = 0.0
     for t in samples:
         for k in range(13):
-            solved = np.array(eigen_block(k, t))
+            # an odd block returns one value per Wang mirror pair
+            solved = np.repeat(eigen_block(k, t), 1 + k % 2)
             dense = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
             rel = float(np.max(np.abs(dense - solved) / np.maximum(1.0, np.abs(dense))))
             worst = max(worst, rel)

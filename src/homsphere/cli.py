@@ -18,7 +18,10 @@ subcommand runs on the standard library.  All of them print through
 ``_cmd_<command>`` by name.
 
 A spectrum's entries travel as ``(value, multiplicity, k_sources)`` rows
-and are written row by row, in JSON and in CSV alike.  CSV fields are
+and are written row by row, in JSON and in CSV alike, each by one format
+string with ``%.17g`` for the value.  Rows skip ``_fmt``'s finiteness
+check: every value is at most the truncation bound, which ``k_cutoff``
+has already checked is finite, and at least 0.  CSV fields are
 never quoted, because none can hold a comma, a quote or a line break:
 each is a number, an enum value, ``True``, ``False``, ``None``, a key path
 such as ``diameter.lower`` or a ``;``-joined list of irrep labels.
@@ -72,7 +75,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_ROW_JSON = '{"value":%s,"multiplicity":%d,"k_sources":[%s]}'
+_ROW_JSON = '{"value":%.17g,"multiplicity":%d,"k_sources":[%s]}'
+_ROW_CSV = "%.17g,%d,%s"
 
 
 def _to_json(obj) -> str:
@@ -91,10 +95,12 @@ def _to_json(obj) -> str:
     return _fmt(obj) if isinstance(obj, float) else json.dumps(obj)
 
 
+def _k_sources(ks: tuple[int, ...], sep: str) -> str:
+    return str(ks[0]) if len(ks) == 1 else sep.join(map(str, ks))
+
+
 def _rows_to_json(rows: list[tuple]) -> str:
-    return "[%s]" % ",".join(
-        _ROW_JSON % (_fmt(v), m, ",".join(map(str, ks))) for v, m, ks in rows
-    )
+    return "[%s]" % ",".join(_ROW_JSON % (v, m, _k_sources(ks, ",")) for v, m, ks in rows)
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -112,7 +118,7 @@ def _record_to_csv(results: dict) -> str:
     # no field needs quoting (see the module docstring)
     if "entries" in results:
         lines = ["value,multiplicity,k_sources"]
-        lines += [f"{_fmt(v)},{m},{';'.join(map(str, ks))}" for v, m, ks in results["entries"]]
+        lines += [_ROW_CSV % (v, m, _k_sources(ks, ";")) for v, m, ks in results["entries"]]
     else:
         lines = ["key,value"]
         _flatten("", results, lines)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -126,7 +127,7 @@ class SpectrumTable:
 
     def __post_init__(self) -> None:
         vals = [e.value for e in self.entries]
-        if vals != sorted(vals) or len(set(vals)) != len(vals):
+        if not all(map(operator.lt, vals, vals[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
         if self.entries:
             first = self.entries[0]

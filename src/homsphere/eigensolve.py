@@ -15,7 +15,7 @@ a bisected midpoint.  This needs no second kernel: QL would need a
 fallback for a value that fails its certificate.  ``eigen_block``
 solves the Wang halves of one irrep, or reads the eigenvalues off the
 diagonal when two parameters are equal; either way it returns exactly
-the values <= its bound.
+the values <= its bound, and for odd k one value per Wang mirror pair.
 """
 
 from __future__ import annotations
@@ -202,29 +202,36 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
 
 
 def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float, ...]:
-    """Sorted eigenvalues <= ``upper`` of the irrep-k Casimir matrix for triple ``t``.
+    """Sorted eigenvalues <= ``upper`` of irrep k, one per Wang mirror pair if k is odd.
 
-    Each value is bitwise what an unbounded call gives.  When b = c the
-    matrix is already diagonal, and when a = b > c the metric is
-    isometric to (c, a, b), whose matrix is diagonal in the same way: the
-    solver is bypassed and the diagonal entries <= ``upper`` are
-    returned, bitwise the closed Berger eigenvalues
-    ``oracle.berger_eigenvalue``.  Otherwise ``eigenvalues`` solves the
-    Wang halves of ``casimir._wang_halves`` below ``upper``: for odd k
-    the one block of the Kramers pair, whose values are returned twice,
-    exactly equal; for even k the four halves of about k/4 rows.  With
-    b >= 1 every positive eigenvalue is at least 2, so the floor of the
-    stopping width never binds; this is why ``spectrum_up_to`` calls it
-    at a power-of-two scale with b in [1, 2).
+    The matrix is persymmetric under l <-> k-l (Wang 1929).  For odd k
+    that map swaps the even and odd parity blocks, so the block of the
+    even indices, whose (k+1)/2 eigenvalues are returned, carries the
+    spectrum: every value is an eigenvalue of multiplicity 2 in the
+    matrix, and ``spectrum_up_to`` weights it 2(k+1).  For even k all k+1
+    eigenvalues are returned.  Each value is bitwise what an unbounded
+    call gives.  When b = c the matrix is already diagonal, and when
+    a = b > c the metric is isometric to (c, a, b), whose matrix is
+    diagonal in the same way: the solver is bypassed and the entries
+    <= ``upper`` are bitwise the closed Berger eigenvalues
+    ``oracle.berger_eigenvalue``.  Entries l and k-l are bitwise equal,
+    so only l <= k/2 are evaluated, and for even k the mirror
+    l = k/2-1, ..., 0 is copied.  Otherwise ``eigenvalues`` solves the
+    halves of ``casimir._wang_halves`` below ``upper``: for odd k the even
+    block, for even k its four halves of about k/4 rows.  With b >= 1
+    every positive eigenvalue is at least 2, so the floor of the stopping
+    width never binds; this is why ``spectrum_up_to`` calls it at a
+    power-of-two scale with b in [1, 2).
 
     Raises:
         OverflowError: if a block entry leaves the float range.
     """
     if t.b == t.c or t.a == t.b:
         a, b, c = t.as_tuple() if t.b == t.c else (t.c, t.a, t.b)
-        return tuple(sorted(v for v in _diagonal(k, a * a, b * b + c * c) if v <= upper))
+        values = _diagonal(k, a * a, b * b + c * c, range(k // 2 + 1))
+        if not k % 2:
+            values += values[-2::-1]
+        return tuple(sorted([v for v in values if v <= upper]))
     values = [v for half in _wang_halves(k, t) for v in eigenvalues(half, upper)]
-    if k % 2:
-        values += values
     values.sort()
     return tuple(values)

@@ -16,6 +16,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     EigenPair,
@@ -41,6 +42,11 @@ _PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")
 
 class CutoffTooLarge(HomsphereError, ValueError):
     """The truncation bound requires more irrep blocks than ``K_CAP``."""
+
+    def __init__(self, lam_max: float) -> None:
+        super().__init__(
+            f"truncation bound {lam_max} needs more than {K_CAP} blocks, cap is {K_CAP}"
+        )
 
 
 class ClusterMergeWarning(UserWarning):
@@ -124,35 +130,49 @@ def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
     k = step  # the next admissible label to test
     while 2.0 * k * b2 + float(k) * k * c2 <= lam_max:
         if k > K_CAP:
-            raise CutoffTooLarge(
-                f"truncation bound {lam_max} needs more than {K_CAP} blocks, cap is {K_CAP}"
-            )
+            raise CutoffTooLarge(lam_max)
         k += step
     return k - step
 
 
 def _cluster(
-    contributions: list[tuple[float, int, int]],
+    contributions: list[tuple[float, int, int]], lam_max: float
 ) -> tuple[tuple[EigenPair, ...], tuple[tuple[int, ...], ...]]:
     """Merge near-equal eigenvalue contributions into (value, multiplicity) pairs.
 
-    ``contributions`` holds (value, multiplicity, source_k) records.  A
-    value is merged into the current cluster when it exceeds the cluster's
-    first (smallest) value, its representative, by at most
-    DEFAULT_CLUSTER_TOL times that value.  Merges with a relative gap above
-    1e-10 are reported via ClusterMergeWarning, since they may indicate an
-    accidental near-degeneracy rather than a genuinely repeated eigenvalue.
+    ``contributions`` holds (value, multiplicity, source_k) records, where
+    the multiplicity is the weight of one returned block value: k+1, or
+    2(k+1) for an odd-k value that stands for its Wang mirror too.  They
+    are sorted on the value alone.  A value is merged into the open
+    cluster when it exceeds the cluster's first (smallest) value, its
+    representative, by at most DEFAULT_CLUSTER_TOL times that value.  A
+    value that opens a new cluster above ``lam_max`` ends the table, so
+    values above the bound count only as copies of a representative
+    below it.  Merges with a relative gap above 1e-10 are reported via
+    ClusterMergeWarning, since they may indicate an accidental
+    near-degeneracy rather than a genuinely repeated eigenvalue.
     """
-    clusters: list[tuple[float, int, tuple[int, ...]]] = []  # (rep, mult, ks)
+    ordered = sorted(contributions, key=itemgetter(0))
+    entries: list[EigenPair] = []
+    sources: list[tuple[int, ...]] = []
     suspicious: list[tuple[float, float]] = []
-    for value, m, k in sorted(contributions):
-        if clusters and value - clusters[-1][0] <= DEFAULT_CLUSTER_TOL * clusters[-1][0]:
-            rep, mult, ks = clusters[-1]
+    # the open cluster; the first value joins it, since 0 <= tol * value
+    rep, mult, ks = ordered[0][0], 0, ()
+    for value, m, k in ordered:
+        if value - rep <= DEFAULT_CLUSTER_TOL * rep:
             if value - rep > _MERGE_WARN_GAP * rep:
                 suspicious.append((rep, value - rep))
-            clusters[-1] = (rep, mult + m, ks if k in ks else tuple(sorted((*ks, k))))
+            mult += m
+            if k not in ks:
+                ks = tuple(sorted((*ks, k)))
+        elif value > lam_max:
+            break
         else:
-            clusters.append((value, m, (k,)))
+            entries.append(EigenPair(rep, mult))
+            sources.append(ks)
+            rep, mult, ks = value, m, (k,)
+    entries.append(EigenPair(rep, mult))
+    sources.append(ks)
     if suspicious:
         detail = ", ".join(f"{v:.12g} (gap {g:.3e})" for v, g in suspicious)
         warnings.warn(
@@ -160,10 +180,7 @@ def _cluster(
             ClusterMergeWarning,
             stacklevel=_caller_stacklevel(),
         )
-    return (
-        tuple(EigenPair(rep, mult) for rep, mult, _ in clusters),
-        tuple(ks for _, _, ks in clusters),
-    )
+    return tuple(entries), tuple(sources)
 
 
 def _caller_stacklevel() -> int:
@@ -183,11 +200,17 @@ def _caller_stacklevel() -> int:
 def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTable:
     """All distinct eigenvalues <= lam_max with multiplicities (inclusive bound).
 
-    Takes the eigenvalues <= lam_max of one Casimir block per admissible
-    irrep (even k only for SO(3)) from ``eigen_block``, so a triple with
-    two equal parameters gets its closed form and any other the solver,
-    which works only below the bound, weights each value by the irrep
-    dimension k+1, and clusters equal values.  The result is
+    Takes the eigenvalues of one Casimir block per admissible irrep (even
+    k only for SO(3)) from ``eigen_block``, so a triple with two equal
+    parameters gets its closed form and any other the solver, which works
+    only below the bound.  Each value is weighted by the irrep dimension
+    k+1, and an odd-k value by 2(k+1), since ``eigen_block`` returns one
+    value per Wang mirror pair there.  Equal values are then clustered.
+    Blocks are cut off, solved and clustered up to lam_max (1 +
+    DEFAULT_CLUSTER_TOL), capped at the largest float, and the clusters
+    whose representative exceeds lam_max are dropped: every copy of a
+    value <= lam_max is counted, even where the copies, or the envelope of
+    ``k_cutoff``, round to either side of the bound.  The result is
     complete below ``lam_max``.  The blocks are solved for the triple
     scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
     4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
@@ -201,17 +224,23 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     """
     if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c < math.inf:
         raise OverflowError(f"the squares of {t.as_tuple()} leave the float range")
-    cutoff = k_cutoff(lam_max, t, g)
+    upper = lam_max  # an invalid bound goes to k_cutoff as it is
+    if 0.0 < lam_max < math.inf:
+        upper = min(lam_max * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)
+    try:
+        cutoff = k_cutoff(upper, t, g)
+    except CutoffTooLarge:
+        raise CutoffTooLarge(lam_max) from None  # name the caller's bound
     h = math.frexp(t.b)[1] - 1
     unit = MetricTriple(*(math.ldexp(x, -h) for x in t.as_tuple()))
-    lam_unit = math.ldexp(lam_max, -2 * h)
-    step = 2 if g is GroupKind.SO3 else 1
-    contributions = [
-        (math.ldexp(value, 2 * h), k + 1, k)
-        for k in range(0, cutoff + 1, step)
-        for value in eigen_block(k, unit, lam_unit)
-    ]
-    entries, sources = _cluster(contributions)
+    upper_unit = math.ldexp(upper, -2 * h)
+    contributions = []
+    for k in range(0, cutoff + 1, 2 if g is GroupKind.SO3 else 1):
+        weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
+        contributions += [
+            (math.ldexp(value, 2 * h), weight, k) for value in eigen_block(k, unit, upper_unit)
+        ]
+    entries, sources = _cluster(contributions, lam_max)
     return SpectrumTable(
         entries=entries,
         truncation_bound=lam_max,
@@ -227,7 +256,9 @@ def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> S
     The same table as ``spectrum_up_to`` on ``normalize_triple(a, b, b)``:
     no eigensolver runs, since block k is diagonal with entries bitwise
     equal to ``oracle.berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of
-    multiplicity k+1.  Works for either parameter order (a >= b or a < b).
+    multiplicity k+1.  Entries j and k-j are bitwise equal, so only
+    j <= k/2 are evaluated (see ``eigen_block``).  Works for either
+    parameter order (a >= b or a < b).
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.

@@ -60,6 +60,24 @@ def test_spectrum_so3_round(capsys):
     assert entries == [(0.0, 1), (8.0, 9)]
 
 
+@pytest.mark.parametrize(
+    "a,lam,last",
+    [
+        # the k = 3 eigenvalue as printed at --lambda-max 2e7: its block was cut off
+        ("941.6055573859235", "13299315.385500833", "13299315.385500833,16,3"),
+        # its copies round 1 ulp either side of the bound: 12 of them were counted
+        ("0.0267785934910023", "0.025098257427472275", "0.025098257427472275,36,5"),
+    ],
+)
+def test_round_spectrum_at_a_bound_equal_to_an_entry_is_complete(capsys, a, lam, last):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--a", a, "--b", a, "--c", a, "--group", "su2",
+        "--lambda-max", lam, "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
 def test_spectrum_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -542,6 +560,32 @@ PINNED_STDOUT = {
         "8d1d5857ad0ea045669895e7c8abdb67f3cf58fd4c2066f2eb6a5091b4c05727",
     "estimate --berger-extrema --format csv":
         "0edd2c1ba7ac9341cac4d0563b2fc668e8c55a66eefe9aa8093289816bee2ae4",
+    # closed-form tables cut off at K = 130, the size of the benchmark's
+    # spectra: both groups, both shapes (a = b > c and a > b = c), both
+    # formats; 549 to 2,732 entries each
+    "spectrum --a 2 --b 2 --c 1 --group su2 --lambda-max 18074.5 --berger-closed-form":
+        "0c564e9fb3f2f3ab3bb060ea6e8ecf5398e02cd1762d6c4594465946c8db655f",
+    "spectrum --a 2 --b 2 --c 1 --group su2 --lambda-max 18074.5 --berger-closed-form"
+    " --format csv":
+        "8b4d5cf93475c94ebfaf21d5ddaa52ca4165fda05993559b7b4107f1fc9cc175",
+    "spectrum --a 1.9 --b 1 --c 1 --group su2 --lambda-max 17291.5 --berger-closed-form":
+        "68a0f4558a9f54b588d52147f24bce3be625ebed13df71ec0b752fdc558a3d3d",
+    "spectrum --a 1.9 --b 1 --c 1 --group su2 --lambda-max 17291.5 --berger-closed-form"
+    " --format csv":
+        "bbbe1aa132e969e2c497c938baad0084a255090724780635cd9ee8e14ab702d7",
+    "spectrum --a 1.3 --b 1.3 --c 0.7 --group so3 --lambda-max 8786.03 --berger-closed-form":
+        "090abba3e7bc53646a4c195135d3c9f49fd9998dfd6ea332ef0545e26e759e84",
+    "spectrum --a 1.3 --b 1.3 --c 0.7 --group so3 --lambda-max 8786.03 --berger-closed-form"
+    " --format csv":
+        "64b89b442e4cc6a762bb087a8507a3e7fe176956fd19634e6ddda1dfa9dd047e",
+    "spectrum --a 3.1 --b 1.7 --c 1.7 --group so3 --lambda-max 49972.4 --berger-closed-form":
+        "7ec24d1afb7d2259cdd273afc6615c6775c4781e8e823315b4894d168a1f1abf",
+    "spectrum --a 3.1 --b 1.7 --c 1.7 --group so3 --lambda-max 49972.4 --berger-closed-form"
+    " --format csv":
+        "cd2f8a1d62b0b2939e5b7e0358cab73b151e4efd69174d7f0528b868e9c8fc17",
+    # generic, blocks up to k = 25, so thirteen odd-k blocks
+    "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 500":
+        "78eee1d3649cb9a18c12854cdf623fb182c45f916c7911681caecb3399414a41",
 }
 
 

@@ -1,6 +1,7 @@
 import collections
 import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -196,6 +197,73 @@ def test_spectrum_completeness_under_cutoff_doubling():
         assert min(eigen_block(k, t)) > lam
 
 
+@pytest.mark.parametrize(
+    "t",
+    [MetricTriple(2.9, 1.7, 0.8), MetricTriple(1.3, 1.3, 0.6), MetricTriple(2.2, 1.1, 1.1)],
+    ids=repr,
+)
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_multiplicities_count_every_dense_eigenvalue(t, g):
+    # generic, a = b > c and a > b = c: odd-k values weigh 2(k+1), since
+    # eigen_block gives each Wang mirror pair once
+    lam = 150.0
+    step = 2 if g is SO3 else 1
+    dense = {
+        k: np.linalg.eigvals(oracle.casimir_matrix(k, t)).real
+        for k in range(0, k_cutoff(lam, t, g) + 2 * step + 1, step)
+    }
+    assert all(np.all(np.abs(vals - lam) > 1e-6 * lam) for vals in dense.values())
+    table = spectrum_up_to(lam, t, g)
+    for e in table.entries:
+        near = 1e-9 * max(1.0, e.value)
+        want = sum((k + 1) * int(np.sum(np.abs(vals - e.value) <= near))
+                   for k, vals in dense.items())
+        assert e.multiplicity == want, e
+    total = sum((k + 1) * int(np.sum(vals <= lam)) for k, vals in dense.items())
+    assert table.counting_function(lam) == total
+
+
+def test_bound_equal_to_an_eigenvalue_keeps_its_block_and_every_copy():
+    # On a round metric the envelope 2k b^2 + k^2 c^2 = k(k+2) a^2 is
+    # attained, and its float can round above the computed eigenvalue; the
+    # copies of one eigenvalue from different l can round 1 ulp apart.  A
+    # bound set to any entry must give the same prefix of the table.
+    rng = random.Random(18)
+    for _ in range(134):
+        a = 10.0 ** rng.uniform(-3, 3)
+        t = MetricTriple(a, a, a)
+        for g in (SU2, SO3):
+            full = spectrum_up_to(48.5 * a * a, t, g)
+            for i, e in enumerate(full.entries[1:], 2):
+                table = spectrum_up_to(e.value, t, g)
+                assert table.entries == full.entries[:i], (a, g, e)
+                assert table.k_sources == full.k_sources[:i], (a, g, e)
+
+
+@pytest.mark.parametrize(
+    "a,lam,last",
+    [
+        # the k = 3 block was cut off: its envelope float rounds above 15 a^2
+        (941.6055573859235, 13299315.385500833, EigenPair(13299315.385500833, 16)),
+        # copies 1 ulp either side of the bound: multiplicity 12, not 36
+        (0.0267785934910023, 0.025098257427472275, EigenPair(0.025098257427472275, 36)),
+    ],
+)
+def test_round_tables_complete_at_a_bound_equal_to_an_entry(a, lam, last):
+    table = spectrum_up_to(lam, MetricTriple(a, a, a), SU2)
+    assert table.entries[-1] == last
+
+
+def test_spectrum_bound_checks_hold_with_the_cluster_slack():
+    t = MetricTriple(1.7, 1.2, 0.8)
+    for lam in (math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            spectrum_up_to(lam, t, SU2)
+    # lam (1 + DEFAULT_CLUSTER_TOL) overflows and is capped at the largest float
+    with pytest.raises(CutoffTooLarge, match=r"truncation bound 1\.7976931348623157e\+308 "):
+        spectrum_up_to(sys.float_info.max, t, SU2)
+
+
 def test_berger_consistency_is_exact():
     for a, b in [(2.0, 1.0), (1.0, 1.0), (3.7, 0.9)]:
         for g in (SU2, SO3):
@@ -267,7 +335,7 @@ def test_low_irrep_agrees_with_solver():
     t = MetricTriple(2.4, 1.9, 0.8)
     low = low_irrep_eigenvalues(t)
     for k in (0, 1, 2):
-        got = eigen_block(k, t)
+        got = sorted(eigen_block(k, t) * (1 + k % 2))  # k = 1 gives its pair once
         assert got == pytest.approx(low[k], rel=1e-11)
 
 
@@ -325,7 +393,8 @@ def test_diagonal_branch_equals_berger_eigenvalue_bitwise(a, b):
         t = MetricTriple(x, y, y)
         for k in range(40):
             closed = tuple(sorted(berger_eigenvalue(k, j, x, y) for j in range(k + 1)))
-            assert eigen_block(k, t) == closed
+            # j and k - j give bitwise-equal values; odd k returns each pair once
+            assert tuple(sorted(eigen_block(k, t) * (1 + k % 2))) == closed
 
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (0.37, 1.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
