@@ -54,6 +54,21 @@ def _diagonal(k: int, a2: float, bc2: float, ls: range | None = None) -> list[fl
     return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
 
 
+def _diagonal_squares(t: MetricTriple) -> tuple[float, float] | None:
+    """(a^2, b^2 + c^2) for ``_diagonal`` when two parameters are equal, else None.
+
+    With b = c the matrices are diagonal.  With a = b > c the metric is
+    isometric to (c, a, b), whose matrices are diagonal in the same way.
+    """
+    if t.b == t.c:
+        a, b, c = t.as_tuple()
+    elif t.a == t.b:
+        a, b, c = t.c, t.a, t.b
+    else:
+        return None
+    return a * a, b * b + c * c
+
+
 def _parity_entries(
     k: int, a2: float, bc2: float, off: float, p: int, rows: int, couplings: int
 ) -> tuple[list[float], list[float]]:

@@ -17,20 +17,23 @@ subcommand runs on the standard library.  All of them print through
 ``main``, which builds the parser once per process and calls
 ``_cmd_<command>`` by name.
 
-A spectrum's entries travel as ``(value, multiplicity, k_sources)`` rows
-and are written row by row, in JSON and in CSV alike, each by one format
-string with ``%.17g`` for the value.  Rows skip ``_fmt``'s finiteness
-check: every value is at most the truncation bound, which ``k_cutoff``
-has already checked is finite, and at least 0.  CSV fields are
-never quoted, because none can hold a comma, a quote or a line break:
-each is a number, an enum value, ``True``, ``False``, ``None``, a key path
-such as ``diameter.lower`` or a ``;``-joined list of irrep labels.
+A spectrum's entries travel as the table's two columns, ``(entries,
+k_sources)``, and ``_rows`` writes them in JSON and in CSV alike with one
+format per table: the row template, with ``%.17g`` for the value,
+repeated once per row and applied to every row's fields at once.  Rows
+skip ``_fmt``'s finiteness check: every value is at most the truncation
+bound, which ``k_cutoff`` has already checked is finite, and at least 0.
+CSV fields are never quoted, because none can hold a comma, a quote or a
+line break: each is a number, an enum value, ``True``, ``False``,
+``None``, a key path such as ``diameter.lower`` or a ``;``-joined list of
+irrep labels.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -82,12 +85,12 @@ _ROW_CSV = "%.17g,%d,%s"
 def _to_json(obj) -> str:
     """Serialize with insertion-ordered keys and 17-significant-digit floats.
 
-    A spectrum's ``entries`` are ``(value, multiplicity, k_sources)`` rows,
-    each written by one format string.
+    A spectrum's ``entries`` are written by ``_rows``.
     """
     if isinstance(obj, dict):
         return "{%s}" % ",".join(
-            f"{json.dumps(key)}:{_rows_to_json(val) if key == 'entries' else _to_json(val)}"
+            json.dumps(key) + ":"
+            + ("[%s]" % _rows(val, _ROW_JSON, ",", ",") if key == "entries" else _to_json(val))
             for key, val in obj.items()
         )
     if isinstance(obj, (list, tuple)):
@@ -95,12 +98,18 @@ def _to_json(obj) -> str:
     return _fmt(obj) if isinstance(obj, float) else json.dumps(obj)
 
 
-def _k_sources(ks: tuple[int, ...], sep: str) -> str:
-    return str(ks[0]) if len(ks) == 1 else sep.join(map(str, ks))
+def _rows(columns: tuple[tuple, tuple], row: str, sep: str, row_sep: str) -> str:
+    """A spectrum's rows, ``row`` filled with (value, multiplicity, k_sources) each.
 
-
-def _rows_to_json(rows: list[tuple]) -> str:
-    return "[%s]" % ",".join(_ROW_JSON % (v, m, _k_sources(ks, ",")) for v, m, ks in rows)
+    ``columns`` is a table's ``(entries, k_sources)``; the labels of one
+    row are joined by ``sep`` and the rows by ``row_sep``, and one ``%``
+    applies the repeated template to every row's fields at once.
+    """
+    pairs, sources = columns
+    values, mults = zip(*pairs)
+    labels = [str(ks[0]) if len(ks) == 1 else sep.join(map(str, ks)) for ks in sources]
+    fields = tuple(itertools.chain.from_iterable(zip(values, mults, labels)))
+    return row_sep.join([row] * len(values)) % fields
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -117,8 +126,7 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
 def _record_to_csv(results: dict) -> str:
     # no field needs quoting (see the module docstring)
     if "entries" in results:
-        lines = ["value,multiplicity,k_sources"]
-        lines += [_ROW_CSV % (v, m, _k_sources(ks, ";")) for v, m, ks in results["entries"]]
+        lines = ["value,multiplicity,k_sources", _rows(results["entries"], _ROW_CSV, ";", "\n")]
     else:
         lines = ["key,value"]
         _flatten("", results, lines)
@@ -157,10 +165,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Payload:
     }
     return inputs, {
         "truncation_bound": table.truncation_bound,
-        "entries": [
-            (entry.value, entry.multiplicity, ks)
-            for entry, ks in zip(table.entries, table.k_sources)
-        ],
+        "entries": (table.entries, table.k_sources),
         "eigenvalues_counted": table.counting_function(table.truncation_bound),
     }
 

@@ -11,6 +11,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class HomsphereError(Exception):
@@ -96,18 +97,28 @@ def classify(t: MetricTriple) -> MetricClass:
     return MetricClass.GENERIC
 
 
-@dataclass(frozen=True, slots=True)
-class EigenPair:
-    """A distinct Laplace eigenvalue together with its multiplicity."""
-
+class _EigenPairFields(NamedTuple):
     value: float
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError(f"eigenvalue must be nonnegative, got {self.value}")
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
+
+class EigenPair(_EigenPairFields):
+    """A distinct Laplace eigenvalue together with its multiplicity.
+
+    A validated tuple: it compares equal to ``(value, multiplicity)``.
+    The constructor rejects a negative value and a multiplicity below 1;
+    ``spectrum`` builds its entries with ``tuple.__new__`` instead, and
+    ``SpectrumTable`` checks the whole table at once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, multiplicity: int) -> EigenPair:
+        if value < 0.0:
+            raise ValueError(f"eigenvalue must be nonnegative, got {value}")
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+        return super().__new__(cls, value, multiplicity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,19 +137,22 @@ class SpectrumTable:
     k_sources: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        vals = [e.value for e in self.entries]
-        if not all(map(operator.lt, vals, vals[1:])):
+        if not self.entries:
+            return
+        values, mults = zip(*self.entries)
+        # strict increase from (0, 1) also puts every value at >= 0
+        if not all(map(operator.lt, values, values[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
-        if self.entries:
-            first = self.entries[0]
-            if first.value != 0.0 or first.multiplicity != 1:
-                raise ValueError("first spectrum entry must be (0, 1)")
-            if vals[-1] > self.truncation_bound:
-                raise ValueError("spectrum entry exceeds the truncation bound")
+        if self.entries[0] != (0.0, 1):
+            raise ValueError("first spectrum entry must be (0, 1)")
+        if min(mults) < 1:
+            raise ValueError("spectrum multiplicities must be >= 1")
+        if values[-1] > self.truncation_bound:
+            raise ValueError("spectrum entry exceeds the truncation bound")
 
     def counting_function(self, lam: float) -> int:
         """Number of eigenvalues <= lam, counted with multiplicity."""
-        return sum(e.multiplicity for e in self.entries if e.value <= lam)
+        return sum([m for v, m in self.entries if v <= lam])
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,16 +13,17 @@ whose derivative comes from the same pivot recurrence; the bracket
 guards every step, and counts certify the result to the same width as
 a bisected midpoint.  This needs no second kernel: QL would need a
 fallback for a value that fails its certificate.  ``eigen_block``
-solves the Wang halves of one irrep, or reads the eigenvalues off the
-diagonal when two parameters are equal; either way it returns exactly
-the values <= its bound, and for odd k one value per Wang mirror pair.
+solves the Wang halves of one irrep, or, for per-block callers, reads
+the eigenvalues off the diagonal when two parameters are equal; either
+way it returns exactly the values <= its bound, and for odd k one value
+per Wang mirror pair.
 """
 
 from __future__ import annotations
 
 import math
 
-from .casimir import TridiagBlock, _diagonal, _wang_halves
+from .casimir import TridiagBlock, _diagonal, _diagonal_squares, _wang_halves
 from .core import HomsphereError, MetricTriple
 
 _EPS = 2.0**-52
@@ -212,13 +213,16 @@ def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float
     eigenvalues are returned.  Each value is bitwise what an unbounded
     call gives.  When b = c the matrix is already diagonal, and when
     a = b > c the metric is isometric to (c, a, b), whose matrix is
-    diagonal in the same way: the solver is bypassed and the entries
-    <= ``upper`` are bitwise the closed Berger eigenvalues
-    ``oracle.berger_eigenvalue``.  Entries l and k-l are bitwise equal,
-    so only l <= k/2 are evaluated, and for even k the mirror
-    l = k/2-1, ..., 0 is copied.  Otherwise ``eigenvalues`` solves the
-    halves of ``casimir._wang_halves`` below ``upper``: for odd k the even
-    block, for even k its four halves of about k/4 rows.  With b >= 1
+    diagonal in the same way (``casimir._diagonal_squares``): the solver
+    is bypassed and the entries <= ``upper`` are bitwise the closed
+    Berger eigenvalues ``oracle.berger_eigenvalue``.  Entries l and k-l
+    are bitwise equal, so only l <= k/2 are evaluated, and for even k the
+    mirror l = k/2-1, ..., 0 is copied.  This branch serves per-block
+    callers only: ``spectrum_up_to`` reads such tables off the diagonal
+    in runs and never calls this function for them.  Otherwise
+    ``eigenvalues`` solves the halves of ``casimir._wang_halves`` below
+    ``upper``: for odd k the even block, for even k its four halves of
+    about k/4 rows.  With b >= 1
     every positive eigenvalue is at least 2, so the floor of the stopping
     width never binds; this is why ``spectrum_up_to`` calls it at a
     power-of-two scale with b in [1, 2).
@@ -226,9 +230,9 @@ def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float
     Raises:
         OverflowError: if a block entry leaves the float range.
     """
-    if t.b == t.c or t.a == t.b:
-        a, b, c = t.as_tuple() if t.b == t.c else (t.c, t.a, t.b)
-        values = _diagonal(k, a * a, b * b + c * c, range(k // 2 + 1))
+    squares = _diagonal_squares(t)
+    if squares is not None:
+        values = _diagonal(k, *squares, range(k // 2 + 1))
         if not k % 2:
             values += values[-2::-1]
         return tuple(sorted([v for v in values if v <= upper]))

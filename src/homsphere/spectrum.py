@@ -16,8 +16,10 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
+from .casimir import _diagonal_squares
 from .core import (
     EigenPair,
     GroupKind,
@@ -141,19 +143,22 @@ def _cluster(
     """Merge near-equal eigenvalue contributions into (value, multiplicity) pairs.
 
     ``contributions`` holds (value, multiplicity, source_k) records, where
-    the multiplicity is the weight of one returned block value: k+1, or
-    2(k+1) for an odd-k value that stands for its Wang mirror too.  They
-    are sorted on the value alone.  A value is merged into the open
+    the multiplicity is the weight of the value: k+1 for an eigenvalue of
+    irrep k, and 2(k+1) for one that stands for a Wang mirror pair (an
+    odd-k solved value, or a diagonal entry l < k/2 with its mirror k-l).
+    They are sorted on the value alone.  A value is merged into the open
     cluster when it exceeds the cluster's first (smallest) value, its
     representative, by at most DEFAULT_CLUSTER_TOL times that value.  A
     value that opens a new cluster above ``lam_max`` ends the table, so
     values above the bound count only as copies of a representative
     below it.  Merges with a relative gap above 1e-10 are reported via
     ClusterMergeWarning, since they may indicate an accidental
-    near-degeneracy rather than a genuinely repeated eigenvalue.
+    near-degeneracy rather than a genuinely repeated eigenvalue.  The
+    entries are built unchecked; ``SpectrumTable`` checks them.
     """
     ordered = sorted(contributions, key=itemgetter(0))
-    entries: list[EigenPair] = []
+    reps: list[float] = []
+    mults: list[int] = []
     sources: list[tuple[int, ...]] = []
     suspicious: list[tuple[float, float]] = []
     # the open cluster; the first value joins it, since 0 <= tol * value
@@ -168,10 +173,12 @@ def _cluster(
         elif value > lam_max:
             break
         else:
-            entries.append(EigenPair(rep, mult))
+            reps.append(rep)
+            mults.append(mult)
             sources.append(ks)
             rep, mult, ks = value, m, (k,)
-    entries.append(EigenPair(rep, mult))
+    reps.append(rep)
+    mults.append(mult)
     sources.append(ks)
     if suspicious:
         detail = ", ".join(f"{v:.12g} (gap {g:.3e})" for v, g in suspicious)
@@ -180,7 +187,7 @@ def _cluster(
             ClusterMergeWarning,
             stacklevel=_caller_stacklevel(),
         )
-    return tuple(entries), tuple(sources)
+    return tuple(map(tuple.__new__, repeat(EigenPair), zip(reps, mults))), tuple(sources)
 
 
 def _caller_stacklevel() -> int:
@@ -197,21 +204,58 @@ def _caller_stacklevel() -> int:
     return level
 
 
+def _diagonal_runs(
+    cutoff: int, step: int, a2: float, bc2: float, upper: float, shift: int
+) -> list[tuple[float, int, int]]:
+    """(value, weight, k) records of the diagonal blocks k <= ``cutoff``, one per mirror pair.
+
+    With d = k-2l >= 0 and p = l, entry l of block k is
+    d^2 a2 + (2p(p+d+1) + d) bc2: the integer coefficients of
+    ``casimir._diagonal``, so the floats are bitwise the same.  Entry k-l
+    equals entry l, so the pair is one record of weight 2(k+1) when
+    d > 0, and the middle entry d = 0 weighs k+1.  For fixed d the values
+    never decrease in p, since rounding is monotone, so each d gives a
+    sorted run, read up to its first value above ``upper`` or its first
+    k above ``cutoff``.  The starts d^2 a2 never decrease in d either, so
+    the first start above ``upper`` ends the walk; so does a start of
+    0 * inf, NaN, where a2 overflowed and no entry is <= ``upper``.  With
+    ``step`` = 2 (SO(3), even k only) d is even too.  Values are scaled
+    by 2^``shift``.
+    """
+    out = []
+    for d in range(0, cutoff + 1, step):
+        start = d * d * a2
+        if not start <= upper:
+            break
+        double = 2 if d else 1
+        coeff = d  # 2p(p+d+1) + d at p = 0; p+1 exceeds p by 2k + 4
+        for k in range(d, cutoff + 1, 2):
+            value = start + coeff * bc2
+            if value > upper:
+                break
+            out.append((math.ldexp(value, shift), (k + 1) * double, k))
+            coeff += 2 * k + 4
+    return out
+
+
 def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTable:
     """All distinct eigenvalues <= lam_max with multiplicities (inclusive bound).
 
-    Takes the eigenvalues of one Casimir block per admissible irrep (even
-    k only for SO(3)) from ``eigen_block``, so a triple with two equal
-    parameters gets its closed form and any other the solver, which works
-    only below the bound.  Each value is weighted by the irrep dimension
-    k+1, and an odd-k value by 2(k+1), since ``eigen_block`` returns one
-    value per Wang mirror pair there.  Equal values are then clustered.
-    Blocks are cut off, solved and clustered up to lam_max (1 +
-    DEFAULT_CLUSTER_TOL), capped at the largest float, and the clusters
-    whose representative exceeds lam_max are dropped: every copy of a
-    value <= lam_max is counted, even where the copies, or the envelope of
-    ``k_cutoff``, round to either side of the bound.  The result is
-    complete below ``lam_max``.  The blocks are solved for the triple
+    A triple with two equal parameters has diagonal Casimir blocks, so its
+    values are read off the closed form in sorted runs, one per distance
+    d = k-2l from the middle of a block (``_diagonal_runs``): one record
+    per mirror pair l, k-l, weighted 2(k+1), and k+1 for the middle
+    entry.  Any other triple takes the eigenvalues of one Casimir block
+    per admissible irrep (even k only for SO(3)) from ``eigen_block``,
+    whose solver works only below the bound: each value is weighted by
+    the irrep dimension k+1, and an odd-k value by 2(k+1), since
+    ``eigen_block`` returns one value per Wang mirror pair there.  Equal
+    values are then clustered.  Blocks are cut off, solved and clustered
+    up to lam_max (1 + DEFAULT_CLUSTER_TOL), capped at the largest float,
+    and the clusters whose representative exceeds lam_max are dropped:
+    every copy of a value <= lam_max is counted, even where the copies, or
+    the envelope of ``k_cutoff``, round to either side of the bound.  The
+    result is complete below ``lam_max``.  The blocks are solved for the triple
     scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
     4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
     value by 4^j exactly.
@@ -234,12 +278,17 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     h = math.frexp(t.b)[1] - 1
     unit = MetricTriple(*(math.ldexp(x, -h) for x in t.as_tuple()))
     upper_unit = math.ldexp(upper, -2 * h)
-    contributions = []
-    for k in range(0, cutoff + 1, 2 if g is GroupKind.SO3 else 1):
-        weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
-        contributions += [
-            (math.ldexp(value, 2 * h), weight, k) for value in eigen_block(k, unit, upper_unit)
-        ]
+    step = 2 if g is GroupKind.SO3 else 1
+    squares = _diagonal_squares(unit)
+    if squares is not None:
+        contributions = _diagonal_runs(cutoff, step, *squares, upper_unit, 2 * h)
+    else:
+        contributions = []
+        for k in range(0, cutoff + 1, step):
+            weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
+            contributions += [
+                (math.ldexp(value, 2 * h), weight, k) for value in eigen_block(k, unit, upper_unit)
+            ]
     entries, sources = _cluster(contributions, lam_max)
     return SpectrumTable(
         entries=entries,
@@ -256,9 +305,9 @@ def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> S
     The same table as ``spectrum_up_to`` on ``normalize_triple(a, b, b)``:
     no eigensolver runs, since block k is diagonal with entries bitwise
     equal to ``oracle.berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of
-    multiplicity k+1.  Entries j and k-j are bitwise equal, so only
-    j <= k/2 are evaluated (see ``eigen_block``).  Works for either
-    parameter order (a >= b or a < b).
+    multiplicity k+1.  Entries j and k-j are bitwise equal, so each pair
+    is evaluated once, in the sorted runs of ``_diagonal_runs``.  Works for
+    either parameter order (a >= b or a < b).
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.

@@ -586,6 +586,19 @@ PINNED_STDOUT = {
     # generic, blocks up to k = 25, so thirteen odd-k blocks
     "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 500":
         "78eee1d3649cb9a18c12854cdf623fb182c45f916c7911681caecb3399414a41",
+    # round: every diagonal run of the closed form meets the others at
+    # k(k+2) a^2, so exact ties across runs are merged
+    "spectrum --a 1 --b 1 --c 1 --group so3 --lambda-max 500 --berger-closed-form":
+        "249e3bf32d3ab605fa11f1d26747bd334d5136eefceb140ef13a1d4551bacaf4",
+    "spectrum --a 1 --b 1 --c 1 --group so3 --lambda-max 500 --berger-closed-form --format csv":
+        "50ed9407ad98bada84c4b44779f6a6cda19c544e77738cb0afc516d3fb90477f",
+    # the bound is the table's own last entry, 44.549999999999997 of
+    # multiplicity 48 from k = 7 and k = 15
+    "spectrum --a 0.9 --b 0.9 --c 0.3 --group su2 --lambda-max 44.55 --berger-closed-form":
+        "fb43cba7c5db22d3aa02598d303f93e68890ede9825c642d20516ff650ca0d17",
+    "spectrum --a 0.9 --b 0.9 --c 0.3 --group su2 --lambda-max 44.55 --berger-closed-form"
+    " --format csv":
+        "b8e1f060fc32d08806c160f7a46dbb610077f7d8a5b9aecedb87d12d179a9a38",
 }
 
 

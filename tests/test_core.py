@@ -89,3 +89,16 @@ def test_spectrum_table_invariants():
             group=GroupKind.SU2,
             triple=t,
         )
+
+
+def test_spectrum_table_rejects_a_multiplicity_below_one():
+    # entries built unchecked, as spectrum._cluster builds them
+    unchecked = tuple.__new__(EigenPair, (1.0, 0))
+    assert unchecked == (1.0, 0) and unchecked.multiplicity == 0
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        SpectrumTable(
+            entries=(EigenPair(0.0, 1), unchecked),
+            truncation_bound=5.0,
+            group=GroupKind.SU2,
+            triple=MetricTriple(1, 1, 1),
+        )

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import types
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import homsphere
-from homsphere import casimir, eigensolve, oracle
+from homsphere import casimir, eigensolve, oracle, spectrum
 from homsphere.oracle import (
     NotFound,
     berger_eigenvalue,
@@ -289,7 +290,9 @@ def test_berger_spectrum_handles_swapped_parameters():
     assert closed.k_sources == numeric.k_sources
 
 
-@pytest.mark.parametrize("triple", [(1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7)])
+@pytest.mark.parametrize(
+    "triple", [(1.3, 1.3, 1.3), (1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7)]
+)
 @pytest.mark.parametrize("g", [SU2, SO3])
 def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
     def refuse(*args, **kwargs):
@@ -297,8 +300,54 @@ def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
 
     monkeypatch.setattr(eigensolve, "eigenvalues", refuse)
     monkeypatch.setattr(eigensolve, "_wang_halves", refuse)
+    # the table is read off the diagonal in runs, not block by block
+    monkeypatch.setattr(spectrum, "eigen_block", refuse)
     table = spectrum_up_to(80.0, MetricTriple(*triple), g)
-    assert table.entries[0].value == 0.0 and len(table.entries) > 2
+    assert table.entries[0] == (0.0, 1) and len(table.entries) > 2
+
+
+def _per_block_table(lam, t, g):
+    """The closed-form table assembled block by block, as before the diagonal runs.
+
+    ``eigen_block`` per admissible k at the unit scale of ``spectrum_up_to``,
+    each value weighted (k+1)(1 + k%2) and scaled back by ``ldexp``, then
+    ``spectrum._cluster``.
+    """
+    upper = min(lam * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)
+    h = math.frexp(t.b)[1] - 1
+    unit = MetricTriple(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    contributions = []
+    for k in range(0, k_cutoff(upper, t, g) + 1, 2 if g is SO3 else 1):
+        weight = (k + 1) * (1 + k % 2)
+        contributions += [(math.ldexp(value, 2 * h), weight, k)
+                          for value in eigen_block(k, unit, math.ldexp(upper, -2 * h))]
+    return spectrum._cluster(contributions, lam)
+
+
+def test_diagonal_runs_equal_the_per_block_assembly_bitwise():
+    # round, a = b > c and a > b = c at scales 10^U(-150, 150), both
+    # groups, bounds at an entry and 1 ulp either side of it
+    rng = random.Random(19)
+    for i in range(120):
+        s = 10.0 ** rng.uniform(-150, 150)
+        r = 10.0 ** rng.uniform(-1, 1)
+        lo, hi = min(r, 1 / r) * s, max(r, 1 / r) * s
+        t = normalize_triple(*((s, s, s), (s, s, lo), (hi, s, s))[i % 3])
+        g = (SU2, SO3)[i // 3 % 2]
+        k = rng.randint(2, 40)
+        full = spectrum_up_to(2 * k * t.b * t.b + k * k * t.c * t.c, t, g)
+        entry = full.entries[rng.randrange(len(full.entries))].value
+        for lam in (entry, math.nextafter(entry, 0.0), math.nextafter(entry, math.inf)):
+            if lam == 0.0:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", spectrum.ClusterMergeWarning)
+                table = spectrum_up_to(lam, t, g)
+                entries, sources = _per_block_table(lam, t, g)
+            assert [(v.hex(), m) for v, m in table.entries] == [
+                (v.hex(), m) for v, m in entries
+            ], (t, g, lam)
+            assert table.k_sources == sources, (t, g, lam)
 
 
 def test_mu_index_examples():
