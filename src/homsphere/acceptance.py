@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import TridiagBlock, _wang_halves
+from .casimir import _squares, _wang_halves
 from .core import GroupKind, MetricTriple
 from .eigensolve import eigen_block
 from .geometry import (
@@ -174,13 +174,13 @@ def criterion_2() -> CriterionResult:
     )
 
 
-def _stacked_eigvalsh(blocks: tuple[TridiagBlock, ...]) -> np.ndarray:
-    """Eigenvalues of same-sized tridiagonal blocks by one dense LAPACK call."""
-    n = blocks[0].n
+def _stacked_eigvalsh(blocks: tuple[tuple[list[float], list[float]], ...]) -> np.ndarray:
+    """Eigenvalues of same-sized (diagonal, off-diagonal) blocks by one dense LAPACK call."""
+    n = len(blocks[0][0])
     dense = np.zeros((len(blocks), n, n))
     i = np.arange(n)
-    dense[:, i, i] = [b.diag for b in blocks]
-    dense[:, i[1:], i[:-1]] = [b.offdiag for b in blocks]  # eigvalsh reads the lower half
+    dense[:, i, i] = [diag for diag, _ in blocks]
+    dense[:, i[1:], i[:-1]] = [off for _, off in blocks]  # eigvalsh reads the lower half
     return np.linalg.eigvalsh(dense)
 
 
@@ -191,8 +191,10 @@ def criterion_3() -> CriterionResult:
     violations = 0
     checked = 0
     for k in range(1, 51):
-        # the i-th Wang half has the same size for every triple
-        halves = zip(*(_wang_halves(k, t) for t in samples))
+        # the halves of each triple as given, from its own squares (no
+        # diagonal shortcut); the i-th half has the same size for every triple
+        halves = zip(*(_wang_halves(k, t.a * t.a, t.b * t.b + t.c * t.c, t.c * t.c - t.b * t.b)
+                       for t in samples))
         values = np.concatenate([_stacked_eigvalsh(stack) for stack in halves], axis=1)
         for t, eigs in zip(samples, values):
             if k % 2:
@@ -233,7 +235,7 @@ def criterion_4() -> CriterionResult:
     for t in samples:
         for k in range(13):
             # an odd block returns one value per Wang mirror pair
-            solved = np.repeat(eigen_block(k, t), 1 + k % 2)
+            solved = np.repeat(eigen_block(k, *_squares(t.a, t.b, t.c)), 1 + k % 2)
             dense = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
             rel = float(np.max(np.abs(dense - solved) / np.maximum(1.0, np.abs(dense))))
             worst = max(worst, rel)

@@ -8,36 +8,35 @@ reordering the basis into even and odd indices splits it into two
 symmetric tridiagonal blocks.  The symmetry l <-> k-l splits those
 blocks again, into halves of about k/4 rows, and ``_wang_halves``, the
 only assembly, writes the halves directly from the closed entries in
-O(k).  The dense matrix, its generator construction and the
-symmetrize/split steps live in ``homsphere.oracle`` as independent
-references: the full blocks come only from that chain.  Entries are
-plain Python floats, so nothing here needs numpy.
+O(k), as (diagonal, off-diagonal) pairs of plain lists.  Every entry
+depends on the triple only through the three squares of ``_squares``,
+which a caller forms once for all its blocks.  The dense matrix, its
+generator construction, the symmetrize/split steps and the
+``TridiagBlock`` that holds a full block live in ``homsphere.oracle`` as
+independent references: the full blocks come only from that chain.
+Entries are plain Python floats, so nothing here needs numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .core import MetricTriple
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class TridiagBlock:
-    """A real symmetric tridiagonal matrix stored as diagonal/off-diagonal."""
+def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
+    """(a^2, b^2 + c^2, c^2 - b^2) of a descending triple: all the entries need.
 
-    diag: tuple[float, ...]
-    offdiag: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
-            raise ValueError("offdiag must have length len(diag) - 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
+    The last is None when two parameters are equal: with b = c the
+    matrices are diagonal, and with a = b > c the metric is isometric to
+    (c, a, b), whose matrices are diagonal in the same way, so its first
+    two squares are returned.  Equality is tested on the parameters, not
+    on squares that may underflow.
+    """
+    if a == b:
+        a, c = c, a
+    b2, c2 = b * b, c * c
+    return a * a, b2 + c2, None if b == c else c2 - b2
 
 
 def _diagonal(k: int, a2: float, bc2: float, ls: range | None = None) -> list[float]:
@@ -52,21 +51,6 @@ def _diagonal(k: int, a2: float, bc2: float, ls: range | None = None) -> list[fl
     if ls is None:
         ls = range(k + 1)
     return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
-
-
-def _diagonal_squares(t: MetricTriple) -> tuple[float, float] | None:
-    """(a^2, b^2 + c^2) for ``_diagonal`` when two parameters are equal, else None.
-
-    With b = c the matrices are diagonal.  With a = b > c the metric is
-    isometric to (c, a, b), whose matrices are diagonal in the same way.
-    """
-    if t.b == t.c:
-        a, b, c = t.as_tuple()
-    elif t.a == t.b:
-        a, b, c = t.c, t.a, t.b
-    else:
-        return None
-    return a * a, b * b + c * c
 
 
 def _parity_entries(
@@ -90,14 +74,17 @@ def _parity_entries(
     return diag, coupling
 
 
-def _wang_halves(k: int, t: MetricTriple) -> tuple[TridiagBlock, ...]:
-    """Blocks whose eigenvalues, the odd-k ones counted twice, are those of irrep k.
+def _wang_halves(
+    k: int, a2: float, bc2: float, off: float
+) -> list[tuple[list[float], list[float]]]:
+    """(diag, offdiag) lists whose eigenvalues, the odd-k ones twice, are those of irrep k.
 
-    The matrix is persymmetric under l <-> k-l (Wang 1929).  For odd k
-    that map swaps even and odd indices, so the odd block is the even
-    block reversed: only the even block is returned.  For even k it
-    reverses each block, and a block of size n splits into a symmetric
-    and an antisymmetric half:
+    ``a2``, ``bc2`` and ``off`` are the squares of ``_squares``.  The
+    matrix is persymmetric under l <-> k-l (Wang 1929).  For odd k that
+    map swaps even and odd indices, so the odd block is the even block
+    reversed: only the even block is returned.  For even k it reverses
+    each block, and a block of size n splits into a symmetric and an
+    antisymmetric half:
 
     * n = 2m+1: d[:m+1] with its last coupling times sqrt 2, and d[:m];
     * n = 2m: d[:m] with its last diagonal entry d_{m-1} + e_{m-1}, and
@@ -107,25 +94,23 @@ def _wang_halves(k: int, t: MetricTriple) -> tuple[TridiagBlock, ...]:
     bitwise those of the block that
     ``oracle.tridiagonal_split(oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)``
     produces.  The couplings of a block are persymmetric only to an ulp,
-    so its second half is never read.
+    so its second half is never read.  The two halves of a block of even
+    size share one off-diagonal list.
     """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    bc2, off = b2 + c2, c2 - b2
     if k % 2:
         n = (k + 1) // 2
-        diag, coupling = _parity_entries(k, a2, bc2, off, 0, n, n - 1)
-        return (TridiagBlock(diag=tuple(diag), offdiag=tuple(coupling)),)
+        return [_parity_entries(k, a2, bc2, off, 0, n, n - 1)]
     halves = []
     for p in (0, 1) if k else (0,):
         m, odd = divmod((k - p) // 2 + 1, 2)
         diag, coupling = _parity_entries(k, a2, bc2, off, p, m + odd, m)
         if odd:
             if m:
-                halves.append(TridiagBlock(diag=tuple(diag[:m]), offdiag=tuple(coupling[:-1])))
+                halves.append((diag[:m], coupling[:-1]))
                 coupling[-1] *= _SQRT2
-            halves.append(TridiagBlock(diag=tuple(diag), offdiag=tuple(coupling)))
+            halves.append((diag, coupling))
         else:
             d, e = diag.pop(), coupling.pop()
-            halves.append(TridiagBlock(diag=(*diag, d + e), offdiag=tuple(coupling)))
-            halves.append(TridiagBlock(diag=(*diag, d - e), offdiag=tuple(coupling)))
-    return tuple(halves)
+            halves.append((diag + [d + e], coupling))
+            halves.append((diag + [d - e], coupling))
+    return halves

@@ -12,19 +12,24 @@ one index is finished by Newton steps on the characteristic polynomial,
 whose derivative comes from the same pivot recurrence; the bracket
 guards every step, and counts certify the result to the same width as
 a bisected midpoint.  This needs no second kernel: QL would need a
-fallback for a value that fails its certificate.  ``eigen_block``
-solves the Wang halves of one irrep, or, for per-block callers, reads
-the eigenvalues off the diagonal when two parameters are equal; either
-way it returns exactly the values <= its bound, and for odd k one value
-per Wang mirror pair.
+fallback for a value that fails its certificate.  A block is given as
+its diagonal and off-diagonal sequences, the plain lists of
+``casimir._wang_halves``; the ``TridiagBlock`` that holds a full block
+lives in ``homsphere.oracle``.  ``eigen_block`` solves the Wang halves
+of one irrep from the three squares of ``casimir._squares``, which
+``spectrum_up_to`` forms once per table, and reads the eigenvalues off
+the diagonal when two parameters are equal.
+Either way exactly the values <= the bound come back, and for odd k one
+value per Wang mirror pair.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
-from .casimir import TridiagBlock, _diagonal, _diagonal_squares, _wang_halves
-from .core import HomsphereError, MetricTriple
+from .casimir import _diagonal, _wang_halves
+from .core import HomsphereError
 
 _EPS = 2.0**-52
 # bisection stops at a bracket width of TOL * max(1, |midpoint|); a Newton
@@ -36,8 +41,13 @@ class NonConvergence(HomsphereError, RuntimeError):
     """Bisection cannot shrink an eigenvalue bracket to the tolerance."""
 
 
-def eigenvalues(t: TridiagBlock, upper: float = math.inf) -> tuple[float, ...]:
+def eigenvalues(
+    diag: Sequence[float], offdiag: Sequence[float], upper: float = math.inf
+) -> tuple[float, ...]:
     """The eigenvalues <= ``upper`` of a symmetric tridiagonal block, sorted.
+
+    The block has the diagonal ``diag`` and the off-diagonal ``offdiag``,
+    one entry shorter.
 
     Bisection starts from one bracket, the Gershgorin hull, holding every
     index.  Each bracket [lo, hi] holds the indices first..last-1; the
@@ -52,12 +62,14 @@ def eigenvalues(t: TridiagBlock, upper: float = math.inf) -> tuple[float, ...]:
     unbounded call gives.  A 1x1 block gives its entry.
 
     Raises:
+        ValueError: if ``offdiag`` is not one entry shorter than ``diag``.
         OverflowError: if an entry or a squared coupling is not finite.
         NonConvergence: if the midpoint of a bracket is not strictly inside
             it before the width test passes (a NaN entry).
     """
-    n = t.n
-    diag = t.diag
+    n = len(diag)
+    if len(offdiag) != max(n - 1, 0):
+        raise ValueError("offdiag must have length len(diag) - 1")
     if n == 1:
         value = diag[0]
         if not math.isfinite(value):
@@ -65,9 +77,8 @@ def eigenvalues(t: TridiagBlock, upper: float = math.inf) -> tuple[float, ...]:
         return (value,) if value <= upper else ()
     if n == 0:
         return ()
-    off = t.offdiag
-    off2 = [v * v for v in off]
-    absoff = [abs(v) for v in off]
+    off2 = [v * v for v in offdiag]
+    absoff = [abs(v) for v in offdiag]
     radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
     lo0 = min([d - r for d, r in zip(diag, radius)])
     hi0 = max([d + r for d, r in zip(diag, radius)])
@@ -202,40 +213,45 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
         prev = hi - lo
 
 
-def eigen_block(k: int, t: MetricTriple, upper: float = math.inf) -> tuple[float, ...]:
+def eigen_block(
+    k: int, a2: float, bc2: float, off: float | None, upper: float = math.inf
+) -> tuple[float, ...]:
     """Sorted eigenvalues <= ``upper`` of irrep k, one per Wang mirror pair if k is odd.
 
+    ``a2``, ``bc2`` and ``off`` are the squares ``casimir._squares``
+    gives for the triple, so a caller forms them once for all its
+    blocks: ``eigen_block(k, *_squares(t.a, t.b, t.c))`` for a triple t.
     The matrix is persymmetric under l <-> k-l (Wang 1929).  For odd k
     that map swaps the even and odd parity blocks, so the block of the
     even indices, whose (k+1)/2 eigenvalues are returned, carries the
     spectrum: every value is an eigenvalue of multiplicity 2 in the
     matrix, and ``spectrum_up_to`` weights it 2(k+1).  For even k all k+1
     eigenvalues are returned.  Each value is bitwise what an unbounded
-    call gives.  When b = c the matrix is already diagonal, and when
-    a = b > c the metric is isometric to (c, a, b), whose matrix is
-    diagonal in the same way (``casimir._diagonal_squares``): the solver
-    is bypassed and the entries <= ``upper`` are bitwise the closed
-    Berger eigenvalues ``oracle.berger_eigenvalue``.  Entries l and k-l
-    are bitwise equal, so only l <= k/2 are evaluated, and for even k the
-    mirror l = k/2-1, ..., 0 is copied.  This branch serves per-block
-    callers only: ``spectrum_up_to`` reads such tables off the diagonal
-    in runs and never calls this function for them.  Otherwise
-    ``eigenvalues`` solves the halves of ``casimir._wang_halves`` below
-    ``upper``: for odd k the even block, for even k its four halves of
-    about k/4 rows.  With b >= 1
-    every positive eigenvalue is at least 2, so the floor of the stopping
-    width never binds; this is why ``spectrum_up_to`` calls it at a
-    power-of-two scale with b in [1, 2).
+    call gives.  When two parameters are equal (``off`` is None) the
+    matrix is diagonal, or is that of the isometric (c, a, b) when
+    a = b > c: the solver is bypassed and the entries <= ``upper`` are
+    bitwise the closed Berger eigenvalues ``oracle.berger_eigenvalue``.
+    Entries l and k-l are bitwise equal, so only l <= k/2 are evaluated,
+    and for even k the mirror l = k/2-1, ..., 0 is copied.
+    ``spectrum_up_to`` reads such tables off the diagonal in runs
+    instead.  Otherwise ``eigenvalues`` solves each half of
+    ``casimir._wang_halves`` below ``upper``: for odd k the even block,
+    for even k its four halves of about k/4 rows; this is the path
+    ``spectrum_up_to`` takes for every k of any other triple.  With
+    b >= 1 every positive eigenvalue is at least 2, so the floor of the
+    stopping width never binds; this is why ``spectrum_up_to`` solves at
+    a power-of-two scale with b in [1, 2).
 
     Raises:
         OverflowError: if a block entry leaves the float range.
     """
-    squares = _diagonal_squares(t)
-    if squares is not None:
-        values = _diagonal(k, *squares, range(k // 2 + 1))
+    if off is None:
+        values = _diagonal(k, a2, bc2, range(k // 2 + 1))
         if not k % 2:
             values += values[-2::-1]
         return tuple(sorted([v for v in values if v <= upper]))
-    values = [v for half in _wang_halves(k, t) for v in eigenvalues(half, upper)]
+    values = []
+    for diag, offdiag in _wang_halves(k, a2, bc2, off):
+        values += eigenvalues(diag, offdiag, upper)
     values.sort()
     return tuple(values)

@@ -150,12 +150,15 @@ def product_cap(n_su2: int, n_so3: int) -> float:
 def _check_window(what: str, lo: float, hi: float, cap: float) -> None:
     """Raise BoundViolation unless pi^2 < lo and hi <= cap (up to float dust).
 
-    An interval not inside (0, inf) means lambda1 or diam^2 left the float
-    range; that raises OverflowError instead.
+    Both ends get the same relative slack: a lower end that is above pi^2
+    in exact arithmetic can round to pi^2 or just below it, as
+    (1 + c^2/b^2) pi^2 does when c/b is 1e-10.  An interval not inside
+    (0, inf) means lambda1 or diam^2 left the float range; that raises
+    OverflowError instead.
     """
     if not (0.0 < lo and hi < math.inf):
         raise OverflowError(f"{what} [{lo}, {hi}] leaves the floating-point range")
-    if not (lo > math.pi**2 and hi <= cap * (1.0 + _REL_SLACK)):
+    if not (lo > math.pi**2 * (1.0 - _REL_SLACK) and hi <= cap * (1.0 + _REL_SLACK)):
         raise BoundViolation(f"{what} [{lo}, {hi}] escapes (pi^2, {cap}]")
 
 

@@ -13,7 +13,8 @@ against them bit for bit:
 * ``symmetrize`` conjugates the dense matrix by a diagonal of binomial
   square roots into a symmetric one, checking the residue;
 * ``tridiagonal_split`` reorders it into even and odd indices, checking
-  that nothing lies outside the distance-2 pattern.
+  that nothing lies outside the distance-2 pattern, and returns the two
+  blocks as ``TridiagBlock``s.
 
 The other references: ``to_dense`` expands a block for a dense solver,
 ``gershgorin`` gives certified eigenvalue intervals,
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import TridiagBlock, _diagonal
+from .casimir import _diagonal
 from .core import (
     GroupKind,
     HomsphereError,
@@ -56,6 +57,22 @@ class PatternViolation(HomsphereError, ValueError):
 
 class NotFound(HomsphereError, LookupError):
     """No spectrum entry matches the queried eigenvalue."""
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class TridiagBlock:
+    """A real symmetric tridiagonal matrix stored as diagonal/off-diagonal."""
+
+    diag: tuple[float, ...]
+    offdiag: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.offdiag) != max(len(self.diag) - 1, 0):
+            raise ValueError("offdiag must have length len(diag) - 1")
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
 
 
 def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

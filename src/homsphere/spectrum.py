@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .casimir import _diagonal_squares
+from .casimir import _squares
 from .core import (
     EigenPair,
     GroupKind,
@@ -217,15 +217,15 @@ def _diagonal_runs(
     never decrease in p, since rounding is monotone, so each d gives a
     sorted run, read up to its first value above ``upper`` or its first
     k above ``cutoff``.  The starts d^2 a2 never decrease in d either, so
-    the first start above ``upper`` ends the walk; so does a start of
-    0 * inf, NaN, where a2 overflowed and no entry is <= ``upper``.  With
-    ``step`` = 2 (SO(3), even k only) d is even too.  Values are scaled
-    by 2^``shift``.
+    the first start above ``upper`` ends the walk.  The d = 0 entries do
+    not involve a2, so their run starts at 0.0: where a2 overflows, 0 * inf
+    would be NaN, and that run alone is finite.  With ``step`` = 2 (SO(3),
+    even k only) d is even too.  Values are scaled by 2^``shift``.
     """
     out = []
     for d in range(0, cutoff + 1, step):
-        start = d * d * a2
-        if not start <= upper:
+        start = d * d * a2 if d else 0.0
+        if start > upper:
             break
         double = 2 if d else 1
         coeff = d  # 2p(p+d+1) + d at p = 0; p+1 exceeds p by 2k + 4
@@ -258,7 +258,8 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     result is complete below ``lam_max``.  The blocks are solved for the triple
     scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
     4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
-    value by 4^j exactly.
+    value by 4^j exactly.  The squares of the scaled triple
+    (``casimir._squares``) are formed once per table.
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.
@@ -276,18 +277,18 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     except CutoffTooLarge:
         raise CutoffTooLarge(lam_max) from None  # name the caller's bound
     h = math.frexp(t.b)[1] - 1
-    unit = MetricTriple(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    a2, bc2, off = _squares(math.ldexp(t.a, -h), math.ldexp(t.b, -h), math.ldexp(t.c, -h))
     upper_unit = math.ldexp(upper, -2 * h)
     step = 2 if g is GroupKind.SO3 else 1
-    squares = _diagonal_squares(unit)
-    if squares is not None:
-        contributions = _diagonal_runs(cutoff, step, *squares, upper_unit, 2 * h)
+    if off is None:
+        contributions = _diagonal_runs(cutoff, step, a2, bc2, upper_unit, 2 * h)
     else:
         contributions = []
         for k in range(0, cutoff + 1, step):
             weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
             contributions += [
-                (math.ldexp(value, 2 * h), weight, k) for value in eigen_block(k, unit, upper_unit)
+                (math.ldexp(value, 2 * h), weight, k)
+                for value in eigen_block(k, a2, bc2, off, upper_unit)
             ]
     entries, sources = _cluster(contributions, lam_max)
     return SpectrumTable(

@@ -9,7 +9,7 @@ import pytest
 
 from homsphere import eigensolve
 from homsphere.acceptance import ALL_CRITERIA, criterion_4
-from homsphere.casimir import TridiagBlock, _wang_halves
+from homsphere.casimir import _wang_halves
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
@@ -21,14 +21,13 @@ def test_criterion(criterion):
 
 def test_criterion_4_checks_the_halves_the_solver_solves(monkeypatch):
     # one coupling of one Wang half off by 1e-6 relative, as eigen_block sees it
-    def skewed(k, t):
-        halves = list(_wang_halves(k, t))
-        for i, half in enumerate(halves):
-            if half.offdiag:
-                off = (half.offdiag[0] * (1 + 1e-6), *half.offdiag[1:])
-                halves[i] = TridiagBlock(diag=half.diag, offdiag=off)
+    def skewed(k, a2, bc2, off):
+        halves = _wang_halves(k, a2, bc2, off)
+        for i, (diag, offdiag) in enumerate(halves):
+            if offdiag:
+                halves[i] = (diag, [offdiag[0] * (1 + 1e-6), *offdiag[1:]])
                 break
-        return tuple(halves)
+        return halves
 
     monkeypatch.setattr(eigensolve, "_wang_halves", skewed)
     result = criterion_4()

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from homsphere.casimir import TridiagBlock, _wang_halves
+from homsphere.casimir import _squares, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
     PatternViolation,
+    TridiagBlock,
     casimir_matrix,
     casimir_matrix_oracle,
     generator_matrices,
@@ -219,6 +220,23 @@ WANG_TRIPLES = [
 ]
 
 
+def _halves(k, t):
+    """``_wang_halves`` for the squares of the triple as given, as ``TridiagBlock``s."""
+    b2, c2 = t.b * t.b, t.c * t.c
+    halves = _wang_halves(k, t.a * t.a, b2 + c2, c2 - b2)
+    return [TridiagBlock(diag=tuple(d), offdiag=tuple(e)) for d, e in halves]
+
+
+def test_squares_of_generic_and_diagonal_triples():
+    t = MetricTriple(2.9, 1.7, 0.8)
+    assert _squares(t.a, t.b, t.c) == (t.a * t.a, t.b * t.b + t.c * t.c, t.c * t.c - t.b * t.b)
+    # two equal parameters: the squares of the diagonal form, (c, a, b) for a = b
+    assert _squares(2.5, 0.7, 0.7) == (2.5 * 2.5, 0.7 * 0.7 + 0.7 * 0.7, None)
+    assert _squares(1.3, 1.3, 0.6) == (0.6 * 0.6, 1.3 * 1.3 + 1.3 * 1.3, None)
+    # equality is read off the parameters, not off squares that underflow to 0
+    assert _squares(1.0, 1e-170, 1e-171) == (1.0, 0.0, 0.0)
+
+
 def _halves_of_blocks(k, t):
     """The Wang halves cut from the full blocks of the dense oracle chain."""
     even, odd = _blocks(k, t)
@@ -247,13 +265,13 @@ def _bits(block):
 def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
     # bitwise, so the one direct assembly agrees with the dense chain entry by entry
     for k in (*range(41), 50, 199, 400):
-        got = collections.Counter(map(_bits, _wang_halves(k, t)))
+        got = collections.Counter(map(_bits, _halves(k, t)))
         assert got == collections.Counter(map(_bits, _halves_of_blocks(k, t)))
 
 
 def test_wang_half_sizes():
     t = WANG_TRIPLES[0]
-    sizes = {k: sorted(h.n for h in _wang_halves(k, t)) for k in range(8)}
+    sizes = {k: sorted(h.n for h in _halves(k, t)) for k in range(8)}
     assert sizes == {
         0: [1], 1: [1], 2: [1, 1, 1], 3: [2], 4: [1, 1, 1, 2], 5: [3],
         6: [1, 2, 2, 2], 7: [4],
@@ -262,14 +280,15 @@ def test_wang_half_sizes():
 
 @pytest.mark.parametrize("t", WANG_TRIPLES, ids=repr)
 def test_wang_halves_carry_the_spectrum(t):
+    sq = _squares(t.a, t.b, t.c)
     for k in range(41):
         dense = np.linalg.eigvalsh(symmetrize(casimir_matrix(k, t), k))
         scale = 1e-12 * max(1.0, float(np.abs(dense).max()))
-        halves = [np.linalg.eigvalsh(to_dense(h)) for h in _wang_halves(k, t)]
+        halves = [np.linalg.eigvalsh(to_dense(h)) for h in _halves(k, t)]
         union = np.sort(np.concatenate(halves * (2 if k % 2 else 1)))
         assert np.allclose(union, dense, rtol=0.0, atol=scale)
         # an odd block gives one value per Wang mirror pair
-        assert np.allclose(np.repeat(eigen_block(k, t), 1 + k % 2), dense, rtol=0.0, atol=scale)
+        assert np.allclose(np.repeat(eigen_block(k, *sq), 1 + k % 2), dense, rtol=0.0, atol=scale)
 
 
 @pytest.mark.parametrize("t", WANG_TRIPLES, ids=repr)
@@ -278,7 +297,7 @@ def test_odd_k_values_come_in_exact_pairs(t):
     for k in range(1, 60, 2):
         dense = np.linalg.eigvalsh(symmetrize(casimir_matrix(k, t), k))
         scale = 1e-12 * max(1.0, float(np.abs(dense).max()))
-        got = eigen_block(k, t)
+        got = eigen_block(k, *_squares(t.a, t.b, t.c))
         assert len(got) == (k + 1) // 2
         assert np.allclose(got, dense[0::2], rtol=0.0, atol=scale)
         assert np.allclose(got, dense[1::2], rtol=0.0, atol=scale)
@@ -287,8 +306,9 @@ def test_odd_k_values_come_in_exact_pairs(t):
 @pytest.mark.parametrize("t", WANG_TRIPLES, ids=repr)
 def test_low_irreps_from_one_by_one_halves_match_closed_forms(t):
     closed = low_irrep_eigenvalues(t)
+    sq = _squares(t.a, t.b, t.c)
     for k in (0, 1, 2):
-        got = sorted(eigen_block(k, t) * (1 + k % 2))  # k = 1 gives its pair once
+        got = sorted(eigen_block(k, *sq) * (1 + k % 2))  # k = 1 gives its pair once
         assert len(got) == len(closed[k])
         for value, want in zip(got, closed[k]):
             assert abs(value - want) <= 4 * math.ulp(want)
@@ -296,7 +316,8 @@ def test_low_irreps_from_one_by_one_halves_match_closed_forms(t):
 
 def test_bound_below_the_hull_gives_no_block_values():
     t = WANG_TRIPLES[0]
+    sq = _squares(t.a, t.b, t.c)
     for k in (3, 4, 10, 31):
         floor = 2 * k * t.b**2 + k * k * t.c**2  # below every eigenvalue of block k
-        assert eigen_block(k, t, 0.5 * floor) == ()
-        assert eigen_block(k, t, math.nextafter(min(eigen_block(k, t)), 0.0)) == ()
+        assert eigen_block(k, *sq, 0.5 * floor) == ()
+        assert eigen_block(k, *sq, math.nextafter(min(eigen_block(k, *sq)), 0.0)) == ()

@@ -412,8 +412,9 @@ def test_non_finite_lambda_max_exit_2(capsys, bound):
 def test_nonconvergence_exit_1(capsys, monkeypatch):
     from homsphere import NonConvergence, eigensolve
 
-    def stuck(block, upper=None):
-        raise NonConvergence(f"eigenvalue 0 of a {block.n}x{block.n} block did not converge")
+    def stuck(diag, offdiag, upper=None):
+        n = len(diag)
+        raise NonConvergence(f"eigenvalue 0 of a {n}x{n} block did not converge")
 
     monkeypatch.setattr(eigensolve, "eigenvalues", stuck)
     code, _, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", "20")
@@ -649,3 +650,32 @@ def test_generic_table_low_irreps_match_closed_forms(capsys):
         assert len(got) == len(set(closed[k]))
         for value, want in zip(got, sorted(set(closed[k]))):
             assert abs(value - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--a", "1e10", "--b", "1", "--c", "1e-10", "--group", "su2"],
+        ["estimate", "--a", "1e10", "--b", "1", "--c", "1e-10", "--group", "so3"],
+        ["product", "--su2", "1e10,1,1e-10"],
+        ["product", "--so3", "1e10,1,1e-10"],
+    ],
+)
+def test_product_window_whose_lower_end_rounds_to_pi2_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    window = "lambda1_diam2" if argv[0] == "estimate" else "product"
+    assert json.loads(out)["results"][window]["lower"] == math.pi**2
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_spectrum_whose_a_squared_overflows_at_unit_scale_exits_0(capsys, group):
+    argv = ["spectrum", "--a", "1e150", "--b", "1e-10", "--c", "1e-10", "--group", group,
+            "--format", "csv", "--lambda-max"]
+    code, out, err = run_cli(capsys, *argv, "1e-16")
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == 50 and rows[0] == "0,1,0"
+    code, out, _ = run_cli(capsys, *argv, "8.1e-20")  # just above 4(b^2 + c^2) = 8e-20
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1,0", "8.0000000000000008e-20,3,2"]

@@ -4,10 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from homsphere.casimir import TridiagBlock, _wang_halves
+from homsphere.casimir import _squares, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import TOL, eigen_block, eigenvalues
-from homsphere.oracle import casimir_matrix, symmetrize, to_dense, tridiagonal_split
+from homsphere.oracle import (
+    TridiagBlock,
+    casimir_matrix,
+    symmetrize,
+    to_dense,
+    tridiagonal_split,
+)
 
 
 def _block(diag, off):
@@ -21,7 +27,7 @@ def _random_blocks(rng, count, n, scale=5.0):
 
 
 def test_eigenvalues_diagonal_exact():
-    got = eigenvalues(_block([3.0, 3.0], [0.0]))
+    got = eigenvalues([3.0, 3.0], [0.0])
     assert got == (3.0, 3.0)
 
 
@@ -31,7 +37,7 @@ def test_eigenvalues_match_dense_oracle():
         diags, offs = _random_blocks(rng, 3, n)
         for diag, off in zip(diags, offs):
             t = _block(diag, off)
-            got = np.array(eigenvalues(t))
+            got = np.array(eigenvalues(t.diag, t.offdiag))
             want = np.linalg.eigvalsh(to_dense(t))
             assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
@@ -41,43 +47,46 @@ def test_eigenvalue_sum_preserves_trace():
     diags, offs = _random_blocks(rng, 5, 9)
     for diag, off in zip(diags, offs):
         t = _block(diag, off)
-        vals = eigenvalues(t)
+        vals = eigenvalues(t.diag, t.offdiag)
         scale = max(1.0, np.abs(diag).sum())
         assert abs(sum(vals) - diag.sum()) <= 9 * 1e-12 * scale
 
 
 def test_eigen_block_k0_and_k1():
     t = MetricTriple(3.1, 2.2, 1.3)
-    assert eigen_block(0, t) == (0.0,)
+    sq = _squares(t.a, t.b, t.c)
+    assert eigen_block(0, *sq) == (0.0,)
     s = t.a * t.a + (t.b * t.b + t.c * t.c)
-    assert eigen_block(1, t) == (s,)  # the Wang mirror pair (s, s), given once
+    assert eigen_block(1, *sq) == (s,)  # the Wang mirror pair (s, s), given once
 
 
 def test_eigen_block_berger_bypass_values():
-    got = eigen_block(2, MetricTriple(3, 1, 1))
+    got = eigen_block(2, *_squares(3.0, 1.0, 1.0))
     assert got == (8.0, 40.0, 40.0)
 
 
 def test_eigen_block_berger_bypass_equals_matrix_diagonal():
     t = MetricTriple(2.5, 0.7, 0.7)
+    sq = _squares(t.a, t.b, t.c)
     for k in range(9):
-        got = tuple(sorted(eigen_block(k, t) * (1 + k % 2)))  # odd k: once per pair
+        got = tuple(sorted(eigen_block(k, *sq) * (1 + k % 2)))  # odd k: once per pair
         assert got == tuple(sorted(np.diagonal(casimir_matrix(k, t))))
 
 
 def test_eigen_block_generic_matches_dense_oracle():
     t = MetricTriple(2.9, 1.7, 0.8)
+    sq = _squares(t.a, t.b, t.c)
     for k in range(11):
-        got = np.repeat(eigen_block(k, t), 1 + k % 2)  # odd k: once per pair
+        got = np.repeat(eigen_block(k, *sq), 1 + k % 2)  # odd k: once per pair
         want = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * max(1.0, want.max()))
 
 
 def test_entries_beyond_float_range_raise_overflow():
     with pytest.raises(OverflowError):
-        eigenvalues(TridiagBlock(diag=(1.0, float("inf")), offdiag=(1.0,)))
+        eigenvalues([1.0, float("inf")], [1.0])
     with pytest.raises(OverflowError):
-        eigenvalues(TridiagBlock(diag=(1.0, 2.0), offdiag=(1e160,)))  # its square overflows
+        eigenvalues([1.0, 2.0], [1e160])  # its square overflows
 
 
 # ---- the kernel contract: certified, accurate, independent of the bound ----
@@ -161,7 +170,7 @@ def _mp_eigenvalues(t):
 def _assert_contract(t, mp=True):
     """Counts certify every value, which is within TOL/2 of per-index
     bisection and, with ``mp``, within 1e-14 * max(1, |value|) of mpmath."""
-    got = eigenvalues(t)
+    got = eigenvalues(t.diag, t.offdiag)
     assert len(got) == t.n and list(got) == sorted(got)
     for m, (value, ref) in enumerate(zip(got, _reference_eigenvalues(t))):
         h = 0.5 * TOL * max(1.0, abs(value))
@@ -177,8 +186,8 @@ def _bits(values):
 
 
 def _assert_bounded_equals_unbounded(t, upper):
-    full = eigenvalues(t)
-    assert _bits(eigenvalues(t, upper)) == _bits(v for v in full if v <= upper)
+    full = eigenvalues(t.diag, t.offdiag)
+    assert _bits(eigenvalues(t.diag, t.offdiag, upper)) == _bits(v for v in full if v <= upper)
 
 
 def _random_block(rng, n):
@@ -192,7 +201,8 @@ def test_unbounded_values_are_certified_and_accurate():
         for _ in range(4):
             t = _random_block(rng, n)
             _assert_contract(t, mp=n <= 21)
-            assert _bits(eigenvalues(t, math.inf)) == _bits(eigenvalues(t))
+            full = eigenvalues(t.diag, t.offdiag)
+            assert _bits(eigenvalues(t.diag, t.offdiag, math.inf)) == _bits(full)
 
 
 def test_bounded_equals_unbounded_on_random_blocks():
@@ -200,7 +210,7 @@ def test_bounded_equals_unbounded_on_random_blocks():
     for n in (1, 2, 4, 7, 12, 20):
         for _ in range(4):
             t = _random_block(rng, n)
-            full = eigenvalues(t)
+            full = eigenvalues(t.diag, t.offdiag)
             for upper in (*rng.uniform(full[0] - 1.0, full[-1] + 1.0, 5), full[n // 2]):
                 _assert_bounded_equals_unbounded(t, float(upper))
 
@@ -216,10 +226,10 @@ def test_bounded_with_repeated_eigenvalues():
         # a repeated eigenvalue is never isolated, so it gets the midpoint
         # of its bracket, within TOL/2 but not within 1e-14
         _assert_contract(t, mp=False)
-        for upper in (*eigenvalues(t), 0.5, 1.5, 2.5, 10.0):
+        for upper in (*eigenvalues(t.diag, t.offdiag), 0.5, 1.5, 2.5, 10.0):
             _assert_bounded_equals_unbounded(t, upper)
     # the simple eigenvalue 3 sits on the Gershgorin end; Newton still finds it
-    assert abs(eigenvalues(blocks[0])[-1] - 3.0) <= 1e-15
+    assert abs(eigenvalues(blocks[0].diag, blocks[0].offdiag)[-1] - 3.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -240,9 +250,10 @@ def test_bounded_on_near_degenerate_casimir_blocks(triple):
         # only.  The halves the solver sees separate each pair.
         split = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
         blocks = [(b, False) for b in split]
-        for block, mp in blocks + [(h, True) for h in _wang_halves(k, t)]:
+        halves = _wang_halves(k, *_squares(t.a, t.b, t.c))
+        for block, mp in blocks + [(TridiagBlock(*h), True) for h in halves]:
             _assert_contract(block, mp)
-            full = eigenvalues(block)
+            full = eigenvalues(block.diag, block.offdiag)
             for value in (full[0], full[len(full) // 2], full[-1]):
                 for upper in (
                     value,
@@ -258,38 +269,44 @@ def test_newton_never_settles_on_a_neighbour_outside_its_bracket():
     # heads for the eigenvalue 2 - 1e-13 just outside; the counts reject it.
     t = _block([0.0, 2.0 - 1e-13, 2.11725, 3.1, 3.2, 3.3, 4.0], [0.0] * 6)
     _assert_contract(t)
-    assert abs(eigenvalues(t)[2] - 2.11725) <= 1e-15
+    assert abs(eigenvalues(t.diag, t.offdiag)[2] - 2.11725) <= 1e-15
 
 
 def test_bound_below_the_hull_returns_nothing():
     t = _block([3.0, 5.0, 4.0], [1.0, 1.0])  # Gershgorin hull [2, 6]
-    assert eigenvalues(t, 1.999) == ()
-    assert eigenvalues(t, -math.inf) == ()
-    assert eigenvalues(_block([1.0], []), math.nextafter(1.0, 0.0)) == ()
-    assert eigenvalues(_block([1.0], []), 1.0) == (1.0,)
+    assert eigenvalues(t.diag, t.offdiag, 1.999) == ()
+    assert eigenvalues(t.diag, t.offdiag, -math.inf) == ()
+    assert eigenvalues([1.0], [], math.nextafter(1.0, 0.0)) == ()
+    assert eigenvalues([1.0], [], 1.0) == (1.0,)
 
 
 def test_bound_drops_brackets_above_it():
     t = _block([0.0, 10.0, 20.0, 30.0], [0.1, 0.1, 0.1])
-    got = eigenvalues(t, 5.0)
+    got = eigenvalues(t.diag, t.offdiag, 5.0)
     assert len(got) == 1
-    assert _bits(got) == _bits(eigenvalues(t)[:1])
+    assert _bits(got) == _bits(eigenvalues(t.diag, t.offdiag)[:1])
     _assert_contract(t)
 
 
+def test_offdiag_must_be_one_shorter_than_diag():
+    for diag, off in (([1.0, 2.0], []), ([1.0, 2.0], [0.5, 0.5]), ([], [1.0]), ([1.0], [0.5])):
+        with pytest.raises(ValueError, match="offdiag must have length"):
+            eigenvalues(diag, off)
+
+
 def test_one_by_one_block_is_its_entry():
-    assert eigenvalues(_block([-2.5], [])) == (-2.5,)
-    assert eigenvalues(_block([7.0], []), 7.0) == (7.0,)
+    assert eigenvalues([-2.5], []) == (-2.5,)
+    assert eigenvalues([7.0], [], 7.0) == (7.0,)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(OverflowError):
-            eigenvalues(TridiagBlock(diag=(bad,), offdiag=()))
+            eigenvalues([bad], [])
 
 
 def test_eigen_block_bound_keeps_every_value_below_it():
     # a generic triple takes the solver; b = c and a = b take the diagonal
     for triple in ((1.7, 1.2, 0.8), (2.0, 1.0, 1.0), (1.4, 1.4, 0.6)):
-        t = MetricTriple(*triple)
+        sq = _squares(*triple)
         for k in (3, 8, 14):
-            full = eigen_block(k, t)
+            full = eigen_block(k, *sq)
             for upper in (full[0], full[len(full) // 2], 0.5 * (full[0] + full[-1])):
-                assert eigen_block(k, t, upper) == tuple(v for v in full if v <= upper)
+                assert eigen_block(k, *sq, upper) == tuple(v for v in full if v <= upper)

@@ -5,6 +5,9 @@ import pytest
 
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.geometry import (
+    SO3_PRODUCT_CAP,
+    SU2_PRODUCT_CAP,
+    BoundViolation,
     EmptyProduct,
     ProductSpec,
     berger_lambda1_diam2_extrema,
@@ -14,6 +17,7 @@ from homsphere.geometry import (
     product_estimate,
     scalar_curvature,
     volume,
+    _check_window,
     yamabe_gap,
 )
 from homsphere.spectrum import lambda1_closed
@@ -283,3 +287,20 @@ def test_yamabe_gap_signs():
         assert yamabe_gap(t, SO3) > 0.0
     for s in (0.2, 1.0, 4.5):
         assert abs(yamabe_gap(MetricTriple(s, s, s), SU2)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_lower_end_rounding_to_pi2_is_float_dust(g):
+    # (1 + c^2/b^2)/(1 - b^2/a^2) pi^2 and (1 + c^2/b^2) pi^2 exceed pi^2
+    # by 1e-20 relative, so they round to pi^2 exactly
+    t = MetricTriple(1e10, 1.0, 1e-10)
+    lo, hi = lambda1_diam2(t, g)
+    assert lo == PI2 and hi <= (SU2_PRODUCT_CAP if g is SU2 else SO3_PRODUCT_CAP)
+    spec = ProductSpec(su2_factors=(t,)) if g is SU2 else ProductSpec(so3_factors=(t,))
+    assert product_estimate(spec).product_lower == PI2
+
+
+def test_lower_end_below_pi2_still_violates_the_window():
+    with pytest.raises(BoundViolation, match="escapes"):
+        _check_window("interval", 0.99 * PI2, 2.0 * PI2, 8.0 * PI2)
+    _check_window("interval", PI2, 2.0 * PI2, 8.0 * PI2)  # float dust passes

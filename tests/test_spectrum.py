@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import os
 import random
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import homsphere
-from homsphere import casimir, eigensolve, oracle, spectrum
+from homsphere import eigensolve, oracle, spectrum
 from homsphere.oracle import (
     NotFound,
     berger_eigenvalue,
@@ -21,6 +22,7 @@ from homsphere.oracle import (
     mu_index_of,
     sum_eigenvalue_positions,
 )
+from homsphere.casimir import _squares
 from homsphere.core import EigenPair, GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
 from homsphere.rigidity import isospectral_check
@@ -195,7 +197,7 @@ def test_spectrum_completeness_under_cutoff_doubling():
     lam = 30.0
     cutoff = k_cutoff(lam, t, SU2)
     for k in range(cutoff + 1, 2 * cutoff + 3):
-        assert min(eigen_block(k, t)) > lam
+        assert min(eigen_block(k, *_squares(t.a, t.b, t.c))) > lam
 
 
 @pytest.mark.parametrize(
@@ -315,12 +317,12 @@ def _per_block_table(lam, t, g):
     """
     upper = min(lam * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)
     h = math.frexp(t.b)[1] - 1
-    unit = MetricTriple(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    sq = _squares(*(math.ldexp(x, -h) for x in t.as_tuple()))
     contributions = []
     for k in range(0, k_cutoff(upper, t, g) + 1, 2 if g is SO3 else 1):
         weight = (k + 1) * (1 + k % 2)
         contributions += [(math.ldexp(value, 2 * h), weight, k)
-                          for value in eigen_block(k, unit, math.ldexp(upper, -2 * h))]
+                          for value in eigen_block(k, *sq, math.ldexp(upper, -2 * h))]
     return spectrum._cluster(contributions, lam)
 
 
@@ -348,6 +350,63 @@ def test_diagonal_runs_equal_the_per_block_assembly_bitwise():
                 (v.hex(), m) for v, m in entries
             ], (t, g, lam)
             assert table.k_sources == sources, (t, g, lam)
+
+
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_a_squared_overflowing_at_the_unit_scale_keeps_the_d0_run(g):
+    # a/b = 1e160: at the unit scale (b in [1, 2)) a^2 is inf and 0 * inf is
+    # NaN, but the d = 0 entries 2p(p+1)(b^2 + c^2) do not involve a^2
+    t = MetricTriple(1e150, 1e-10, 1e-10)
+    bc2 = t.b * t.b + t.c * t.c
+    assert spectrum_up_to(2.0 * bc2, t, g).entries == ((0.0, 1),)
+    above = spectrum_up_to(math.nextafter(4.0 * bc2, math.inf), t, g)
+    assert above.entries == ((0.0, 1), (4.0 * bc2, 3))
+    table = spectrum_up_to(1e-16, t, g)
+    run = tuple((2 * p * (p + 1) * bc2, 2 * p + 1) for p in range(1, 50))
+    assert table.entries == ((0.0, 1), *run)
+    assert table.k_sources == tuple((2 * p,) for p in range(50))
+
+
+@pytest.mark.parametrize("triple", [(2e100, 1e100, 1e-250), (1e100, 1e100, 1e-250)])
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_c_underflowing_at_the_unit_scale_gives_the_table(triple, g):
+    # c 2^-h underflows to 0 once b is scaled into [1, 2); c^2/b^2 = 1e-700
+    # is far below an ulp, so the table is that of c = 0 to every digit
+    t = MetricTriple(*triple)
+    lam1 = lambda1_closed(t, g)
+    table = spectrum_up_to(1.01 * lam1.value, t, g)
+    assert [m for _, m in table.entries] == [1, lam1.multiplicity]
+    assert abs(table.entries[1].value - lam1.value) <= 1e-15 * lam1.value
+
+
+# SHA-256 over the value bits, multiplicities and k_sources of the tables of
+# ``_pinned_generic_tables``: a change to the generic solver path that moves
+# one value by one ulp, or one multiplicity, changes it
+PINNED_GENERIC_TABLES = "2e86a810f64cfc94730baecd1265e9afb7f5d105396e41977bbcd3caaa9f703f"
+
+
+def _pinned_generic_tables():
+    """600 small generic tables: 75 triples 10^U(-3, 3), both groups, each at a
+    bound 1.1-4 x lambda1 and at an entry of that table and 1 ulp either side."""
+    rng = random.Random(20)
+    for _ in range(75):
+        t = MetricTriple(*(10.0 ** rng.uniform(-3, 3) for _ in range(3)))
+        for g in (SU2, SO3):
+            table = spectrum_up_to(rng.uniform(1.1, 4.0) * lambda1_closed(t, g).value, t, g)
+            entry = rng.choice(table.entries[1:]).value
+            yield table
+            for lam in (math.nextafter(entry, 0.0), entry, math.nextafter(entry, math.inf)):
+                yield spectrum_up_to(lam, t, g)
+
+
+def test_small_generic_tables_are_pinned():
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spectrum.ClusterMergeWarning)  # thin triples merge
+        for table in _pinned_generic_tables():
+            entries = [(v.hex(), m) for v, m in table.entries]
+            digest.update(repr((entries, table.k_sources)).encode())
+    assert digest.hexdigest() == PINNED_GENERIC_TABLES
 
 
 def test_mu_index_examples():
@@ -383,8 +442,9 @@ def test_low_irrep_eigenvalues():
 def test_low_irrep_agrees_with_solver():
     t = MetricTriple(2.4, 1.9, 0.8)
     low = low_irrep_eigenvalues(t)
+    sq = _squares(t.a, t.b, t.c)
     for k in (0, 1, 2):
-        got = sorted(eigen_block(k, t) * (1 + k % 2))  # k = 1 gives its pair once
+        got = sorted(eigen_block(k, *sq) * (1 + k % 2))  # k = 1 gives its pair once
         assert got == pytest.approx(low[k], rel=1e-11)
 
 
@@ -440,10 +500,11 @@ def test_extreme_aspect_ratio_converges(g):
 def test_diagonal_branch_equals_berger_eigenvalue_bitwise(a, b):
     for x, y in ((a, b), (b, a)):  # swapped, (0.7, 2.5, 2.5) is the a = b > c shape
         t = MetricTriple(x, y, y)
+        sq = _squares(t.a, t.b, t.c)
         for k in range(40):
             closed = tuple(sorted(berger_eigenvalue(k, j, x, y) for j in range(k + 1)))
             # j and k - j give bitwise-equal values; odd k returns each pair once
-            assert tuple(sorted(eigen_block(k, t) * (1 + k % 2))) == closed
+            assert tuple(sorted(eigen_block(k, *sq) * (1 + k % 2))) == closed
 
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (0.37, 1.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
@@ -583,7 +644,7 @@ def test_public_names_leave_out_solver_internals():
     assert len(homsphere.__all__) == 37
     assert set(homsphere.__all__) == PUBLIC_NAMES
     internals = {
-        casimir: ("TridiagBlock",),
+        oracle: ("TridiagBlock",),
         eigensolve: ("eigenvalues", "eigen_block"),
         homsphere.spectrum: ("k_cutoff",),
     }
