@@ -39,17 +39,15 @@ def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
     return a * a, b2 + c2, None if b == c else c2 - b2
 
 
-def _diagonal(k: int, a2: float, bc2: float, ls: range | None = None) -> list[float]:
+def _diagonal(k: int, a2: float, bc2: float, ls: range) -> list[float]:
     """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 of the irrep-k matrix, l in ``ls``.
 
-    ``a2`` is a^2, ``bc2`` is b^2 + c^2 and ``ls`` defaults to 0..k.  With
-    b = c the matrix is this diagonal alone, and 2 b^2 = b^2 + b^2
-    exactly, so the entries are bitwise the closed Berger eigenvalues.
+    ``a2`` is a^2 and ``bc2`` is b^2 + c^2.  With b = c the matrix is
+    this diagonal alone, and 2 b^2 = b^2 + b^2 exactly, so the entries are
+    bitwise the closed Berger eigenvalues.
     """
     if k < 0:
         raise ValueError(f"irrep label must be nonnegative, got {k}")
-    if ls is None:
-        ls = range(k + 1)
     return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
 
 

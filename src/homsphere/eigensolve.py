@@ -17,10 +17,8 @@ its diagonal and off-diagonal sequences, the plain lists of
 ``casimir._wang_halves``; the ``TridiagBlock`` that holds a full block
 lives in ``homsphere.oracle``.  ``eigen_block`` solves the Wang halves
 of one irrep from the three squares of ``casimir._squares``, which
-``spectrum_up_to`` forms once per table, and reads the eigenvalues off
-the diagonal when two parameters are equal.
-Either way exactly the values <= the bound come back, and for odd k one
-value per Wang mirror pair.
+``spectrum_up_to`` forms once per table: exactly the values <= the bound
+come back, and for odd k one value per Wang mirror pair.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .casimir import _diagonal, _wang_halves
+from .casimir import _wang_halves
 from .core import HomsphereError
 
 _EPS = 2.0**-52
@@ -214,44 +212,47 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
 
 
 def eigen_block(
-    k: int, a2: float, bc2: float, off: float | None, upper: float = math.inf
+    k: int, a2: float, bc2: float, off: float, upper: float = math.inf
 ) -> tuple[float, ...]:
     """Sorted eigenvalues <= ``upper`` of irrep k, one per Wang mirror pair if k is odd.
 
     ``a2``, ``bc2`` and ``off`` are the squares ``casimir._squares``
-    gives for the triple, so a caller forms them once for all its
-    blocks: ``eigen_block(k, *_squares(t.a, t.b, t.c))`` for a triple t.
+    gives for a triple with b != c and a != b, so a caller forms them
+    once for all its blocks: ``eigen_block(k, *_squares(t.a, t.b, t.c))``.
     The matrix is persymmetric under l <-> k-l (Wang 1929).  For odd k
     that map swaps the even and odd parity blocks, so the block of the
     even indices, whose (k+1)/2 eigenvalues are returned, carries the
     spectrum: every value is an eigenvalue of multiplicity 2 in the
     matrix, and ``spectrum_up_to`` weights it 2(k+1).  For even k all k+1
-    eigenvalues are returned.  Each value is bitwise what an unbounded
-    call gives.  When two parameters are equal (``off`` is None) the
-    matrix is diagonal, or is that of the isometric (c, a, b) when
-    a = b > c: the solver is bypassed and the entries <= ``upper`` are
-    bitwise the closed Berger eigenvalues ``oracle.berger_eigenvalue``.
-    Entries l and k-l are bitwise equal, so only l <= k/2 are evaluated,
-    and for even k the mirror l = k/2-1, ..., 0 is copied.
-    ``spectrum_up_to`` reads such tables off the diagonal in runs
-    instead.  Otherwise ``eigenvalues`` solves each half of
+    eigenvalues are returned.  ``eigenvalues`` solves each half of
     ``casimir._wang_halves`` below ``upper``: for odd k the even block,
-    for even k its four halves of about k/4 rows; this is the path
-    ``spectrum_up_to`` takes for every k of any other triple.  With
-    b >= 1 every positive eigenvalue is at least 2, so the floor of the
-    stopping width never binds; this is why ``spectrum_up_to`` solves at
-    a power-of-two scale with b in [1, 2).
+    for even k its four halves of about k/4 rows.  Each value is bitwise
+    what an unbounded call gives.  With b >= 1 every positive eigenvalue
+    is at least 2, so the floor of the stopping width never binds; this
+    is why ``spectrum_up_to`` solves at a power-of-two scale with b in
+    [1, 2).
+
+    A row whose d^2 a2 overflows, with d = k-2l, is +inf.  It passes
+    off^2 / inf = 0 on to the next pivot, so it decouples exactly, with
+    its eigenvalue above every bound, and it is dropped.  The first row
+    of a half has its largest |d|, so a finite first row means a finite
+    half.  For even k |d| falls along a half, so the +inf rows are a
+    prefix; for odd k the half is the whole even block, l = 0, 2, ...,
+    k-1, and they are a prefix and a suffix.  A half that is all +inf
+    gives no value.
 
     Raises:
-        OverflowError: if a block entry leaves the float range.
+        OverflowError: if the Gershgorin hull of the rows left leaves the
+            float range, which needs an entry within a coupling of the
+            largest float.  A block entry that leaves the float range
+            does not raise.
     """
-    if off is None:
-        values = _diagonal(k, a2, bc2, range(k // 2 + 1))
-        if not k % 2:
-            values += values[-2::-1]
-        return tuple(sorted([v for v in values if v <= upper]))
     values = []
     for diag, offdiag in _wang_halves(k, a2, bc2, off):
+        if diag[0] == math.inf:
+            # an all-+inf half keeps no row
+            finite = [i for i, v in enumerate(diag) if v != math.inf] or [len(diag)]
+            diag, offdiag = diag[finite[0]:finite[-1] + 1], offdiag[finite[0]:finite[-1]]
         values += eigenvalues(diag, offdiag, upper)
     values.sort()
     return tuple(values)

@@ -245,7 +245,7 @@ def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
     ``floor`` = 2k b^2 + k^2 c^2, and for odd k at least ``odd_floor``.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    diag = np.array(_diagonal(k, a2, b2 + c2))
+    diag = np.array(_diagonal(k, a2, b2 + c2, range(k + 1)))
     l = np.arange(k + 1)
     radius = ((l - 1) * l + (k - l - 1) * (k - l)) * (b2 - c2)
     floor = 2 * k * b2 + k * k * c2

@@ -249,22 +249,27 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     per admissible irrep (even k only for SO(3)) from ``eigen_block``,
     whose solver works only below the bound: each value is weighted by
     the irrep dimension k+1, and an odd-k value by 2(k+1), since
-    ``eigen_block`` returns one value per Wang mirror pair there.  Equal
-    values are then clustered.  Blocks are cut off, solved and clustered
-    up to lam_max (1 + DEFAULT_CLUSTER_TOL), capped at the largest float,
-    and the clusters whose representative exceeds lam_max are dropped:
-    every copy of a value <= lam_max is counted, even where the copies, or
-    the envelope of ``k_cutoff``, round to either side of the bound.  The
-    result is complete below ``lam_max``.  The blocks are solved for the triple
-    scaled by 2^-h, with b 2^-h in [1, 2), and the values scaled back by
-    4^h, so scaling the triple and ``lam_max`` by 2^j and 4^j scales every
-    value by 4^j exactly.  The squares of the scaled triple
-    (``casimir._squares``) are formed once per table.
+    ``eigen_block`` returns one value per Wang mirror pair there.  Where
+    a^2 overflows at the unit scale below, every row with d > 0 is +inf
+    and decouples exactly, so the table is the d = 0 run of
+    ``_diagonal_runs``; where only some d^2 a^2 overflow, ``eigen_block``
+    drops those rows.  Equal values are then clustered.  Blocks are cut
+    off, solved and clustered up to lam_max (1 + DEFAULT_CLUSTER_TOL),
+    capped at the largest float, and the clusters whose representative
+    exceeds lam_max are dropped: every copy of a value <= lam_max is
+    counted, even where the copies, or the envelope of ``k_cutoff``, round
+    to either side of the bound.  The result is complete below
+    ``lam_max``.  The blocks are solved for the triple scaled by 2^-h,
+    with b 2^-h in [1, 2), and the values scaled back by 4^h, so scaling
+    the triple and ``lam_max`` by 2^j and 4^j scales every value by 4^j
+    exactly.  The squares of the scaled triple (``casimir._squares``) are
+    formed once per table.
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.
         OverflowError: if a^2 + b^2 + c^2 is 0 or infinite in floating
-            point, or a block entry leaves the float range.
+            point, or where ``eigen_block`` raises it.  A block entry
+            that leaves the float range does not raise.
         CutoffTooLarge: if the bound needs more than ``K_CAP`` blocks.
     """
     if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c < math.inf:
@@ -280,7 +285,7 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     a2, bc2, off = _squares(math.ldexp(t.a, -h), math.ldexp(t.b, -h), math.ldexp(t.c, -h))
     upper_unit = math.ldexp(upper, -2 * h)
     step = 2 if g is GroupKind.SO3 else 1
-    if off is None:
+    if off is None or a2 == math.inf:
         contributions = _diagonal_runs(cutoff, step, a2, bc2, upper_unit, 2 * h)
     else:
         contributions = []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from homsphere.casimir import _squares, _wang_halves
+from homsphere.casimir import _diagonal, _squares, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
@@ -99,6 +99,19 @@ def test_oracle_round_values():
     assert np.array_equal(
         casimir_matrix_oracle(2, MetricTriple(1, 1, 1)), np.diag([8.0, 8.0, 8.0])
     )
+
+
+def test_berger_diagonal_values():
+    a2, bc2, off = _squares(3.0, 1.0, 1.0)
+    assert off is None
+    assert sorted(_diagonal(2, a2, bc2, range(3))) == [8.0, 40.0, 40.0]
+
+
+def test_berger_diagonal_equals_matrix_diagonal():
+    t = MetricTriple(2.5, 0.7, 0.7)
+    a2, bc2, _ = _squares(t.a, t.b, t.c)
+    for k in range(9):
+        assert _diagonal(k, a2, bc2, range(k + 1)) == list(np.diagonal(casimir_matrix(k, t)))
 
 
 def test_symmetrize_identity_for_small_k_and_berger():

@@ -432,7 +432,6 @@ def test_nonconvergence_exit_1(capsys, monkeypatch):
         "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2",
         "spectrum --a 1e154 --b 1e154 --c 1e154 --group su2 --lambda-max 10",
         "spectrum --a 1.5e154 --b 1 --c 1 --group su2 --lambda-max 10",
-        "spectrum --a 1e154 --b 1.5 --c 1 --group su2 --lambda-max 45",
         "estimate --a 1e300 --b 1e300 --c 1 --group su2",
         "estimate --a 1e200 --b 1e200 --c 1e200 --group so3",
         "estimate --a 1e-200 --b 1e-200 --c 1e-200 --group so3",
@@ -444,6 +443,28 @@ def test_parameters_beyond_float_range_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,b,c,last_p",
+    [
+        # a^2 is inf at the unit scale (b in [1, 2)): only the d = 0 run is left
+        ("spectrum --a 1e150 --b 1e-10 --c 1e-11 --group su2 --lambda-max 1e-16", 1e-10, 1e-11, 69),
+        # a^2 is finite, but (k-2l)^2 a^2 overflows from d = 14 on
+        ("spectrum --a 1e153 --b 1 --c 0.5 --group su2 --lambda-max 100", 1.0, 0.5, 5),
+        # d^2 a^2 overflows from d = 2 on: both halves of block 2's even indices are +inf
+        ("spectrum --a 1e154 --b 1.5 --c 1 --group su2 --lambda-max 45", 1.5, 1.0, 2),
+    ],
+)
+def test_rows_overflowing_at_the_unit_scale_drop_out(capsys, argv, b, c, last_p):
+    # a +inf row decouples exactly, so below the bound only the d = 0
+    # entries 2p(p+1)(b^2 + c^2) of the even blocks k = 2p are left
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(float(v), int(m), ks) for v, m, ks in rows] == [
+        (2 * p * (p + 1) * (b * b + c * c), 2 * p + 1, str(2 * p)) for p in range(last_p + 1)
+    ]
 
 
 @pytest.mark.parametrize("group", ["su2", "so3"])

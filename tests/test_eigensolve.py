@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from homsphere.casimir import _squares, _wang_halves
+from homsphere.casimir import _parity_entries, _squares, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import TOL, eigen_block, eigenvalues
 from homsphere.oracle import (
@@ -60,19 +60,6 @@ def test_eigen_block_k0_and_k1():
     assert eigen_block(1, *sq) == (s,)  # the Wang mirror pair (s, s), given once
 
 
-def test_eigen_block_berger_bypass_values():
-    got = eigen_block(2, *_squares(3.0, 1.0, 1.0))
-    assert got == (8.0, 40.0, 40.0)
-
-
-def test_eigen_block_berger_bypass_equals_matrix_diagonal():
-    t = MetricTriple(2.5, 0.7, 0.7)
-    sq = _squares(t.a, t.b, t.c)
-    for k in range(9):
-        got = tuple(sorted(eigen_block(k, *sq) * (1 + k % 2)))  # odd k: once per pair
-        assert got == tuple(sorted(np.diagonal(casimir_matrix(k, t))))
-
-
 def test_eigen_block_generic_matches_dense_oracle():
     t = MetricTriple(2.9, 1.7, 0.8)
     sq = _squares(t.a, t.b, t.c)
@@ -87,6 +74,46 @@ def test_entries_beyond_float_range_raise_overflow():
         eigenvalues([1.0, float("inf")], [1.0])
     with pytest.raises(OverflowError):
         eigenvalues([1.0, 2.0], [1e160])  # its square overflows
+
+
+def _mp_parity_eigenvalues(k, a2, bc2, off, p):
+    """Eigenvalues of the parity-p block of irrep k, its diagonal formed in mpmath.
+
+    The diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 does not overflow
+    there; the couplings are the float ones.
+    """
+    n = (k - p) // 2 + 1
+    _, coupling = _parity_entries(k, a2, bc2, off, p, n, n - 1)
+    block = mpmath.zeros(n)
+    for i in range(n):
+        l = p + 2 * i
+        block[i, i] = ((k - 2 * l) ** 2 * mpmath.mpf(a2)
+                       + ((2 * l + 1) * k - 2 * l * l) * mpmath.mpf(bc2))
+    for i, e in enumerate(coupling):
+        block[i, i + 1] = block[i + 1, i] = e
+    return list(mpmath.eigsy(block, eigvals_only=True))
+
+
+@pytest.mark.parametrize("k", [4, 16, 17])
+def test_dropping_overflowing_rows_is_exact_in_double_precision(k):
+    # a^2 = 1e306, b = 1, c = 0.5: the rows with |k - 2l| >= 14 are +inf in
+    # floats, none for k = 4, a prefix of a half for k = 16 and both ends
+    # of the one half for k = 17.  With every row exact, each eigenvalue
+    # below the bound is within the certificate of eigen_block's, and an
+    # even block's smallest rounds to its d = 0 entry 2p(p+1)(b^2 + c^2).
+    # The bound keeps lo + hi of every bracket below the float range
+    a2, bc2, off = _squares(1e153, 1.0, 0.5)
+    upper = 1e307
+    got = eigen_block(k, a2, bc2, off, upper)
+    with mpmath.workdps(350):  # 40 digits below a norm of about 1e308
+        exact = sorted(v for p in ((0,) if k % 2 else (0, 1))
+                       for v in _mp_parity_eigenvalues(k, a2, bc2, off, p) if v <= upper)
+        assert len(got) == len(exact)
+        for value, want in zip(got, exact):
+            assert abs(value - want) <= 0.5 * TOL * want
+    if not k % 2:
+        p = k // 2
+        assert got[0] == float(exact[0]) == 2 * p * (p + 1) * bc2  # 15.0 for k = 4
 
 
 # ---- the kernel contract: certified, accurate, independent of the bound ----
@@ -303,8 +330,9 @@ def test_one_by_one_block_is_its_entry():
 
 
 def test_eigen_block_bound_keeps_every_value_below_it():
-    # a generic triple takes the solver; b = c and a = b take the diagonal
-    for triple in ((1.7, 1.2, 0.8), (2.0, 1.0, 1.0), (1.4, 1.4, 0.6)):
+    # two equal parameters never reach eigen_block: their bound is checked
+    # on spectrum._diagonal_runs
+    for triple in ((1.7, 1.2, 0.8), (2.9, 1.7, 0.8)):
         sq = _squares(*triple)
         for k in (3, 8, 14):
             full = eigen_block(k, *sq)

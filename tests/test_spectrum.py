@@ -22,7 +22,7 @@ from homsphere.oracle import (
     mu_index_of,
     sum_eigenvalue_positions,
 )
-from homsphere.casimir import _squares
+from homsphere.casimir import _diagonal, _squares
 from homsphere.core import EigenPair, GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
 from homsphere.rigidity import isospectral_check
@@ -293,7 +293,10 @@ def test_berger_spectrum_handles_swapped_parameters():
 
 
 @pytest.mark.parametrize(
-    "triple", [(1.3, 1.3, 1.3), (1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7)]
+    "triple",
+    # the last is generic, but a^2 overflows at the unit scale (b in [1, 2)),
+    # so every row with d = k-2l > 0 is +inf and only the d = 0 run is left
+    [(1.3, 1.3, 1.3), (1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7), (1e154, 0.5, 0.25)],
 )
 @pytest.mark.parametrize("g", [SU2, SO3])
 def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
@@ -311,18 +314,23 @@ def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
 def _per_block_table(lam, t, g):
     """The closed-form table assembled block by block, as before the diagonal runs.
 
-    ``eigen_block`` per admissible k at the unit scale of ``spectrum_up_to``,
-    each value weighted (k+1)(1 + k%2) and scaled back by ``ldexp``, then
-    ``spectrum._cluster``.
+    ``casimir._diagonal`` per admissible k at the unit scale of
+    ``spectrum_up_to``: entries l <= k/2, for even k with the mirror
+    l = k/2-1, ..., 0 copied, those <= the bound sorted, each weighted
+    (k+1)(1 + k%2) and scaled back by ``ldexp``, then ``spectrum._cluster``.
     """
     upper = min(lam * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)
     h = math.frexp(t.b)[1] - 1
-    sq = _squares(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    a2, bc2, _ = _squares(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    upper_unit = math.ldexp(upper, -2 * h)
     contributions = []
     for k in range(0, k_cutoff(upper, t, g) + 1, 2 if g is SO3 else 1):
+        values = _diagonal(k, a2, bc2, range(k // 2 + 1))
+        if not k % 2:
+            values += values[-2::-1]
         weight = (k + 1) * (1 + k % 2)
         contributions += [(math.ldexp(value, 2 * h), weight, k)
-                          for value in eigen_block(k, *sq, math.ldexp(upper, -2 * h))]
+                          for value in sorted(v for v in values if v <= upper_unit)]
     return spectrum._cluster(contributions, lam)
 
 
@@ -352,19 +360,21 @@ def test_diagonal_runs_equal_the_per_block_assembly_bitwise():
             assert table.k_sources == sources, (t, g, lam)
 
 
+@pytest.mark.parametrize("triple", [(1e150, 1e-10, 1e-10), (1e150, 1e-10, 1e-11)])
 @pytest.mark.parametrize("g", [SU2, SO3])
-def test_a_squared_overflowing_at_the_unit_scale_keeps_the_d0_run(g):
+def test_a_squared_overflowing_at_the_unit_scale_keeps_the_d0_run(triple, g):
     # a/b = 1e160: at the unit scale (b in [1, 2)) a^2 is inf and 0 * inf is
-    # NaN, but the d = 0 entries 2p(p+1)(b^2 + c^2) do not involve a^2
-    t = MetricTriple(1e150, 1e-10, 1e-10)
+    # NaN, but the d = 0 entries 2p(p+1)(b^2 + c^2) do not involve a^2, and
+    # with b != c every other row is +inf and decouples exactly
+    t = MetricTriple(*triple)
     bc2 = t.b * t.b + t.c * t.c
     assert spectrum_up_to(2.0 * bc2, t, g).entries == ((0.0, 1),)
     above = spectrum_up_to(math.nextafter(4.0 * bc2, math.inf), t, g)
     assert above.entries == ((0.0, 1), (4.0 * bc2, 3))
     table = spectrum_up_to(1e-16, t, g)
-    run = tuple((2 * p * (p + 1) * bc2, 2 * p + 1) for p in range(1, 50))
-    assert table.entries == ((0.0, 1), *run)
-    assert table.k_sources == tuple((2 * p,) for p in range(50))
+    ps = [p for p in range(100) if 2 * p * (p + 1) * bc2 <= 1e-16]
+    assert table.entries == tuple((2 * p * (p + 1) * bc2, 2 * p + 1) for p in ps)
+    assert table.k_sources == tuple((2 * p,) for p in ps)
 
 
 @pytest.mark.parametrize("triple", [(2e100, 1e100, 1e-250), (1e100, 1e100, 1e-250)])
@@ -497,14 +507,31 @@ def test_extreme_aspect_ratio_converges(g):
 
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (3.7, 0.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
-def test_diagonal_branch_equals_berger_eigenvalue_bitwise(a, b):
+def test_diagonal_equals_berger_eigenvalue_bitwise(a, b):
     for x, y in ((a, b), (b, a)):  # swapped, (0.7, 2.5, 2.5) is the a = b > c shape
         t = MetricTriple(x, y, y)
-        sq = _squares(t.a, t.b, t.c)
+        a2, bc2, _ = _squares(t.a, t.b, t.c)
         for k in range(40):
-            closed = tuple(sorted(berger_eigenvalue(k, j, x, y) for j in range(k + 1)))
-            # j and k - j give bitwise-equal values; odd k returns each pair once
-            assert tuple(sorted(eigen_block(k, *sq) * (1 + k % 2))) == closed
+            closed = sorted(berger_eigenvalue(k, j, x, y) for j in range(k + 1))
+            diag = _diagonal(k, a2, bc2, range(k + 1))
+            assert sorted(diag) == closed
+            assert diag == diag[::-1]  # l and k - l give bitwise-equal values
+
+
+def test_diagonal_runs_keep_every_entry_below_the_bound():
+    # b = c and a = b > c: block k's records are its entries l <= k/2 that
+    # are <= the bound, the middle one weighted k+1 and the others 2(k+1)
+    for triple in ((2.0, 1.0, 1.0), (1.4, 1.4, 0.6)):
+        a2, bc2, _ = _squares(*triple)
+        for k in (3, 8, 14):
+            half = _diagonal(k, a2, bc2, range(k // 2 + 1))
+            ordered = sorted(half)
+            for upper in (ordered[0], ordered[len(ordered) // 2], 0.5 * (ordered[0] + ordered[-1])):
+                records = [r for r in spectrum._diagonal_runs(14, 1, a2, bc2, upper, 0)
+                           if r[2] == k]
+                want = [(v, (k + 1) * (1 if 2 * l == k else 2), k)
+                        for l, v in enumerate(half) if v <= upper]
+                assert sorted(records) == sorted(want)
 
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (0.37, 1.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
