@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -338,3 +339,27 @@ def test_eigen_block_bound_keeps_every_value_below_it():
             full = eigen_block(k, *sq)
             for upper in (full[0], full[len(full) // 2], 0.5 * (full[0] + full[-1])):
                 assert eigen_block(k, *sq, upper) == tuple(v for v in full if v <= upper)
+
+
+# SHA-256 over the value bits of ``_deep_block_values``: a change to the
+# kernel that moves one value by one ulp, or drops or adds one, changes it
+PINNED_DEEP_BLOCKS = "828d0803e8925f429559bd81686443a622f822f3d6e9f75e84fea4815ee568db"
+
+
+def _deep_block_values():
+    """Every block k <= 56 of a generic, a near-prolate (b ~ c < a) and a
+    near-oblate (a ~ b > c) triple at the unit scale, b in [1, 2), unbounded
+    and at a bound that cuts the blocks from about k = 30-50 on."""
+    bounds = {(3.1, 1.45, 0.6): 900.0, (2.2, 1.0, 0.99): 2000.0, (1.6, 1.5936, 0.9): 2500.0}
+    for triple, upper in bounds.items():
+        sq = _squares(*triple)
+        for k in range(57):
+            for bound in (math.inf, upper):
+                yield k, bound, eigen_block(k, *sq, bound)
+
+
+def test_deep_blocks_are_pinned():
+    digest = hashlib.sha256()
+    for k, bound, values in _deep_block_values():
+        digest.update(repr((k, bound, [v.hex() for v in values])).encode())
+    assert digest.hexdigest() == PINNED_DEEP_BLOCKS
