@@ -12,8 +12,12 @@ one index is finished by Newton steps on the characteristic polynomial,
 whose derivative comes from the same pivot recurrence; the bracket
 guards every step, and counts certify the result to the same width as
 a bisected midpoint.  This needs no second kernel: QL would need a
-fallback for a value that fails its certificate.  A block is given as
-its diagonal and off-diagonal sequences, the plain lists of
+fallback for a value that fails its certificate.  Each pass of the
+loops clamps and takes magnitudes by comparisons, not by ``max``,
+``abs`` or ``min``: the halves average about 7 rows, and a builtin call
+costs about as much as a row of the recurrence.  Midpoints are taken
+as lo/2 + hi/2, which cannot overflow where lo + hi would.  A block is
+given as its diagonal and off-diagonal sequences, the plain lists of
 ``casimir._wang_halves``; the ``TridiagBlock`` that holds a full block
 lives in ``homsphere.oracle``.  ``eigen_block`` solves the Wang halves
 of one irrep from the three squares of ``casimir._squares``, which
@@ -98,8 +102,8 @@ def eigenvalues(
             if value <= upper:
                 out.append(value)
             continue
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= TOL * max(1.0, abs(mid)):
+        mid = 0.5 * lo + 0.5 * hi
+        if hi - lo <= TOL * (mid if mid > 1.0 else -mid if mid < -1.0 else 1.0):
             if mid <= upper:
                 out.extend([mid] * (last - first))
             continue
@@ -107,7 +111,11 @@ def eigenvalues(
             raise NonConvergence(
                 f"eigenvalue {first} of a {n}x{n} block did not converge"
             )
-        split = min(max(_sturm_count(mid, d0, rows, pert), first), last)
+        split = _sturm_count(mid, d0, rows, pert)
+        if split < first:
+            split = first
+        elif split > last:
+            split = last
         if split < last and mid <= upper:
             stack.append((mid, hi, split, last))
         if split > first:
@@ -155,11 +163,11 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
     test and its midpoint stay in force.  Once lo > ``upper``, lo is
     returned.
     """
-    x = 0.5 * (lo + hi)
+    x = 0.5 * lo + 0.5 * hi
     prev = hi - lo
     while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= TOL * max(1.0, abs(mid)):
+        mid = 0.5 * lo + 0.5 * hi
+        if hi - lo <= TOL * (mid if mid > 1.0 else -mid if mid < -1.0 else 1.0):
             return mid
         if not lo < mid < hi:
             n = len(rows) + 1
@@ -186,9 +194,10 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
             if lo > upper:
                 return lo
         step = -1.0 / slope if slope else math.nan
-        h = 0.5 * TOL * max(1.0, abs(x + step))
-        if abs(step) <= h:
-            x += step
+        nxt = x + step
+        h = 0.5 * TOL * (nxt if nxt > 1.0 else -nxt if nxt < -1.0 else 1.0)
+        if -h <= step <= h:
+            x = nxt
             if lo < x - h < hi:
                 if _sturm_count(x - h, d0, rows, pert) > m:
                     hi = x - h
@@ -202,12 +211,15 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
             if x - h <= lo and hi <= x + h:
                 return x
         else:
-            nxt = min(max(x + step, lo), hi)
-            if 0.0 < abs(nxt - x) <= 0.5 * prev:
-                prev = abs(nxt - x)
+            # a NaN step fails both comparisons and stays NaN, so the
+            # midpoint replaces it
+            nxt = lo if nxt < lo else hi if nxt > hi else nxt
+            move = nxt - x if nxt > x else x - nxt
+            if 0.0 < move <= 0.5 * prev:
+                prev = move
                 x = nxt
                 continue
-        x = 0.5 * (lo + hi)
+        x = 0.5 * lo + 0.5 * hi
         prev = hi - lo
 
 

@@ -96,8 +96,16 @@ def volume(t: MetricTriple, g: GroupKind) -> float:
 
     The normalization makes (1,1,1) the unit round 3-sphere; volume depends
     on the triple only through the product abc.
+
+    Raises:
+        OverflowError: if abc is 0 or so small that the volume is +inf.
     """
-    base = 2.0 * math.pi**2 / (t.a * t.b * t.c)
+    abc = t.a * t.b * t.c
+    base = 2.0 * math.pi**2 / abc if abc else math.inf
+    if base == math.inf:
+        raise OverflowError(
+            f"volume = 2 pi^2 / abc with abc = {abc:.17g} is outside the normal float range"
+        )
     return base if g is GroupKind.SU2 else 0.5 * base
 
 

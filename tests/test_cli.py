@@ -282,6 +282,18 @@ def test_rigidity_with_a_subnormal_volume_parameter_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("triple", [("1e-310", "1e-311", "1e-312"), ("1e-120", "1e-100", "1e-100")])
+def test_geometry_of_a_vanishing_volume_parameter_names_the_volume(capsys, triple):
+    # abc underflows to 0, or is so small a subnormal that 2 pi^2 / abc is +inf
+    code, out, err = run_cli(
+        capsys, "geometry", "--a", triple[0], "--b", triple[1], "--c", triple[2],
+        "--group", "su2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameters out of floating-point range: volume = 2 pi^2 / abc")
+    assert err.strip().endswith("is outside the normal float range")
+
+
 def test_rigidity_of_a_thin_metric_on_the_cubic_path(capsys):
     # multiplicity 4 with lambda1 = 2.1e-6: the cubic is solved at lambda1
     # in [1, 4), where its noise floor is set

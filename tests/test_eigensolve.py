@@ -5,9 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from homsphere import eigensolve
 from homsphere.casimir import _parity_entries, _squares, _wang_halves
 from homsphere.core import MetricTriple
-from homsphere.eigensolve import TOL, eigen_block, eigenvalues
+from homsphere.eigensolve import TOL, _newton, eigen_block, eigenvalues
 from homsphere.oracle import (
     TridiagBlock,
     casimir_matrix,
@@ -95,16 +96,19 @@ def _mp_parity_eigenvalues(k, a2, bc2, off, p):
     return list(mpmath.eigsy(block, eigvals_only=True))
 
 
-@pytest.mark.parametrize("k", [4, 16, 17])
-def test_dropping_overflowing_rows_is_exact_in_double_precision(k):
+@pytest.mark.parametrize(
+    "k, upper",
+    [(4, 1e307), (16, 1e307), (17, 1e307), (11, math.inf), (12, math.inf), (13, math.inf)],
+)
+def test_dropping_overflowing_rows_is_exact_in_double_precision(k, upper):
     # a^2 = 1e306, b = 1, c = 0.5: the rows with |k - 2l| >= 14 are +inf in
-    # floats, none for k = 4, a prefix of a half for k = 16 and both ends
+    # floats, none for k <= 13, a prefix of a half for k = 16 and both ends
     # of the one half for k = 17.  With every row exact, each eigenvalue
     # below the bound is within the certificate of eigen_block's, and an
     # even block's smallest rounds to its d = 0 entry 2p(p+1)(b^2 + c^2).
-    # The bound keeps lo + hi of every bracket below the float range
+    # Unbounded, k = 11-13 keep eigenvalues up to 1.69e308, whose brackets
+    # have lo + hi above the float range: their midpoints lo/2 + hi/2 are finite
     a2, bc2, off = _squares(1e153, 1.0, 0.5)
-    upper = 1e307
     got = eigen_block(k, a2, bc2, off, upper)
     with mpmath.workdps(350):  # 40 digits below a norm of about 1e308
         exact = sorted(v for p in ((0,) if k % 2 else (0, 1))
@@ -339,6 +343,71 @@ def test_eigen_block_bound_keeps_every_value_below_it():
             full = eigen_block(k, *sq)
             for upper in (full[0], full[len(full) // 2], 0.5 * (full[0] + full[-1])):
                 assert eigen_block(k, *sq, upper) == tuple(v for v in full if v <= upper)
+
+
+# ---- each guard of a bisection or Newton pass, pinned bitwise ----
+
+
+def _newton_on(diag, off, lo, hi, m, upper=math.inf):
+    """``_newton`` on [lo, hi] for index m, with the arguments ``eigenvalues`` forms."""
+    absoff = [abs(v) for v in off]
+    radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
+    pert = 2.0**-52 * max(abs(d) + r for d, r in zip(diag, radius))
+    rows = [(d, v * v) for d, v in zip(diag[1:], off)]
+    return _newton(lo, hi, m, diag[0], rows, pert, upper)
+
+
+@pytest.mark.parametrize("shift, want", [(-9, "0x1.bfffffffff600p+2"), (9, "0x1.0000000000500p+1")])
+def test_a_split_count_outside_its_bracket_is_clamped(monkeypatch, shift, want):
+    # In exact arithmetic the count at a midpoint lies between the counts
+    # at the bracket's ends; the clamp guards against rounding that breaks
+    # this, and a shifted count stands in for it.  Shifted down, every
+    # count is clamped to ``first`` and all three indices are bisected to
+    # the top of the Gershgorin hull [2, 7]; shifted up, to ``last`` and
+    # its bottom.  Unclamped, a bracket would hold indices the block lacks
+    count = eigensolve._sturm_count
+    monkeypatch.setattr(eigensolve, "_sturm_count", lambda *args: count(*args) + shift)
+    assert _bits(eigenvalues([3.0, 5.0, 4.0], [1.0, 1.0])) == [want] * 3
+
+
+def test_a_newton_step_beyond_the_bracket_is_clipped():
+    # from 0.25 the step to the critical point's far side, -0.125, is
+    # clipped to lo = 0; from 0.75 the step to 1.125 to hi = 1
+    got = eigenvalues([0.0, 1.0], [0.0])
+    assert _bits(got) == ["0x1.ffffffffffffep-53", "0x1.0000000000001p+0"]
+
+
+def test_a_newton_step_longer_than_half_the_last_is_rejected():
+    got = eigenvalues([-0.489, -0.76], [-0.933])
+    assert _bits(got) == ["-0x1.9139c9a3d1c76p+0", "0x1.45ed4b6c76383p-2"]
+
+
+@pytest.mark.parametrize(
+    "sign, m, want", [(1.0, 2, "0x1.a8c536fe1a8ccp-2"), (-1.0, 0, "-0x1.a8c536fe1a8c0p-2")]
+)
+def test_a_nan_newton_step_falls_back_to_the_midpoint(sign, m, want):
+    # At x = 0 the g_i of the three pivots are +-(1/1.08, 1.4848..., -1/e),
+    # whose sum, the slope, is exactly 0: the step is NaN.  Of the
+    # eigenvalues, -+0.56, -+1.6 and +-e, only +-e lies in [-0.52, 0.52]; a
+    # NaN taken for an end of the bracket would move x there instead
+    e = 0.41481481481481486
+    diag = [-sign * 1.08, -sign * 1.08, sign * e]
+    assert _newton_on(diag, [0.52, 0.0], -0.52, 0.52, m).hex() == want
+
+
+@pytest.mark.parametrize(
+    "upper, want", [(0.8, "0x1.0000000000000p+0"), (1.0, "0x1.3504f333f9de6p+0")]
+)
+def test_newton_returns_lo_once_it_passes_the_bound(upper, want):
+    # eigenvalues (1 -+ sqrt 2) / 2; the count at the first x = 1 moves lo
+    # there, which is returned when it is above the bound and not when it
+    # equals it
+    assert _newton_on([0.0, 1.0], [0.5], 0.5, 1.5, 1, upper).hex() == want
+
+
+def test_a_zero_pivot_is_replaced_by_pert():
+    # zero couplings: the Newton iterates reach the diagonal entries 1 and 2
+    assert _bits(eigenvalues([2.0, 1.0], [0.0])) == ["0x1.0000000000002p+0", "0x1.0000000000001p+1"]
 
 
 # SHA-256 over the value bits of ``_deep_block_values``: a change to the
