@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 acceptance failure, ``verify`` without numpy
 message on stderr) or a reader that closed stdout early (no message), 2
 invalid parameters (including parameters whose results leave the
 floating-point range, such as a spectrum whose a^2 + b^2 + c^2 is 0 or
-overflows; a block entry that overflows is no error, since its row
-decouples and drops out), 3 truncation bound needing more than
+overflows, or a result below the normal range, such as a subnormal
+eigenvalue or volume; a metric so prolate that a block entry would
+overflow is no error, since its rows with d = k-2l != 0 decouple and the
+closed form is read off), 3 truncation bound needing more than
 ``spectrum.K_CAP`` irrep blocks.  Warnings (for example suspicious
 cluster merges) go to stderr only.  No subcommand takes a tolerance: the
 solver, clustering and comparison tolerances are fixed.

@@ -160,11 +160,13 @@ class SpectralInvariants:
     """The rigidity fingerprint: (abc, scalar curvature, lambda_1, mult).
 
     For metrics in this family ``mult1`` is one of {3, 4, 6, 7, 9}.  The
-    inverse solver uses the multiplicity only to select the equation it
-    solves, and rejects fingerprints whose v, Scal and lambda1 no metric
-    reproduces.  It does not check the multiplicity of the triple it
-    returns, so a fingerprint with a wrong multiplicity can come back as a
-    triple whose own multiplicity differs.
+    inverse solver uses the multiplicity to select the equation it solves,
+    and on SO(3) to build the triple in the class that 6 (a = b > c) or 9
+    (round) fixes; it rejects fingerprints whose v, Scal and lambda1 no
+    metric reproduces.  It does not check the multiplicity of the triple
+    it returns otherwise, so an SU(2) fingerprint or an SO(3) fingerprint
+    with multiplicity 3 can come back as a triple whose own multiplicity
+    differs.
     """
 
     vol_param: float

@@ -84,7 +84,7 @@ def eigenvalues(
     radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
     lo0 = min([d - r for d, r in zip(diag, radius)])
     hi0 = max([d + r for d, r in zip(diag, radius)])
-    norm = max([abs(d) + r for d, r in zip(diag, radius)])
+    norm = hi0 if hi0 > -lo0 else -lo0  # the largest |d| + r
     if not math.isfinite(norm + max(off2)):
         raise OverflowError(f"entries of a {n}x{n} block leave the float range")
     pert = _EPS * (norm or 1.0)
@@ -242,29 +242,15 @@ def eigen_block(
     what an unbounded call gives.  With b >= 1 every positive eigenvalue
     is at least 2, so the floor of the stopping width never binds; this
     is why ``spectrum_up_to`` solves at a power-of-two scale with b in
-    [1, 2).
-
-    A row whose d^2 a2 overflows, with d = k-2l, is +inf.  It passes
-    off^2 / inf = 0 on to the next pivot, so it decouples exactly, with
-    its eigenvalue above every bound, and it is dropped.  The first row
-    of a half has its largest |d|, so a finite first row means a finite
-    half.  For even k |d| falls along a half, so the +inf rows are a
-    prefix; for odd k the half is the whole even block, l = 0, 2, ...,
-    k-1, and they are a prefix and a suffix.  A half that is all +inf
-    gives no value.
+    [1, 2), and why it reads a metric whose a^2 exceeds
+    ``spectrum._DECOUPLED`` there off the closed form instead.
 
     Raises:
-        OverflowError: if the Gershgorin hull of the rows left leaves the
-            float range, which needs an entry within a coupling of the
-            largest float.  A block entry that leaves the float range
-            does not raise.
+        OverflowError: if a row (k-2l)^2 a2 + ... or the Gershgorin hull
+            of a half leaves the float range, as ``eigenvalues`` does.
     """
     values = []
     for diag, offdiag in _wang_halves(k, a2, bc2, off):
-        if diag[0] == math.inf:
-            # an all-+inf half keeps no row
-            finite = [i for i, v in enumerate(diag) if v != math.inf] or [len(diag)]
-            diag, offdiag = diag[finite[0]:finite[-1] + 1], offdiag[finite[0]:finite[-1]]
         values += eigenvalues(diag, offdiag, upper)
     values.sort()
     return tuple(values)

@@ -9,6 +9,7 @@ suffice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import GroupKind, HomsphereError, MetricTriple
@@ -81,14 +82,17 @@ def scalar_curvature(t: MetricTriple) -> float:
     """Scalar curvature 4(a^2+b^2+c^2) - 2(b^2c^2/a^2 + a^2c^2/b^2 + a^2b^2/c^2).
 
     The same value holds for SU(2) and SO(3), and at every point (the
-    metrics are homogeneous).  Each ratio term is the square of
-    bc/a, ac/b or ab/c, formed as a ratio times the remaining parameter,
-    so with a >= b >= c no intermediate overflows where the curvature
-    does not.
+    metrics are homogeneous).  a^2c^2/b^2 + a^2b^2/c^2 = delta^2 + 2a^2
+    with delta = a(b^2 - c^2)/(bc), so the curvature is
+    4(b^2+c^2) - 2((bc/a)^2 + delta^2), without the 4a^2 that cancels
+    and would take every digit at (1e9, 1, 1) with it.  bc/a and delta are
+    formed as ratios times the remaining parameters, so with a >= b >= c
+    no intermediate overflows where the curvature does not.
     """
     a, b, c = t.a, t.b, t.c
-    bc_a, ac_b, ab_c = c / a * b, c / b * a, b / c * a
-    return 4.0 * (a * a + b * b + c * c) - 2.0 * (bc_a * bc_a + ac_b * ac_b + ab_c * ab_c)
+    bc_a = c / a * b
+    delta = (b - c) / c * (b + c) / b * a
+    return 4.0 * (b * b + c * c) - 2.0 * (bc_a * bc_a + delta * delta)
 
 
 def volume(t: MetricTriple, g: GroupKind) -> float:
@@ -98,15 +102,19 @@ def volume(t: MetricTriple, g: GroupKind) -> float:
     on the triple only through the product abc.
 
     Raises:
-        OverflowError: if abc is 0 or so small that the volume is +inf.
+        OverflowError: if the volume is +inf (abc is 0 or tiny) or below
+            the normal float range (abc is +inf or huge), where it keeps
+            too few digits.
     """
     abc = t.a * t.b * t.c
     base = 2.0 * math.pi**2 / abc if abc else math.inf
-    if base == math.inf:
+    vol = base if g is GroupKind.SU2 else 0.5 * base
+    if not sys.float_info.min <= vol < math.inf:
         raise OverflowError(
-            f"volume = 2 pi^2 / abc with abc = {abc:.17g} is outside the normal float range"
+            f"volume = 2 pi^2 / abc with abc = {abc:.17g}, {vol:.17g} on {g.value},"
+            " is outside the normal float range"
         )
-    return base if g is GroupKind.SU2 else 0.5 * base
+    return vol
 
 
 def _su2_lower_diameter(t: MetricTriple) -> float:

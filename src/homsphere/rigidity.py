@@ -18,9 +18,11 @@ equation for one unknown, so each case yields one candidate:
   h(z) = 2 z^2 + 2 (P/z)^2 - 8 (v/P) z + Scal - 4P = 0.  Every term has
   the size of Scal or lambda1, so h is solved unscaled.  h is convex, and
   the metric is its larger root: h' > 0 there reduces to
-  a^4 (b^4 + c^4) > b^4 c^4.  Then a^2 = z v / P.
+  a^4 (b^4 + c^4) > b^4 c^4.  Then a^2 = z v / P.  On SO(3) the
+  multiplicity fixes the class, and the triple is built in it: 9 is the
+  round metric, with a^2 = P/2, and 6 is a = b > c, with c = P/z.
 
-Then b^2 + c^2 = P and bc = v/a are known, and one split gives b and c
+Otherwise b^2 + c^2 = P and bc = v/a are known, and one split gives b and c
 without forming v^2.  Near b = c the invariants fix (b^2 - c^2)^2, so b
 and c come back with about half the digits (errors up to 5e-7 relative,
 3e-5 near the round metric); a split below the noise floor is taken as
@@ -192,7 +194,9 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     The multiplicity selects the equation, and its one solution gives the
     one candidate triple: a^2 from the cubic, solved with lambda1 and v
     scaled by powers of two to lambda1 in [1, 4), or z from h(z) = 0,
-    solved at the given scale.  The candidate is returned if its own
+    solved at the given scale.  SO(3) multiplicities 6 and 9 build the
+    candidate in their class, a = b > c or round, so that it keeps the
+    multiplicity.  The candidate is returned if its own
     invariants reproduce v and lambda1 within 1e-6 of themselves, and Scal
     within 1e-6 of 4(a^2+b^2+c^2) + 2((bc/a)^2 + (ac/b)^2 + (ab/c)^2), the
     size of its rounding: Scal cancels when a >> b ~ c.
@@ -233,7 +237,16 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
         ):
             p_sum = lam / 4.0
             z = _z_root(p_sum, v, scal)
-            t = _split(z * (v / p_sum), p_sum, v, 1e-13)
+            if inv.mult1 == 9:  # SO(3) round: lambda1 = 8 a^2
+                a = math.sqrt(0.5 * p_sum)
+                t = MetricTriple(a, a, a)
+            elif inv.mult1 == 6:
+                # SO(3) with a = b > c: z = (a^2 + c^2) / c, and c is kept
+                # below a where the two round to one float
+                a = math.sqrt(z * (v / p_sum))
+                t = MetricTriple(a, a, min(p_sum / z, math.nextafter(a, 0.0)))
+            else:
+                t = _split(z * (v / p_sum), p_sum, v, 1e-13)
         else:
             raise InconsistentInvariants(
                 f"multiplicity {inv.mult1} is not attained on {g.value}"

@@ -36,6 +36,17 @@ DEFAULT_CLUSTER_TOL = 1e-8
 # bisection takes hours
 K_CAP = 10000
 
+# a^2 past which the rows with d = k-2l != 0 decouple in double precision,
+# at the unit scale of ``spectrum_up_to`` (b in [1, 2), so |c^2 - b^2| < 4)
+# and for k <= K_CAP.  Each coupling is at most |c^2 - b^2| (k+2)^2 / 4 < 1.1e8,
+# and every bound is below the envelope at K_CAP + 1, about 4e8.  So every
+# row with d != 0 has its Gershgorin disc above a^2 - 3e8, above every
+# bound.  The d = 0 row's neighbours in its half have |d| = 4, so its
+# eigenvalue lies within about 2 (1.1e8)^2 / (16 * 2^128) ~ 4e-24 of its
+# entry 2p(p+1)(b^2 + c^2), which is at least 4 for k = 2p > 0: far below
+# an ulp.  Past it a table is the d = 0 run of ``_diagonal_runs``, and a^2
+# is capped here, so no row on the table path exceeds K_CAP^2 2^128 ~ 3.4e46.
+_DECOUPLED = 2.0**128
 # relative gap above which a cluster merge is reported as suspicious
 _MERGE_WARN_GAP = 1e-10
 # warnings are attributed to the first frame outside this directory
@@ -217,14 +228,13 @@ def _diagonal_runs(
     never decrease in p, since rounding is monotone, so each d gives a
     sorted run, read up to its first value above ``upper`` or its first
     k above ``cutoff``.  The starts d^2 a2 never decrease in d either, so
-    the first start above ``upper`` ends the walk.  The d = 0 entries do
-    not involve a2, so their run starts at 0.0: where a2 overflows, 0 * inf
-    would be NaN, and that run alone is finite.  With ``step`` = 2 (SO(3),
-    even k only) d is even too.  Values are scaled by 2^``shift``.
+    the first start above ``upper`` ends the walk.  ``a2`` is finite.
+    With ``step`` = 2 (SO(3), even k only) d is even too.  Values are
+    scaled by 2^``shift``.
     """
     out = []
     for d in range(0, cutoff + 1, step):
-        start = d * d * a2 if d else 0.0
+        start = d * d * a2
         if start > upper:
             break
         double = 2 if d else 1
@@ -250,10 +260,11 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     whose solver works only below the bound: each value is weighted by
     the irrep dimension k+1, and an odd-k value by 2(k+1), since
     ``eigen_block`` returns one value per Wang mirror pair there.  Where
-    a^2 overflows at the unit scale below, every row with d > 0 is +inf
-    and decouples exactly, so the table is the d = 0 run of
-    ``_diagonal_runs``; where only some d^2 a^2 overflow, ``eigen_block``
-    drops those rows.  Equal values are then clustered.  Blocks are cut
+    a^2 exceeds ``_DECOUPLED`` at the unit scale below, every row with
+    d != 0 decouples in double precision and lies above the bound, so the
+    table is the d = 0 run of ``_diagonal_runs``, with a^2 capped at
+    ``_DECOUPLED`` so that no row is +inf.  Equal values are then
+    clustered.  Blocks are cut
     off, solved and clustered up to lam_max (1 + DEFAULT_CLUSTER_TOL),
     capped at the largest float, and the clusters whose representative
     exceeds lam_max are dropped: every copy of a value <= lam_max is
@@ -268,8 +279,8 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.
         OverflowError: if a^2 + b^2 + c^2 is 0 or infinite in floating
-            point, or where ``eigen_block`` raises it.  A block entry
-            that leaves the float range does not raise.
+            point, or if the smallest positive value of the table is
+            below the normal float range, where it keeps too few digits.
         CutoffTooLarge: if the bound needs more than ``K_CAP`` blocks.
     """
     if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c < math.inf:
@@ -285,8 +296,10 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     a2, bc2, off = _squares(math.ldexp(t.a, -h), math.ldexp(t.b, -h), math.ldexp(t.c, -h))
     upper_unit = math.ldexp(upper, -2 * h)
     step = 2 if g is GroupKind.SO3 else 1
-    if off is None or a2 == math.inf:
-        contributions = _diagonal_runs(cutoff, step, a2, bc2, upper_unit, 2 * h)
+    if off is None or a2 > _DECOUPLED:
+        contributions = _diagonal_runs(
+            cutoff, step, min(a2, _DECOUPLED), bc2, upper_unit, 2 * h
+        )
     else:
         contributions = []
         for k in range(0, cutoff + 1, step):
@@ -296,6 +309,10 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
                 for value in eigen_block(k, a2, bc2, off, upper_unit)
             ]
     entries, sources = _cluster(contributions, lam_max)
+    if len(entries) > 1 and entries[1].value < sys.float_info.min:
+        raise OverflowError(
+            f"eigenvalue {entries[1].value:.17g} is below the normal float range"
+        )
     return SpectrumTable(
         entries=entries,
         truncation_bound=lam_max,

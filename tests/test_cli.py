@@ -282,9 +282,13 @@ def test_rigidity_with_a_subnormal_volume_parameter_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("triple", [("1e-310", "1e-311", "1e-312"), ("1e-120", "1e-100", "1e-100")])
+@pytest.mark.parametrize(
+    "triple",
+    [("1e-310", "1e-311", "1e-312"), ("1e-120", "1e-100", "1e-100"), ("1e120", "1e120", "1e120")],
+)
 def test_geometry_of_a_vanishing_volume_parameter_names_the_volume(capsys, triple):
-    # abc underflows to 0, or is so small a subnormal that 2 pi^2 / abc is +inf
+    # abc underflows to 0, or is so small a subnormal that 2 pi^2 / abc is
+    # +inf, or overflows, so that the volume would print as 0
     code, out, err = run_cli(
         capsys, "geometry", "--a", triple[0], "--b", triple[1], "--c", triple[2],
         "--group", "su2",
@@ -292,6 +296,18 @@ def test_geometry_of_a_vanishing_volume_parameter_names_the_volume(capsys, tripl
     assert (code, out) == (2, "")
     assert err.startswith("error: parameters out of floating-point range: volume = 2 pi^2 / abc")
     assert err.strip().endswith("is outside the normal float range")
+
+
+def test_spectrum_with_a_subnormal_eigenvalue_exits_2(capsys):
+    # a^2 + b^2 + c^2 = 1.4e-319 is positive, but a subnormal keeps about 5
+    # digits, so the table is refused as lambda1 is
+    for argv in (["spectrum", "--lambda-max", "1e-318"], ["lambda1"]):
+        code, out, err = run_cli(
+            capsys, *argv, "--a", "3e-160", "--b", "2e-160", "--c", "1e-160", "--group", "su2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parameters out of floating-point range")
+        assert err.strip().endswith("normal float range")
 
 
 def test_rigidity_of_a_thin_metric_on_the_cubic_path(capsys):
@@ -581,8 +597,9 @@ PINNED_STDOUT = {
         "dec85feb0df52f9df432c791857a491087799448e9757ad3168bdfa3563ea9eb",
     "product --su2 1,1,1 --su2 1,1,1 --so3 2,1,0.5":
         "4e98dfa2c65d572b086b010d0ad3ecef90fe21edfdab307fe45f019bc104555a",
+    # Scal = 70/9 is the float nearest to it, printed 7.7777777777777777
     "rigidity --a 3 --b 1 --c 1 --group su2 --compare 3.0001,1,1 --lambda-max 12":
-        "dc5f1ac2b31088a033d05163cdfb04263153621a3ece4c06f682f8f945209a22",
+        "e37b93a2835fb13f1f5314607f2761c5986283f074b68c90f5ea6cdb0f3d451f",
     # entries from two irreps: 21 from k = (4, 6) and 45 from k = (6, 10),
     # so the "," join (JSON) and the ";" join (CSV) of k_sources are pinned
     "spectrum --a 1 --b 1 --c 0.5 --group su2 --lambda-max 60":
@@ -591,7 +608,7 @@ PINNED_STDOUT = {
         "7643cebdd2a56e6b14d6b9095fc059e9beadb36b2f9f13785e42584a1eaa35ff",
     # list-valued results, flattened to indexed keys such as recovered_triple[0]
     "rigidity --a 3 --b 1 --c 1 --group su2 --format csv":
-        "8d1d5857ad0ea045669895e7c8abdb67f3cf58fd4c2066f2eb6a5091b4c05727",
+        "6cb435b95f0dcb7b48b64c21434dd4652c1663a3c799edeee67c3c28f4f7fd4b",
     "estimate --berger-extrema --format csv":
         "0edd2c1ba7ac9341cac4d0563b2fc668e8c55a66eefe9aa8093289816bee2ae4",
     # closed-form tables cut off at K = 130, the size of the benchmark's

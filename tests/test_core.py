@@ -91,6 +91,15 @@ def test_spectrum_table_invariants():
         )
 
 
+def test_an_empty_spectrum_table_is_accepted():
+    # the checks read the first and last entries, so an empty table skips
+    # them; spectrum_up_to never builds one, since 0 is below every bound
+    empty = SpectrumTable(
+        entries=(), truncation_bound=5.0, group=GroupKind.SU2, triple=MetricTriple(1, 1, 1)
+    )
+    assert empty.counting_function(5.0) == 0
+
+
 def test_spectrum_table_rejects_a_multiplicity_below_one():
     # entries built unchecked, as spectrum._cluster builds them
     unchecked = tuple.__new__(EigenPair, (1.0, 0))

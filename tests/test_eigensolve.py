@@ -96,14 +96,10 @@ def _mp_parity_eigenvalues(k, a2, bc2, off, p):
     return list(mpmath.eigsy(block, eigvals_only=True))
 
 
-@pytest.mark.parametrize(
-    "k, upper",
-    [(4, 1e307), (16, 1e307), (17, 1e307), (11, math.inf), (12, math.inf), (13, math.inf)],
-)
+@pytest.mark.parametrize("k, upper", [(4, 1e307), (11, math.inf), (12, math.inf), (13, math.inf)])
 def test_dropping_overflowing_rows_is_exact_in_double_precision(k, upper):
     # a^2 = 1e306, b = 1, c = 0.5: the rows with |k - 2l| >= 14 are +inf in
-    # floats, none for k <= 13, a prefix of a half for k = 16 and both ends
-    # of the one half for k = 17.  With every row exact, each eigenvalue
+    # floats, none for k <= 13.  With every row exact, each eigenvalue
     # below the bound is within the certificate of eigen_block's, and an
     # even block's smallest rounds to its d = 0 entry 2p(p+1)(b^2 + c^2).
     # Unbounded, k = 11-13 keep eigenvalues up to 1.69e308, whose brackets
@@ -119,6 +115,16 @@ def test_dropping_overflowing_rows_is_exact_in_double_precision(k, upper):
     if not k % 2:
         p = k // 2
         assert got[0] == float(exact[0]) == 2 * p * (p + 1) * bc2  # 15.0 for k = 4
+
+
+@pytest.mark.parametrize("k", [16, 17])
+def test_eigen_block_raises_where_a_row_overflows(k):
+    # the same a^2 = 1e306: a prefix of a half is +inf for k = 16, and both
+    # ends of the one half for k = 17.  No table reaches this, since
+    # spectrum_up_to reads a^2 above spectrum._DECOUPLED off the closed form
+    a2, bc2, off = _squares(1e153, 1.0, 0.5)
+    with pytest.raises(OverflowError, match="leave the float range"):
+        eigen_block(k, a2, bc2, off, 1e307)
 
 
 # ---- the kernel contract: certified, accurate, independent of the bound ----
@@ -302,6 +308,24 @@ def test_newton_never_settles_on_a_neighbour_outside_its_bracket():
     t = _block([0.0, 2.0 - 1e-13, 2.11725, 3.1, 3.2, 3.3, 4.0], [0.0] * 6)
     _assert_contract(t)
     assert abs(eigenvalues(t.diag, t.offdiag)[2] - 2.11725) <= 1e-15
+
+
+def test_newton_never_settles_on_a_neighbour_above_its_bracket(monkeypatch):
+    # The mirror of the test above: the bracket [-3, -2] holds only
+    # -2.11725, and -2 + 1e-13 lies just above it.  A short step towards
+    # that neighbour is accepted, and the count at x - h, above -2.11725,
+    # moves hi down to x - h before Newton goes on to the eigenvalue
+    counts = []
+    count = eigensolve._sturm_count
+
+    def recorded(*args):
+        counts.append(count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(eigensolve, "_sturm_count", recorded)
+    diag = [0.0, -2.0 + 1e-13, -2.11725, -3.1, -3.2, -3.3, -4.0]
+    assert _newton_on(diag, [0.0] * 6, -3.0, -2.0, 4).hex() == "-0x1.0f020c49ba5e1p+1"
+    assert 5 in counts  # a probe above the eigenvalue moved hi
 
 
 def test_bound_below_the_hull_returns_nothing():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,22 @@ def test_scalar_curvature_values():
     assert scalar_curvature(t) == pytest.approx(expected, rel=1e-15)
 
 
+def test_scalar_curvature_is_accurate_where_its_terms_cancel():
+    # against the exact rational value of the float triple: the form
+    # 4(a^2+b^2+c^2) - 2(...) lost every digit of the 4 a^2 that cancels
+    rng = np.random.default_rng(23)
+    for row in 10.0 ** rng.uniform(-8, 8, size=(3000, 3)):
+        t = MetricTriple(*row)
+        a, b, c = map(Fraction, t.as_tuple())
+        exact = 4 * (a * a + b * b + c * c) - 2 * (
+            (b * c / a) ** 2 + (a * c / b) ** 2 + (a * b / c) ** 2
+        )
+        assert abs(Fraction(scalar_curvature(t)) - exact) <= Fraction(1, 10**12) * abs(exact), t
+    # a >> b = c: Scal = 8 - 2e-18 and lambda1 - Scal/2 = 4, not 0 and 8
+    assert scalar_curvature(MetricTriple(1e9, 1, 1)) == 8.0
+    assert yamabe_gap(MetricTriple(1e9, 1, 1), SU2) == 4.0
+
+
 def test_scalar_curvature_scaling():
     t = MetricTriple(2.3, 1.1, 0.7)
     assert scalar_curvature(t.scaled(3.0)) == pytest.approx(
@@ -57,6 +74,16 @@ def test_volume_values():
     assert volume(MetricTriple(1, 1, 1), SU2) == pytest.approx(2 * PI2, rel=1e-15)
     assert volume(MetricTriple(1, 1, 1), SO3) == pytest.approx(PI2, rel=1e-15)
     assert volume(MetricTriple(2, 1, 1), SU2) == pytest.approx(PI2, rel=1e-15)
+
+
+@pytest.mark.parametrize("triple", [(1e120,) * 3, (1e-110,) * 3, (1e-120, 1e-100, 1e-100)])
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_volume_outside_the_normal_range_raises(triple, g):
+    # abc overflows, so the volume rounds to 0; abc underflows to 0; abc is
+    # a subnormal so small that 2 pi^2 / abc is inf.  A finite abc gives a
+    # volume of at least pi^2 / 1.8e308, which is normal
+    with pytest.raises(OverflowError, match="outside the normal float range"):
+        volume(MetricTriple(*triple), g)
 
 
 @pytest.mark.parametrize(

@@ -190,7 +190,7 @@ def test_recover_rejects_unrealizable_invariants():
         ((587.0, -0.0123, 1.72, 4), SU2, "complex conjugate root pair"),
         # h(z) stays positive: no z, the 4(b^2+c^2) branch
         ((100.0, 1.0e6, 8.0, 3), SU2, "scalar curvature incompatible"),
-        ((0.0498, 0.0107, 0.00297, 6), SO3, r"b\^2 and c\^2 are complex"),
+        ((0.0498, 0.0107, 0.00297, 3), SO3, r"b\^2 and c\^2 are complex"),
         # a float range error while building the candidate
         ((5.66e285, -5.83e-127, 8.9e-273, 7), SU2, "math range error"),
         # a candidate that misses the invariants by more than 1e-6
@@ -198,6 +198,8 @@ def test_recover_rejects_unrealizable_invariants():
         ((-1.0, 6.0, 3.0, 4), SU2, "must be positive"),
         ((1.0, 6.0, 3.0, 5), SU2, "multiplicity 5 is not attained on su2"),
         ((1.0, 6.0, 3.0, 4), SO3, "multiplicity 4 is not attained on so3"),
+        # multiplicity 6 builds a = b > c, and no such triple has these
+        ((0.0498, 0.0107, 0.00297, 6), SO3, "to 1e-6"),
     ],
 )
 def test_recover_rejection_paths(fingerprint, g, reason):
@@ -205,6 +207,23 @@ def test_recover_rejection_paths(fingerprint, g, reason):
 
     with pytest.raises(InconsistentInvariants, match=reason):
         recover_triple(SpectralInvariants(*fingerprint), g)
+
+
+def test_so3_recovery_keeps_the_class_its_multiplicity_fixes():
+    # multiplicity 6 is a = b > c and 9 the round metric: the recovered
+    # triple is built in that class, also at c within ulps of a = b
+    from homsphere.acceptance import _rigidity_samples
+
+    rng = np.random.default_rng(31)
+    near_round = [
+        MetricTriple(s, s, s * (1.0 - 10.0 ** e))
+        for s, e in zip(10.0 ** rng.uniform(-100, 100, 200), rng.uniform(-16, -5, 200))
+    ]
+    for t in (*_rigidity_samples(SO3), *near_round):
+        inv = invariants(t, SO3)
+        rec = recover_triple(inv, SO3)
+        assert lambda1_closed(rec, SO3).multiplicity == inv.mult1, t
+        assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) <= 1e-8, t
 
 
 def test_auxiliary_root_stays_below_volume_scale():

@@ -83,6 +83,19 @@ def test_lambda1_outside_the_normal_range_raises(x, group):
         lambda1_closed(MetricTriple(x, x, x), group)
 
 
+@pytest.mark.parametrize("triple", [(3e-160, 2e-160, 1e-160), (1e-150, 1e-160, 1e-160)])
+def test_a_subnormal_first_eigenvalue_raises(triple):
+    # a^2 + b^2 + c^2 is positive, but lambda1 is a subnormal that keeps
+    # about 5 digits, as ``lambda1_closed`` reports too
+    t = MetricTriple(*triple)
+    with pytest.raises(OverflowError, match="below the normal float range"):
+        spectrum_up_to(1e-318, t, SU2)
+    with pytest.raises(OverflowError):
+        lambda1_closed(t, SU2)
+    # a bound below lambda1 gives the table (0, 1), which holds no subnormal
+    assert spectrum_up_to(1e-323, t, SU2).entries == ((0.0, 1),)
+
+
 def test_lambda1_scaling_covariance():
     t = MetricTriple(3.2, 1.7, 0.9)
     for g in (SU2, SO3):
@@ -294,9 +307,11 @@ def test_berger_spectrum_handles_swapped_parameters():
 
 @pytest.mark.parametrize(
     "triple",
-    # the last is generic, but a^2 overflows at the unit scale (b in [1, 2)),
-    # so every row with d = k-2l > 0 is +inf and only the d = 0 run is left
-    [(1.3, 1.3, 1.3), (1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7), (1e154, 0.5, 0.25)],
+    # the last two are generic, but a^2 exceeds spectrum._DECOUPLED at the
+    # unit scale (b in [1, 2)), where it overflows or not, so every row with
+    # d = k-2l != 0 decouples and only the d = 0 run is left
+    [(1.3, 1.3, 1.3), (1.3, 1.3, 0.5), (3.0, 3.0, 1.0), (2.5, 0.7, 0.7), (1e154, 0.5, 0.25),
+     (1e30, 1.0, 0.5)],
 )
 @pytest.mark.parametrize("g", [SU2, SO3])
 def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
@@ -311,27 +326,32 @@ def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
     assert table.entries[0] == (0.0, 1) and len(table.entries) > 2
 
 
-def _per_block_table(lam, t, g):
-    """The closed-form table assembled block by block, as before the diagonal runs.
+def _per_block_table(lam, t, g, block_values):
+    """A table assembled block by block at the unit scale of ``spectrum_up_to``.
 
-    ``casimir._diagonal`` per admissible k at the unit scale of
-    ``spectrum_up_to``: entries l <= k/2, for even k with the mirror
-    l = k/2-1, ..., 0 copied, those <= the bound sorted, each weighted
-    (k+1)(1 + k%2) and scaled back by ``ldexp``, then ``spectrum._cluster``.
+    ``block_values(k, a2, bc2, off, upper)`` gives the sorted values <=
+    ``upper`` of irrep k, one per Wang mirror pair for odd k; each is
+    weighted (k+1)(1 + k%2) and scaled back by ``ldexp``, then
+    ``spectrum._cluster`` builds the table.
     """
     upper = min(lam * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)
     h = math.frexp(t.b)[1] - 1
-    a2, bc2, _ = _squares(*(math.ldexp(x, -h) for x in t.as_tuple()))
+    sq = _squares(*(math.ldexp(x, -h) for x in t.as_tuple()))
     upper_unit = math.ldexp(upper, -2 * h)
     contributions = []
     for k in range(0, k_cutoff(upper, t, g) + 1, 2 if g is SO3 else 1):
-        values = _diagonal(k, a2, bc2, range(k // 2 + 1))
-        if not k % 2:
-            values += values[-2::-1]
-        weight = (k + 1) * (1 + k % 2)
-        contributions += [(math.ldexp(value, 2 * h), weight, k)
-                          for value in sorted(v for v in values if v <= upper_unit)]
+        contributions += [(math.ldexp(value, 2 * h), (k + 1) * (1 + k % 2), k)
+                          for value in block_values(k, *sq, upper_unit)]
     return spectrum._cluster(contributions, lam)
+
+
+def _closed_block(k, a2, bc2, off, upper):
+    """The closed form per block, as before the diagonal runs: ``casimir._diagonal``
+    entries l <= k/2, for even k with the mirror l = k/2-1, ..., 0 copied."""
+    values = _diagonal(k, a2, bc2, range(k // 2 + 1))
+    if not k % 2:
+        values += values[-2::-1]
+    return sorted(v for v in values if v <= upper)
 
 
 def test_diagonal_runs_equal_the_per_block_assembly_bitwise():
@@ -353,19 +373,39 @@ def test_diagonal_runs_equal_the_per_block_assembly_bitwise():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spectrum.ClusterMergeWarning)
                 table = spectrum_up_to(lam, t, g)
-                entries, sources = _per_block_table(lam, t, g)
+                entries, sources = _per_block_table(lam, t, g, _closed_block)
             assert [(v.hex(), m) for v, m in table.entries] == [
                 (v.hex(), m) for v, m in entries
             ], (t, g, lam)
             assert table.k_sources == sources, (t, g, lam)
 
 
+def test_decoupled_tables_equal_the_solved_blocks_bitwise():
+    # generic triples with a^2 at the unit scale 2^U(112, 144), on both
+    # sides of spectrum._DECOUPLED = 2^128, b/c up to 1e8, both groups and
+    # scales 10^U(-100, 100): past the threshold the d = 0 run of the
+    # closed form is exactly what solving every row gives
+    rng = random.Random(23)
+    for i in range(40):
+        s = 10.0 ** rng.uniform(-100, 100)
+        b = s * rng.uniform(1.0, 2.0)
+        t = MetricTriple(b * 2.0 ** rng.uniform(56, 72), b, b / 10.0 ** rng.uniform(0.01, 8))
+        g = (SU2, SO3)[i % 2]
+        lam = rng.uniform(1.1, 60.0) * lambda1_closed(t, g).value
+        table = spectrum_up_to(lam, t, g)
+        entries, sources = _per_block_table(lam, t, g, eigen_block)
+        assert [(v.hex(), m) for v, m in table.entries] == [
+            (v.hex(), m) for v, m in entries
+        ], (t, g, lam)
+        assert table.k_sources == sources, (t, g, lam)
+
+
 @pytest.mark.parametrize("triple", [(1e150, 1e-10, 1e-10), (1e150, 1e-10, 1e-11)])
 @pytest.mark.parametrize("g", [SU2, SO3])
 def test_a_squared_overflowing_at_the_unit_scale_keeps_the_d0_run(triple, g):
-    # a/b = 1e160: at the unit scale (b in [1, 2)) a^2 is inf and 0 * inf is
-    # NaN, but the d = 0 entries 2p(p+1)(b^2 + c^2) do not involve a^2, and
-    # with b != c every other row is +inf and decouples exactly
+    # a/b = 1e160: at the unit scale (b in [1, 2)) a^2 is inf, and is capped
+    # at spectrum._DECOUPLED so that no row is inf or NaN; the d = 0 entries
+    # 2p(p+1)(b^2 + c^2) do not involve a^2, and every other row decouples
     t = MetricTriple(*triple)
     bc2 = t.b * t.b + t.c * t.c
     assert spectrum_up_to(2.0 * bc2, t, g).entries == ((0.0, 1),)
