@@ -6,14 +6,15 @@ Exit codes: 0 success, 1 acceptance failure, ``verify`` without numpy
 (one ``error:`` line), internal error (a one-line ``internal error:``
 message on stderr) or a reader that closed stdout early (no message), 2
 invalid parameters (including parameters whose results leave the
-floating-point range, such as a spectrum whose a^2 + b^2 + c^2 is 0 or
-overflows, or a result below the normal range, such as a subnormal
-eigenvalue or volume; a metric so prolate that a block entry would
-overflow is no error, since its rows with d = k-2l != 0 decouple and the
-closed form is read off), 3 truncation bound needing more than
-``spectrum.K_CAP`` irrep blocks.  Warnings (for example suspicious
-cluster merges) go to stderr only.  No subcommand takes a tolerance: the
-solver, clustering and comparison tolerances are fixed.
+floating-point range, such as a spectrum whose a^2 + b^2 + c^2 underflows
+to 0, or a result below the normal range, such as a subnormal eigenvalue
+or volume; squares that overflow are no error for ``spectrum``, which
+solves at a unit scale, where the rows of a metric so prolate that they
+would overflow decouple and the closed form is read off), 3 truncation
+bound needing more than ``spectrum.K_CAP`` irrep blocks.  Warnings (for
+example suspicious cluster merges) go to stderr only.  No subcommand
+takes a tolerance: the solver, clustering and comparison tolerances are
+fixed.
 
 Only ``verify`` imports the acceptance suite, and with it numpy (the
 ``homsphere[verify]`` extra) and ``homsphere.oracle``; every other
@@ -269,17 +270,9 @@ def _cmd_product(args: argparse.Namespace) -> Payload:
     }
 
 
-class _MissingExtra(Exception):
-    """An optional dependency of one subcommand is not installed."""
-
-
 def _cmd_verify() -> tuple[str, int]:
-    try:
-        from . import acceptance  # numpy and the oracle load only for this command
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise _MissingExtra("verify needs numpy: pip install 'homsphere[verify]'") from None
+    from . import acceptance  # numpy and the oracle load only for this command
+
     results = acceptance.run_all()
     failed = sum(not r.passed for r in results)
     lines = [r.line() for r in results]
@@ -383,8 +376,10 @@ def main(argv: list[str] | None = None) -> int:
             }
             text = _record_to_csv(results) if args.format == "csv" else _to_json(record)
             status = EXIT_OK
-    except _MissingExtra as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ModuleNotFoundError as exc:  # only verify imports numpy
+        if exc.name != "numpy":
+            raise
+        print("error: verify needs numpy: pip install 'homsphere[verify]'", file=sys.stderr)
         return EXIT_FAILURE
     except CutoffTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -126,25 +126,27 @@ class SpectrumTable:
     """Sorted distinct eigenvalues <= truncation_bound, with multiplicities.
 
     The table is complete below ``truncation_bound``: every eigenvalue of the
-    metric not exceeding the bound appears.  ``k_sources[i]`` lists the
-    irrep labels k whose blocks contributed to ``entries[i]``.
+    metric not exceeding the bound appears, so the first entry is the
+    constant functions' (0, 1).  ``k_sources[i]`` lists the irrep labels k
+    whose blocks contributed to ``entries[i]``.  The constructor checks all
+    of this but the completeness itself, which ``spectrum_up_to`` provides.
     """
 
     entries: tuple[EigenPair, ...]
     truncation_bound: float
     group: GroupKind
     triple: MetricTriple
-    k_sources: tuple[tuple[int, ...], ...] = field(default=())
+    k_sources: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            return
+        if not self.entries or self.entries[0] != (0.0, 1):
+            raise ValueError("first spectrum entry must be (0, 1)")
+        if len(self.k_sources) != len(self.entries):
+            raise ValueError("k_sources must hold one tuple per spectrum entry")
         values, mults = zip(*self.entries)
         # strict increase from (0, 1) also puts every value at >= 0
         if not all(map(operator.lt, values, values[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
-        if self.entries[0] != (0.0, 1):
-            raise ValueError("first spectrum entry must be (0, 1)")
         if min(mults) < 1:
             raise ValueError("spectrum multiplicities must be >= 1")
         if values[-1] > self.truncation_bound:

@@ -199,7 +199,9 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     multiplicity.  The candidate is returned if its own
     invariants reproduce v and lambda1 within 1e-6 of themselves, and Scal
     within 1e-6 of 4(a^2+b^2+c^2) + 2((bc/a)^2 + (ac/b)^2 + (ab/c)^2), the
-    size of its rounding: Scal cancels when a >> b ~ c.
+    size of its sensitivity to the candidate's own error: a relative error
+    e in a, b or c moves Scal by up to about 2e times that sum, which
+    exceeds |Scal| many times over when a >> b ~ c.
 
     Raises:
         InconsistentInvariants: if the invariants are not realized by any
@@ -255,7 +257,8 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
         # a float range error or a non-positive parameter in the candidate
         raise InconsistentInvariants(f"no metric reproduces the invariants: {exc}") from exc
     fwd = invariants(t, g)
-    # 8(a^2+b^2+c^2) - Scal is the sum of the magnitudes of Scal's terms
+    # 8(a^2+b^2+c^2) - Scal is the sum of the magnitudes of the terms of the
+    # expanded Scal, which bounds how far the candidate's error moves it
     scal_size = 8.0 * (t.a * t.a + t.b * t.b + t.c * t.c) - fwd.scal
     checks = (
         (fwd.vol_param, inv.vol_param, inv.vol_param),
@@ -288,10 +291,8 @@ def isospectral_check(
         raise ValueError(f"lam_max {lam_max} below required {needed}")
     tab1 = spectrum_up_to(lam_max, t1, g)
     tab2 = spectrum_up_to(lam_max, t2, g)
-    pos1 = [(e.value, e.multiplicity) for e in tab1.entries if e.value > 0.0]
-    pos2 = [(e.value, e.multiplicity) for e in tab2.entries if e.value > 0.0]
-    # a table that runs out reads as (None, 0) from there on
-    pairs = zip_longest(pos1, pos2, fillvalue=(None, 0))
+    # both tables open with (0, 1); one that runs out reads as (None, 0) from there on
+    pairs = zip_longest(tab1.entries[1:], tab2.entries[1:], fillvalue=(None, 0))
     for idx, ((x, m1), (y, m2)) in enumerate(pairs, 1):
         if x is None or y is None or abs(x - y) > _ISOSPECTRAL_RTOL * x or m1 != m2:
             return IsospectralResult(IsospectralVerdict.DISTINCT_SPECTRA, idx, (x, y))

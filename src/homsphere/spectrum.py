@@ -273,18 +273,22 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     ``lam_max``.  The blocks are solved for the triple scaled by 2^-h,
     with b 2^-h in [1, 2), and the values scaled back by 4^h, so scaling
     the triple and ``lam_max`` by 2^j and 4^j scales every value by 4^j
-    exactly.  The squares of the scaled triple (``casimir._squares``) are
-    formed once per table.
+    exactly.  The blocks see only the squares of the scaled triple
+    (``casimir._squares``), formed once per table, so squares that overflow
+    at the caller's scale are no error: an a^2 of inf is finite or
+    decoupled at the unit scale, and a b^2 of inf puts every block k > 0
+    above the bound.
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.
-        OverflowError: if a^2 + b^2 + c^2 is 0 or infinite in floating
-            point, or if the smallest positive value of the table is
-            below the normal float range, where it keeps too few digits.
+        OverflowError: if a^2 + b^2 + c^2 is 0 in floating point, where
+            ``k_cutoff`` cannot walk the envelope, or if the smallest
+            positive value of the table is below the normal float range,
+            where it keeps too few digits.
         CutoffTooLarge: if the bound needs more than ``K_CAP`` blocks.
     """
-    if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c < math.inf:
-        raise OverflowError(f"the squares of {t.as_tuple()} leave the float range")
+    if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c:
+        raise OverflowError(f"the squares of {t.as_tuple()} underflow to 0")
     upper = lam_max  # an invalid bound goes to k_cutoff as it is
     if 0.0 < lam_max < math.inf:
         upper = min(lam_max * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)

@@ -458,8 +458,6 @@ def test_nonconvergence_exit_1(capsys, monkeypatch):
         "spectrum --a 1e-200 --b 1e-200 --c 1e-200 --group su2 --lambda-max 1",
         "geometry --a 1e150 --b 1 --c 1e-150 --group su2",
         "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2",
-        "spectrum --a 1e154 --b 1e154 --c 1e154 --group su2 --lambda-max 10",
-        "spectrum --a 1.5e154 --b 1 --c 1 --group su2 --lambda-max 10",
         "estimate --a 1e300 --b 1e300 --c 1 --group su2",
         "estimate --a 1e200 --b 1e200 --c 1e200 --group so3",
         "estimate --a 1e-200 --b 1e-200 --c 1e-200 --group so3",
@@ -471,6 +469,25 @@ def test_parameters_beyond_float_range_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        # b^2 overflows: the envelope puts every block k > 0 above the bound
+        ("spectrum --a 1e154 --b 1e154 --c 1e154 --group su2 --lambda-max 10", ["0,1,0"]),
+        # a^2 overflows at the caller's scale and decouples at the unit scale
+        ("spectrum --a 1.5e154 --b 1 --c 1 --group su2 --lambda-max 10", ["0,1,0", "8,3,2"]),
+        (
+            "spectrum --a 1e160 --b 2 --c 1 --group so3 --lambda-max 200",
+            ["0,1,0", "20,3,2", "60,5,4", "120,7,6", "200,9,8"],
+        ),
+    ],
+)
+def test_squares_overflowing_at_the_callers_scale_print_their_table(capsys, argv, rows):
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["value,multiplicity,k_sources", *rows]
 
 
 @pytest.mark.parametrize(

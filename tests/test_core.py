@@ -75,29 +75,47 @@ def test_spectrum_table_invariants():
     )
     assert good.counting_function(5.0) == 5
     assert good.counting_function(1.0) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first spectrum entry"):
         SpectrumTable(
             entries=(EigenPair(3.0, 4),),
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=t,
+            k_sources=((1,),),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the truncation bound"):
         SpectrumTable(
             entries=(EigenPair(0.0, 1), EigenPair(9.0, 4)),
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=t,
+            k_sources=((0,), (1,)),
+        )
+    with pytest.raises(ValueError, match="one tuple per spectrum entry"):
+        SpectrumTable(
+            entries=(EigenPair(0.0, 1), EigenPair(3.0, 4)),
+            truncation_bound=5.0,
+            group=GroupKind.SU2,
+            triple=t,
+            k_sources=((0,),),
+        )
+    with pytest.raises(TypeError):  # k_sources has no default
+        SpectrumTable(
+            entries=(EigenPair(0.0, 1),), truncation_bound=5.0, group=GroupKind.SU2, triple=t
         )
 
 
-def test_an_empty_spectrum_table_is_accepted():
-    # the checks read the first and last entries, so an empty table skips
-    # them; spectrum_up_to never builds one, since 0 is below every bound
-    empty = SpectrumTable(
-        entries=(), truncation_bound=5.0, group=GroupKind.SU2, triple=MetricTriple(1, 1, 1)
-    )
-    assert empty.counting_function(5.0) == 0
+def test_an_empty_spectrum_table_is_rejected():
+    # 0 is an eigenvalue of every metric and below every bound, so a table
+    # complete below its bound holds (0, 1)
+    with pytest.raises(ValueError, match="first spectrum entry"):
+        SpectrumTable(
+            entries=(),
+            truncation_bound=5.0,
+            group=GroupKind.SU2,
+            triple=MetricTriple(1, 1, 1),
+            k_sources=(),
+        )
 
 
 def test_spectrum_table_rejects_a_multiplicity_below_one():
@@ -110,4 +128,5 @@ def test_spectrum_table_rejects_a_multiplicity_below_one():
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=MetricTriple(1, 1, 1),
+            k_sources=((0,), (1,)),
         )

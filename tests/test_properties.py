@@ -54,11 +54,10 @@ def test_recover_round_trip_property(x, y, z, shape, group):
 def test_rows_beyond_the_float_range_leave_the_d0_run(seed, top, group):
     # a/b in [1e140, 1e170] and b/c in [1, 1e3]; with b <= 1e-17, a^2 <= 1e306
     # stays finite at the caller's scale.  At the unit scale (b in [1, 2))
-    # a^2 reaches 1e280-1e340: below about 1e308 the halves keep finite
-    # rows of size about a^2 and are solved, some with their rows of large
-    # |d| = |k-2l| at +inf, and above it every row with d > 0 is +inf.
-    # Either way the rows with d > 0 lie far above the bound, and the table
-    # is the d = 0 run 2p(p+1)(b^2 + c^2), weight 2p+1
+    # a^2 reaches 1e280-1e340, far past spectrum._DECOUPLED = 2^128, which
+    # caps it, so no row is +inf: every row with d = k-2l != 0 lies far
+    # above the bound, and the table is the d = 0 run 2p(p+1)(b^2 + c^2),
+    # weight 2p+1
     rng = random.Random(seed)
     b = 10.0 ** rng.uniform(-30.0, -17.0)
     t = MetricTriple(b * 10.0 ** rng.uniform(140.0, 170.0), b, b / 10.0 ** rng.uniform(0.0, 3.0))

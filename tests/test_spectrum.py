@@ -632,6 +632,33 @@ def test_spectrum_scales_with_decimal_factors(triple, g):
             assert abs(got.value - want.value * s * s) <= 1e-12 * want.value * s * s, e
 
 
+def test_squares_overflowing_at_the_callers_scale_scale_back_exactly():
+    # a = 10^U(154.2, 300), so a^2 is inf at the caller's scale; b = c in a
+    # tenth of the triples, and b^2 is inf where b is above about 1.3e154.
+    # The twin, the triple scaled by 2^-600, has finite squares, and its
+    # table at the bound scaled by 4^-600 is the table scaled back by 4^600
+    # exactly: values, multiplicities and k_sources
+    rng = random.Random(24)
+    kinds = collections.Counter()
+    for i in range(600):
+        a = 10.0 ** rng.uniform(154.2, 300.0)
+        b = 10.0 ** rng.uniform(40.0, min(160.0, math.log10(a)))
+        c = b if rng.random() < 0.1 else b / 10.0 ** rng.uniform(0.0, 3.0)
+        t = MetricTriple(a, b, c)
+        g = (SU2, SO3)[i % 2]
+        lam = min(rng.uniform(2.0, 60.0) * (t.b * t.b + t.c * t.c), 1e308)
+        table = spectrum_up_to(lam, t, g)
+        twin = spectrum_up_to(math.ldexp(lam, -1200), t.scaled(math.ldexp(1.0, -600)), g)
+        assert [(v.hex(), m) for v, m in table.entries] == [
+            (math.ldexp(v, 1200).hex(), m) for v, m in twin.entries
+        ], (t, g, lam)
+        assert table.k_sources == twin.k_sources, (t, g, lam)
+        kinds["b^2 = inf" if t.b * t.b == math.inf else "b = c" if t.b == t.c else "b > c"] += 1
+        # b != c and a^2 below spectrum._DECOUPLED at the unit scale
+        kinds["solved"] += t.b != t.c and t.a / t.b < 2.0**63
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_user_path_never_reaches_the_oracle(monkeypatch):
     triples = [
         MetricTriple(2.9, 1.7, 0.8),  # generic
