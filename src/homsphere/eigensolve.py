@@ -59,7 +59,11 @@ def eigenvalues(
     A bracket whose width drops below TOL * max(1, |midpoint|), however
     many halvings that takes (a few hundred at extreme aspect ratios),
     gives its midpoint once per index it holds.  A bracket that holds one
-    index is finished by ``_newton``.  A bracket that is kept takes the
+    index is finished by ``_newton``, unless it reaches past
+    cut = ``upper`` + TOL * max(1, |``upper``|) and the count at cut
+    shows its eigenvalue at or above cut: ``_newton`` certifies to
+    TOL/2 * max(1, |x|), so it would return that value above ``upper``,
+    and the bracket is dropped unsolved.  A bracket that is kept takes the
     same path as in an unbounded call, so every value is bitwise what an
     unbounded call gives.  A 1x1 block gives its entry.
 
@@ -93,11 +97,15 @@ def eigenvalues(
 
     d0 = diag[0]
     rows = list(zip(diag[1:], off2))
+    # an eigenvalue at or above cut comes back from _newton above upper
+    cut = upper + TOL * (upper if upper > 1.0 else -upper if upper < -1.0 else 1.0)
     out = []
     stack = [(lo0, hi0, 0, n)]
     while stack:
         lo, hi, first, last = stack.pop()
         if last - first == 1:
+            if cut < hi and _sturm_count(cut, d0, rows, pert) <= first:
+                continue
             value = _newton(lo, hi, first, d0, rows, pert, upper)
             if value <= upper:
                 out.append(value)
