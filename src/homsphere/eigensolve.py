@@ -21,8 +21,9 @@ given as its diagonal and off-diagonal sequences, the plain lists of
 ``casimir._wang_halves``; the ``TridiagBlock`` that holds a full block
 lives in ``homsphere.oracle``.  ``eigen_block`` solves the Wang halves
 of one irrep from the three squares of ``casimir._squares``, which
-``spectrum_up_to`` forms once per table: exactly the values <= the bound
-come back, and for odd k one value per Wang mirror pair.
+``spectrum_up_to`` forms once per table: a 1x1 half is read off, the
+others go to ``eigenvalues``, exactly the values <= the bound come
+back, and for odd k one value per Wang mirror pair.
 """
 
 from __future__ import annotations
@@ -244,21 +245,31 @@ def eigen_block(
     even indices, whose (k+1)/2 eigenvalues are returned, carries the
     spectrum: every value is an eigenvalue of multiplicity 2 in the
     matrix, and ``spectrum_up_to`` weights it 2(k+1).  For even k all k+1
-    eigenvalues are returned.  ``eigenvalues`` solves each half of
-    ``casimir._wang_halves`` below ``upper``: for odd k the even block,
-    for even k its four halves of about k/4 rows.  Each value is bitwise
-    what an unbounded call gives.  With b >= 1 every positive eigenvalue
-    is at least 2, so the floor of the stopping width never binds; this
-    is why ``spectrum_up_to`` solves at a power-of-two scale with b in
-    [1, 2), and why it reads a metric whose a^2 exceeds
-    ``spectrum._DECOUPLED`` there off the closed form instead.
+    eigenvalues are returned.  The halves of ``casimir._wang_halves``
+    are, for odd k, the even block and, for even k, four halves of about
+    k/4 rows.  A 1x1 half (only k <= 6 has them) is its own value, kept
+    if it is <= ``upper``; ``eigenvalues`` solves every other half below
+    ``upper``.  Each value is bitwise what an unbounded call gives.  With
+    b >= 1 every positive eigenvalue is at least 2, so the floor of the
+    stopping width never binds; this is why ``spectrum_up_to`` solves at
+    a power-of-two scale with b in [1, 2), and why it reads a metric
+    whose a^2 exceeds ``spectrum._DECOUPLED`` there off the closed form
+    instead.
 
     Raises:
         OverflowError: if a row (k-2l)^2 a2 + ... or the Gershgorin hull
-            of a half leaves the float range, as ``eigenvalues`` does.
+            of a half leaves the float range, as ``eigenvalues`` does, a
+            1x1 half included.
     """
     values = []
     for diag, offdiag in _wang_halves(k, a2, bc2, off):
-        values += eigenvalues(diag, offdiag, upper)
+        if offdiag:
+            values += eigenvalues(diag, offdiag, upper)
+            continue
+        value = diag[0]
+        if not math.isfinite(value):
+            raise OverflowError(f"a row of irrep {k} and its 1x1 half leave the float range")
+        if value <= upper:
+            values.append(value)
     values.sort()
     return tuple(values)

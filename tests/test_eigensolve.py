@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from homsphere import eigensolve
-from homsphere.casimir import _parity_entries, _squares, _wang_halves
+from homsphere.casimir import _squares, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import TOL, _newton, eigen_block, eigenvalues
 from homsphere.oracle import (
@@ -78,14 +78,17 @@ def test_entries_beyond_float_range_raise_overflow():
         eigenvalues([1.0, 2.0], [1e160])  # its square overflows
 
 
-def _mp_parity_eigenvalues(k, a2, bc2, off, p):
+def _mp_parity_eigenvalues(k, t, p):
     """Eigenvalues of the parity-p block of irrep k, its diagonal formed in mpmath.
 
-    The diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 does not overflow
-    there; the couplings are the float ones.
+    The diagonal (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2) does not
+    overflow there; the couplings are the float ones of the dense oracle
+    chain, whose diagonal may overflow.
     """
+    with np.errstate(over="ignore"):
+        coupling = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)[p].offdiag
+    a2, bc2, _ = _squares(t.a, t.b, t.c)
     n = (k - p) // 2 + 1
-    _, coupling = _parity_entries(k, a2, bc2, off, p, n, n - 1)
     block = mpmath.zeros(n)
     for i in range(n):
         l = p + 2 * i
@@ -104,11 +107,12 @@ def test_dropping_overflowing_rows_is_exact_in_double_precision(k, upper):
     # even block's smallest rounds to its d = 0 entry 2p(p+1)(b^2 + c^2).
     # Unbounded, k = 11-13 keep eigenvalues up to 1.69e308, whose brackets
     # have lo + hi above the float range: their midpoints lo/2 + hi/2 are finite
-    a2, bc2, off = _squares(1e153, 1.0, 0.5)
+    t = MetricTriple(1e153, 1.0, 0.5)
+    a2, bc2, off = _squares(t.a, t.b, t.c)
     got = eigen_block(k, a2, bc2, off, upper)
     with mpmath.workdps(350):  # 40 digits below a norm of about 1e308
         exact = sorted(v for p in ((0,) if k % 2 else (0, 1))
-                       for v in _mp_parity_eigenvalues(k, a2, bc2, off, p) if v <= upper)
+                       for v in _mp_parity_eigenvalues(k, t, p) if v <= upper)
         assert len(got) == len(exact)
         for value, want in zip(got, exact):
             assert abs(value - want) <= 0.5 * TOL * want
@@ -117,12 +121,14 @@ def test_dropping_overflowing_rows_is_exact_in_double_precision(k, upper):
         assert got[0] == float(exact[0]) == 2 * p * (p + 1) * bc2  # 15.0 for k = 4
 
 
-@pytest.mark.parametrize("k", [16, 17])
-def test_eigen_block_raises_where_a_row_overflows(k):
-    # the same a^2 = 1e306: a prefix of a half is +inf for k = 16, and both
-    # ends of the one half for k = 17.  No table reaches this, since
-    # spectrum_up_to reads a^2 above spectrum._DECOUPLED off the closed form
-    a2, bc2, off = _squares(1e153, 1.0, 0.5)
+@pytest.mark.parametrize("k, a", [(16, 1e153), (17, 1e153), (2, 1e154)], ids=["16", "17", "2"])
+def test_eigen_block_raises_where_a_row_overflows(k, a):
+    # at a^2 = 1e306 a prefix of a half is +inf for k = 16, and both ends
+    # of the one half for k = 17; at a^2 = 1e308 the row l = 0 of k = 2 is
+    # +inf, and it makes up 1x1 halves, which eigen_block reads off.  No
+    # table reaches this, since spectrum_up_to reads a^2 above
+    # spectrum._DECOUPLED off the closed form
+    a2, bc2, off = _squares(a, 1.0, 0.5)
     with pytest.raises(OverflowError, match="leave the float range"):
         eigen_block(k, a2, bc2, off, 1e307)
 
