@@ -3,6 +3,13 @@
 A left-invariant metric on SU(2) or SO(3) is described by three positive
 parameters ``(a, b, c)``; permuting them does not change the isometry
 class, so triples are stored in canonical descending order.
+
+The package's result records (``MetricTriple``, ``SpectrumTable`` and the
+records of ``geometry``, ``rigidity`` and ``spectrum``) are frozen slotted
+classes on ``_Record``, not dataclasses: every command runs in a fresh
+interpreter, and ``dataclasses`` would load ``inspect``, ``ast`` and
+``dis`` and build each record by ``exec`` at import, about a fifth of the
+package's start-up.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -38,8 +44,58 @@ class MetricClass(enum.Enum):
     GENERIC = "Generic"      # a > b > c
 
 
-@dataclass(frozen=True, slots=True)
-class MetricTriple:
+# sets a field of a record, whose own __setattr__ raises
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the frozen result records.
+
+    A record names its fields, in order, in ``__slots__``, and its own
+    ``__init__`` validates them and sets each once, through ``_set`` or
+    ``_fill``.  The contract:
+
+    * frozen: assigning or deleting any attribute raises AttributeError;
+    * a record is its constructor call, ``__reduce__()`` = (type, fields):
+      it equals only a record of the same type with equal fields, never
+      the tuple of its fields, and hashes as that pair;
+    * the repr is ``Name(field=value, ...)``, as a dataclass prints;
+    * picklable and copyable: ``pickle`` and ``copy`` rebuild the record
+      through its constructor, so a copy is validated again.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            self.__reduce__() == other.__reduce__()
+            if isinstance(other, _Record)
+            else NotImplemented
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__]),
+        )
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class MetricTriple(_Record):
     """Canonical parameters of the metric making {aX1, bX2, cX3} orthonormal.
 
     The constructor sorts the inputs descending, so ``a >= b >= c > 0``
@@ -47,21 +103,19 @@ class MetricTriple:
     parameters yields an isometric metric.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        vals = (float(self.a), float(self.b), float(self.c))
+    def __init__(self, a: float, b: float, c: float) -> None:
+        vals = (float(a), float(b), float(c))
         for v in vals:
             if not math.isfinite(v) or v <= 0.0:
                 raise NonPositiveParameter(
                     f"metric parameters must be finite and positive, got {vals}"
                 )
         a, b, c = sorted(vals, reverse=True)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def scaled(self, s: float) -> "MetricTriple":
         """Triple (s*a, s*b, s*c); eigenvalues scale by s^2, lengths by 1/s."""
@@ -121,8 +175,7 @@ class EigenPair(_EigenPairFields):
         return super().__new__(cls, value, multiplicity)
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumTable:
+class SpectrumTable(_Record):
     """Sorted distinct eigenvalues <= truncation_bound, with multiplicities.
 
     The table is complete below ``truncation_bound``: every eigenvalue of the
@@ -132,33 +185,40 @@ class SpectrumTable:
     of this but the completeness itself, which ``spectrum_up_to`` provides.
     """
 
-    entries: tuple[EigenPair, ...]
-    truncation_bound: float
-    group: GroupKind
-    triple: MetricTriple
-    k_sources: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries", "truncation_bound", "group", "triple", "k_sources")
 
-    def __post_init__(self) -> None:
-        if not self.entries or self.entries[0] != (0.0, 1):
+    def __init__(
+        self,
+        entries: tuple[EigenPair, ...],
+        truncation_bound: float,
+        group: GroupKind,
+        triple: MetricTriple,
+        k_sources: tuple[tuple[int, ...], ...],
+    ) -> None:
+        if not entries or entries[0] != (0.0, 1):
             raise ValueError("first spectrum entry must be (0, 1)")
-        if len(self.k_sources) != len(self.entries):
+        if len(k_sources) != len(entries):
             raise ValueError("k_sources must hold one tuple per spectrum entry")
-        values, mults = zip(*self.entries)
+        values, mults = zip(*entries)
         # strict increase from (0, 1) also puts every value at >= 0
         if not all(map(operator.lt, values, values[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
         if min(mults) < 1:
             raise ValueError("spectrum multiplicities must be >= 1")
-        if values[-1] > self.truncation_bound:
+        if values[-1] > truncation_bound:
             raise ValueError("spectrum entry exceeds the truncation bound")
+        _set(self, "entries", entries)
+        _set(self, "truncation_bound", truncation_bound)
+        _set(self, "group", group)
+        _set(self, "triple", triple)
+        _set(self, "k_sources", k_sources)
 
     def counting_function(self, lam: float) -> int:
         """Number of eigenvalues <= lam, counted with multiplicity."""
         return sum([m for v, m in self.entries if v <= lam])
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralInvariants:
+class SpectralInvariants(_Record):
     """The rigidity fingerprint: (abc, scalar curvature, lambda_1, mult).
 
     For metrics in this family ``mult1`` is one of {3, 4, 6, 7, 9}.  The
@@ -171,7 +231,7 @@ class SpectralInvariants:
     differs.
     """
 
-    vol_param: float
-    scal: float
-    lambda1: float
-    mult1: int
+    __slots__ = ("vol_param", "scal", "lambda1", "mult1")
+
+    def __init__(self, vol_param: float, scal: float, lambda1: float, mult1: int) -> None:
+        self._fill(vol_param, scal, lambda1, mult1)

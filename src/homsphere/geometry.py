@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .core import GroupKind, HomsphereError, MetricTriple
+from .core import GroupKind, HomsphereError, MetricTriple, _Record
 from .spectrum import lambda1_closed
 
 # tolerance for float dust on closed-form boundary comparisons
@@ -30,52 +29,67 @@ class EmptyProduct(HomsphereError, ValueError):
     """A product estimate was requested with no factors."""
 
 
-@dataclass(frozen=True, slots=True)
-class DiamBounds:
+class DiamBounds(_Record):
     """Diameter as an exact value or a certified [lower, upper] interval."""
 
-    lower: float
-    upper: float
-    exact: float | None = None
+    __slots__ = ("lower", "upper", "exact")
 
-    def __post_init__(self) -> None:
-        if self.exact is not None and not (self.lower == self.exact == self.upper):
+    def __init__(self, lower: float, upper: float, exact: float | None = None) -> None:
+        if exact is not None and not (lower == exact == upper):
             raise ValueError("exact diameter requires lower = exact = upper")
-        if self.lower > self.upper:
+        if lower > upper:
             raise ValueError("diameter lower bound exceeds upper bound")
+        self._fill(lower, upper, exact)
 
 
-@dataclass(frozen=True, slots=True)
-class ProductSpec:
+class ProductSpec(_Record):
     """Factors of a Riemannian product, one metric triple per factor."""
 
-    su2_factors: tuple[MetricTriple, ...] = ()
-    so3_factors: tuple[MetricTriple, ...] = ()
+    __slots__ = ("su2_factors", "so3_factors")
+
+    def __init__(
+        self,
+        su2_factors: tuple[MetricTriple, ...] = (),
+        so3_factors: tuple[MetricTriple, ...] = (),
+    ) -> None:
+        self._fill(su2_factors, so3_factors)
 
 
-@dataclass(frozen=True, slots=True)
-class ProductEstimate:
+class ProductEstimate(_Record):
     """Lowest eigenvalue and diameter-squared interval of a product metric."""
 
-    lambda1: float
-    diam2_lower: float
-    diam2_upper: float
-    product_lower: float
-    product_upper: float
-    cap: float
+    __slots__ = (
+        "lambda1", "diam2_lower", "diam2_upper", "product_lower", "product_upper", "cap"
+    )
+
+    def __init__(
+        self,
+        lambda1: float,
+        diam2_lower: float,
+        diam2_upper: float,
+        product_lower: float,
+        product_upper: float,
+        cap: float,
+    ) -> None:
+        self._fill(lambda1, diam2_lower, diam2_upper, product_lower, product_upper, cap)
 
 
-@dataclass(frozen=True, slots=True)
-class BergerExtremaReport:
+class BergerExtremaReport(_Record):
     """Extrema of lambda1 * diam^2 over the metrics with two equal parameters.
 
     The values are closed forms, attained at the unit-scale triples given.
     """
 
-    min_value: float
-    min_triple: MetricTriple
-    max_value: float
-    max_triple: MetricTriple
+    __slots__ = ("min_value", "min_triple", "max_value", "max_triple")
+
+    def __init__(
+        self,
+        min_value: float,
+        min_triple: MetricTriple,
+        max_value: float,
+        max_triple: MetricTriple,
+    ) -> None:
+        self._fill(min_value, min_triple, max_value, max_triple)
 
 
 def scalar_curvature(t: MetricTriple) -> float:

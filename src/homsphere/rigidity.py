@@ -15,8 +15,12 @@ equation for one unknown, so each case yields one candidate:
 
 * When lambda1 = 4(b^2 + c^2) = 4P (SU(2) multiplicity 3, every SO(3)
   case), z = a^2 P / v = a(b^2 + c^2)/(bc) turns the curvature into
-  h(z) = 2 z^2 + 2 (P/z)^2 - 8 (v/P) z + Scal - 4P = 0.  Every term has
-  the size of Scal or lambda1, so h is solved unscaled.  h is convex, and
+  h(z) = 2 z^2 + 2 (P/z)^2 - 8 (v/P) z + Scal - 4P = 0.  Under
+  t -> 2^-j t, v, Scal and lambda1 scale by 8^-j, 4^-j and 4^-j, z by
+  2^-j and h by 4^-j, exactly in floats.  h is solved at the given scale
+  unless v/lambda1, about z/16 there, is 2^499 or more, where z^2 and a^2
+  would overflow; then it is solved at the scale that brings v/lambda1
+  below 2^499, and the triple is scaled back.  h is convex, and
   the metric is its larger root: h' > 0 there reduces to
   a^4 (b^4 + c^4) > b^4 c^4.  Then a^2 = z v / P.  On SO(3) the
   multiplicity fixes the class, and the triple is built in it: 9 is the
@@ -34,7 +38,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from itertools import zip_longest
 
 from .core import (
@@ -43,6 +46,8 @@ from .core import (
     MetricTriple,
     NonPositiveParameter,
     SpectralInvariants,
+    _Record,
+    _set,
 )
 from .geometry import scalar_curvature
 from .spectrum import lambda1_closed, spectrum_up_to
@@ -62,8 +67,7 @@ class IsospectralVerdict(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True, slots=True)
-class IsospectralResult:
+class IsospectralResult(_Record):
     """Outcome of comparing two truncated spectra.
 
     For DISTINCT_SPECTRA, ``mu_index`` is the 1-based position of the first
@@ -71,9 +75,17 @@ class IsospectralResult:
     may be None when a table simply runs out of entries).
     """
 
-    verdict: IsospectralVerdict
-    mu_index: int | None = None
-    values: tuple[float | None, float | None] | None = None
+    __slots__ = ("verdict", "mu_index", "values")
+
+    def __init__(
+        self,
+        verdict: IsospectralVerdict,
+        mu_index: int | None = None,
+        values: tuple[float | None, float | None] | None = None,
+    ) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "mu_index", mu_index)
+        _set(self, "values", values)
 
 
 def invariants(t: MetricTriple, g: GroupKind) -> SpectralInvariants:
@@ -194,12 +206,14 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
     The multiplicity selects the equation, and its one solution gives the
     one candidate triple: a^2 from the cubic, solved with lambda1 and v
     scaled by powers of two to lambda1 in [1, 4), or z from h(z) = 0,
-    solved at the given scale.  SO(3) multiplicities 6 and 9 build the
-    candidate in their class, a = b > c or round, so that it keeps the
-    multiplicity.  The candidate is returned if its own
-    invariants reproduce v and lambda1 within 1e-6 of themselves, and Scal
-    within 1e-6 of 4(a^2+b^2+c^2) + 2((bc/a)^2 + (ac/b)^2 + (ab/c)^2), the
-    size of its sensitivity to the candidate's own error: a relative error
+    solved at the given scale or, where a^2 would overflow, with v, Scal
+    and lambda1 scaled down by powers of two until v/lambda1 < 2^499.
+    SO(3) multiplicities 6 and 9 build the candidate in their class,
+    a = b > c or round, so that it keeps the multiplicity.  The candidate
+    is returned if its own invariants reproduce v and lambda1 within 1e-6
+    of themselves, and Scal within 1e-6 of
+    4(a^2+b^2+c^2) + 2((bc/a)^2 + (ac/b)^2 + (ab/c)^2), the size of its
+    sensitivity to the candidate's own error: a relative error
     e in a, b or c moves Scal by up to about 2e times that sum, which
     exceeds |Scal| many times over when a >> b ~ c.
 
@@ -233,12 +247,14 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
             # P = lambda1 - u carries the error of u, which grows as a^2 nears
             # b^2 ~ c^2 (a near-triple root): the floor scales as u / (u - P/2)
             floor = 1e-13 * u / max(1.5 * u - 0.5 * lam, 1e-13 * u)
-            t = _split(u, lam - u, v, floor).scaled(math.ldexp(1.0, h))
+            t = _split(u, lam - u, v, floor)
         elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
             g is GroupKind.SO3 and inv.mult1 in (3, 6, 9)
         ):
-            p_sum = lam / 4.0
-            z = _z_root(p_sum, v, scal)
+            # bring v / lambda1 below 2^499, so that z^2 and a^2 are finite
+            h = max(math.frexp(v / lam)[1] - 499, 0)
+            p_sum, v = math.ldexp(lam, -2 * h) / 4.0, math.ldexp(v, -3 * h)
+            z = _z_root(p_sum, v, math.ldexp(scal, -2 * h))
             if inv.mult1 == 9:  # SO(3) round: lambda1 = 8 a^2
                 a = math.sqrt(0.5 * p_sum)
                 t = MetricTriple(a, a, a)
@@ -253,6 +269,7 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
             raise InconsistentInvariants(
                 f"multiplicity {inv.mult1} is not attained on {g.value}"
             )
+        t = t.scaled(math.ldexp(1.0, h))
     except (ArithmeticError, NonPositiveParameter) as exc:
         # a float range error or a non-positive parameter in the candidate
         raise InconsistentInvariants(f"no metric reproduces the invariants: {exc}") from exc
@@ -300,6 +317,6 @@ def isospectral_check(
         abs(x - y) <= _ISOSPECTRAL_RTOL * x
         for x, y in zip(t1.as_tuple(), t2.as_tuple())
     )
-    if same_triple:
-        return IsospectralResult(IsospectralVerdict.ISOMETRIC)
-    return IsospectralResult(IsospectralVerdict.UNDECIDED)
+    return IsospectralResult(
+        IsospectralVerdict.ISOMETRIC if same_triple else IsospectralVerdict.UNDECIDED
+    )

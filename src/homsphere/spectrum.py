@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
@@ -26,6 +25,7 @@ from .core import (
     HomsphereError,
     MetricTriple,
     SpectrumTable,
+    _Record,
     normalize_triple,
 )
 from .eigensolve import eigen_block
@@ -75,13 +75,13 @@ class Regime(enum.Enum):
     SO3 = "SO3"                      # SO(3): lambda1 = 4(b^2+c^2) always
 
 
-@dataclass(frozen=True, slots=True)
-class Lambda1Result:
+class Lambda1Result(_Record):
     """Smallest positive eigenvalue, its multiplicity, and the active regime."""
 
-    value: float
-    multiplicity: int
-    regime: Regime
+    __slots__ = ("value", "multiplicity", "regime")
+
+    def __init__(self, value: float, multiplicity: int, regime: Regime) -> None:
+        self._fill(value, multiplicity, regime)
 
 
 def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:

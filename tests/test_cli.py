@@ -271,6 +271,18 @@ def test_rigidity_with_lambda1_and_curvature_far_apart_round_trips(capsys):
     assert results["recovered_triple"] == pytest.approx(list(map(float, triple)), rel=1e-15)
 
 
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_rigidity_of_a_prolate_metric_whose_a_squared_overflows(capsys, group):
+    # (1.5e154)^2 overflows, while v = 1.5e154, Scal = 8 and lambda1 = 8 do not
+    code, out, err = run_cli(
+        capsys, "rigidity", "--a", "1.5e154", "--b", "1", "--c", "1", "--group", group
+    )
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["recovered_triple"] == [1.5e154, 1.0, 1.0]
+    assert results["roundtrip_rel_err"] == 0.0
+
+
 def test_rigidity_with_a_subnormal_volume_parameter_exits_2(capsys):
     # abc is one subnormal ulp, 4.9e-324, so v carries no digits of the metric
     code, out, err = run_cli(

@@ -6,7 +6,11 @@ assignment and deletion, and survives ``pickle`` and ``copy.deepcopy``.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,8 @@ def test_assignment_and_deletion_raise(case):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
             delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
     assert {name: getattr(record, name) for name in fields} == fields
 
 
@@ -204,10 +210,26 @@ def test_positional_and_keyword_construction_agree():
     assert Lambda1Result(8.0, 3, Regime.SO3) == Lambda1Result(
         regime=Regime.SO3, value=8.0, multiplicity=3
     )
-    assert IsospectralResult(IsospectralVerdict.DISTINCT_SPECTRA, 1, (1.0, 2.0)) == (
-        IsospectralResult(values=(1.0, 2.0), mu_index=1, verdict=IsospectralVerdict.DISTINCT_SPECTRA)
+    distinct = IsospectralVerdict.DISTINCT_SPECTRA
+    assert IsospectralResult(distinct, 1, (1.0, 2.0)) == IsospectralResult(
+        values=(1.0, 2.0), mu_index=1, verdict=distinct
     )
     with pytest.raises(TypeError):
         MetricTriple(1.0, 2.0)
     with pytest.raises(TypeError):
         DiamBounds(1.0, 2.0, 2.0, 2.0)
+
+
+def test_the_cli_imports_no_dataclasses():
+    # every command starts a fresh interpreter: the records are plain slotted
+    # classes so that the import pays for neither dataclasses nor inspect
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, homsphere.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

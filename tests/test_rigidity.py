@@ -132,6 +132,36 @@ def test_recover_thin_triples_whose_curvature_outgrows_lambda1():
         assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) < 1e-8
 
 
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_recover_prolate_triples_whose_squares_overflow(g):
+    # z = a (b^2 + c^2) / (bc) is about 2a, so z^2 and a^2 overflow past
+    # a ~ 1.3e154 while every invariant stays finite: Scal keeps
+    # -2 (a (b^2 - c^2) / (bc))^2 finite with b/c - 1 below about 1e140 b/a
+    rng = np.random.default_rng(15)
+    triples = [MetricTriple(1.5e154, 1, 1), MetricTriple(1e300, 1, 1)]
+    for _ in range(100):
+        b = 10.0 ** rng.uniform(-5, 3)
+        ratio = rng.uniform(150, 290)
+        c = b / (1.0 + 10.0 ** (140 - ratio - rng.uniform(0, 8)))
+        triples.append(MetricTriple(b * 10.0**ratio, b, c))
+    for t in triples:
+        rec = recover_triple(invariants(t, g), g)
+        assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) < 1e-8, t
+
+
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_recovery_scales_exactly_across_the_overflow_rescaling(g):
+    # v / lambda1 runs from 2^467 to 2^515, across the 2^499 past which the
+    # z equation is solved at a smaller scale: each triple comes back bitwise
+    # 2^k times the first, as a scaling by powers of two gives
+    t = MetricTriple(2.0**470, 1.001, 1.0)
+    base = recover_triple(invariants(t, g), g)
+    for k in range(0, 49, 4):
+        scale = 2.0**k
+        rec = recover_triple(invariants(t.scaled(scale), g), g)
+        assert rec == base.scaled(scale), k
+
+
 def test_recover_near_b_equal_c_at_large_aspect_ratio():
     # Scal cancels to a few digits when a >> b ~ c; validation compares it
     # with the size of its own rounding, so no valid triple is rejected
