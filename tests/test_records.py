@@ -27,21 +27,15 @@ from homsphere.spectrum import Lambda1Result, Regime
 
 _ROUND = "MetricTriple(a=1.0, b=1.0, c=1.0)"
 
-# name -> (build the record by keyword, its fields in order, its exact repr)
+# name -> (the record's class, its fields in order, its exact repr)
 CASES = {
     "MetricTriple": (
-        lambda: MetricTriple(a=1.0, b=3.0, c=2.0),
+        MetricTriple,
         dict(a=3.0, b=2.0, c=1.0),
         "MetricTriple(a=3.0, b=2.0, c=1.0)",
     ),
     "SpectrumTable": (
-        lambda: SpectrumTable(
-            entries=(EigenPair(0.0, 1), EigenPair(8.0, 3)),
-            truncation_bound=10.0,
-            group=GroupKind.SU2,
-            triple=MetricTriple(1.0, 1.0, 1.0),
-            k_sources=((0,), (1, 2)),
-        ),
+        SpectrumTable,
         dict(
             entries=(EigenPair(0.0, 1), EigenPair(8.0, 3)),
             truncation_bound=10.0,
@@ -54,29 +48,22 @@ CASES = {
         f" group=<GroupKind.SU2: 'su2'>, triple={_ROUND}, k_sources=((0,), (1, 2)))",
     ),
     "SpectralInvariants": (
-        lambda: SpectralInvariants(vol_param=2.0, scal=7.5, lambda1=8.0, mult1=3),
+        SpectralInvariants,
         dict(vol_param=2.0, scal=7.5, lambda1=8.0, mult1=3),
         "SpectralInvariants(vol_param=2.0, scal=7.5, lambda1=8.0, mult1=3)",
     ),
     "DiamBounds": (
-        lambda: DiamBounds(lower=1.0, upper=2.0, exact=None),
+        DiamBounds,
         dict(lower=1.0, upper=2.0, exact=None),
         "DiamBounds(lower=1.0, upper=2.0, exact=None)",
     ),
     "ProductSpec": (
-        lambda: ProductSpec(su2_factors=(MetricTriple(1.0, 1.0, 1.0),), so3_factors=()),
+        ProductSpec,
         dict(su2_factors=(MetricTriple(1.0, 1.0, 1.0),), so3_factors=()),
         f"ProductSpec(su2_factors=({_ROUND},), so3_factors=())",
     ),
     "ProductEstimate": (
-        lambda: ProductEstimate(
-            lambda1=8.0,
-            diam2_lower=1.5,
-            diam2_upper=2.5,
-            product_lower=12.0,
-            product_upper=20.0,
-            cap=78.5,
-        ),
+        ProductEstimate,
         dict(
             lambda1=8.0,
             diam2_lower=1.5,
@@ -89,12 +76,7 @@ CASES = {
         " product_lower=12.0, product_upper=20.0, cap=78.5)",
     ),
     "BergerExtremaReport": (
-        lambda: BergerExtremaReport(
-            min_value=18.0,
-            min_triple=MetricTriple(1.5, 1.0, 1.0),
-            max_value=29.5,
-            max_triple=MetricTriple(1.0, 1.0, 1.0),
-        ),
+        BergerExtremaReport,
         dict(
             min_value=18.0,
             min_triple=MetricTriple(1.5, 1.0, 1.0),
@@ -105,15 +87,13 @@ CASES = {
         f" max_value=29.5, max_triple={_ROUND})",
     ),
     "IsospectralResult": (
-        lambda: IsospectralResult(
-            verdict=IsospectralVerdict.DISTINCT_SPECTRA, mu_index=2, values=(8.0, None)
-        ),
+        IsospectralResult,
         dict(verdict=IsospectralVerdict.DISTINCT_SPECTRA, mu_index=2, values=(8.0, None)),
         "IsospectralResult(verdict=<IsospectralVerdict.DISTINCT_SPECTRA:"
         " 'distinct_spectra'>, mu_index=2, values=(8.0, None))",
     ),
     "Lambda1Result": (
-        lambda: Lambda1Result(value=8.0, multiplicity=3, regime=Regime.FOUR_BC),
+        Lambda1Result,
         dict(value=8.0, multiplicity=3, regime=Regime.FOUR_BC),
         "Lambda1Result(value=8.0, multiplicity=3, regime=<Regime.FOUR_BC: 'FourBC'>)",
     ),
@@ -122,7 +102,9 @@ CASES = {
 
 @pytest.fixture(params=sorted(CASES))
 def case(request):
-    return CASES[request.param]
+    """(build the record by keyword, its fields, its exact repr)"""
+    cls, fields, text = CASES[request.param]
+    return lambda: cls(**fields), fields, text
 
 
 def test_fields_read_back(case):
