@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -62,6 +64,34 @@ def test_eigenpair_validation():
         EigenPair(-1.0, 1)
     with pytest.raises(ValueError):
         EigenPair(1.0, 0)
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_eigenpair_round_trips_keep_type_and_fields(roundtrip):
+    pair = EigenPair(1.5, 2)
+    back = roundtrip(pair)
+    assert type(back) is EigenPair
+    assert (back.value, back.multiplicity) == (1.5, 2)
+    assert back == pair == (1.5, 2)
+
+
+def test_eigenpair_is_a_named_pair():
+    pair = EigenPair(1.0, 2)
+    assert pair.value == 1.0 and pair.multiplicity == 2
+    assert hash(pair) == hash((1.0, 2))
+    assert EigenPair._fields == ("value", "multiplicity")
+    assert pair._asdict() == {"value": 1.0, "multiplicity": 2}
+    moved = pair._replace(multiplicity=3)
+    assert type(moved) is EigenPair and moved == (1.0, 3)
+    assert pair == (1.0, 2)
+    value, multiplicity = pair
+    assert (value, multiplicity) == (1.0, 2)
+    with pytest.raises(AttributeError):
+        pair.value = 2.0
 
 
 def test_spectrum_table_invariants():
