@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import _diagonal, _squares, _wang_halves
+from .casimir import _squares, _wang_halves
 from .core import GroupKind, MetricTriple
 from .eigensolve import eigen_block
 from .geometry import (
@@ -30,6 +30,7 @@ from .geometry import (
     yamabe_gap,
 )
 from .oracle import (
+    _diagonal,
     berger_eigenvalue,
     casimir_matrix,
     casimir_matrix_oracle,

@@ -13,11 +13,12 @@ the triple only through the three squares of ``_squares``, which a
 caller forms once for all its blocks, and on k only through the integer
 coefficients and square-root ratios of ``_plan(k)``, which is built once
 per process for each k up to ``_PLAN_K_MAX``: a call evaluates the
-entries from the plan in O(k) float operations.  The dense matrix, its
-generator construction, the symmetrize/split steps and the
-``TridiagBlock`` that holds a full block live in ``homsphere.oracle`` as
-independent references: the full blocks come only from that chain.
-Entries are plain Python floats, so nothing here needs numpy.
+entries from the plan in O(k) float operations.  Nothing here builds a
+full block: the dense matrix, its generator construction, the
+symmetrize/split steps, the ``TridiagBlock`` that holds a full block and
+the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
+independent references, the only source of full blocks and full
+diagonals.  Entries are plain Python floats, so nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -40,18 +41,6 @@ def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
         a, c = c, a
     b2, c2 = b * b, c * c
     return a * a, b2 + c2, None if b == c else c2 - b2
-
-
-def _diagonal(k: int, a2: float, bc2: float, ls: range) -> list[float]:
-    """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 of the irrep-k matrix, l in ``ls``.
-
-    ``a2`` is a^2 and ``bc2`` is b^2 + c^2.  With b = c the matrix is
-    this diagonal alone, and 2 b^2 = b^2 + b^2 exactly, so the entries are
-    bitwise the closed Berger eigenvalues.
-    """
-    if k < 0:
-        raise ValueError(f"irrep label must be nonnegative, got {k}")
-    return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
 
 
 # The memo keeps the plan of every k <= _PLAN_K_MAX.  A plan holds about

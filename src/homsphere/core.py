@@ -9,7 +9,9 @@ records of ``geometry``, ``rigidity`` and ``spectrum``) are frozen slotted
 classes on ``_Record``, not dataclasses: every command runs in a fresh
 interpreter, and ``dataclasses`` would load ``inspect``, ``ast`` and
 ``dis`` and build each record by ``exec`` at import, about a fifth of the
-package's start-up.
+package's start-up.  ``EigenPair`` is a ``collections.namedtuple`` for the
+same reason: ``typing.NamedTuple`` would load ``typing``, which nothing
+else on the command path needs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class HomsphereError(Exception):
@@ -151,12 +153,7 @@ def classify(t: MetricTriple) -> MetricClass:
     return MetricClass.GENERIC
 
 
-class _EigenPairFields(NamedTuple):
-    value: float
-    multiplicity: int
-
-
-class EigenPair(_EigenPairFields):
+class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
     """A distinct Laplace eigenvalue together with its multiplicity.
 
     A validated tuple: it compares equal to ``(value, multiplicity)``.

@@ -2,9 +2,9 @@
 
 Only this module, the acceptance suite and the tests need numpy.
 ``casimir._wang_halves`` writes the Wang halves of the two tridiagonal
-blocks directly; the functions here build the full blocks the long way,
-the only way anything builds them, and the tests check the halves
-against them bit for bit:
+blocks directly; the functions here build the full blocks and their
+full diagonals the long way, the only way anything builds them, and the
+tests check the halves against them bit for bit:
 
 * ``casimir_matrix`` writes the dense (k+1)x(k+1) matrix from its closed
   entrywise formula;
@@ -15,6 +15,11 @@ against them bit for bit:
 * ``tridiagonal_split`` reorders it into even and odd indices, checking
   that nothing lies outside the distance-2 pattern, and returns the two
   blocks as ``TridiagBlock``s.
+
+``_diagonal`` writes the diagonal of the irrep-k matrix alone, which is
+the whole matrix for the squares ``casimir._squares`` gives a triple
+with two equal parameters: ``spectrum._diagonal_runs`` reads the same
+floats in sorted runs.
 
 The other references: ``to_dense`` expands a block for a dense solver,
 ``gershgorin`` gives certified eigenvalue intervals,
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casimir import _diagonal
 from .core import (
     GroupKind,
     HomsphereError,
@@ -126,6 +130,18 @@ def casimir_matrix(k: int, t: MetricTriple) -> np.ndarray:
         if l + 2 <= k:
             m[l + 2, l] = (k - l) * (k - l - 1) * off
     return m
+
+
+def _diagonal(k: int, a2: float, bc2: float, ls: range) -> list[float]:
+    """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 of the irrep-k matrix, l in ``ls``.
+
+    ``a2`` is a^2 and ``bc2`` is b^2 + c^2.  With b = c the matrix is
+    this diagonal alone, and 2 b^2 = b^2 + b^2 exactly, so the entries are
+    bitwise the closed Berger eigenvalues.
+    """
+    if k < 0:
+        raise ValueError(f"irrep label must be nonnegative, got {k}")
+    return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
 
 
 def casimir_matrix_oracle(k: int, t: MetricTriple) -> np.ndarray:

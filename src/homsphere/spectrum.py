@@ -222,7 +222,7 @@ def _diagonal_runs(
 
     With d = k-2l >= 0 and p = l, entry l of block k is
     d^2 a2 + (2p(p+d+1) + d) bc2: the integer coefficients of
-    ``casimir._diagonal``, so the floats are bitwise the same.  Entry k-l
+    ``oracle._diagonal``, so the floats are bitwise the same.  Entry k-l
     equals entry l, so the pair is one record of weight 2(k+1) when
     d > 0, and the middle entry d = 0 weighs k+1.  For fixed d the values
     never decrease in p, since rounding is monotone, so each d gives a

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from homsphere import casimir
-from homsphere.casimir import _PLAN_K_MAX, _diagonal, _squares, _wang_halves
+from homsphere.casimir import _PLAN_K_MAX, _squares, _wang_halves
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
     PatternViolation,
     TridiagBlock,
+    _diagonal,
     casimir_matrix,
     casimir_matrix_oracle,
     generator_matrices,

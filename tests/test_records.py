@@ -201,11 +201,12 @@ def test_positional_and_keyword_construction_agree():
 
 def test_the_cli_imports_no_dataclasses():
     # every command starts a fresh interpreter: the records are plain slotted
-    # classes so that the import pays for neither dataclasses nor inspect
+    # classes and EigenPair a collections.namedtuple, so that the import pays
+    # for neither dataclasses, inspect nor typing
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, homsphere.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(

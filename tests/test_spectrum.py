@@ -17,12 +17,13 @@ import homsphere
 from homsphere import eigensolve, oracle, spectrum
 from homsphere.oracle import (
     NotFound,
+    _diagonal,
     berger_eigenvalue,
     low_irrep_eigenvalues,
     mu_index_of,
     sum_eigenvalue_positions,
 )
-from homsphere.casimir import _diagonal, _squares
+from homsphere.casimir import _squares
 from homsphere.core import EigenPair, GroupKind, MetricTriple, normalize_triple
 from homsphere.eigensolve import eigen_block
 from homsphere.rigidity import isospectral_check
@@ -346,7 +347,7 @@ def _per_block_table(lam, t, g, block_values):
 
 
 def _closed_block(k, a2, bc2, off, upper):
-    """The closed form per block, as before the diagonal runs: ``casimir._diagonal``
+    """The closed form per block, as before the diagonal runs: ``oracle._diagonal``
     entries l <= k/2, for even k with the mirror l = k/2-1, ..., 0 copied."""
     values = _diagonal(k, a2, bc2, range(k // 2 + 1))
     if not k % 2:
