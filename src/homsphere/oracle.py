@@ -22,7 +22,8 @@ with two equal parameters: ``spectrum._diagonal_runs`` reads the same
 floats in sorted runs.
 
 The other references: ``to_dense`` expands a block for a dense solver,
-``gershgorin`` gives certified eigenvalue intervals,
+``gershgorin`` gives certified eigenvalue intervals, ``sturm_counter``
+counts the eigenvalues below a value without solving for any,
 ``berger_eigenvalue`` and ``low_irrep_eigenvalues`` are closed forms the
 spectra are checked against, ``mu_index_of`` looks a value up in a
 table, and ``mult3_auxiliary_root`` and ``sum_eigenvalue_positions`` are
@@ -31,11 +32,15 @@ diagnostics of the inverse problem and of the spectrum's ordering.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .casimir import _squares, _wang_halves
 from .core import (
     GroupKind,
     HomsphereError,
@@ -43,8 +48,9 @@ from .core import (
     SpectrumTable,
     normalize_triple,
 )
+from .eigensolve import _EPS, _sturm_count
 from .rigidity import _bisect
-from .spectrum import spectrum_up_to
+from .spectrum import _DECOUPLED, spectrum_up_to
 
 
 class ImaginaryResidue(HomsphereError, ArithmeticError):
@@ -269,6 +275,55 @@ def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
     return GershgorinIntervals(
         lower=diag - radius, upper=diag + radius, floor=floor, odd_floor=odd_floor
     )
+
+
+def sturm_counter(t: MetricTriple, g: GroupKind, x_max: float) -> Callable[[float], int]:
+    """N(x), the number of eigenvalues below x <= ``x_max``, with multiplicity.
+
+    N comes from Sturm counts, not from eigenvalues.  A Sturm count in
+    floats is the exact count of a matrix within a few ulp of the given
+    one (Kahan 1966; Barth, Martin & Wilkinson 1967), so N certifies a
+    table of ``spectrum_up_to`` at a resolution R: an entry (v, m) holds
+    iff N(v(1+R)) - N(v(1-R)) = m, and the table is complete below L iff
+    N(L(1-R)) is its counting function there.
+
+    N counts the blocks that ``spectrum_up_to`` solves, at its unit scale:
+    every Wang half of ``casimir._wang_halves`` by
+    ``eigensolve._sturm_count``, weighted (k+1)(1 + k%2), since an odd-k
+    half stands for its mirror too.  Where the table is read off the
+    closed form (two equal parameters, or a^2 past ``spectrum._DECOUPLED``
+    at the unit scale, capped there as the table caps it), N counts the
+    entries of ``_diagonal``, each weighted k+1.  Every block k whose
+    envelope 2k b^2 + k^2 c^2 is at most ``x_max`` is counted (even k only
+    for SO(3)), and no other block has an eigenvalue below ``x_max``.
+    """
+    h = math.frexp(t.b)[1] - 1
+    a, b, c = [math.ldexp(x, -h) for x in t.as_tuple()]
+    a2, bc2, off = _squares(a, b, c)
+    top = math.ldexp(x_max, -2 * h)
+    step = 2 if g is GroupKind.SO3 else 1
+    ks = itertools.takewhile(
+        lambda k: 2.0 * k * (b * b) + float(k) * k * (c * c) <= top, itertools.count(0, step)
+    )
+    if off is None or a2 > _DECOUPLED:
+        a2 = min(a2, _DECOUPLED)
+        pairs = sorted((v, k + 1) for k in ks for v in _diagonal(k, a2, bc2, range(k + 1)))
+        values = [v for v, _ in pairs]
+        below = list(itertools.accumulate([w for _, w in pairs], initial=0))
+        return lambda x: below[bisect.bisect_left(values, math.ldexp(x, -2 * h))]
+    halves = []
+    for k in ks:
+        weight = (k + 1) * (1 + k % 2)
+        for diag, offdiag in _wang_halves(k, a2, bc2, off):
+            norm = max(map(abs, diag)) + 2.0 * max(map(abs, offdiag), default=0.0)
+            rows = list(zip(diag[1:], [e * e for e in offdiag]))
+            halves.append((weight, diag[0], rows, _EPS * (norm or 1.0)))
+
+    def count(x: float) -> int:
+        x = math.ldexp(x, -2 * h)
+        return sum([w * _sturm_count(x, d0, rows, pert) for w, d0, rows, pert in halves])
+
+    return count
 
 
 def berger_eigenvalue(k: int, j: int, a: float, b: float) -> float:
