@@ -223,16 +223,26 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
         OverflowError: if an invariant is not finite (the scalar curvature
             of a metric with ab/c above about 1e154 is -inf).
         ArithmeticError: if v or lambda1 is a subnormal float, which
-            carries fewer than 53 significant bits.
+            carries fewer than 53 significant bits, or if lambda1 / 4 is 0
+            once v / lambda1 is scaled below 2^499, as for the metric
+            (2e300, 1e-150, 1e-150), where the z equation cannot be solved.
     """
     v, scal, lam = inv.vol_param, inv.scal, inv.lambda1
     if not all(map(math.isfinite, (v, scal, lam))):
         raise OverflowError(f"the invariants {(v, scal, lam)} are not finite")
     if v <= 0.0 or lam <= 0.0:
         raise InconsistentInvariants("volume parameter and lambda1 must be positive")
-    if min(v, lam) < sys.float_info.min:
-        # the noise floors below assume invariants rounded to 53 bits
-        raise ArithmeticError(f"v = {v:.17g} or lambda1 = {lam:.17g} is subnormal")
+    # the scale of the z equation: v / lambda1 below 2^499 keeps z^2 and a^2
+    # finite (the cubic sets its own h)
+    h = max(math.frexp(v / lam)[1] - 499, 0)
+    if min(v, lam) < sys.float_info.min or math.ldexp(lam, -2 * h) / 4.0 == 0.0:
+        # the noise floors below assume invariants rounded to 53 bits, and the
+        # z equation divides by P = lambda1 / 4 at its scale: a subnormal P
+        # can still recover the triple, a P of 0 cannot
+        raise ArithmeticError(
+            f"v = {v:.17g} or lambda1 = {lam:.17g} is subnormal, or lambda1 / 4"
+            f" is 0 once scaled by 4^-{h} to bring v / lambda1 below 2^499"
+        )
     try:
         if g is GroupKind.SU2 and inv.mult1 in (4, 7):
             # e2^2 = (ab)^4 + (ac)^4 + (bc)^4 + 2 lambda1 v^2, and the sum of
@@ -251,8 +261,6 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
         elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
             g is GroupKind.SO3 and inv.mult1 in (3, 6, 9)
         ):
-            # bring v / lambda1 below 2^499, so that z^2 and a^2 are finite
-            h = max(math.frexp(v / lam)[1] - 499, 0)
             p_sum, v = math.ldexp(lam, -2 * h) / 4.0, math.ldexp(v, -3 * h)
             z = _z_root(p_sum, v, math.ldexp(scal, -2 * h))
             if inv.mult1 == 9:  # SO(3) round: lambda1 = 8 a^2

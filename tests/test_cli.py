@@ -295,6 +295,23 @@ def test_rigidity_with_a_subnormal_volume_parameter_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "triple, group",
+    [(("2e300", "1e-150", "1e-150"), "su2"), (("1e300", "1e-100", "1e-100"), "so3")],
+)
+def test_rigidity_whose_scaled_lambda1_underflows_names_the_float_range(capsys, triple, group):
+    # every invariant is finite, but bringing v / lambda1 below 2^499 takes
+    # P = lambda1 / 4 to 0, where the z equation divides by it
+    code, out, err = run_cli(
+        capsys, "rigidity", "--a", triple[0], "--b", triple[1], "--c", triple[2],
+        "--group", group,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameters out of floating-point range: ")
+    assert "lambda1 / 4 is 0 once scaled" in err and "division by zero" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "triple",
     [("1e-310", "1e-311", "1e-312"), ("1e-120", "1e-100", "1e-100"), ("1e120", "1e120", "1e120")],
 )
