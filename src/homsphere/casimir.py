@@ -12,17 +12,18 @@ only assembly, writes the halves directly from the closed entries, as
 the triple only through the three squares of ``_squares``, which a
 caller forms once for all its blocks, and on k only through the integer
 coefficients and square-root ratios of ``_plan(k)``, which is built once
-per process for each k up to ``_PLAN_K_MAX``: a call evaluates the
-entries from the plan in O(k) float operations.  Nothing here builds a
-full block: the dense matrix, its generator construction, the
-symmetrize/split steps, the ``TridiagBlock`` that holds a full block and
-the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
-independent references, the only source of full blocks and full
-diagonals.  Entries are plain Python floats, so nothing here needs numpy.
+per process for each k: a call evaluates the entries from the plan in
+O(k) float operations.  Nothing here builds a full block: the dense
+matrix, its generator construction, the symmetrize/split steps, the
+``TridiagBlock`` that holds a full block and the full diagonal
+``_diagonal`` live in ``homsphere.oracle`` as independent references,
+the only source of full blocks and full diagonals.  Entries are plain
+Python floats, so nothing here needs numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 _SQRT2 = math.sqrt(2.0)
@@ -43,19 +44,17 @@ def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
     return a * a, b2 + c2, None if b == c else c2 - b2
 
 
-# The memo keeps the plan of every k <= _PLAN_K_MAX.  A plan holds about
-# k/2 diagonal and k/2 coupling coefficients of each kind, so the plans of
-# all k <= K take memory quadratic in K: 170 KiB for K = 64, 0.7 MiB for
-# K = 128, 2.9 MiB for K = 256 and 12 MiB for K = 512 (tracemalloc,
-# CPython 3.11).  128 holds every block of a table with K = 68, such as
-# lam_max = 3200 on (1.7, 1.2, 0.8), where an unbounded memo would keep
-# gigabytes for a table near spectrum.K_CAP.  A plan past it is built
-# again on each call, at about the cost of the assembly it replaces.
-_PLAN_K_MAX = 128
-_PLANS: dict[int, tuple] = {}
+# ``_plan`` keeps the plan of every k a process has solved.  A plan holds
+# about k/2 diagonal and k/2 coupling coefficients of each kind, so the
+# plans of all k <= K take memory quadratic in K: 0.12 MiB for K = 56,
+# 0.67 MiB for K = 128, 1.7 MiB for K = 200, 4.0 MiB for K = 300 and
+# 11.8 MiB for K = 512 (tracemalloc, CPython 3.11).  That is about the
+# peak of building a table that needs those blocks, plans aside: 1.7 MiB
+# at K = 200 and 3.6 MiB at K = 300 for (1.7, 1.2, 0.8).
 _WHOLE, _ROOT2, _PLUS_MINUS = range(3)
 
 
+@functools.cache
 def _plan(k: int) -> tuple:
     """The part of the Wang halves of irrep k that does not depend on the triple.
 
@@ -80,28 +79,22 @@ def _plan(k: int) -> tuple:
 
     The coefficients are held column by column, which keeps a plan to a
     few tuples per block: the first use of a large table then allocates
-    few objects.  Plans of k <= ``_PLAN_K_MAX`` are kept in ``_PLANS``.
+    few objects.  Each plan is built once and kept for the life of the
+    process.
 
     Raises:
         ValueError: if k is negative.
     """
-    plan = _PLANS.get(k)
-    if plan is not None:
-        return plan
     if k < 0:
         raise ValueError(f"irrep label must be nonnegative, got {k}")
     if k % 2:
         n = (k + 1) // 2
-        plan = (_block_plan(k, 0, n, n - 1, _WHOLE),)
-    else:
-        blocks = []
-        for p in (0, 1) if k else (0,):
-            m, odd = divmod((k - p) // 2 + 1, 2)
-            blocks.append(_block_plan(k, p, m + odd, m, _ROOT2 if odd else _PLUS_MINUS))
-        plan = tuple(blocks)
-    if k <= _PLAN_K_MAX:
-        _PLANS[k] = plan
-    return plan
+        return (_block_plan(k, 0, n, n - 1, _WHOLE),)
+    blocks = []
+    for p in (0, 1) if k else (0,):
+        m, odd = divmod((k - p) // 2 + 1, 2)
+        blocks.append(_block_plan(k, p, m + odd, m, _ROOT2 if odd else _PLUS_MINUS))
+    return tuple(blocks)
 
 
 def _block_plan(k: int, p: int, rows: int, couplings: int, edit: int) -> tuple:

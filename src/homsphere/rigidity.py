@@ -89,7 +89,13 @@ class IsospectralResult(_Record):
 
 
 def invariants(t: MetricTriple, g: GroupKind) -> SpectralInvariants:
-    """The rigidity fingerprint (abc, Scal, lambda1, multiplicity)."""
+    """The rigidity fingerprint (abc, Scal, lambda1, multiplicity).
+
+    Raises:
+        OverflowError: if abc underflows to 0, as ``geometry.volume`` does.
+    """
+    if not t.a * t.b * t.c:
+        raise OverflowError(f"volume parameter abc of {t.as_tuple()} underflows to 0")
     lam = lambda1_closed(t, g)
     return SpectralInvariants(
         vol_param=t.a * t.b * t.c,

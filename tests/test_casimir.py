@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homsphere import casimir
-from homsphere.casimir import _PLAN_K_MAX, _squares, _wang_halves
+from homsphere.casimir import _squares, _wang_halves
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
@@ -280,25 +280,25 @@ def _bits(block):
 @pytest.mark.parametrize("t", WANG_TRIPLES + _assembly_triples(), ids=repr)
 def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
     # bitwise, so the one direct assembly agrees with the dense chain entry by entry
-    for k in (*range(41), 50, _PLAN_K_MAX, _PLAN_K_MAX + 1, 199, 400):
+    for k in (*range(41), 50, 128, 129, 199, 400):
         got = collections.Counter(map(_bits, _halves(k, t)))
         assert got == collections.Counter(map(_bits, _halves_of_blocks(k, t)))
 
 
-def test_the_plan_memo_keeps_no_block_past_its_bound(monkeypatch):
-    # K = 130 passes the bound, so blocks 129 and 130 are planned on each call
+def test_a_cleared_plan_cache_gives_the_same_halves_and_table():
+    # K = 130 on (1e4, 1, 0.5); each block is planned once, however large its k
     t, lam = MetricTriple(1e4, 1.0, 0.5), 4486.0
-    assert k_cutoff(lam, t, GroupKind.SU2) == _PLAN_K_MAX + 2
+    assert k_cutoff(lam, t, GroupKind.SU2) == 130
     warm_table = spectrum_up_to(lam, t, GroupKind.SU2)
-    assert max(casimir._PLANS) <= _PLAN_K_MAX
-    ks = range(_PLAN_K_MAX + 3)
+    ks = range(131)
     warm = [[_bits(h) for h in _halves(k, t)] for k in ks]
-    monkeypatch.setattr(casimir, "_PLANS", {})
+    casimir._plan.cache_clear()
     cold = [[_bits(h) for h in _halves(k, t)] for k in ks]
     assert cold == warm
-    assert sorted(casimir._PLANS) == list(range(_PLAN_K_MAX + 1))
-    monkeypatch.setattr(casimir, "_PLANS", {})
+    casimir._plan.cache_clear()
     cold_table = spectrum_up_to(lam, t, GroupKind.SU2)
+    assert spectrum_up_to(lam, t, GroupKind.SU2) == cold_table
+    assert casimir._plan.cache_info().misses == 131
     hexes = [[e.value.hex() for e in table.entries] for table in (cold_table, warm_table)]
     assert hexes[0] == hexes[1]
     assert cold_table == warm_table

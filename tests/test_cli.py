@@ -311,6 +311,19 @@ def test_rigidity_whose_scaled_lambda1_underflows_names_the_float_range(capsys, 
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_rigidity_whose_abc_underflows_names_the_float_range(capsys, group):
+    # every parameter is valid, but abc = 1e-460 is 0 in floats, which the
+    # fingerprint must not pass on as a user's v = 0
+    code, out, err = run_cli(
+        capsys, "rigidity", "--a", "1e-150", "--b", "1e-150", "--c", "1e-160", "--group", group,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameters out of floating-point range: ")
+    assert "abc" in err and "must be positive" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "triple",
     [("1e-310", "1e-311", "1e-312"), ("1e-120", "1e-100", "1e-100"), ("1e120", "1e120", "1e120")],

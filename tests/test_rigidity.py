@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from homsphere.core import GroupKind, MetricTriple, normalize_triple
+from homsphere.core import GroupKind, MetricTriple, SpectralInvariants, normalize_triple
+from homsphere.geometry import scalar_curvature
 from homsphere.oracle import mult3_auxiliary_root
 from homsphere.rigidity import (
     InconsistentInvariants,
@@ -181,6 +182,18 @@ def test_recover_rejects_infinite_invariants():
     assert inv.scal == -math.inf
     with pytest.raises(OverflowError):
         recover_triple(inv, SU2)
+
+
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_invariants_of_an_underflowing_abc_name_the_float_range(g):
+    # abc = 1e-460 is 0 in floats, though the triple is valid; a fingerprint
+    # the user gives with v = 0 is still no metric's
+    t = MetricTriple(1e-150, 1e-150, 1e-160)
+    with pytest.raises(OverflowError, match="underflows to 0"):
+        invariants(t, g)
+    lam = lambda1_closed(t, g)
+    with pytest.raises(InconsistentInvariants, match="must be positive"):
+        recover_triple(SpectralInvariants(0.0, scalar_curvature(t), lam.value, lam.multiplicity), g)
 
 
 def test_recover_boundary_multiplicity_seven():
