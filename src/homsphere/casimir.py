@@ -12,13 +12,13 @@ only assembly, writes the halves directly from the closed entries, as
 the triple only through the three squares of ``_squares``, which a
 caller forms once for all its blocks, and on k only through the integer
 coefficients and square-root ratios of ``_plan(k)``, which is built once
-per process for each k: a call evaluates the entries from the plan in
-O(k) float operations.  Nothing here builds a full block: the dense
-matrix, its generator construction, the symmetrize/split steps, the
-``TridiagBlock`` that holds a full block and the full diagonal
-``_diagonal`` live in ``homsphere.oracle`` as independent references,
-the only source of full blocks and full diagonals.  Entries are plain
-Python floats, so nothing here needs numpy.
+per process for each k up to ``_PLAN_K_MAX``: a call evaluates the
+entries from the plan in O(k) float operations.  Nothing here builds a
+full block: the dense matrix, its generator construction, the
+symmetrize/split steps, the ``TridiagBlock`` that holds a full block and
+the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
+independent references, the only source of full blocks and full
+diagonals.  Entries are plain Python floats, so nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -44,13 +44,18 @@ def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
     return a * a, b2 + c2, None if b == c else c2 - b2
 
 
-# ``_plan`` keeps the plan of every k a process has solved.  A plan holds
-# about k/2 diagonal and k/2 coupling coefficients of each kind, so the
-# plans of all k <= K take memory quadratic in K: 0.12 MiB for K = 56,
-# 0.67 MiB for K = 128, 1.7 MiB for K = 200, 4.0 MiB for K = 300 and
-# 11.8 MiB for K = 512 (tracemalloc, CPython 3.11).  That is about the
-# peak of building a table that needs those blocks, plans aside: 1.7 MiB
-# at K = 200 and 3.6 MiB at K = 300 for (1.7, 1.2, 0.8).
+# The cache of ``_plan`` keeps the plan of every k <= _PLAN_K_MAX a
+# process has solved.  A plan holds about k/2 diagonal and k/2 coupling
+# coefficients of each kind, so the plans of all k <= K take memory
+# quadratic in K: 0.12 MiB for K = 56, 0.7 MiB for K = 128, 1.7 MiB for
+# K = 200, 2.9 MiB for K = 256, 12 MiB for K = 512 and 182 MiB for
+# K = 1996 (tracemalloc, CPython 3.11).  256 keeps every block of a
+# repeated K = 200 table.  An unbounded cache would keep gigabytes after
+# a table near spectrum.K_CAP: the K = 1996 table of (1e15, 1, 0.5) at
+# lam_max = 1e6 peaks at 17 MiB RSS with this bound and at 205 MiB
+# without it.  A plan past the bound is built again on each call, at
+# about the cost of the assembly it replaces, and is not kept.
+_PLAN_K_MAX = 256
 _WHOLE, _ROOT2, _PLUS_MINUS = range(3)
 
 
@@ -79,8 +84,8 @@ def _plan(k: int) -> tuple:
 
     The coefficients are held column by column, which keeps a plan to a
     few tuples per block: the first use of a large table then allocates
-    few objects.  Each plan is built once and kept for the life of the
-    process.
+    few objects.  ``_wang_halves`` keeps the plans of k <= ``_PLAN_K_MAX``
+    in the cache for the life of the process.
 
     Raises:
         ValueError: if k is negative.
@@ -137,7 +142,8 @@ def _wang_halves(
     size share one off-diagonal list, and every call returns new lists.
     """
     halves = []
-    for a_coefs, bc_coefs, above, below, ratios, edit in _plan(k):
+    plan = _plan(k) if k <= _PLAN_K_MAX else _plan.__wrapped__(k)
+    for a_coefs, bc_coefs, above, below, ratios, edit in plan:
         if len(a_coefs) == 1:  # a block of one or two rows, whose halves are 1x1
             d = a_coefs[0] * a2 + bc_coefs[0] * bc2
             if ratios:

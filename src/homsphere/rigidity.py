@@ -94,11 +94,12 @@ def invariants(t: MetricTriple, g: GroupKind) -> SpectralInvariants:
     Raises:
         OverflowError: if abc underflows to 0, as ``geometry.volume`` does.
     """
-    if not t.a * t.b * t.c:
+    v = t.a * t.b * t.c
+    if not v:
         raise OverflowError(f"volume parameter abc of {t.as_tuple()} underflows to 0")
     lam = lambda1_closed(t, g)
     return SpectralInvariants(
-        vol_param=t.a * t.b * t.c,
+        vol_param=v,
         scal=scalar_curvature(t),
         lambda1=lam.value,
         mult1=lam.multiplicity,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homsphere import casimir
-from homsphere.casimir import _squares, _wang_halves
+from homsphere.casimir import _PLAN_K_MAX, _squares, _wang_halves
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
@@ -280,25 +280,28 @@ def _bits(block):
 @pytest.mark.parametrize("t", WANG_TRIPLES + _assembly_triples(), ids=repr)
 def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
     # bitwise, so the one direct assembly agrees with the dense chain entry by entry
-    for k in (*range(41), 50, 128, 129, 199, 400):
+    for k in (*range(41), 50, 128, 129, 199, _PLAN_K_MAX, _PLAN_K_MAX + 1, 400):
         got = collections.Counter(map(_bits, _halves(k, t)))
         assert got == collections.Counter(map(_bits, _halves_of_blocks(k, t)))
 
 
-def test_a_cleared_plan_cache_gives_the_same_halves_and_table():
-    # K = 130 on (1e4, 1, 0.5); each block is planned once, however large its k
-    t, lam = MetricTriple(1e4, 1.0, 0.5), 4486.0
-    assert k_cutoff(lam, t, GroupKind.SU2) == 130
+def test_the_plan_memo_keeps_no_block_past_its_bound():
+    # K = 258 passes the bound, so blocks 257 and 258 are planned on each call
+    t, lam = MetricTriple(1e4, 1.0, 0.5), 17200.0
+    assert k_cutoff(lam, t, GroupKind.SU2) == _PLAN_K_MAX + 2
     warm_table = spectrum_up_to(lam, t, GroupKind.SU2)
-    ks = range(131)
+    assert casimir._plan.cache_info().currsize <= _PLAN_K_MAX + 1
+    ks = range(_PLAN_K_MAX + 3)
     warm = [[_bits(h) for h in _halves(k, t)] for k in ks]
     casimir._plan.cache_clear()
     cold = [[_bits(h) for h in _halves(k, t)] for k in ks]
     assert cold == warm
+    assert casimir._plan.cache_info().currsize == _PLAN_K_MAX + 1
     casimir._plan.cache_clear()
     cold_table = spectrum_up_to(lam, t, GroupKind.SU2)
     assert spectrum_up_to(lam, t, GroupKind.SU2) == cold_table
-    assert casimir._plan.cache_info().misses == 131
+    # each kept block is planned once over the two tables
+    assert casimir._plan.cache_info().misses == _PLAN_K_MAX + 1
     hexes = [[e.value.hex() for e in table.entries] for table in (cold_table, warm_table)]
     assert hexes[0] == hexes[1]
     assert cold_table == warm_table

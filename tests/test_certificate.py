@@ -6,7 +6,8 @@ R the table was clustered at, each entry (v, m) must hold exactly the m
 eigenvalues counted in [v(1-R), v(1+R)], and the table must hold every
 eigenvalue counted below L(1-R).  The triples are seeded and generic,
 near-prolate (b ~ c < a) and near-oblate (a ~ b > c), where values of
-different blocks and halves lie close together.
+different blocks and halves lie close together, and extreme, with
+aspect ratios up to 1e4.
 """
 
 import math
@@ -25,7 +26,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::homsphere.spectrum.ClusterMerge
 R = DEFAULT_CLUSTER_TOL
 # blocks per table: SO(3) solves only even k, so it gets more
 BLOCKS = {GroupKind.SU2: 36, GroupKind.SO3: 48}
-TABLES_PER_SHAPE = 2
+# tables per shape; the extreme triples spread over four decades, so they get more
+TABLES = {"generic": 2, "near_prolate": 2, "near_oblate": 2, "extreme": 12}
 
 
 def _loguniform(rng, lo, hi):
@@ -38,19 +40,24 @@ def _triple(rng, shape):
         return (s * _loguniform(rng, 1.3, 3.0), s, s * (1.0 - _loguniform(rng, 1e-3, 1e-1)))
     if shape == "near_oblate":
         return (s, s * (1.0 - _loguniform(rng, 1e-3, 1e-1)), s * _loguniform(rng, 0.3, 0.8))
+    if shape == "extreme":
+        return tuple(s * _loguniform(rng, 1.0, 1e4) for _ in range(3))
     return tuple(s * _loguniform(rng, 0.1, 10.0) for _ in range(3))
 
 
 def _cases():
     rng = random.Random(2028)
+    keys = [(g, shape) for g in BLOCKS for shape in ("generic", "near_prolate", "near_oblate")]
+    # drawn last, so the other shapes keep their triples
+    keys += [(g, "extreme") for g in BLOCKS]
     cases = []
-    for g, blocks in BLOCKS.items():
-        for shape in ("generic", "near_prolate", "near_oblate"):
-            for i in range(TABLES_PER_SHAPE):
-                t = normalize_triple(*_triple(rng, shape))
-                # halfway between the envelopes of the last block and the next
-                envelope = [2.0 * k * t.b**2 + float(k) * k * t.c**2 for k in (blocks, blocks + 1)]
-                cases.append(pytest.param(t, g, sum(envelope) / 2, id=f"{g.value}-{shape}-{i}"))
+    for g, shape in keys:
+        for i in range(TABLES[shape]):
+            t = normalize_triple(*_triple(rng, shape))
+            # halfway between the envelopes of the last block and the next
+            blocks = BLOCKS[g]
+            envelope = [2.0 * k * t.b**2 + float(k) * k * t.c**2 for k in (blocks, blocks + 1)]
+            cases.append(pytest.param(t, g, sum(envelope) / 2, id=f"{g.value}-{shape}-{i}"))
     return cases
 
 

@@ -4,15 +4,13 @@ import math
 import random
 import sys
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homsphere.core import GroupKind, MetricTriple, normalize_triple
+from homsphere.core import GroupKind, MetricTriple
 from homsphere.eigensolve import TOL
-from homsphere.oracle import sturm_counter
 from homsphere.rigidity import invariants, recover_triple
-from homsphere.spectrum import DEFAULT_CLUSTER_TOL, k_cutoff, lambda1_closed, spectrum_up_to
+from homsphere.spectrum import spectrum_up_to
 
 exponents = st.floats(min_value=-150.0, max_value=150.0)
 
@@ -71,54 +69,3 @@ def test_rows_beyond_the_float_range_leave_the_d0_run(seed, top, group):
     for p, (value, _) in enumerate(table.entries):
         closed = 2 * p * (p + 1) * bc2
         assert abs(value - closed) <= 0.5 * TOL * closed
-
-
-# the largest block the extreme-ratio tables may need
-_K_MAX = 60
-
-
-def _extreme_table_inputs(seed, group):
-    """(t, L): t log-uniform with a/c up to 1e4 at a scale 10^U(-3, 3), and
-    L = 10^U(log 1.1, log 40) lambda1, lowered to keep K <= ``_K_MAX``."""
-    rng = random.Random(seed)
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    t = normalize_triple(*(scale * 10.0 ** rng.uniform(0.0, 4.0) for _ in range(3)))
-    lam = 10.0 ** rng.uniform(math.log10(1.1), math.log10(40.0)) * lambda1_closed(t, group).value
-    # halfway between the envelopes of block _K_MAX and the next
-    envelope = [2.0 * k * t.b**2 + float(k) * k * t.c**2 for k in (_K_MAX, _K_MAX + 1)]
-    lam = min(lam, sum(envelope) / 2)
-    assert k_cutoff(lam, t, group) <= _K_MAX
-    return t, lam
-
-
-# the counts check the merges that ClusterMergeWarning reports
-@pytest.mark.filterwarnings("ignore::homsphere.spectrum.ClusterMergeWarning")
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), group=st.sampled_from(list(GroupKind)))
-def test_sturm_counts_certify_tables_at_extreme_ratios(seed, group):
-    # each entry (v, m) holds the m eigenvalues counted within v(1 +- R), and
-    # the table holds every eigenvalue counted below L(1 - R)
-    t, lam = _extreme_table_inputs(seed, group)
-    r = DEFAULT_CLUSTER_TOL
-    table = spectrum_up_to(lam, t, group)
-    count = sturm_counter(t, group, lam * (1.0 + r))
-    for v, m in table.entries[1:]:
-        assert count(v * (1.0 + r)) - count(v * (1.0 - r)) == m, (v, m)
-    assert count(lam * (1.0 - r)) == table.counting_function(lam * (1.0 - r))
-
-
-@pytest.mark.filterwarnings("ignore::homsphere.spectrum.ClusterMergeWarning")
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    group=st.sampled_from(list(GroupKind)),
-    j=st.integers(min_value=-200, max_value=200),
-)
-def test_tables_at_extreme_ratios_scale_exactly(seed, group, j):
-    # t -> 2^j t and L -> 4^j L multiply every value by 4^j in floats, with
-    # the same multiplicities and sources
-    t, lam = _extreme_table_inputs(seed, group)
-    table = spectrum_up_to(lam, t, group)
-    scaled = spectrum_up_to(math.ldexp(lam, 2 * j), t.scaled(math.ldexp(1.0, j)), group)
-    assert [(math.ldexp(v, 2 * j), m) for v, m in table.entries] == list(scaled.entries)
-    assert scaled.k_sources == table.k_sources

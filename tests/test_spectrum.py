@@ -598,7 +598,11 @@ def test_berger_spectrum_values_equal_berger_eigenvalue_bitwise(a, b, g):
     assert [[e.value, e.multiplicity] for e in table.entries] == clusters
 
 
-SCALING_TRIPLES = [(1.7, 1.2, 0.8), (2.9, 1.7, 0.8), (3.0, 1.0, 0.9), (0.58297, 0.31466, 0.18775)]
+SCALING_TRIPLES = [
+    (1.7, 1.2, 0.8), (2.9, 1.7, 0.8), (3.0, 1.0, 0.9), (0.58297, 0.31466, 0.18775),
+    # aspect ratios up to 1e4
+    (1e4, 2.0, 1.0), (1e4, 9e3, 1.0), (370.0, 19.0, 0.037),
+]
 
 
 def _scaling_base(triple, g):
