@@ -1,29 +1,32 @@
 """Symmetric tridiagonal eigenvalues by Sturm-count bisection and Newton steps.
 
 ``eigenvalues`` is the one solver, a pure-Python loop over a single
-block (the blocks arising from the spectra here are small).  Only
-eigenvalues are needed, and a table below L needs only those below L,
-usually a small share of each block, so the solver works on brackets
-from the Gershgorin hull rather than on the whole matrix: the indices a
-bracket holds share its Sturm counts, the count at its midpoint splits
-it, and a bracket that lies above the bound is dropped (Barth, Martin &
-Wilkinson 1967; LAPACK ``dstebz`` with RANGE='V').  A bracket that holds
-one index is finished by Newton steps on the characteristic polynomial,
-whose derivative comes from the same pivot recurrence; the bracket
-guards every step, and counts certify the result to the same width as
-a bisected midpoint.  This needs no second kernel: QL would need a
-fallback for a value that fails its certificate.  Each pass of the
-loops clamps and takes magnitudes by comparisons, not by ``max``,
-``abs`` or ``min``: the halves average about 7 rows, and a builtin call
-costs about as much as a row of the recurrence.  Midpoints are taken
-as lo/2 + hi/2, which cannot overflow where lo + hi would.  A block is
-given as its diagonal and off-diagonal sequences, the plain lists of
-``casimir._wang_halves``; the ``TridiagBlock`` that holds a full block
-lives in ``homsphere.oracle``.  ``eigen_block`` solves the Wang halves
-of one irrep from the three squares of ``casimir._squares``, which
-``spectrum_up_to`` forms once per table: a 1x1 half is read off, the
-others go to ``eigenvalues``, exactly the values <= the bound come
-back, and for odd k one value per Wang mirror pair.
+block of two or more rows (the blocks arising from the spectra here are
+small).  Only eigenvalues are needed, and a table below L needs only
+those below L, usually a small share of each block, so the solver works
+on brackets from the Gershgorin hull rather than on the whole matrix:
+the indices a bracket holds share its Sturm counts, the count at its
+midpoint splits it, and a bracket that lies above the bound is dropped
+(Barth, Martin & Wilkinson 1967; LAPACK ``dstebz`` with RANGE='V').  A
+bracket that holds one index is finished by Newton steps on the
+characteristic polynomial, whose derivative comes from the same pivot
+recurrence; the bracket guards every step, and counts certify the result
+to the same width as a bisected midpoint.  This needs no second kernel:
+QL would need a fallback for a value that fails its certificate.  Each
+pass of the loops clamps and takes magnitudes by comparisons, not by
+``max``, ``abs`` or ``min``: the halves average about 7 rows, and a
+builtin call costs about as much as a row of the recurrence.  Midpoints
+are taken as lo/2 + hi/2, which cannot overflow where lo + hi would.  A
+block is given as its diagonal and off-diagonal sequences, the plain
+lists of ``casimir._wang_halves``; the ``TridiagBlock`` that holds a
+full block lives in ``homsphere.oracle``.  ``eigen_block`` solves the
+Wang halves of one irrep from the three squares of ``casimir._squares``,
+which ``spectrum_up_to`` forms once per table, and it is the only code
+that reads a 1x1 half: that half is its own value, the others go to
+``eigenvalues``, exactly the values <= the bound come back, and for odd
+k one value per Wang mirror pair.  The bound has one owner too: the
+Sturm count at cut in ``eigenvalues`` decides which one-index brackets
+are solved, and ``_newton`` never sees it.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ def eigenvalues(
 ) -> tuple[float, ...]:
     """The eigenvalues <= ``upper`` of a symmetric tridiagonal block, sorted.
 
-    The block has the diagonal ``diag`` and the off-diagonal ``offdiag``,
-    one entry shorter.
+    The block has the diagonal ``diag``, two or more entries, and the
+    off-diagonal ``offdiag``, one entry shorter; ``eigen_block`` reads a
+    1x1 half off itself.
 
     Bisection starts from one bracket, the Gershgorin hull, holding every
     index.  Each bracket [lo, hi] holds the indices first..last-1; the
@@ -65,25 +69,20 @@ def eigenvalues(
     shows its eigenvalue at or above cut: ``_newton`` certifies to
     TOL/2 * max(1, |x|), so it would return that value above ``upper``,
     and the bracket is dropped unsolved.  A bracket that is kept takes the
-    same path as in an unbounded call, so every value is bitwise what an
-    unbounded call gives.  A 1x1 block gives its entry.
+    same path as in an unbounded call, since ``_newton`` does not see the
+    bound, and its value is kept if it is <= ``upper``: every value is
+    bitwise what an unbounded call gives.
 
     Raises:
-        ValueError: if ``offdiag`` is not one entry shorter than ``diag``.
+        ValueError: if ``diag`` has fewer than 2 entries or ``offdiag`` is
+            not one entry shorter.
         OverflowError: if an entry or a squared coupling is not finite.
         NonConvergence: if the midpoint of a bracket is not strictly inside
             it before the width test passes (a NaN entry).
     """
     n = len(diag)
-    if len(offdiag) != max(n - 1, 0):
-        raise ValueError("offdiag must have length len(diag) - 1")
-    if n == 1:
-        value = diag[0]
-        if not math.isfinite(value):
-            raise OverflowError("the entry of a 1x1 block leaves the float range")
-        return (value,) if value <= upper else ()
-    if n == 0:
-        return ()
+    if n < 2 or len(offdiag) != n - 1:
+        raise ValueError("a block needs at least 2 rows and len(diag) - 1 couplings")
     off2 = [v * v for v in offdiag]
     absoff = [abs(v) for v in offdiag]
     radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
@@ -107,7 +106,7 @@ def eigenvalues(
         if last - first == 1:
             if cut < hi and _sturm_count(cut, d0, rows, pert) <= first:
                 continue
-            value = _newton(lo, hi, first, d0, rows, pert, upper)
+            value = _newton(lo, hi, first, d0, rows, pert)
             if value <= upper:
                 out.append(value)
             continue
@@ -154,9 +153,8 @@ def _sturm_count(x: float, d0: float, rows: list, pert: float) -> int:
     return count
 
 
-def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
-            upper: float) -> float:
-    """Eigenvalue m, the only one in [lo, hi], or a value > ``upper``.
+def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float) -> float:
+    """Eigenvalue m, the only one in [lo, hi].
 
     Newton's method on det(T - x), safeguarded by the bracket.  One pass
     of the pivot recurrence gives the Sturm count at x, which shrinks
@@ -169,8 +167,10 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
     step is clipped to the bracket, since an eigenvalue on a Gershgorin
     end is approached from outside; the midpoint replaces it if it is NaN,
     moves nothing, or moves more than half the previous step.  The width
-    test and its midpoint stay in force.  Once lo > ``upper``, lo is
-    returned.
+    test and its midpoint stay in force.  The bound is not an argument:
+    ``eigenvalues`` drops a bracket above it before the call and a value
+    above it after, so a bounded call solves each kept bracket as an
+    unbounded one does.
     """
     x = 0.5 * lo + 0.5 * hi
     prev = hi - lo
@@ -200,8 +200,6 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float,
             hi = x
         else:
             lo = x
-            if lo > upper:
-                return lo
         step = -1.0 / slope if slope else math.nan
         nxt = x + step
         h = 0.5 * TOL * (nxt if nxt > 1.0 else -nxt if nxt < -1.0 else 1.0)
@@ -248,13 +246,14 @@ def eigen_block(
     eigenvalues are returned.  The halves of ``casimir._wang_halves``
     are, for odd k, the even block and, for even k, four halves of about
     k/4 rows.  A 1x1 half (only k <= 6 has them) is its own value, kept
-    if it is <= ``upper``; ``eigenvalues`` solves every other half below
-    ``upper``.  Each value is bitwise what an unbounded call gives.  With
-    b >= 1 every positive eigenvalue is at least 2, so the floor of the
-    stopping width never binds; this is why ``spectrum_up_to`` solves at
-    a power-of-two scale with b in [1, 2), and why it reads a metric
-    whose a^2 exceeds ``spectrum._DECOUPLED`` there off the closed form
-    instead.
+    if it is <= ``upper``, and this is the only code that reads one;
+    ``eigenvalues``, which takes two or more rows, solves every other
+    half below ``upper``.  Each value is bitwise what an unbounded call
+    gives.  With b >= 1 every positive eigenvalue is at least 2, so the
+    floor of the stopping width never binds; this is why
+    ``spectrum_up_to`` solves at a power-of-two scale with b in [1, 2),
+    and why it reads a metric whose a^2 exceeds ``spectrum._DECOUPLED``
+    there off the closed form instead.
 
     Raises:
         OverflowError: if a row (k-2l)^2 a2 + ... or the Gershgorin hull

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -376,6 +377,26 @@ def test_rigidity_compare(capsys):
     iso = json.loads(out)["results"]["isospectral"]
     assert iso["verdict"] == "distinct_spectra"
     assert iso["first_differing_index"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("group", ["su2", "so3"])
+@pytest.mark.parametrize(
+    "command",
+    ["spectrum --lambda-max 40", "lambda1", "geometry", "estimate", "rigidity",
+     "rigidity --compare 0.8,1.2,1.7001"],
+)
+def test_permuting_the_parameters_leaves_stdout_unchanged(capsys, command, group, fmt):
+    # a permutation of (a, b, c) is an isometry: every order of the three
+    # values prints the same bytes
+    name, *rest = command.split()
+    outs = set()
+    for a, b, c in itertools.permutations(("1.7", "1.2", "0.8")):
+        code, out, _ = run_cli(capsys, name, "--a", a, "--b", b, "--c", c, "--group", group,
+                               "--format", fmt, *rest)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_invalid_parameters_exit_2(capsys):

@@ -24,7 +24,7 @@ def _block(diag, off):
 
 def _random_blocks(rng, count, n, scale=5.0):
     diags = scale * rng.standard_normal((count, n))
-    offs = scale * rng.standard_normal((count, max(n - 1, 0)))
+    offs = scale * rng.standard_normal((count, n - 1))
     return diags, offs
 
 
@@ -35,7 +35,7 @@ def test_eigenvalues_diagonal_exact():
 
 def test_eigenvalues_match_dense_oracle():
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 5, 8, 13):
+    for n in (2, 3, 5, 8, 13):
         diags, offs = _random_blocks(rng, 3, n)
         for diag, off in zip(diags, offs):
             t = _block(diag, off)
@@ -144,8 +144,6 @@ def _reference_eigenvalues(t):
     its eigenvalue.
     """
     n = t.n
-    if n == 0:
-        return ()
     diag, off = t.diag, t.offdiag
     off2 = [v * v for v in off]
     lo0 = hi0 = diag[0]
@@ -241,7 +239,7 @@ def _random_block(rng, n):
 
 def test_unbounded_values_are_certified_and_accurate():
     rng = np.random.default_rng(2026)
-    for n in (1, 2, 3, 5, 8, 13, 21, 34):
+    for n in (2, 3, 5, 8, 13, 21, 34):
         for _ in range(4):
             t = _random_block(rng, n)
             _assert_contract(t, mp=n <= 21)
@@ -251,7 +249,7 @@ def test_unbounded_values_are_certified_and_accurate():
 
 def test_bounded_equals_unbounded_on_random_blocks():
     rng = np.random.default_rng(11)
-    for n in (1, 2, 4, 7, 12, 20):
+    for n in (2, 4, 7, 12, 20):
         for _ in range(4):
             t = _random_block(rng, n)
             full = eigenvalues(t.diag, t.offdiag)
@@ -292,10 +290,13 @@ def test_bounded_on_near_degenerate_casimir_blocks(triple):
         # Near b = c the even and odd blocks hold the Wang pairs, whose
         # splitting can be below TOL: those values have the certificate
         # only.  The halves the solver sees separate each pair.
+        # eigenvalues takes blocks of two or more rows; eigen_block reads
+        # a 1x1 half off itself
         split = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
-        blocks = [(b, False) for b in split]
+        blocks = [(b, False) for b in split if b.n > 1]
         halves = _wang_halves(k, *_squares(t.a, t.b, t.c))
-        for block, mp in blocks + [(TridiagBlock(*h), True) for h in halves]:
+        blocks += [(TridiagBlock(*h), True) for h in halves if h[1]]
+        for block, mp in blocks:
             _assert_contract(block, mp)
             full = eigenvalues(block.diag, block.offdiag)
             for value in (full[0], full[len(full) // 2], full[-1]):
@@ -338,8 +339,6 @@ def test_bound_below_the_hull_returns_nothing():
     t = _block([3.0, 5.0, 4.0], [1.0, 1.0])  # Gershgorin hull [2, 6]
     assert eigenvalues(t.diag, t.offdiag, 1.999) == ()
     assert eigenvalues(t.diag, t.offdiag, -math.inf) == ()
-    assert eigenvalues([1.0], [], math.nextafter(1.0, 0.0)) == ()
-    assert eigenvalues([1.0], [], 1.0) == (1.0,)
 
 
 def test_bound_drops_brackets_above_it():
@@ -348,20 +347,45 @@ def test_bound_drops_brackets_above_it():
     assert len(got) == 1
     assert _bits(got) == _bits(eigenvalues(t.diag, t.offdiag)[:1])
     _assert_contract(t)
+    # eigenvalues (1 -+ sqrt 2) / 2: the one-index bracket [0.5, 1.5] of
+    # the larger reaches past both bounds, and the count at cut drops it
+    # before any Newton step
+    for upper in (0.8, 1.0):
+        _assert_bounded_equals_unbounded(_block([0.0, 1.0], [0.5]), upper)
 
 
 def test_offdiag_must_be_one_shorter_than_diag():
-    for diag, off in (([1.0, 2.0], []), ([1.0, 2.0], [0.5, 0.5]), ([], [1.0]), ([1.0], [0.5])):
-        with pytest.raises(ValueError, match="offdiag must have length"):
+    cases = (([1.0, 2.0], []), ([1.0, 2.0], [0.5, 0.5]), ([], [1.0]), ([1.0], [0.5]),
+             ([], []), ([1.0], []))
+    for diag, off in cases:
+        with pytest.raises(ValueError, match="at least 2 rows and len"):
             eigenvalues(diag, off)
 
 
-def test_one_by_one_block_is_its_entry():
-    assert eigenvalues([-2.5], []) == (-2.5,)
-    assert eigenvalues([7.0], [], 7.0) == (7.0,)
+def test_eigen_block_reads_each_one_by_one_half_against_the_bound():
+    # Only k <= 6 has 1x1 halves: 9 of them, which eigen_block reads off
+    # without eigenvalues.  Each is kept bitwise exactly when it is <= the
+    # bound, whether the bound is the value or 1 ulp either side of it.
+    rng = np.random.default_rng(30)
+    for _ in range(8):
+        a, b, c = sorted(np.exp(rng.uniform(-2.0, 2.0, 3)), reverse=True)
+        sq = _squares(float(a), float(b), float(c))
+        ones = [(k, h[0][0]) for k in range(8) for h in _wang_halves(k, *sq) if not h[1]]
+        assert len(ones) == 9 and max(k for k, _ in ones) <= 6
+        for k, value in ones:
+            for upper in (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)):
+                assert (value.hex() in _bits(eigen_block(k, *sq, upper))) == (value <= upper)
+
+
+def test_eigen_block_raises_on_a_one_by_one_half_beyond_the_float_range(monkeypatch):
+    # a2 = inf: the 1x1 halves of irrep 2 are +inf, +inf and the middle
+    # row 0 * inf = NaN; a patched assembly gives each kind alone
+    with pytest.raises(OverflowError, match="1x1 half"):
+        eigen_block(2, math.inf, 2.0, -0.5)
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(OverflowError):
-            eigenvalues([bad], [])
+        monkeypatch.setattr(eigensolve, "_wang_halves", lambda *args: [([bad], [])])
+        with pytest.raises(OverflowError, match="1x1 half"):
+            eigen_block(0, 1.0, 1.0, 1.0)
 
 
 def test_eigen_block_bound_keeps_every_value_below_it():
@@ -378,13 +402,13 @@ def test_eigen_block_bound_keeps_every_value_below_it():
 # ---- each guard of a bisection or Newton pass, pinned bitwise ----
 
 
-def _newton_on(diag, off, lo, hi, m, upper=math.inf):
+def _newton_on(diag, off, lo, hi, m):
     """``_newton`` on [lo, hi] for index m, with the arguments ``eigenvalues`` forms."""
     absoff = [abs(v) for v in off]
     radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
     pert = 2.0**-52 * max(abs(d) + r for d, r in zip(diag, radius))
     rows = [(d, v * v) for d, v in zip(diag[1:], off)]
-    return _newton(lo, hi, m, diag[0], rows, pert, upper)
+    return _newton(lo, hi, m, diag[0], rows, pert)
 
 
 @pytest.mark.parametrize("shift, want", [(-9, "0x1.bfffffffff600p+2"), (9, "0x1.0000000000500p+1")])
@@ -423,16 +447,6 @@ def test_a_nan_newton_step_falls_back_to_the_midpoint(sign, m, want):
     e = 0.41481481481481486
     diag = [-sign * 1.08, -sign * 1.08, sign * e]
     assert _newton_on(diag, [0.52, 0.0], -0.52, 0.52, m).hex() == want
-
-
-@pytest.mark.parametrize(
-    "upper, want", [(0.8, "0x1.0000000000000p+0"), (1.0, "0x1.3504f333f9de6p+0")]
-)
-def test_newton_returns_lo_once_it_passes_the_bound(upper, want):
-    # eigenvalues (1 -+ sqrt 2) / 2; the count at the first x = 1 moves lo
-    # there, which is returned when it is above the bound and not when it
-    # equals it
-    assert _newton_on([0.0, 1.0], [0.5], 0.5, 1.5, 1, upper).hex() == want
 
 
 def test_a_zero_pivot_is_replaced_by_pert():

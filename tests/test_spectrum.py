@@ -164,6 +164,10 @@ def _exact_envelope_count(lam, t, g):
         ((1.7, 1.2, 0.8), False),
         ((1e3, 0.3, 1e-4), False),
         ((1.0, 1.0, 1.26e-10), False),
+        # extreme aspect ratios
+        ((2**13, 2**6, 1.0), True),
+        ((1.0, 0.5, 2**-13), True),
+        ((9.7e3, 3.1, 1.3e-4), False),
     ],
 )
 def test_k_cutoff_one_ulp_around_envelope_boundaries(triple, dyadic, g):
