@@ -3,17 +3,19 @@
 For the (k+1)-dimensional irrep acting on degree-k homogeneous polynomials
 in two variables (monomial basis P_0..P_k), the negative Casimir operator
 of a metric triple couples only basis indices at distance two.  A
-similarity by a diagonal of binomial square roots makes it symmetric, and
-reordering the basis into even and odd indices splits it into two
-symmetric tridiagonal blocks.  The symmetry l <-> k-l splits those
-blocks again, into halves of about k/4 rows, and ``_wang_halves``, the
-only assembly, writes the halves directly from the closed entries, as
-(diagonal, off-diagonal) pairs of plain lists.  Every entry depends on
-the triple only through the three squares of ``_squares``, which a
-caller forms once for all its blocks, and on k only through the integer
-coefficients and square-root ratios of ``_plan(k)``, which is built once
-per process for each k up to ``_PLAN_K_MAX``: a call evaluates the
-entries from the plan in O(k) float operations.  Nothing here builds a
+similarity by a diagonal of binomial square roots makes it symmetric,
+with the geometric mean of the two entries that couple l-2 and l as
+their coupling, and reordering the basis into even and odd indices
+splits it into two symmetric tridiagonal blocks.  The symmetry
+l <-> k-l splits those blocks again, into halves of about k/4 rows, and
+``_wang_halves``, the only assembly, writes the halves directly from
+the closed entries, as (diagonal, off-diagonal) pairs of plain lists.
+Every entry depends on the triple only through the three squares of
+``_squares``, which a caller forms once for all its blocks, and on k
+only through the integer coefficients and the coupling roots of
+``_plan(k)``, which is built once per process for each k up to
+``_PLAN_K_MAX``: a call evaluates the entries from the plan in O(k)
+float operations.  Nothing here builds a
 full block: the dense matrix, its generator construction, the
 symmetrize/split steps, the ``TridiagBlock`` that holds a full block and
 the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
@@ -25,8 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
@@ -47,12 +47,12 @@ def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
 # The cache of ``_plan`` keeps the plan of every k <= _PLAN_K_MAX a
 # process has solved.  A plan holds about k/2 diagonal and k/2 coupling
 # coefficients of each kind, so the plans of all k <= K take memory
-# quadratic in K: 0.12 MiB for K = 56, 0.7 MiB for K = 128, 1.7 MiB for
-# K = 200, 2.9 MiB for K = 256, 12 MiB for K = 512 and 182 MiB for
+# quadratic in K: 0.07 MiB for K = 56, 0.44 MiB for K = 128, 1.1 MiB for
+# K = 200, 1.8 MiB for K = 256, 7.1 MiB for K = 512 and 107 MiB for
 # K = 1996 (tracemalloc, CPython 3.11).  256 keeps every block of a
 # repeated K = 200 table.  An unbounded cache would keep gigabytes after
 # a table near spectrum.K_CAP: the K = 1996 table of (1e15, 1, 0.5) at
-# lam_max = 1e6 peaks at 17 MiB RSS with this bound and at 205 MiB
+# lam_max = 1e6 peaks at 16 MiB RSS with this bound and at 130 MiB
 # without it.  A plan past the bound is built again on each call, at
 # about the cost of the assembly it replaces, and is not kept.
 _PLAN_K_MAX = 256
@@ -65,18 +65,18 @@ def _plan(k: int) -> tuple:
 
     One record per block whose halves ``_wang_halves`` returns, for the
     first rows of the block, which hold the basis indices l = p, p+2, ...:
-    (a_coefs, bc_coefs, above, below, ratios, edit).
+    (a_coefs, bc_coefs, roots, edit).
 
     * ``a_coefs`` and ``bc_coefs``: the integers (k-2l)^2 and
       (2l+1)k - 2l^2 that multiply a^2 and b^2 + c^2 on the diagonal;
-    * ``above``, ``below`` and ``ratios``: l(l-1), (k-l+2)(k-l+1) and f
-      for the coupling of l-2 and l.  Column l of the matrix holds
-      l(l-1) (c^2-b^2) at row l-2 and (k-l)(k-l-1) (c^2-b^2) at row l+2.
-      Conjugating by d_l = sqrt(binom(k, l)) scales the coupling of l-2
-      and l by f = d_l / d_{l-2} above the diagonal and by 1/f below it;
-      the block entry is the mean of the two.  f is a product of the
-      square roots of two adjacent ratios (k-l+1)/l, so nothing
-      overflows for large k;
+    * ``roots``: sqrt(N) for the coupling of l-2 and l, with
+      N = l(l-1)(k-l+2)(k-l+1).  The matrix couples l-2 and l by
+      l(l-1) (c^2-b^2) in one direction and (k-l+2)(k-l+1) (c^2-b^2) in
+      the other, and the symmetric block entry is their geometric mean
+      (c^2-b^2) sqrt(N).  N, and 2N, are exact integers below 2^53 for
+      every k <= spectrum.K_CAP, so each root is the correctly rounded one.
+      For a ``_ROOT2`` block the last root is sqrt(2N), which folds in
+      the sqrt 2 of its symmetric half;
     * ``edit``: ``_WHOLE`` for the block of odd k, ``_ROOT2`` for a block
       of 2m+1 rows (its last coupling times sqrt 2) and ``_PLUS_MINUS``
       for a block of 2m rows (its last diagonal entry plus and minus its
@@ -105,13 +105,13 @@ def _plan(k: int) -> tuple:
 def _block_plan(k: int, p: int, rows: int, couplings: int, edit: int) -> tuple:
     """The ``_plan`` record of the first ``rows`` rows of the parity-p block of irrep k."""
     ls = range(p, p + 2 * rows, 2)
-    cs = range(p + 2, p + 2 + 2 * couplings, 2)
+    ns = [l * (l - 1) * (k - l + 2) * (k - l + 1) for l in range(p + 2, p + 2 + 2 * couplings, 2)]
+    if ns and edit == _ROOT2:
+        ns[-1] *= 2
     return (
         tuple([(k - 2 * l) ** 2 for l in ls]),
         tuple([(2 * l + 1) * k - 2 * l * l for l in ls]),
-        tuple([l * (l - 1) for l in cs]),
-        tuple([(k - l + 2) * (k - l + 1) for l in cs]),
-        tuple([math.sqrt((k - l + 1) / l) * math.sqrt((k - l + 2) / (l - 1)) for l in cs]),
+        tuple(map(math.sqrt, ns)),
         edit,
     )
 
@@ -128,37 +128,37 @@ def _wang_halves(
     each block, and a block of size n splits into a symmetric and an
     antisymmetric half:
 
-    * n = 2m+1: d[:m+1] with its last coupling times sqrt 2, and d[:m];
+    * n = 2m+1: d[:m] and d[:m+1], the latter with its last coupling
+      times sqrt 2;
     * n = 2m: d[:m] with its last diagonal entry d_{m-1} + e_{m-1}, and
       the same with d_{m-1} - e_{m-1}.
 
     Only the first half of each block is evaluated, from ``_plan(k)``:
-    a diagonal entry is (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 and a coupling
-    0.5 (l(l-1) off f + (k-l+2)(k-l+1) off / f), in that order, and the
-    edits act on the evaluated entries.  So each entry is bitwise the one that
-    ``oracle.tridiagonal_split(oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)``
-    produces.  The couplings of a block are persymmetric only to an ulp,
-    so its second half is never read.  The two halves of a block of even
-    size share one off-diagonal list, and every call returns new lists.
+    a diagonal entry is (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2, bitwise the
+    one the dense oracle chain ``oracle.tridiagonal_split(
+    oracle.symmetrize(oracle.casimir_matrix(k, t), k), k)`` gives, and a
+    coupling is off times its plan root, sqrt 2 included, within a few
+    ulp of the chain's, which derives it by the binomial conjugation.
+    The edits d +- e act on the evaluated entries.  The two halves of a
+    block of even size share one off-diagonal list, and every call
+    returns new lists.
     """
     halves = []
     plan = _plan(k) if k <= _PLAN_K_MAX else _plan.__wrapped__(k)
-    for a_coefs, bc_coefs, above, below, ratios, edit in plan:
+    for a_coefs, bc_coefs, roots, edit in plan:
         if len(a_coefs) == 1:  # a block of one or two rows, whose halves are 1x1
             d = a_coefs[0] * a2 + bc_coefs[0] * bc2
-            if ratios:
-                f = ratios[0]
-                e = 0.5 * (above[0] * off * f + below[0] * off / f)
+            if roots:
+                e = off * roots[0]
                 halves.append(([d + e], []))
                 halves.append(([d - e], []))
             else:
                 halves.append(([d], []))
             continue
         diag = [ca * a2 + cbc * bc2 for ca, cbc in zip(a_coefs, bc_coefs)]
-        coupling = [0.5 * (u * off * f + v * off / f) for u, v, f in zip(above, below, ratios)]
+        coupling = [off * r for r in roots]
         if edit == _ROOT2:
             halves.append((diag[:-1], coupling[:-1]))
-            coupling[-1] *= _SQRT2
         elif edit == _PLUS_MINUS:
             d, e = diag.pop(), coupling.pop()
             halves.append((diag + [d + e], coupling))

@@ -4,7 +4,9 @@ Only this module, the acceptance suite and the tests need numpy.
 ``casimir._wang_halves`` writes the Wang halves of the two tridiagonal
 blocks directly; the functions here build the full blocks and their
 full diagonals the long way, the only way anything builds them, and the
-tests check the halves against them bit for bit:
+tests check the halves against them: the diagonals bit for bit, the
+couplings, which the chain derives by the binomial conjugation and
+``casimir`` takes as one square root each, to a few ulp:
 
 * ``casimir_matrix`` writes the dense (k+1)x(k+1) matrix from its closed
   entrywise formula;

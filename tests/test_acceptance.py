@@ -7,8 +7,8 @@ same checks back the ``homsphere verify`` CLI subcommand.
 
 import pytest
 
-from homsphere import eigensolve
-from homsphere.acceptance import ALL_CRITERIA, criterion_4
+from homsphere import acceptance, eigensolve
+from homsphere.acceptance import ALL_CRITERIA, criterion_2, criterion_4
 from homsphere.casimir import _wang_halves
 
 
@@ -32,3 +32,15 @@ def test_criterion_4_checks_the_halves_the_solver_solves(monkeypatch):
     monkeypatch.setattr(eigensolve, "_wang_halves", skewed)
     result = criterion_4()
     assert not result.passed, result.line()
+
+
+def test_criterion_2_names_itself_alike_on_pass_and_fail(monkeypatch):
+    def skewed(k, t):
+        return acceptance.casimir_matrix(k, t) + 1.0
+
+    passed = criterion_2()
+    monkeypatch.setattr(acceptance, "casimir_matrix_oracle", skewed)
+    failed = criterion_2()
+    assert passed.passed and not failed.passed, failed.line()
+    assert failed.title == passed.title
+    assert failed.detail == "mismatch at k=0, triple=(1, 1, 1)"

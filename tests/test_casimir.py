@@ -1,5 +1,5 @@
-import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from homsphere.oracle import (
     to_dense,
     tridiagonal_split,
 )
-from homsphere.spectrum import k_cutoff, spectrum_up_to
+from homsphere.spectrum import K_CAP, k_cutoff, spectrum_up_to
 
 
 def _blocks(k, t):
@@ -254,22 +254,30 @@ def test_squares_of_generic_and_diagonal_triples():
 
 
 def _halves_of_blocks(k, t):
-    """The Wang halves cut from the full blocks of the dense oracle chain."""
+    """The Wang halves cut from the full blocks of the dense oracle chain.
+
+    In the order ``_wang_halves`` gives them, each as (half, e, root2): e
+    is the coupling added to or taken from the half's last diagonal entry
+    (None if that entry is not edited), and root2 says that the half's
+    last coupling is the chain's times sqrt 2.
+    """
     even, odd = _blocks(k, t)
     if k % 2:
-        return [even]
+        return [(even, None, False)]
     halves = []
     for block in (even, odd):
         n, d, e = block.n, block.diag, block.offdiag
         m = n // 2
         if n % 2:
-            last = (e[m - 1] * math.sqrt(2.0),) if m else ()
-            halves.append(TridiagBlock(diag=d[: m + 1], offdiag=e[: m - 1] + last))
             if m:
-                halves.append(TridiagBlock(diag=d[:m], offdiag=e[: m - 1]))
+                halves.append((TridiagBlock(diag=d[:m], offdiag=e[: m - 1]), None, False))
+            last = (e[m - 1] * math.sqrt(2.0),) if m else ()
+            half = TridiagBlock(diag=d[: m + 1], offdiag=e[: m - 1] + last)
+            halves.append((half, None, bool(m)))
         elif n:
             for edge in (d[m - 1] + e[m - 1], d[m - 1] - e[m - 1]):
-                halves.append(TridiagBlock(diag=d[: m - 1] + (edge,), offdiag=e[: m - 1]))
+                half = TridiagBlock(diag=d[: m - 1] + (edge,), offdiag=e[: m - 1])
+                halves.append((half, e[m - 1], False))
     return halves
 
 
@@ -279,10 +287,50 @@ def _bits(block):
 
 @pytest.mark.parametrize("t", WANG_TRIPLES + _assembly_triples(), ids=repr)
 def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
-    # bitwise, so the one direct assembly agrees with the dense chain entry by entry
+    # The diagonal entries are bitwise the chain's.  A coupling off sqrt(N)
+    # takes two roundings, the chain's 0.5 (l(l-1) off f + (k-l+2)(k-l+1)
+    # off / f) about eight, so they differ by at most 2 ulp here, and by 3
+    # after the chain's sqrt 2 edit; the bounds leave one ulp to spare.  An
+    # edited entry d +- e moves only with its e
     for k in (*range(41), 50, 128, 129, 199, _PLAN_K_MAX, _PLAN_K_MAX + 1, 400):
-        got = collections.Counter(map(_bits, _halves(k, t)))
-        assert got == collections.Counter(map(_bits, _halves_of_blocks(k, t)))
+        got, want = _halves(k, t), _halves_of_blocks(k, t)
+        assert [h.n for h in got] == [w.n for w, _, _ in want]
+        for h, (w, e, root2) in zip(got, want):
+            assert len(h.offdiag) == len(w.offdiag)
+            diag, want_diag = h.diag, w.diag
+            if e is not None:
+                x, y = diag[-1], want_diag[-1]
+                assert abs(x - y) <= 3 * math.ulp(e) + math.ulp(y)
+                diag, want_diag = diag[:-1], want_diag[:-1]
+            assert list(map(float.hex, diag)) == list(map(float.hex, want_diag))
+            for i, (x, y) in enumerate(zip(h.offdiag, w.offdiag)):
+                ulps = 4 if root2 and i == len(w.offdiag) - 1 else 3
+                assert abs(x - y) <= ulps * math.ulp(y)
+
+
+def _is_nearest_sqrt(r, n):
+    """Whether the float r is the float nearest to sqrt(n), for an integer n."""
+    below = (Fraction(math.nextafter(r, 0.0)) + Fraction(r)) / 2
+    above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+    return below * below <= n <= above * above
+
+
+@pytest.mark.parametrize("k", [*range(41), _PLAN_K_MAX + 1, 1001, K_CAP - 1, K_CAP])
+def test_plan_roots_are_correctly_rounded(k):
+    # The coupling of l-2 and l is off sqrt(N), with N = l(l-1)(k-l+2)(k-l+1)
+    # the product of the two dense entries that couple them, and 2N for the
+    # last coupling of a block of 2m+1 rows.  math.sqrt takes N as a float,
+    # exact below 2^53, so its root is the correctly rounded one; 2N peaks
+    # at 1.25e15 at K_CAP
+    plan = casimir._plan(k) if k <= _PLAN_K_MAX else casimir._plan.__wrapped__(k)
+    for p, (_, _, roots, edit) in enumerate(plan):
+        for i, r in enumerate(roots):
+            l = p + 2 + 2 * i
+            n = l * (l - 1) * (k - l + 2) * (k - l + 1)
+            if edit == casimir._ROOT2 and i == len(roots) - 1:
+                n *= 2
+            assert n < 2**53
+            assert _is_nearest_sqrt(r, n), (k, l)
 
 
 def test_the_plan_memo_keeps_no_block_past_its_bound():

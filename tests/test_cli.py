@@ -660,9 +660,13 @@ PINNED_STDOUT = {
         "7ce7a6f1c68b5d710dc633caa2db2e794abccaec158c67a2dff4c89cfd1c02bc",
     # generic triples: these two go through the tridiagonal solver; pinned
     # again when Newton finishing moved their values (by at most 4.9e-13
-    # relative) to within 5e-16 of a 40-digit solve
+    # relative) to within 5e-16 of a 40-digit solve.  The su2 table, and the
+    # one at --lambda-max 500 below, were pinned again when each coupling
+    # became off sqrt(N): 14 of their 182 values moved, by at most 3 ulp,
+    # and all stay within 4.2e-16 relative of a 40-digit solve with exact
+    # entries
     "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 200":
-        "18a4f2323c78a614f103912a72805a121e8a1a8380d6be5732c22de9a97e3013",
+        "02e073f36ab546ad273b415243b3f2c214b9b54f2252c12087e71851900e5081",
     "spectrum --a 2 --b 1 --c 0.95 --group so3 --lambda-max 120 --format csv":
         "bc0540195bb9f27efc47f35618fad200f0027e29d492508dc2724c0051acec4e",
     "lambda1 --a 2 --b 1 --c 1 --group su2":
@@ -716,7 +720,7 @@ PINNED_STDOUT = {
         "cd2f8a1d62b0b2939e5b7e0358cab73b151e4efd69174d7f0528b868e9c8fc17",
     # generic, blocks up to k = 25, so thirteen odd-k blocks
     "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 500":
-        "78eee1d3649cb9a18c12854cdf623fb182c45f916c7911681caecb3399414a41",
+        "2cdc0a6931a169cb3317f4a860e4dfacde0c55906c8255a157a6dff21483ae45",
     # round: every diagonal run of the closed form meets the others at
     # k(k+2) a^2, so exact ties across runs are merged
     "spectrum --a 1 --b 1 --c 1 --group so3 --lambda-max 500 --berger-closed-form":

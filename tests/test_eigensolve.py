@@ -79,23 +79,20 @@ def test_entries_beyond_float_range_raise_overflow():
 
 
 def _mp_parity_eigenvalues(k, t, p):
-    """Eigenvalues of the parity-p block of irrep k, its diagonal formed in mpmath.
+    """Eigenvalues of the parity-p block of irrep k, solved in mpmath from exact entries.
 
-    The diagonal (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2) does not
-    overflow there; the couplings are the float ones of the dense oracle
-    chain, whose diagonal may overflow.
+    The diagonal (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2) and the
+    coupling (c^2 - b^2) sqrt(l(l-1)(k-l+2)(k-l+1)) of l-2 and l are formed
+    at the working precision from the float squares of ``_squares``, so
+    nothing overflows where the float diagonal does.
     """
-    with np.errstate(over="ignore"):
-        coupling = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)[p].offdiag
-    a2, bc2, _ = _squares(t.a, t.b, t.c)
-    n = (k - p) // 2 + 1
-    block = mpmath.zeros(n)
-    for i in range(n):
-        l = p + 2 * i
-        block[i, i] = ((k - 2 * l) ** 2 * mpmath.mpf(a2)
-                       + ((2 * l + 1) * k - 2 * l * l) * mpmath.mpf(bc2))
-    for i, e in enumerate(coupling):
-        block[i, i + 1] = block[i + 1, i] = e
+    a2, bc2, off = _squares(t.a, t.b, t.c)
+    ls = range(p, k + 1, 2)
+    block = mpmath.diag([(k - 2 * l) ** 2 * mpmath.mpf(a2)
+                         + ((2 * l + 1) * k - 2 * l * l) * mpmath.mpf(bc2) for l in ls])
+    for i, l in enumerate(ls[1:]):
+        n = l * (l - 1) * (k - l + 2) * (k - l + 1)
+        block[i, i + 1] = block[i + 1, i] = mpmath.mpf(off) * mpmath.sqrt(n)
     return list(mpmath.eigsy(block, eigvals_only=True))
 
 
@@ -454,17 +451,20 @@ def test_a_zero_pivot_is_replaced_by_pert():
     assert _bits(eigenvalues([2.0, 1.0], [0.0])) == ["0x1.0000000000002p+0", "0x1.0000000000001p+1"]
 
 
+# the triples of ``_deep_block_values``, each with its bound
+DEEP_BOUNDS = {(3.1, 1.45, 0.6): 900.0, (2.2, 1.0, 0.99): 2000.0, (1.6, 1.5936, 0.9): 2500.0}
 # SHA-256 over the value bits of ``_deep_block_values``: a change to the
-# kernel that moves one value by one ulp, or drops or adds one, changes it
-PINNED_DEEP_BLOCKS = "828d0803e8925f429559bd81686443a622f822f3d6e9f75e84fea4815ee568db"
+# kernel that moves one value by one ulp, or drops or adds one, changes it.
+# ``test_deep_blocks_are_near_a_40_digit_solve`` backs the values of k <= 20
+# with a 40-digit solve
+PINNED_DEEP_BLOCKS = "b438b5f61205b3e8ec057aad3d13bd52469aff9dfc216795a4fbb6bf08186abb"
 
 
 def _deep_block_values():
     """Every block k <= 56 of a generic, a near-prolate (b ~ c < a) and a
     near-oblate (a ~ b > c) triple at the unit scale, b in [1, 2), unbounded
     and at a bound that cuts the blocks from about k = 30-50 on."""
-    bounds = {(3.1, 1.45, 0.6): 900.0, (2.2, 1.0, 0.99): 2000.0, (1.6, 1.5936, 0.9): 2500.0}
-    for triple, upper in bounds.items():
+    for triple, upper in DEEP_BOUNDS.items():
         sq = _squares(*triple)
         for k in range(57):
             for bound in (math.inf, upper):
@@ -476,3 +476,18 @@ def test_deep_blocks_are_pinned():
     for k, bound, values in _deep_block_values():
         digest.update(repr((k, bound, [v.hex() for v in values])).encode())
     assert digest.hexdigest() == PINNED_DEEP_BLOCKS
+
+
+def test_deep_blocks_are_near_a_40_digit_solve():
+    # the worst relative error over k <= 20 is 2.1e-15: 14 ulp of 190.27 in
+    # a block that reaches 1919, under 2 ulp of that.  The mean is 0.45 ulp
+    for triple in DEEP_BOUNDS:
+        t, sq = MetricTriple(*triple), _squares(*triple)
+        for k in range(21):
+            parities = (0,) if k % 2 or k == 0 else (0, 1)  # odd k: the odd block repeats
+            with mpmath.workdps(40):
+                exact = sorted(v for p in parities for v in _mp_parity_eigenvalues(k, t, p))
+            got = eigen_block(k, *sq)
+            assert len(got) == len(exact)
+            for value, want in zip(got, exact):
+                assert abs(value - want) <= 4e-15 * abs(want), (triple, k)
