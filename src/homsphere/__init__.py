@@ -53,7 +53,6 @@ from .spectrum import (
     CutoffTooLarge,
     Lambda1Result,
     Regime,
-    berger_spectrum_up_to,
     lambda1_closed,
     spectrum_up_to,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "SpectralInvariants",
     "SpectrumTable",
     "berger_lambda1_diam2_extrema",
-    "berger_spectrum_up_to",
     "classify",
     "diameter",
     "invariants",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .casimir import _squares, _wang_halves
-from .core import GroupKind, MetricTriple
+from .core import GroupKind, MetricTriple, normalize_triple
 from .eigensolve import eigen_block
 from .geometry import (
     SO3_PRODUCT_CAP,
@@ -38,7 +38,7 @@ from .oracle import (
     mu_index_of,
 )
 from .rigidity import IsospectralVerdict, invariants, isospectral_check, recover_triple
-from .spectrum import berger_spectrum_up_to, lambda1_closed, spectrum_up_to
+from .spectrum import lambda1_closed, spectrum_up_to
 
 PI2 = math.pi**2
 
@@ -292,7 +292,7 @@ def criterion_5() -> CriterionResult:
     # and k_sources
     for a, b in [(2.0, 1.0), (1.0, 1.0), (3.7, 0.9), (1.3, 1.3), (0.5, 1.3)]:
         for group in GroupKind:
-            table = berger_spectrum_up_to(lam_max, a, b, group)
+            table = spectrum_up_to(lam_max, normalize_triple(a, b, b), group)
             got = [
                 (e.value, e.multiplicity, ks) for e, ks in zip(table.entries, table.k_sources)
             ]
@@ -300,13 +300,13 @@ def criterion_5() -> CriterionResult:
                 ok = False
                 detail.append(f"mismatch at (a,b)=({a},{b}) {group.value}")
     # round case: eigenvalues k(k+2) with multiplicity (k+1)^2
-    round_table = berger_spectrum_up_to(99.0, 1.0, 1.0, GroupKind.SU2)
+    round_table = spectrum_up_to(99.0, normalize_triple(1.0, 1.0, 1.0), GroupKind.SU2)
     expect = [(float(k * (k + 2)), (k + 1) ** 2) for k in range(10)]
     got = [(e.value, e.multiplicity) for e in round_table.entries]
     if got != expect:
         ok = False
         detail.append("round spectrum mismatch")
-    so3_round = berger_spectrum_up_to(99.0, 1.0, 1.0, GroupKind.SO3)
+    so3_round = spectrum_up_to(99.0, normalize_triple(1.0, 1.0, 1.0), GroupKind.SO3)
     expect_so3 = [(float(k * (k + 2)), (k + 1) ** 2) for k in range(0, 10, 2)]
     if [(e.value, e.multiplicity) for e in so3_round.entries] != expect_so3:
         ok = False

@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum_p.add_argument(
         "--berger-closed-form",
         action="store_true",
-        help="require two equal parameters (closed-form spectrum)",
+        help="require two equal parameters",
     )
 
     lambda1_p = sub.add_parser(

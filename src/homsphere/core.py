@@ -115,6 +115,10 @@ class MetricTriple(_Record):
                     f"metric parameters must be finite and positive, got {vals}"
                 )
         a, b, c = sorted(vals, reverse=True)
+        # set one by one, not through ``_fill``, which costs about 0.35 us
+        # more here and 0.7 us more for the five fields of ``SpectrumTable``
+        # (Python 3.11, shared 2-CPU host), against a median bench ``sweep``
+        # table call of 17 us: both records are built on every table call
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -204,6 +208,7 @@ class SpectrumTable(_Record):
             raise ValueError("spectrum multiplicities must be >= 1")
         if values[-1] > truncation_bound:
             raise ValueError("spectrum entry exceeds the truncation bound")
+        # set one by one, not through ``_fill``: see ``MetricTriple``
         _set(self, "entries", entries)
         _set(self, "truncation_bound", truncation_bound)
         _set(self, "group", group)

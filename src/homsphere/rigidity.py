@@ -47,7 +47,6 @@ from .core import (
     NonPositiveParameter,
     SpectralInvariants,
     _Record,
-    _set,
 )
 from .geometry import scalar_curvature
 from .spectrum import lambda1_closed, spectrum_up_to
@@ -83,9 +82,7 @@ class IsospectralResult(_Record):
         mu_index: int | None = None,
         values: tuple[float | None, float | None] | None = None,
     ) -> None:
-        _set(self, "verdict", verdict)
-        _set(self, "mu_index", mu_index)
-        _set(self, "values", values)
+        self._fill(verdict, mu_index, values)
 
 
 def invariants(t: MetricTriple, g: GroupKind) -> SpectralInvariants:

@@ -327,14 +327,14 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
 
 
 def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> SpectrumTable:
-    """Closed-form truncated spectrum of the metric with parameters (a, b, b).
+    """``spectrum_up_to(lam_max, normalize_triple(a, b, b), g)``, kept for the benchmark.
 
-    The same table as ``spectrum_up_to`` on ``normalize_triple(a, b, b)``:
-    no eigensolver runs, since block k is diagonal with entries bitwise
-    equal to ``oracle.berger_eigenvalue(k, j, a, b)`` for j = 0..k, each of
-    multiplicity k+1.  Entries j and k-j are bitwise equal, so each pair
-    is evaluated once, in the sorted runs of ``_diagonal_runs``.  Works for
-    either parameter order (a >= b or a < b).
+    Not exported from ``homsphere`` and called nowhere in the package:
+    ``spectrum_up_to`` reads every triple with two equal parameters off
+    the closed form already.  Its one caller is ``bench/workloads.py::
+    _reference`` (``bench/tracing.py`` times it by name), and it goes when
+    ROADMAP.md item 1 moves the benchmark onto ``spectrum_up_to``.  Works
+    for either parameter order (a >= b or a < b).
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.

@@ -491,3 +491,21 @@ def test_deep_blocks_are_near_a_40_digit_solve():
             assert len(got) == len(exact)
             for value, want in zip(got, exact):
                 assert abs(value - want) <= 4e-15 * abs(want), (triple, k)
+
+
+def test_values_are_certified_to_tol_and_accurate_to_the_half_norm():
+    # irrep 46 of the SO(3) triple (4.250640112184861, 0.35332397722702963,
+    # 0.26419535062341143) at its unit scale, b in [1, 2): the triple times
+    # 4.  Its value 3337.637029990926 lies 3.65e-14 relative (268 ulp) from
+    # a 40-digit solve of its 12-row half, whose norm is 5.6e5.  The error
+    # follows the half's norm, not the value: at most 0.98 eps * norm here
+    sq = _squares(4 * 4.250640112184861, 4 * 0.35332397722702963, 4 * 0.26419535062341143)
+    for diag, off in _wang_halves(46, *sq):
+        t = _block(diag, off)
+        norm = max(map(abs, diag)) + 2 * max(map(abs, off))
+        got = eigenvalues(diag, off)
+        assert len(got) == t.n
+        for m, (value, exact) in enumerate(zip(got, _mp_eigenvalues(t))):
+            h = 0.5 * TOL * max(1.0, abs(value))
+            assert _sturm_count(t, value - h) <= m < _sturm_count(t, value + h)
+            assert abs(value - exact) <= 2 * 2.0**-52 * norm, (len(diag), m)

@@ -225,6 +225,18 @@ def test_recover_rejects_unrealizable_invariants():
         recover_triple(SpectralInvariants(-1.0, 6.0, 3.0, 4), SU2)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 7 (inverse map, Scal check): a Scal above "
+    "lambda1 = 4(b^2+c^2) is accepted",
+)
+def test_recover_rejects_a_scal_above_its_lambda1_cap():
+    # lambda1 = 4(b^2+c^2) = 8 caps Scal at 8 for every metric, but the
+    # candidate (1e9, 1, 1), whose own Scal is 8, passes the 1e-6 check
+    with pytest.raises(InconsistentInvariants):
+        recover_triple(SpectralInvariants(1e9, 1008.0, 8.0, 3), SU2)
+
+
 @pytest.mark.parametrize(
     "fingerprint,g,reason",
     [

@@ -533,6 +533,36 @@ def test_suspicious_cluster_merges_are_reported():
         spectrum_up_to(20.0, MetricTriple(3, 2, 1), SU2)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 2 (multiplicities from structure): DEFAULT_CLUSTER_TOL "
+    "merges two closed-form eigenvalues 4.2e-11 apart, below the warning gap",
+)
+def test_closed_form_tables_keep_exactly_distinct_values_apart():
+    # (a, 1, 1) has the entries d^2 a^2 + 2(2p(p+d+1) + d), d = |k-2l|,
+    # p = min(l, k-l); in exact arithmetic on the float a two of them lie
+    # near 170: 170.0000000003 (k = 12, weight 26) and 170.0000000075
+    # (k = 10, weight 22).  Block k has no entry below k(k+2), above 170 from k = 13
+    a = 1.2247448714222078
+    a2 = Fraction(a) ** 2
+    exact = collections.defaultdict(list)
+    for k in range(13):
+        for l in range(k + 1):
+            d, p = abs(k - 2 * l), min(l, k - l)
+            value = d * d * a2 + 2 * (2 * p * (p + d + 1) + d)
+            if abs(value - 170) < 1e-6:
+                exact[value].append(k)
+    want = [(sum(k + 1 for k in ks), tuple(sorted(set(ks)))) for _, ks in sorted(exact.items())]
+    assert want == [(26, (12,)), (22, (10,))]
+    table = spectrum_up_to(200.0, normalize_triple(a, 1, 1), SU2)
+    got = [
+        (e.multiplicity, ks)
+        for e, ks in zip(table.entries, table.k_sources)
+        if abs(e.value - 170) < 1e-6
+    ]
+    assert got == want
+
+
 def test_cutoff_rejects_non_finite_bounds():
     t = MetricTriple(1.7, 1.2, 0.8)
     for lam in (math.inf, math.nan, -math.inf):
@@ -718,7 +748,7 @@ def test_user_path_does_not_import_the_oracle():
         "        assert main(argv) == 0, argv\n"
         "t = homsphere.MetricTriple(1.7, 1.2, 0.8)\n"
         "homsphere.spectrum_up_to(40.0, t, homsphere.GroupKind.SU2)\n"
-        "homsphere.berger_spectrum_up_to(40.0, 2.0, 1.0, homsphere.GroupKind.SO3)\n"
+        "homsphere.spectrum.berger_spectrum_up_to(40.0, 2.0, 1.0, homsphere.GroupKind.SO3)\n"
         "print(sorted(m for m in ('numpy', 'homsphere.oracle', 'homsphere.acceptance')"
         " if m in sys.modules))\n"
     )
@@ -736,15 +766,15 @@ PUBLIC_NAMES = {
     "InconsistentInvariants", "IsospectralResult", "IsospectralVerdict", "Lambda1Result",
     "MetricClass", "MetricTriple", "NonConvergence", "NonPositiveParameter",
     "ProductEstimate", "ProductSpec", "Regime", "SpectralInvariants", "SpectrumTable",
-    "berger_lambda1_diam2_extrema", "berger_spectrum_up_to", "classify", "diameter",
-    "invariants", "isospectral_check", "lambda1_closed", "lambda1_diam2",
-    "normalize_triple", "product_estimate", "recover_triple", "scalar_curvature",
-    "spectrum_up_to", "volume", "yamabe_gap",
+    "berger_lambda1_diam2_extrema", "classify", "diameter", "invariants",
+    "isospectral_check", "lambda1_closed", "lambda1_diam2", "normalize_triple",
+    "product_estimate", "recover_triple", "scalar_curvature", "spectrum_up_to",
+    "volume", "yamabe_gap",
 }
 
 
 def test_public_names_leave_out_solver_internals():
-    assert len(homsphere.__all__) == 37
+    assert len(homsphere.__all__) == 36
     assert set(homsphere.__all__) == PUBLIC_NAMES
     internals = {
         oracle: ("TridiagBlock",),
