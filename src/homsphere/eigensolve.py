@@ -15,7 +15,11 @@ to the same width as a bisected midpoint.  This needs no second kernel:
 QL would need a fallback for a value that fails its certificate.  Each
 pass of the loops clamps and takes magnitudes by comparisons, not by
 ``max``, ``abs`` or ``min``: the halves average about 7 rows, and a
-builtin call costs about as much as a row of the recurrence.  Midpoints
+builtin call costs about as much as a row of the recurrence.  The
+squared couplings and the Gershgorin hull are built once per call by
+``map`` over ``operator`` functions, not by list comprehensions: on
+CPython 3.11 each comprehension builds and calls a function object,
+which on a half of a few rows costs more than its arithmetic.  Midpoints
 are taken as lo/2 + hi/2, which cannot overflow where lo + hi would.  A
 block is given as its diagonal and off-diagonal sequences, the plain
 lists of ``casimir._wang_halves``; the ``TridiagBlock`` that holds a
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import add, mul, sub
 
 from .casimir import _wang_halves
 from .core import HomsphereError
@@ -83,11 +88,11 @@ def eigenvalues(
     n = len(diag)
     if n < 2 or len(offdiag) != n - 1:
         raise ValueError("a block needs at least 2 rows and len(diag) - 1 couplings")
-    off2 = [v * v for v in offdiag]
-    absoff = [abs(v) for v in offdiag]
-    radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
-    lo0 = min([d - r for d, r in zip(diag, radius)])
-    hi0 = max([d + r for d, r in zip(diag, radius)])
+    off2 = list(map(mul, offdiag, offdiag))
+    absoff = list(map(abs, offdiag))
+    radius = list(map(add, (0.0, *absoff), (*absoff, 0.0)))
+    lo0 = min(map(sub, diag, radius))
+    hi0 = max(map(add, diag, radius))
     norm = hi0 if hi0 > -lo0 else -lo0  # the largest |d| + r
     if not math.isfinite(norm + max(off2)):
         raise OverflowError(f"entries of a {n}x{n} block leave the float range")

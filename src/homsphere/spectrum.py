@@ -49,6 +49,8 @@ K_CAP = 10000
 _DECOUPLED = 2.0**128
 # relative gap above which a cluster merge is reported as suspicious
 _MERGE_WARN_GAP = 1e-10
+# the sort key of a (value, weight, k) record
+_VALUE = itemgetter(0)
 # warnings are attributed to the first frame outside this directory
 _PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")
 
@@ -167,7 +169,8 @@ def _cluster(
     near-degeneracy rather than a genuinely repeated eigenvalue.  The
     entries are built unchecked; ``SpectrumTable`` checks them.
     """
-    ordered = sorted(contributions, key=itemgetter(0))
+    ordered = sorted(contributions, key=_VALUE)
+    tol, warn_gap = DEFAULT_CLUSTER_TOL, _MERGE_WARN_GAP
     reps: list[float] = []
     mults: list[int] = []
     sources: list[tuple[int, ...]] = []
@@ -175,8 +178,8 @@ def _cluster(
     # the open cluster; the first value joins it, since 0 <= tol * value
     rep, mult, ks = ordered[0][0], 0, ()
     for value, m, k in ordered:
-        if value - rep <= DEFAULT_CLUSTER_TOL * rep:
-            if value - rep > _MERGE_WARN_GAP * rep:
+        if value - rep <= tol * rep:
+            if value - rep > warn_gap * rep:
                 suspicious.append((rep, value - rep))
             mult += m
             if k not in ks:
@@ -255,16 +258,18 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     values are read off the closed form in sorted runs, one per distance
     d = k-2l from the middle of a block (``_diagonal_runs``): one record
     per mirror pair l, k-l, weighted 2(k+1), and k+1 for the middle
-    entry.  Any other triple takes the eigenvalues of one Casimir block
-    per admissible irrep (even k only for SO(3)) from ``eigen_block``,
-    whose solver works only below the bound: each value is weighted by
-    the irrep dimension k+1, and an odd-k value by 2(k+1), since
-    ``eigen_block`` returns one value per Wang mirror pair there.  Where
-    a^2 exceeds ``_DECOUPLED`` at the unit scale below, every row with
-    d != 0 decouples in double precision and lies above the bound, so the
-    table is the d = 0 run of ``_diagonal_runs``, with a^2 capped at
-    ``_DECOUPLED`` so that no row is +inf.  Equal values are then
-    clustered.  Blocks are cut
+    entry.  Any other triple reads irrep 0, the constant functions, off
+    as the record (0, 1, 0), bitwise what ``eigen_block`` gives for its
+    one entry 0 a2 + 0 bc2, and takes the eigenvalues of one Casimir
+    block per admissible irrep k > 0 (even k only for SO(3)) from
+    ``eigen_block``, whose solver works only below the bound: each value
+    is weighted by the irrep dimension k+1, and an odd-k value by
+    2(k+1), since ``eigen_block`` returns one value per Wang mirror pair
+    there.  Where a^2 exceeds ``_DECOUPLED`` at the unit scale below,
+    every row with d != 0 decouples in double precision and lies above
+    the bound, so the table is the d = 0 run of ``_diagonal_runs``, with
+    a^2 capped at ``_DECOUPLED`` so that no row is +inf.  Equal values
+    are then clustered.  Blocks are cut
     off, solved and clustered up to lam_max (1 + DEFAULT_CLUSTER_TOL),
     capped at the largest float, and the clusters whose representative
     exceeds lam_max are dropped: every copy of a value <= lam_max is
@@ -305,25 +310,17 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
             cutoff, step, min(a2, _DECOUPLED), bc2, upper_unit, 2 * h
         )
     else:
-        contributions = []
-        for k in range(0, cutoff + 1, step):
+        contributions = [(0.0, 1, 0)]  # irrep 0: the constant functions
+        for k in range(step, cutoff + 1, step):
             weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
-            contributions += [
-                (math.ldexp(value, 2 * h), weight, k)
-                for value in eigen_block(k, a2, bc2, off, upper_unit)
-            ]
+            for value in eigen_block(k, a2, bc2, off, upper_unit):
+                contributions.append((math.ldexp(value, 2 * h), weight, k))
     entries, sources = _cluster(contributions, lam_max)
     if len(entries) > 1 and entries[1].value < sys.float_info.min:
         raise OverflowError(
             f"eigenvalue {entries[1].value:.17g} is below the normal float range"
         )
-    return SpectrumTable(
-        entries=entries,
-        truncation_bound=lam_max,
-        group=g,
-        triple=t,
-        k_sources=sources,
-    )
+    return SpectrumTable(entries, lam_max, g, t, sources)
 
 
 def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> SpectrumTable:

@@ -76,6 +76,14 @@ def test_entries_beyond_float_range_raise_overflow():
         eigenvalues([1.0, float("inf")], [1.0])
     with pytest.raises(OverflowError):
         eigenvalues([1.0, 2.0], [1e160])  # its square overflows
+    # a bounded call checks the float range before it compares the hull
+    # with the bound: the first hull lies wholly above its bound
+    with pytest.raises(OverflowError):
+        eigenvalues([math.inf, math.inf], [1.0], 1.0)
+    with pytest.raises(OverflowError):
+        eigenvalues([5.0, 6.0], [math.nan], 1.0)
+    with pytest.raises(OverflowError):
+        eigenvalues([1.0, 2.0], [1e160], 0.5)
 
 
 def _mp_parity_eigenvalues(k, t, p):
