@@ -224,8 +224,11 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Block eigenvalues match a dense eigensolver on the full matrix.
 
-    The solver gives them for generic samples; where two parameters are
-    equal they are the diagonal, of (c, a, b) when a = b > c.
+    The blocks are written in the frame ``casimir._squares`` picks, of
+    (c, a, b) when a^2 - b^2 < b^2 - c^2 and of (a, b, c) otherwise, and
+    the dense matrix in the frame (a, b, c).  The solver gives them for
+    generic samples; where two parameters are equal they are the diagonal
+    of that frame, (c, a, b) when a = b > c.
     """
     rng = np.random.default_rng(44)
     samples = _random_triples(rng, 5) + [
@@ -239,7 +242,8 @@ def criterion_4() -> CriterionResult:
         a2, bc2, off = _squares(t.a, t.b, t.c)
         for k in range(13):
             if off is None:
-                # two equal parameters: the diagonal, of (c, a, b) when a = b > c
+                # two equal parameters: the diagonal of the frame of _squares,
+                # (c, a, b) when a = b > c
                 solved = np.sort(_diagonal(k, a2, bc2, range(k + 1)))
             else:
                 # an odd block returns one value per Wang mirror pair

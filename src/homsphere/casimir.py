@@ -11,16 +11,16 @@ l <-> k-l splits those blocks again, into halves of about k/4 rows, and
 ``_wang_halves``, the only assembly, writes the halves directly from
 the closed entries, as (diagonal, off-diagonal) pairs of plain lists.
 Every entry depends on the triple only through the three squares of
-``_squares``, which a caller forms once for all its blocks, and on k
-only through the integer coefficients and the coupling roots of
-``_plan(k)``, which is built once per process for each k up to
-``_PLAN_K_MAX``: a call evaluates the entries from the plan in O(k)
-float operations.  Nothing here builds a
-full block: the dense matrix, its generator construction, the
-symmetrize/split steps, the ``TridiagBlock`` that holds a full block and
-the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
-independent references, the only source of full blocks and full
-diagonals.  Entries are plain Python floats, so nothing here needs numpy.
+``_squares``, in the frame it picks, which a caller forms once for all
+its blocks, and on k only through the integer coefficients and the
+coupling roots of ``_plan(k)``, which is built once per process for
+each k up to ``_PLAN_K_MAX``: a call evaluates the entries from the plan
+in O(k) float operations.  Nothing here builds a full block: the dense
+matrix, its generator construction, the symmetrize/split steps, the
+``TridiagBlock`` that holds a full block and the full diagonal
+``_diagonal`` live in ``homsphere.oracle`` as independent references,
+the only source of full blocks and full diagonals.  Entries are plain
+Python floats, so nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -30,16 +30,26 @@ import math
 
 
 def _squares(a: float, b: float, c: float) -> tuple[float, float, float | None]:
-    """(a^2, b^2 + c^2, c^2 - b^2) of a descending triple: all the entries need.
+    """(a^2, b^2 + c^2, c^2 - b^2) of a descending triple or of its frame (c, a, b).
 
-    The last is None when two parameters are equal: with b = c the
-    matrices are diagonal, and with a = b > c the metric is isometric to
-    (c, a, b), whose matrices are diagonal in the same way, so its first
-    two squares are returned.  Equality is tested on the parameters, not
-    on squares that may underflow.
+    Every permutation of a triple gives an isometric metric, so the
+    blocks may be written in any frame; the squares of (c, a, b) are
+    returned when a^2 - b^2 < b^2 - c^2, those of (a, b, c) otherwise.
+    In a parity block the diagonal entries of rows l and l+2 differ by
+    4(k-2l-2)(b^2 + c^2 - 2a^2) and the coupling is (c^2 - b^2) sqrt(N),
+    so the ratio of coupling to gap scales as (b^2 - c^2)/(2a^2 - b^2 - c^2)
+    in the a frame and (a^2 - b^2)/(a^2 + b^2 - 2c^2) in the c frame: the
+    second is smaller exactly when a^2 - b^2 < b^2 - c^2.  The b frame
+    never wins, its ratio being at least 1.  A block whose couplings are
+    small against its gaps is nearly diagonal, and ``eigensolve``'s
+    Newton starts from its perturbed diagonal.  The last square is None
+    when the blocks are diagonal: b = c in the a frame, and a = b > c,
+    always solved in the c frame.  Equality is tested on the parameters,
+    not on squares that may underflow.  An a^2 of inf, or the NaN of
+    inf - inf, fails the comparison and keeps the a frame.
     """
-    if a == b:
-        a, c = c, a
+    if a == b or a * a - b * b < b * b - c * c:
+        a, b, c = c, a, b
     b2, c2 = b * b, c * c
     return a * a, b2 + c2, None if b == c else c2 - b2
 

@@ -12,25 +12,33 @@ bracket that holds one index is finished by Newton steps on the
 characteristic polynomial, whose derivative comes from the same pivot
 recurrence; the bracket guards every step, and counts certify the result
 to the same width as a bisected midpoint.  This needs no second kernel:
-QL would need a fallback for a value that fails its certificate.  Each
-pass of the loops clamps and takes magnitudes by comparisons, not by
-``max``, ``abs`` or ``min``: the halves average about 7 rows, and a
-builtin call costs about as much as a row of the recurrence.  The
-squared couplings and the Gershgorin hull are built once per call by
-``map`` over ``operator`` functions, not by list comprehensions: on
-CPython 3.11 each comprehension builds and calls a function object,
-which on a half of a few rows costs more than its arithmetic.  Midpoints
-are taken as lo/2 + hi/2, which cannot overflow where lo + hi would.  A
-block is given as its diagonal and off-diagonal sequences, the plain
-lists of ``casimir._wang_halves``; the ``TridiagBlock`` that holds a
-full block lives in ``homsphere.oracle``.  ``eigen_block`` solves the
-Wang halves of one irrep from the three squares of ``casimir._squares``,
-which ``spectrum_up_to`` forms once per table, and it is the only code
-that reads a 1x1 half: that half is its own value, the others go to
-``eigenvalues``, exactly the values <= the bound come back, and for odd
-k one value per Wang mirror pair.  The bound has one owner too: the
-Sturm count at cut in ``eigenvalues`` decides which one-index brackets
-are solved, and ``_newton`` never sees it.
+QL would need a fallback for a value that fails its certificate.
+Newton for index m starts from the diagonal entry d_i that ranks m-th,
+perturbed to second order by its couplings:
+d_i + e_{i-1}^2/(d_i - d_{i-1}) + e_i^2/(d_i - d_{i+1}), a zero gap
+dropping its term, and from the midpoint when that start lies outside
+the bracket or is NaN.  ``casimir._squares`` writes each block in the
+frame where its couplings are smallest against its diagonal gaps, so
+near a Berger sphere the start is close to the eigenvalue and Newton
+needs few passes.  Each pass of the loops clamps and takes magnitudes by
+comparisons, not by ``max``, ``abs`` or ``min``: the halves average
+about 7 rows, and a builtin call costs about as much as a row of the
+recurrence.  The squared couplings and the Gershgorin hull are built
+once per call by ``map`` over ``operator`` functions, not by list
+comprehensions: on CPython 3.11 each comprehension builds and calls a
+function object, which on a half of a few rows costs more than its
+arithmetic.  Midpoints are taken as lo/2 + hi/2, which cannot overflow
+where lo + hi would.  A block is given as its diagonal and off-diagonal
+sequences, the plain lists of ``casimir._wang_halves``; the
+``TridiagBlock`` that holds a full block lives in ``homsphere.oracle``.
+``eigen_block`` solves the Wang halves of one irrep from the three
+squares of ``casimir._squares``, which ``spectrum_up_to`` forms once per
+table, and it is the only code that reads a 1x1 half: that half is its
+own value, the others go to ``eigenvalues``, exactly the values <= the
+bound come back, and for odd k one value per Wang mirror pair.  The
+bound has one owner too: the Sturm count at cut in ``eigenvalues``
+decides which one-index brackets are solved, and ``_newton`` never sees
+it.
 """
 
 from __future__ import annotations
@@ -102,6 +110,7 @@ def eigenvalues(
 
     d0 = diag[0]
     rows = list(zip(diag[1:], off2))
+    order = None  # row order[m] ranks m-th; sorted for the first Newton start
     # an eigenvalue at or above cut comes back from _newton above upper
     cut = upper + TOL * (upper if upper > 1.0 else -upper if upper < -1.0 else 1.0)
     out = []
@@ -111,7 +120,17 @@ def eigenvalues(
         if last - first == 1:
             if cut < hi and _sturm_count(cut, d0, rows, pert) <= first:
                 continue
-            value = _newton(lo, hi, first, d0, rows, pert)
+            # the row's diagonal entry, perturbed to second order by its
+            # couplings; two thirds of a sweep's calls never get here
+            if order is None:
+                order = sorted(range(n), key=diag.__getitem__)
+            i = order[first]
+            start = di = diag[i]
+            if i and di != diag[i - 1]:
+                start += off2[i - 1] / (di - diag[i - 1])
+            if i < n - 1 and di != diag[i + 1]:
+                start += off2[i] / (di - diag[i + 1])
+            value = _newton(lo, hi, first, d0, rows, pert, start)
             if value <= upper:
                 out.append(value)
             continue
@@ -158,10 +177,15 @@ def _sturm_count(x: float, d0: float, rows: list, pert: float) -> int:
     return count
 
 
-def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float) -> float:
+def _newton(
+    lo: float, hi: float, m: int, d0: float, rows: list, pert: float, start: float = math.nan
+) -> float:
     """Eigenvalue m, the only one in [lo, hi].
 
-    Newton's method on det(T - x), safeguarded by the bracket.  One pass
+    Newton's method on det(T - x), safeguarded by the bracket, from
+    ``start`` when it lies strictly inside [lo, hi] and from the midpoint
+    otherwise, a NaN ``start`` included; ``eigenvalues`` passes the
+    perturbed diagonal entry of the module docstring.  One pass
     of the pivot recurrence gives the Sturm count at x, which shrinks
     [lo, hi], and det'/det = sum g_i with g_i = d_i'/d_i: d_1' = -1 and
     d_i' = q g_{i-1} - 1 with q = off_{i-1}^2 / d_{i-1}.
@@ -177,7 +201,7 @@ def _newton(lo: float, hi: float, m: int, d0: float, rows: list, pert: float) ->
     above it after, so a bounded call solves each kept bracket as an
     unbounded one does.
     """
-    x = 0.5 * lo + 0.5 * hi
+    x = start if lo < start < hi else 0.5 * lo + 0.5 * hi
     prev = hi - lo
     while True:
         mid = 0.5 * lo + 0.5 * hi

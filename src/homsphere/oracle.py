@@ -21,7 +21,11 @@ couplings, which the chain derives by the binomial conjugation and
 ``_diagonal`` writes the diagonal of the irrep-k matrix alone, which is
 the whole matrix for the squares ``casimir._squares`` gives a triple
 with two equal parameters: ``spectrum._diagonal_runs`` reads the same
-floats in sorted runs.
+floats in sorted runs.  ``_squares`` picks the frame, (c, a, b) when
+a^2 - b^2 < b^2 - c^2 (a = b > c included) and (a, b, c) otherwise, for
+the solver and for ``sturm_counter`` alike, while the dense matrices
+here are written in the frame (a, b, c): a test that must not share the
+solver's frame gives the counter the squares of (a, b, c) itself.
 
 The other references: ``to_dense`` expands a block for a dense solver,
 ``gershgorin`` gives certified eigenvalue intervals, ``sturm_counter``

@@ -231,8 +231,10 @@ WANG_TRIPLES = [
     MetricTriple(0.58297, 0.31466, 0.18775),
     MetricTriple(2.0, 1.0, 1.0 - 1e-9),  # near-prolate: b ~ c
     MetricTriple(1.7, 1.0, 1.0 - 1e-4),
-    MetricTriple(1.0, 1.0 - 1e-9, 0.6),  # near-oblate: a ~ b
+    MetricTriple(1.0, 1.0 - 1e-9, 0.6),  # near-oblate: a ~ b, solved in the (c, a, b) frame
     MetricTriple(1.0, 1.0 - 1e-4, 0.3),
+    MetricTriple(1.6, 1.5936, 0.9),
+    MetricTriple(7.0, 5.0, 1.0),  # a^2 - b^2 = b^2 - c^2: the tie keeps the a frame
 ]
 
 
@@ -243,14 +245,39 @@ def _halves(k, t):
     return [TridiagBlock(diag=tuple(d), offdiag=tuple(e)) for d, e in halves]
 
 
+def _frame_squares(a, b, c):
+    """(a^2, b^2 + c^2, c^2 - b^2) of the triple as given."""
+    return a * a, b * b + c * c, c * c - b * b
+
+
 def test_squares_of_generic_and_diagonal_triples():
     t = MetricTriple(2.9, 1.7, 0.8)
-    assert _squares(t.a, t.b, t.c) == (t.a * t.a, t.b * t.b + t.c * t.c, t.c * t.c - t.b * t.b)
-    # two equal parameters: the squares of the diagonal form, (c, a, b) for a = b
+    assert _squares(t.a, t.b, t.c) == _frame_squares(t.a, t.b, t.c)
+    # two equal parameters: the squares of the diagonal form, (c, a, b) for a = b,
+    # bitwise the a^2 + b^2 of the swap a <-> c
     assert _squares(2.5, 0.7, 0.7) == (2.5 * 2.5, 0.7 * 0.7 + 0.7 * 0.7, None)
     assert _squares(1.3, 1.3, 0.6) == (0.6 * 0.6, 1.3 * 1.3 + 1.3 * 1.3, None)
     # equality is read off the parameters, not off squares that underflow to 0
     assert _squares(1.0, 1e-170, 1e-171) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "triple, frame",
+    [
+        ((7.0, 5.0, 1.0), "a"),  # a^2 - b^2 = b^2 - c^2 = 24: the tie keeps the a frame
+        ((1.6, 1.5936, 0.9), "c"),  # near-oblate: a^2 - b^2 = 0.02 < b^2 - c^2 = 1.73
+        ((1.0, 1.0 - 1e-9, 0.6), "c"),
+        ((2.0, 1.0, 1.0 - 1e-9), "a"),  # near-prolate
+        ((1.2, 1.1, 0.2), "c"),
+        ((1.2, 1.1, 1.0), "a"),
+        ((1e200, 1.0, 0.5), "a"),  # a^2 = inf fails the comparison
+        ((2e200, 1e200, 1.0), "a"),  # and so does the NaN of inf - inf
+    ],
+)
+def test_squares_take_the_frame_with_the_smaller_coupling_to_gap_ratio(triple, frame):
+    a, b, c = triple
+    want = _frame_squares(a, b, c) if frame == "a" else _frame_squares(c, a, b)
+    assert _squares(a, b, c) == want
 
 
 def _halves_of_blocks(k, t):

@@ -91,16 +91,18 @@ def _mp_parity_eigenvalues(k, t, p):
 
     The diagonal (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2) and the
     coupling (c^2 - b^2) sqrt(l(l-1)(k-l+2)(k-l+1)) of l-2 and l are formed
-    at the working precision from the float squares of ``_squares``, so
-    nothing overflows where the float diagonal does.
+    at the working precision from the exact squares of the float
+    parameters, in the frame (a, b, c) as given, so the truth does not
+    depend on the frame ``_squares`` picks for the solver, and nothing
+    overflows where the float diagonal does.
     """
-    a2, bc2, off = _squares(t.a, t.b, t.c)
+    a2, b2, c2 = (mpmath.mpf(x) ** 2 for x in (t.a, t.b, t.c))
     ls = range(p, k + 1, 2)
-    block = mpmath.diag([(k - 2 * l) ** 2 * mpmath.mpf(a2)
-                         + ((2 * l + 1) * k - 2 * l * l) * mpmath.mpf(bc2) for l in ls])
+    block = mpmath.diag([(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * (b2 + c2)
+                         for l in ls])
     for i, l in enumerate(ls[1:]):
         n = l * (l - 1) * (k - l + 2) * (k - l + 1)
-        block[i, i + 1] = block[i + 1, i] = mpmath.mpf(off) * mpmath.sqrt(n)
+        block[i, i + 1] = block[i + 1, i] = (c2 - b2) * mpmath.sqrt(n)
     return list(mpmath.eigsy(block, eigvals_only=True))
 
 
@@ -407,13 +409,13 @@ def test_eigen_block_bound_keeps_every_value_below_it():
 # ---- each guard of a bisection or Newton pass, pinned bitwise ----
 
 
-def _newton_on(diag, off, lo, hi, m):
+def _newton_on(diag, off, lo, hi, m, start=math.nan):
     """``_newton`` on [lo, hi] for index m, with the arguments ``eigenvalues`` forms."""
     absoff = [abs(v) for v in off]
     radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
     pert = 2.0**-52 * max(abs(d) + r for d, r in zip(diag, radius))
     rows = [(d, v * v) for d, v in zip(diag[1:], off)]
-    return _newton(lo, hi, m, diag[0], rows, pert)
+    return _newton(lo, hi, m, diag[0], rows, pert, start)
 
 
 @pytest.mark.parametrize("shift, want", [(-9, "0x1.bfffffffff600p+2"), (9, "0x1.0000000000500p+1")])
@@ -454,6 +456,18 @@ def test_a_nan_newton_step_falls_back_to_the_midpoint(sign, m, want):
     assert _newton_on(diag, [0.52, 0.0], -0.52, 0.52, m).hex() == want
 
 
+@pytest.mark.parametrize("start", [math.nan, -1.0, -3.0, -2.0, 5.0, math.inf])
+def test_a_start_outside_the_bracket_is_the_midpoint(start):
+    # the bracket [-3, -2] of the mirror test above; a start on an end
+    # lies outside the open bracket too.  A start inside is taken: from
+    # 1e-12 above the eigenvalue Newton settles 2 ulp from the midpoint's
+    diag = [0.0, -2.0 + 1e-13, -2.11725, -3.1, -3.2, -3.3, -4.0]
+    midpoint = _newton_on(diag, [0.0] * 6, -3.0, -2.0, 4).hex()
+    assert midpoint == "-0x1.0f020c49ba5e1p+1"
+    assert _newton_on(diag, [0.0] * 6, -3.0, -2.0, 4, start).hex() == midpoint
+    assert _newton_on(diag, [0.0] * 6, -3.0, -2.0, 4, -2.117250000001).hex() != midpoint
+
+
 def test_a_zero_pivot_is_replaced_by_pert():
     # zero couplings: the Newton iterates reach the diagonal entries 1 and 2
     assert _bits(eigenvalues([2.0, 1.0], [0.0])) == ["0x1.0000000000002p+0", "0x1.0000000000001p+1"]
@@ -464,8 +478,11 @@ DEEP_BOUNDS = {(3.1, 1.45, 0.6): 900.0, (2.2, 1.0, 0.99): 2000.0, (1.6, 1.5936, 
 # SHA-256 over the value bits of ``_deep_block_values``: a change to the
 # kernel that moves one value by one ulp, or drops or adds one, changes it.
 # ``test_deep_blocks_are_near_a_40_digit_solve`` backs the values of k <= 20
-# with a 40-digit solve
-PINNED_DEEP_BLOCKS = "b438b5f61205b3e8ec057aad3d13bd52469aff9dfc216795a4fbb6bf08186abb"
+# with a 40-digit solve.  Pinned again when the near-oblate triple moved to
+# its (c, a, b) frame and Newton to its perturbed-diagonal start: 682 of the
+# 3,741 unbounded values moved, 632 by 1 ulp, and three values far below
+# their block's largest by 9, 13 and 17 ulp
+PINNED_DEEP_BLOCKS = "45aaa13c3dbfb1be7d1c9953467aa719004d86417fd501e97232b8f66c4681fb"
 
 
 def _deep_block_values():
@@ -488,7 +505,12 @@ def test_deep_blocks_are_pinned():
 
 def test_deep_blocks_are_near_a_40_digit_solve():
     # the worst relative error over k <= 20 is 2.1e-15: 14 ulp of 190.27 in
-    # a block that reaches 1919, under 2 ulp of that.  The mean is 0.45 ulp
+    # a block that reaches 1919, under 2 ulp of that.  The mean is 0.46 ulp.
+    # The truth is solved in the frame (a, b, c) as given, and the
+    # near-oblate triple in its (c, a, b) frame
+    a, b, c = 1.6, 1.5936, 0.9
+    assert (a, b, c) in DEEP_BOUNDS
+    assert _squares(a, b, c) == (c * c, a * a + b * b, b * b - a * a)
     for triple in DEEP_BOUNDS:
         t, sq = MetricTriple(*triple), _squares(*triple)
         for k in range(21):
@@ -504,9 +526,11 @@ def test_deep_blocks_are_near_a_40_digit_solve():
 def test_values_are_certified_to_tol_and_accurate_to_the_half_norm():
     # irrep 46 of the SO(3) triple (4.250640112184861, 0.35332397722702963,
     # 0.26419535062341143) at its unit scale, b in [1, 2): the triple times
-    # 4.  Its value 3337.637029990926 lies 3.65e-14 relative (268 ulp) from
-    # a 40-digit solve of its 12-row half, whose norm is 5.6e5.  The error
-    # follows the half's norm, not the value: at most 0.98 eps * norm here
+    # 4.  Newton from the bracket midpoint gave its value 3337.64 at 3.65e-14
+    # relative (268 ulp, 0.98 eps * norm) from a 40-digit solve of its 12-row
+    # half, whose norm is 5.6e5; from the perturbed diagonal it lands within
+    # 1.5e-18 relative, and the worst value of the irrep is 0.43 eps * norm.
+    # The error follows the half's norm, not the value
     sq = _squares(4 * 4.250640112184861, 4 * 0.35332397722702963, 4 * 0.26419535062341143)
     for diag, off in _wang_halves(46, *sq):
         t = _block(diag, off)

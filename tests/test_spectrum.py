@@ -436,8 +436,11 @@ def test_c_underflowing_at_the_unit_scale_gives_the_table(triple, g):
 
 # SHA-256 over the value bits, multiplicities and k_sources of the tables of
 # ``_pinned_generic_tables``: a change to the generic solver path that moves
-# one value by one ulp, or one multiplicity, changes it
-PINNED_GENERIC_TABLES = "11383d7c04ea72e62b14a28ce7328ddf53a8758ae083c58660205adae269168c"
+# one value by one ulp, or one multiplicity, changes it.  Pinned again when
+# near-oblate triples moved to the (c, a, b) frame and Newton to its
+# perturbed-diagonal start: 43 of the 1,269 entries moved, 36 by 1 ulp and
+# 7 by 2, and no multiplicity or k_sources changed
+PINNED_GENERIC_TABLES = "2d4296dfe17c83a1c9646560e20d085fc16acaf571f5ec029c0e424604ea1328"
 
 
 def _pinned_generic_tables():
