@@ -20,7 +20,12 @@ Only ``verify`` imports the acceptance suite, and with it numpy (the
 ``homsphere[verify]`` extra) and ``homsphere.oracle``; every other
 subcommand runs on the standard library.  All of them print through
 ``main``, which builds the parser once per process and calls
-``_cmd_<command>`` by name.
+``_cmd_<command>`` by name.  The flags after a leading command name go
+straight to that command's parser: the top-level parser would hand them
+on unchanged, but only after checking each against its own options,
+which took half the parse.  Any other argv (none, ``-h``, an unknown
+name) goes through ``parse_args``; either way the messages and exit
+codes are those of ``parse_args``.
 
 A spectrum's entries travel as the table's two columns, ``(entries,
 k_sources)``, and ``_rows`` writes them in JSON and in CSV alike with one
@@ -39,10 +44,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import (
     GroupKind,
@@ -90,17 +95,29 @@ _ROW_CSV = "%.17g,%d,%s"
 def _to_json(obj) -> str:
     """Serialize with insertion-ordered keys and 17-significant-digit floats.
 
-    A spectrum's ``entries`` are written by ``_rows``.
+    Writes the bytes of ``json.dumps`` under its default settings for every
+    value but floats: strs through the C escaper ``json.dumps`` uses, ints
+    as ``int.__repr__``.  A spectrum's ``entries`` are written by ``_rows``.
     """
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, dict):
         return "{%s}" % ",".join(
-            json.dumps(key) + ":"
+            _json_str(key) + ":"
             + ("[%s]" % _rows(val, _ROW_JSON, ",", ",") if key == "entries" else _to_json(val))
             for key, val in obj.items()
         )
     if isinstance(obj, (list, tuple)):
         return "[%s]" % ",".join(map(_to_json, obj))
-    return _fmt(obj) if isinstance(obj, float) else json.dumps(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return int.__repr__(obj)
 
 
 def _rows(columns: tuple[tuple, tuple], row: str, sep: str, row_sep: str) -> str:
@@ -290,10 +307,15 @@ def _add_triple_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; it holds no handlers, so ``main`` looks
     each ``_cmd_*`` up at call time."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name, built once."""
     parser = argparse.ArgumentParser(
         prog="homsphere",
         description=(
@@ -358,11 +380,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the acceptance suite")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the flags after a leading
+    command name read by that command's parser alone (module docstring)."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "verify":
             text, status = _cmd_verify()

@@ -217,6 +217,8 @@ class SpectrumTable(_Record):
 
     def counting_function(self, lam: float) -> int:
         """Number of eigenvalues <= lam, counted with multiplicity."""
+        if lam >= self.entries[-1][0]:
+            return sum([m for _, m in self.entries])
         return sum([m for v, m in self.entries if v <= lam])
 
 

@@ -319,7 +319,8 @@ def isospectral_check(
     if lam_max < needed * (1.0 - 1e-12):
         raise ValueError(f"lam_max {lam_max} below required {needed}")
     tab1 = spectrum_up_to(lam_max, t1, g)
-    tab2 = spectrum_up_to(lam_max, t2, g)
+    # a table is a function of (bound, triple, group): equal triples share one
+    tab2 = tab1 if t2 == t1 else spectrum_up_to(lam_max, t2, g)
     # both tables open with (0, 1); one that runs out reads as (None, 0) from there on
     pairs = zip_longest(tab1.entries[1:], tab2.entries[1:], fillvalue=(None, 0))
     for idx, ((x, m1), (y, m2)) in enumerate(pairs, 1):

@@ -773,6 +773,78 @@ def test_command_patched_after_the_first_call_takes_effect(capsys, monkeypatch):
     assert json.loads(out)["results"] == {"value": 1.5}
 
 
+_TRIPLE = "--a 2 --b 1 --c 1 --group su2"
+DISPATCH_ARGVS = [
+    "",
+    "bogus",
+    "-h",
+    "--help",
+    "spectrum",
+    f"lambda1 {_TRIPLE} --bogus 1",
+    f"lambda1 {_TRIPLE} extra",
+    "lambda1 --a x --b 1 --c 1 --group su2",
+    "lambda1 --a 2 --b 1 --c 1 --gr su2",
+    "lambda1 --a=2 --b 1 --c 1 --group su2",
+    f"lambda1 -- {_TRIPLE}",
+    f"lambda1 {_TRIPLE} -- extra",
+    f"lambda1 {_TRIPLE} --format csv --format json",
+    "lambda1 -h",
+    "lambda1 --a -1 --b 1 --c 1 --group su2",
+    "lambda1 --a 2 --b 1 --c 1 --group su3",
+    "product --su2 2,1,1 --su2 1.5,1,0.5",
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS)
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    argv = argv.split()
+    got = _outcome(capsys, argv)
+    try:
+        want = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pass
+    else:
+        assert cli._parse(argv) == want
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+
+
+def _reference_json(obj) -> str:
+    if isinstance(obj, dict):
+        return "{%s}" % ",".join(json.dumps(k) + ":" + _reference_json(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(map(_reference_json, obj))
+    return f"{obj:.17g}" if isinstance(obj, float) else json.dumps(obj)
+
+
+def test_to_json_writes_the_bytes_of_json_dumps():
+    texts = ["", "plain", "\u00e9t\u00e9 \u4e2d \U0001f600", 'say "hi"', "back\\slash",
+             "\x00\x01\x1f\x7f\n\r\t\b\f", "\u2028"]
+    ints = [0, 1, -7, 2**63, 2**63 + 1, -(2**70)]
+    floats = [0.0, -0.0, 0.1, -2.5e-300, 1.7976931348623157e308, 5e-324]
+    scalars = [*texts, *ints, True, False, None, *floats]
+    obj = {
+        "scalars": scalars,
+        "by_key": {text: value for text, value in zip(texts, scalars[::-1])},
+        "nested": [[], {}, [None, [True, {"x": [False, -1, 0.5]}]], {"": {"y": ""}}],
+        "pair": (1, "two"),
+    }
+    text = cli._to_json(obj)
+    assert text == _reference_json(obj)
+    assert text.isascii()
+    assert json.loads(text) == {**obj, "pair": [1, "two"]}
+
+
 def test_generic_table_low_irreps_match_closed_forms(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",

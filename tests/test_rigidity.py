@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from homsphere import rigidity
 from homsphere.core import GroupKind, MetricTriple, SpectralInvariants, normalize_triple
 from homsphere.geometry import scalar_curvature
 from homsphere.oracle import mult3_auxiliary_root
@@ -314,6 +315,41 @@ def test_isospectral_identical_and_permuted():
     assert res.verdict is IsospectralVerdict.ISOMETRIC
     res = isospectral_check(t, t, SU2, 25.0)
     assert res.verdict is IsospectralVerdict.ISOMETRIC
+
+
+class _TwinTriple(MetricTriple):
+    """A triple with the fields of a MetricTriple that compares unequal to it."""
+
+
+@pytest.mark.parametrize("g", [SU2, SO3])
+@pytest.mark.parametrize(
+    "t1,t2,calls",
+    [
+        ((1.7, 1.2, 0.8), (0.8, 1.7, 1.2), 1),
+        ((2.0, 2.0, 0.5), (2.0, 0.5, 2.0), 1),
+        ((1.3, 1.0, 1.0), (1.3, 1.0, 1.0), 1),
+        ((1.7, 1.2, 0.8), (1.7, 1.25, 0.8), 2),
+        ((1.3, 1.0, 1.0), (1.3, 1.0, 1.0 + 1e-12), 2),
+    ],
+)
+def test_isospectral_check_builds_one_table_for_equal_triples(monkeypatch, t1, t2, calls, g):
+    t1, t2 = normalize_triple(*t1), normalize_triple(*t2)
+    lam_max = 2.5 * max(lambda1_closed(t, g).value for t in (t1, t2))
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return spectrum_up_to(*args)
+
+    monkeypatch.setattr(rigidity, "spectrum_up_to", counting)
+    res = isospectral_check(t1, t2, g, lam_max)
+    assert len(seen) == calls
+    # the twin forces the second table call that equal triples skip
+    twin = _TwinTriple(*t2.as_tuple())
+    assert twin != t1
+    del seen[:]
+    assert isospectral_check(t1, twin, g, lam_max) == res
+    assert len(seen) == 2
 
 
 def test_isospectral_detects_perturbation():

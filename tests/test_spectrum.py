@@ -244,6 +244,24 @@ def test_multiplicities_count_every_dense_eigenvalue(t, g):
     assert table.counting_function(lam) == total
 
 
+def test_counting_function_equals_the_filtered_sum():
+    # bounds at an entry and 1 ulp either side, the last entry (where the
+    # sum needs no comparison) among them, and the truncation bound
+    rng = random.Random(35)
+    for _ in range(30):
+        a, b, c = (10.0 ** rng.uniform(-1, 1) for _ in range(3))
+        t = normalize_triple(*rng.choice([(a, b, c), (a, a, c), (a, b, b), (a, a, a)]))
+        for g in (SU2, SO3):
+            table = spectrum_up_to(rng.uniform(1.1, 6.0) * lambda1_closed(t, g).value, t, g)
+            bounds = [table.truncation_bound]
+            for e in (table.entries[0], rng.choice(table.entries), table.entries[-1]):
+                bounds += [math.nextafter(e.value, -math.inf), e.value,
+                           math.nextafter(e.value, math.inf)]
+            for lam in bounds:
+                want = sum(m for v, m in table.entries if v <= lam)
+                assert table.counting_function(lam) == want, (t, g, lam)
+
+
 def test_bound_equal_to_an_eigenvalue_keeps_its_block_and_every_copy():
     # On a round metric the envelope 2k b^2 + k^2 c^2 = k(k+2) a^2 is
     # attained, and its float can round above the computed eigenvalue; the
@@ -527,8 +545,9 @@ def test_suspicious_cluster_merges_are_reported():
         berger_spectrum_up_to(20.0, a, 1.0, SU2)
         spectrum_up_to(20.0, t, SU2)
         isospectral_check(t, t, SU2, 20.0)
-    # all point at this caller, not into the library
-    assert [r.filename for r in record] == [__file__] * 4
+    # all point at this caller, not into the library; equal triples share
+    # one table, so isospectral_check warns once
+    assert [r.filename for r in record] == [__file__] * 3
     # clean spectra merge only exactly repeated values: no warning
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", ClusterMergeWarning)
