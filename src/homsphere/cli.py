@@ -11,10 +11,12 @@ to 0, or a result below the normal range, such as a subnormal eigenvalue
 or volume; squares that overflow are no error for ``spectrum``, which
 solves at a unit scale, where the rows of a metric so prolate that they
 would overflow decouple and the closed form is read off), 3 truncation
-bound needing more than ``spectrum.K_CAP`` irrep blocks.  Warnings (for
-example suspicious cluster merges) go to stderr only.  No subcommand
-takes a tolerance: the solver, clustering and comparison tolerances are
-fixed.
+bound needing more than ``spectrum.K_CAP`` irrep blocks.  The
+``EDGE_INPUTS`` table in ``tests/test_cli.py`` is the one place where each
+documented edge input is checked against its exit code and stderr.
+Warnings (for example suspicious cluster merges) go to stderr only.  No
+subcommand takes a tolerance: the solver, clustering and comparison
+tolerances are fixed.
 
 Only ``verify`` imports the acceptance suite, and with it numpy (the
 ``homsphere[verify]`` extra) and ``homsphere.oracle``; every other

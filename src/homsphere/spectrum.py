@@ -100,9 +100,10 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
             their digits (to 0 for a round metric at 1e-170, which then
             reads as a tie), so neither the value nor the regime would hold.
     """
-    bc2 = t.b * t.b + t.c * t.c
-    s = t.a * t.a + bc2
-    f = 4.0 * bc2
+    # s is summed as the table's k = 1 block is, in the frame of _squares
+    a2, bc2, _ = _squares(t.a, t.b, t.c)
+    s = a2 + bc2
+    f = 4.0 * (t.b * t.b + t.c * t.c)
     if g is GroupKind.SO3:
         value, regime = f, Regime.SO3
         mult = 3 if t.a > t.b else 6 if t.b > t.c else 9

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,16 +106,6 @@ def test_spectrum_berger_closed_form_matches_numeric(capsys):
         assert out1 == out2
 
 
-def test_spectrum_berger_closed_form_rejects_generic(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "spectrum", "--a", "3", "--b", "2", "--c", "1",
-        "--group", "su2", "--lambda-max", "25", "--berger-closed-form",
-    )
-    assert code == 2
-    assert "equal parameters" in err
-
-
 def test_output_is_byte_identical_across_runs(capsys):
     args = [
         "spectrum", "--a", "2.7", "--b", "1.31", "--c", "0.55",
@@ -180,21 +171,6 @@ def test_estimate_berger_extrema(capsys):
     assert results["max"] == pytest.approx(3 * math.pi**2, rel=1e-12)
 
 
-def test_estimate_berger_extrema_rejects_a_triple(capsys):
-    code, out, err = run_cli(capsys, "estimate", "--berger-extrema", "--a", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_rigidity_lambda_max_needs_compare(capsys):
-    code, out, err = run_cli(
-        capsys, "rigidity", "--a", "2", "--b", "1", "--c", "1", "--group", "su2",
-        "--lambda-max", "12",
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
 def test_product_command(capsys):
     code, out, _ = run_cli(capsys, "product", "--su2", "1,1,1", "--su2", "1,1,1")
     assert code == 0
@@ -202,12 +178,6 @@ def test_product_command(capsys):
     assert results["lambda1"] == 3.0
     assert results["diam2"]["lower"] == pytest.approx(2 * math.pi**2, rel=1e-15)
     assert results["product"]["lower"] == pytest.approx(6 * math.pi**2, rel=1e-15)
-
-
-def test_product_requires_factors(capsys):
-    code, _, err = run_cli(capsys, "product")
-    assert code == 2
-    assert "factor" in err
 
 
 def test_rigidity_command_round_trip(capsys):
@@ -225,15 +195,6 @@ def test_rigidity_command_round_trip(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["roundtrip_rel_err"] <= 1e-12
-
-
-def test_rigidity_with_infinite_curvature_exits_2(capsys):
-    code, out, err = run_cli(
-        capsys, "rigidity", "--a", "1", "--b", "1", "--c", "1e-160", "--group", "su2"
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range")
-    assert len(err.strip().splitlines()) == 1
 
 
 def test_geometry_of_a_thin_metric_with_finite_curvature(capsys):
@@ -284,75 +245,6 @@ def test_rigidity_of_a_prolate_metric_whose_a_squared_overflows(capsys, group):
     assert results["roundtrip_rel_err"] == 0.0
 
 
-def test_rigidity_with_a_subnormal_volume_parameter_exits_2(capsys):
-    # abc is one subnormal ulp, 4.9e-324, so v carries no digits of the metric
-    code, out, err = run_cli(
-        capsys, "rigidity", "--a", "1.967167815186089e-72", "--b", "2.524406037927144e-106",
-        "--c", "5.066134399917201e-147", "--group", "su2",
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range: v = 4.94")
-    assert len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize(
-    "triple, group",
-    [(("2e300", "1e-150", "1e-150"), "su2"), (("1e300", "1e-100", "1e-100"), "so3")],
-)
-def test_rigidity_whose_scaled_lambda1_underflows_names_the_float_range(capsys, triple, group):
-    # every invariant is finite, but bringing v / lambda1 below 2^499 takes
-    # P = lambda1 / 4 to 0, where the z equation divides by it
-    code, out, err = run_cli(
-        capsys, "rigidity", "--a", triple[0], "--b", triple[1], "--c", triple[2],
-        "--group", group,
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range: ")
-    assert "lambda1 / 4 is 0 once scaled" in err and "division by zero" not in err
-    assert len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("group", ["su2", "so3"])
-def test_rigidity_whose_abc_underflows_names_the_float_range(capsys, group):
-    # every parameter is valid, but abc = 1e-460 is 0 in floats, which the
-    # fingerprint must not pass on as a user's v = 0
-    code, out, err = run_cli(
-        capsys, "rigidity", "--a", "1e-150", "--b", "1e-150", "--c", "1e-160", "--group", group,
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range: ")
-    assert "abc" in err and "must be positive" not in err
-    assert len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize(
-    "triple",
-    [("1e-310", "1e-311", "1e-312"), ("1e-120", "1e-100", "1e-100"), ("1e120", "1e120", "1e120")],
-)
-def test_geometry_of_a_vanishing_volume_parameter_names_the_volume(capsys, triple):
-    # abc underflows to 0, or is so small a subnormal that 2 pi^2 / abc is
-    # +inf, or overflows, so that the volume would print as 0
-    code, out, err = run_cli(
-        capsys, "geometry", "--a", triple[0], "--b", triple[1], "--c", triple[2],
-        "--group", "su2",
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range: volume = 2 pi^2 / abc")
-    assert err.strip().endswith("is outside the normal float range")
-
-
-def test_spectrum_with_a_subnormal_eigenvalue_exits_2(capsys):
-    # a^2 + b^2 + c^2 = 1.4e-319 is positive, but a subnormal keeps about 5
-    # digits, so the table is refused as lambda1 is
-    for argv in (["spectrum", "--lambda-max", "1e-318"], ["lambda1"]):
-        code, out, err = run_cli(
-            capsys, *argv, "--a", "3e-160", "--b", "2e-160", "--c", "1e-160", "--group", "su2"
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: parameters out of floating-point range")
-        assert err.strip().endswith("normal float range")
-
-
 def test_rigidity_of_a_thin_metric_on_the_cubic_path(capsys):
     # multiplicity 4 with lambda1 = 2.1e-6: the cubic is solved at lambda1
     # in [1, 4), where its noise floor is set
@@ -397,26 +289,6 @@ def test_permuting_the_parameters_leaves_stdout_unchanged(capsys, command, group
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
-
-
-def test_invalid_parameters_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "lambda1", "--a", "-1", "--b", "1", "--c", "1", "--group", "su2"
-    )
-    assert code == 2
-    assert "error" in err
-
-
-def test_cutoff_cap_exit_3(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "spectrum", "--a", "1", "--b", "1", "--c", "1",
-        "--group", "su2", "--lambda-max", "1e9",
-    )
-    assert code == 3
-    assert err == (
-        "error: truncation bound 1000000000.0 needs more than 10000 blocks, cap is 10000\n"
-    )
 
 
 def _stub_criteria(monkeypatch, verdicts):
@@ -464,15 +336,6 @@ def _run_verify_in_child(prelude: str) -> subprocess.Popen:
     )
 
 
-def test_verify_without_numpy_exits_1_with_one_line():
-    proc = _run_verify_in_child("sys.modules['numpy'] = None  # as if not installed")
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "homsphere[verify]" in err and "Traceback" not in err
-
-
 def test_verify_reader_closing_early_exits_1_silently():
     stub = (
         "from homsphere import acceptance\n"
@@ -487,19 +350,6 @@ def test_verify_reader_closing_early_exits_1_silently():
     assert err == ""
 
 
-SPECTRUM_GENERIC = [
-    "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",
-]
-
-
-@pytest.mark.parametrize("bound", ["inf", "nan"])
-def test_non_finite_lambda_max_exit_2(capsys, bound):
-    code, out, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", bound)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-
-
 def test_nonconvergence_exit_1(capsys, monkeypatch):
     from homsphere import NonConvergence, eigensolve
 
@@ -508,30 +358,13 @@ def test_nonconvergence_exit_1(capsys, monkeypatch):
         raise NonConvergence(f"eigenvalue 0 of a {n}x{n} block did not converge")
 
     monkeypatch.setattr(eigensolve, "eigenvalues", stuck)
-    code, _, err = run_cli(capsys, *SPECTRUM_GENERIC, "--lambda-max", "20")
+    code, _, err = run_cli(
+        capsys, "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",
+        "--lambda-max", "20",
+    )
     assert code == 1
     assert err.startswith("internal error:")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "geometry --a 1e200 --b 1 --c 1e-200 --group su2",
-        "spectrum --a 1e-200 --b 1e-200 --c 1e-200 --group su2 --lambda-max 1",
-        "geometry --a 1e150 --b 1 --c 1e-150 --group su2",
-        "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2",
-        "estimate --a 1e300 --b 1e300 --c 1 --group su2",
-        "estimate --a 1e200 --b 1e200 --c 1e200 --group so3",
-        "estimate --a 1e-200 --b 1e-200 --c 1e-200 --group so3",
-        "product --su2 1e300,1e300,1",
-    ],
-)
-def test_parameters_beyond_float_range_exit_2(capsys, argv):
-    code, out, err = run_cli(capsys, *argv.split())
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -575,17 +408,6 @@ def test_rows_overflowing_at_the_unit_scale_drop_out(capsys, argv, b, c, last_p)
     ]
 
 
-@pytest.mark.parametrize("group", ["su2", "so3"])
-@pytest.mark.parametrize("x", ["1e-170", "1e-160"])
-def test_lambda1_below_the_normal_range_exits_2(capsys, x, group):
-    # squares to 0 (1e-170) or to a subnormal (1e-160): printing that as
-    # lambda1 would give 0 with a Boundary tie, or a value short of digits
-    code, out, err = run_cli(capsys, "lambda1", "--a", x, "--b", x, "--c", x, "--group", group)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parameters out of floating-point range")
-    assert len(err.strip().splitlines()) == 1
-
-
 def test_large_representable_parameters_still_work(capsys):
     code, out, _ = run_cli(
         capsys, "lambda1", "--a", "1e160", "--b", "1", "--c", "1", "--group", "su2"
@@ -608,33 +430,6 @@ def test_curvature_near_1e154_is_representable(capsys, command):
     assert results["scalar_curvature"] == pytest.approx(6.2577777777777724e154, rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "spectrum --a 1 --b 1 --c 1 --group su2 --lambda-max 1e300",
-        "rigidity --a 2 --b 1 --c 1 --group su2 --compare 2,1,1 --lambda-max 1e300",
-        "spectrum --a 1e10 --b 1e10 --c 1e10 --group su2 --lambda-max 1e300",
-        "spectrum --a 1 --b 1 --c 1e-30 --group su2 --lambda-max 1e12",
-        # b^2 and c^2 underflow to 0, so the computed envelope of every block
-        # is 0; the true K is about 5e39
-        "spectrum --a 1 --b 1e-170 --c 1e-200 --group su2 --lambda-max 1e-300",
-    ],
-)
-def test_huge_finite_bound_exits_3_promptly(argv):
-    # in a subprocess, so that a cut-off walk that never ends fails this test
-    # instead of hanging the suite
-    src = str(Path(homsphere.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "homsphere.cli", *argv.split()],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("error:") and "cap is 10000" in proc.stderr
-
-
 def test_reader_closing_early_exits_1_without_traceback():
     src = str(Path(homsphere.__file__).resolve().parents[1])
     argv = "spectrum --a 1 --b 1 --c 1 --group su2 --lambda-max 30000".split()
@@ -648,6 +443,194 @@ def test_reader_closing_early_exits_1_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception" not in err
+
+
+# The one place each documented edge input is checked: (exit status, argv,
+# a regular expression that stderr matches in full).  "." stops at a line
+# break, so ERROR is exactly one "error:" line.  Stdout is empty exactly
+# when the status is not 0.
+ERROR = r"error: .*\n"
+RANGE = r"error: parameters out of floating-point range: .*\n"
+VOLUME = (r"error: parameters out of floating-point range: volume = 2 pi\^2 / abc"
+          r".* is outside the normal float range\n")
+CAP = r"error: truncation bound .* needs more than 10000 blocks, cap is 10000\n"
+USAGE = r"usage: homsphere(?s:.*)\nhomsphere.*: error: .*\n"
+EDGE_INPUTS = [
+    # NaN and infinite bounds
+    (2, "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max nan", ERROR),
+    (2, "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max inf", ERROR),
+    (2, "spectrum --a 1.7 --b 1.2 --c 0.8 --group so3 --lambda-max inf", ERROR),
+    (2, "rigidity --a 1 --b 1 --c 1 --group so3 --compare 1,1,1 --lambda-max nan", ERROR),
+    # a comparison bound below the one the two tables need
+    (2, "rigidity --a 1 --b 1 --c 1 --group su2 --compare 1,1,1 --lambda-max 1", ERROR),
+    # finite bounds past K_CAP blocks, refused promptly: a cut-off walk that
+    # never ends runs into the child's timeout instead of hanging the suite
+    (3, "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 1e308", CAP),
+    (3, "spectrum --a 1 --b 1 --c 1 --group su2 --lambda-max 1e9",
+     r"error: truncation bound 1000000000\.0 needs more than 10000 blocks, cap is 10000\n"),
+    (3, "spectrum --a 1 --b 1 --c 1 --group su2 --lambda-max 1e300", CAP),
+    (3, "rigidity --a 2 --b 1 --c 1 --group su2 --compare 2,1,1 --lambda-max 1e300", CAP),
+    (3, "spectrum --a 1e10 --b 1e10 --c 1e10 --group su2 --lambda-max 1e300", CAP),
+    (3, "spectrum --a 1 --b 1 --c 1e-30 --group su2 --lambda-max 1e12", CAP),
+    # b^2 and c^2 underflow to 0, so the computed envelope of every block
+    # is 0; the true K is about 5e39
+    (3, "spectrum --a 1 --b 1e-170 --c 1e-200 --group su2 --lambda-max 1e-300", CAP),
+    # parameters that are no metric, and flags that need or refuse others
+    (2, "lambda1 --a -1 --b 1 --c 1 --group su2", ERROR),
+    (2, "product --su2 1,1,nan", ERROR),
+    (2, "rigidity --a 1 --b 1 --c 1 --group so3 --compare 1,1,inf", ERROR),
+    (2, "spectrum --a 3 --b 2 --c 1 --group su2 --lambda-max 25 --berger-closed-form",
+     r"error: .*equal parameters.*\n"),
+    (2, "estimate --berger-extrema --a 3", ERROR),
+    (2, "rigidity --a 2 --b 1 --c 1 --group su2 --lambda-max 12", ERROR),
+    (2, "product", r"error: .*factor.*\n"),
+    # a^2 overflowing at the unit scale (a/b = 1e160, b = c and generic)
+    (0, "spectrum --a 1e150 --b 1e-10 --c 1e-10 --group su2 --lambda-max 1e-16", ""),
+    (0, "spectrum --a 1e150 --b 1e-10 --c 1e-10 --group so3 --lambda-max 1e-16", ""),
+    (0, "spectrum --a 1e150 --b 1e-10 --c 1e-11 --group su2 --lambda-max 1e-16", ""),
+    # rows (k-2l)^2 a^2 overflowing while a^2 does not
+    (0, "spectrum --a 1e153 --b 1 --c 0.5 --group su2 --lambda-max 100", ""),
+    (0, "spectrum --a 1e154 --b 1.5 --c 1 --group su2 --lambda-max 45", ""),
+    # tables whose a^2 overflows at the caller's scale (b = c and generic)
+    (0, "spectrum --a 1.5e154 --b 1 --c 1 --group su2 --lambda-max 10", ""),
+    (0, "spectrum --a 1e160 --b 2 --c 1 --group so3 --lambda-max 200", ""),
+    # a table with K = 200, which plans and keeps 200 blocks
+    (0, "spectrum --a 1e6 --b 1 --c 0.9 --group su2 --lambda-max 33000", ""),
+    # K = 258, past _PLAN_K_MAX, whose blocks 257 and 258 are planned on
+    # each call and not kept (258's odd block ends in a coupling with
+    # sqrt 2 folded into its root)
+    (0, "spectrum --a 1e4 --b 1 --c 0.5 --group su2 --lambda-max 17200", ""),
+    # a^2 at the unit scale exactly 2^128 = _DECOUPLED, the largest the
+    # solver takes, and the next float of a, which is read off the closed form
+    (0, "spectrum --a 18446744073709551616 --b 1 --c 0.5 --group su2 --lambda-max 100", ""),
+    (0, "spectrum --a 18446744073709555712 --b 1 --c 0.5 --group so3 --lambda-max 100", ""),
+    # the tie a^2 - b^2 = b^2 - c^2 of the frame rule in casimir._squares,
+    # which keeps the a frame
+    (0, "spectrum --a 7 --b 5 --c 1 --group su2 --lambda-max 2000", ""),
+    # an extreme oblate table, solved in the (c, a, b) frame
+    (0, "spectrum --a 1 --b 0.9999999999999999 --c 1e-8 --group so3 --lambda-max 100", ""),
+    # product windows whose lower end rounds to pi^2
+    (0, "estimate --a 1e10 --b 1 --c 1e-10 --group su2", ""),
+    (0, "estimate --a 1e10 --b 1 --c 1e-10 --group so3", ""),
+    (0, "product --su2 1e10,1,1e-10", ""),
+    (0, "product --so3 1e10,1,1e-10", ""),
+    # a subnormal triple
+    (2, "spectrum --a 1e-310 --b 1e-311 --c 1e-312 --group su2 --lambda-max 1", RANGE),
+    (2, "lambda1 --a 1e-310 --b 1e-311 --c 1e-312 --group so3", RANGE),
+    (2, "geometry --a 1e-310 --b 1e-311 --c 1e-312 --group su2", VOLUME),
+    (2, "estimate --a 1e-310 --b 1e-311 --c 1e-312 --group su2", RANGE),
+    (2, "rigidity --a 1e-310 --b 1e-311 --c 1e-312 --group su2", RANGE),
+    # lambda1 squares to 0 (1e-170) or to a subnormal (1e-160): printing
+    # that would give 0 with a Boundary tie, or a value short of digits
+    (2, "lambda1 --a 1e-170 --b 1e-170 --c 1e-170 --group su2", RANGE),
+    (2, "lambda1 --a 1e-170 --b 1e-170 --c 1e-170 --group so3", RANGE),
+    (2, "lambda1 --a 1e-160 --b 1e-160 --c 1e-160 --group su2", RANGE),
+    (2, "lambda1 --a 1e-160 --b 1e-160 --c 1e-160 --group so3", RANGE),
+    # a^2 + b^2 + c^2 = 1.4e-319 is positive, but a subnormal keeps about
+    # 5 digits, so the table is refused as lambda1 is
+    (2, "spectrum --a 3e-160 --b 2e-160 --c 1e-160 --group su2 --lambda-max 1e-318",
+     r"error: parameters out of floating-point range.*normal float range\n"),
+    (2, "lambda1 --a 3e-160 --b 2e-160 --c 1e-160 --group su2",
+     r"error: parameters out of floating-point range.*normal float range\n"),
+    # results beyond the float range
+    (2, "geometry --a 1e200 --b 1 --c 1e-200 --group su2", ERROR),
+    (2, "geometry --a 1e150 --b 1 --c 1e-150 --group su2", ERROR),
+    (2, "geometry --a 1e300 --b 1 --c 1e-300 --group so3", RANGE),  # Scal is -inf
+    (2, "spectrum --a 1e-200 --b 1e-200 --c 1e-200 --group su2 --lambda-max 1", ERROR),
+    (2, "lambda1 --a 1e200 --b 1e200 --c 1e200 --group su2", ERROR),
+    (2, "estimate --a 1e300 --b 1e300 --c 1 --group su2", ERROR),
+    (2, "estimate --a 1e200 --b 1e200 --c 1e200 --group so3", ERROR),
+    (2, "estimate --a 1e-200 --b 1e-200 --c 1e-200 --group so3", ERROR),
+    (2, "product --su2 1e300,1e300,1", ERROR),
+    # a volume that would print as 0: abc is so small a subnormal that
+    # 2 pi^2 / abc is +inf, or abc overflows
+    (2, "geometry --a 1e-120 --b 1e-100 --c 1e-100 --group su2", VOLUME),
+    (2, "geometry --a 1e120 --b 1e120 --c 1e120 --group su2", VOLUME),
+    # an inverse map whose a^2 overflows at the caller's scale
+    (0, "rigidity --a 1.5e154 --b 1 --c 1 --group su2", ""),
+    (0, "rigidity --a 1.5e154 --b 1 --c 1 --group so3", ""),
+    # a fingerprint whose Scal is -inf
+    (2, "rigidity --a 1 --b 1 --c 1e-160 --group su2", RANGE),
+    # every invariant is finite, but bringing v / lambda1 below 2^499 takes
+    # P = lambda1 / 4 to 0, where the z equation divides by it
+    (2, "rigidity --a 2e300 --b 1e-150 --c 1e-150 --group su2",
+     r"error: parameters out of floating-point range: .*lambda1 / 4 is 0 once scaled.*\n"),
+    (2, "rigidity --a 1e300 --b 1e-100 --c 1e-100 --group so3",
+     r"error: parameters out of floating-point range: .*lambda1 / 4 is 0 once scaled.*\n"),
+    # abc is one subnormal ulp, 4.9e-324, so v carries no digits of the metric
+    (2, "rigidity --a 1.967167815186089e-72 --b 2.524406037927144e-106"
+        " --c 5.066134399917201e-147 --group su2",
+     r"error: parameters out of floating-point range: v = 4\.94.*\n"),
+    # abc = 1e-460 is 0 in floats, which the fingerprint must not pass on
+    # as a user's v = 0
+    (2, "rigidity --a 1e-150 --b 1e-150 --c 1e-160 --group su2",
+     r"error: parameters out of floating-point range: (?!.*must be positive).*abc.*\n"),
+    (2, "rigidity --a 1e-150 --b 1e-150 --c 1e-160 --group so3",
+     r"error: parameters out of floating-point range: (?!.*must be positive).*abc.*\n"),
+    # verify needs numpy, which the child has not got
+    (1, "verify", r"error: .*homsphere\[verify\].*\n"),
+    # argv that main does not parse with the named command's parser alone
+    # (none, an unknown command), that this parser rejects (a leftover
+    # argument, a float flag that is no float, a format it does not know)
+    # or that it answers (its help)
+    (2, "", USAGE),
+    (2, "bogus", USAGE),
+    (2, "lambda1 --a 1 --b 1 --c 1 --group su2 extra", USAGE),
+    (2, "lambda1 --a x --b 1 --c 1 --group su2", USAGE),
+    (2, "spectrum --a 1 --b 1 --c 1 --group su2 --lambda-max 10 --format xml", USAGE),
+    (0, "lambda1 -h", ""),
+]
+
+# runs every row in-process, as `python -m homsphere.cli` would in a fresh
+# interpreter on the standard library alone
+_EDGE_CHILD = """
+import contextlib, io, json, sys, traceback, warnings
+for name in ("numpy", "scipy", "mpmath"):
+    sys.modules[name] = None  # as if not installed
+warnings.simplefilter("always")  # not once per process: every row shows its own
+from homsphere.cli import main
+outcomes = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse
+            status = exc.code
+        except Exception:
+            traceback.print_exc()
+            status = None
+    outcomes.append((status, out.getvalue(), err.getvalue()))
+json.dump(outcomes, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def edge_outcomes():
+    src = str(Path(homsphere.__file__).resolve().parents[1])
+    argvs = [argv for _, argv, _ in EDGE_INPUTS]
+    done = subprocess.run(
+        [sys.executable, "-c", _EDGE_CHILD],
+        input=json.dumps([argv.split() for argv in argvs]),
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(zip(argvs, json.loads(done.stdout)))
+
+
+@pytest.mark.parametrize(
+    "status, argv, stderr", EDGE_INPUTS, ids=[argv or "(none)" for _, argv, _ in EDGE_INPUTS]
+)
+def test_edge_input_ends_in_its_documented_status(edge_outcomes, status, argv, stderr):
+    got, out, err = edge_outcomes[argv]
+    assert "Traceback" not in err, err
+    # an error names its reason, not Python's arithmetic message
+    assert not re.search("division by zero|math domain error|float division", err), err
+    assert (got, out != "") == (status, status == 0), err
+    assert re.fullmatch(stderr, err), err
 
 
 # sha256 of stdout, taken from the output before the record path was shared

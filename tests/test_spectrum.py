@@ -106,6 +106,19 @@ def test_lambda1_scaling_covariance():
         assert scaled.multiplicity == base.multiplicity
 
 
+def test_su2_lambda1_is_the_tables_first_entry_bitwise():
+    # criterion 1's SU(2) samples: the closed form sums a^2 + b^2 + c^2 in
+    # the frame and order in which the table sums its k = 1 block
+    from homsphere.acceptance import _lambda1_samples
+
+    differ = []
+    for t in _lambda1_samples(SU2):
+        closed = lambda1_closed(t, SU2).value
+        if spectrum_up_to(1.1 * closed, t, SU2).entries[1].value != closed:
+            differ.append(t)
+    assert differ == []
+
+
 def test_berger_eigenvalue_closed_values():
     assert berger_eigenvalue(1, 0, 2.0, 1.5) == 4.0 + 2 * 2.25
     assert berger_eigenvalue(2, 1, 9.9, 2.0) == 8 * 4.0
