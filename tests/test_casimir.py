@@ -29,6 +29,15 @@ def _blocks(k, t):
     return tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
 
 
+TRIPLES = [
+    MetricTriple(1, 1, 1),
+    MetricTriple(2, 1, 1),
+    MetricTriple(3, 2, 1),
+    MetricTriple(5, 3, 2),
+    MetricTriple(4, 4, 1),
+]
+
+
 def test_generators_k0_are_zero():
     for m in generator_matrices(0):
         assert m.shape == (1, 1)
@@ -80,6 +89,12 @@ def test_casimir_round_is_scalar_k_times_k_plus_2():
     t = MetricTriple(1, 1, 1)
     for k in range(8):
         assert np.array_equal(casimir_matrix(k, t), k * (k + 2) * np.eye(k + 1))
+
+
+@pytest.mark.parametrize("t", TRIPLES)
+@pytest.mark.parametrize("k", range(21))
+def test_oracle_matches_closed_form_exactly(t, k):
+    assert np.array_equal(casimir_matrix(k, t), casimir_matrix_oracle(k, t))
 
 
 def test_oracle_round_values():
