@@ -21,13 +21,16 @@ tolerances are fixed.
 Only ``verify`` imports the acceptance suite, and with it numpy (the
 ``homsphere[verify]`` extra) and ``homsphere.oracle``; every other
 subcommand runs on the standard library.  All of them print through
-``main``, which builds the parser once per process and calls
-``_cmd_<command>`` by name.  The flags after a leading command name go
-straight to that command's parser: the top-level parser would hand them
-on unchanged, but only after checking each against its own options,
-which took half the parse.  Any other argv (none, ``-h``, an unknown
-name) goes through ``parse_args``; either way the messages and exit
-codes are those of ``parse_args``.
+``main``, which calls ``_cmd_<command>`` by name.  Each command's flags
+are declared once, in ``_COMMANDS``, from which ``build_parser`` builds
+the argparse parsers, once per process.  ``_read`` reads a well-formed
+argv from the same table into the namespace ``parse_args`` would return:
+a command, then its flags by their exact names, each value not starting
+with ``-``, of the flag's type and among its choices, and every required
+flag given.  Any other argv (none, help, an abbreviation,
+``--flag=value``, ``--``, an error) goes to ``parse_args``, so every
+message and exit code is argparse's own; only that fallback builds the
+parser.
 
 A spectrum's entries travel as the table's two columns, ``(entries,
 k_sources)``, and ``_rows`` writes them in JSON and in CSV alike with one
@@ -299,25 +302,57 @@ def _cmd_verify() -> tuple[str, int]:
     return "\n".join(lines), EXIT_OK if not failed else EXIT_FAILURE
 
 
-def _add_triple_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--a", type=float, required=required)
-    parser.add_argument("--b", type=float, required=required)
-    parser.add_argument("--c", type=float, required=required)
-    parser.add_argument(
-        "--group", choices=["su2", "so3"], required=required,
-        help="su2 for the 3-sphere, so3 for real projective 3-space",
-    )
+_TRIPLE = {
+    "--a": {"type": float, "required": True},
+    "--b": {"type": float, "required": True},
+    "--c": {"type": float, "required": True},
+    "--group": {
+        "choices": ["su2", "so3"], "required": True,
+        "help": "su2 for the 3-sphere, so3 for real projective 3-space",
+    },
+}
+_RECORD = {"--format": {"choices": ["json", "csv"], "default": "json"}}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; it holds no handlers, so ``main`` looks
-    each ``_cmd_*`` up at call time."""
-    return _parsers()[0]
+# Each command's help line and flags, as argparse.add_argument keywords: the
+# one declaration that build_parser and _read both read.  _read knows the
+# actions store (the default), store_true and append, and no other.
+_COMMANDS = {
+    "spectrum": ("truncated spectrum of one metric", {
+        **_RECORD, **_TRIPLE,
+        "--lambda-max": {"type": float, "required": True},
+        "--berger-closed-form": {"action": "store_true", "help": "require two equal parameters"},
+    }),
+    "lambda1": ("closed-form lowest positive eigenvalue", {**_RECORD, **_TRIPLE}),
+    "geometry": ("curvature, volume, diameter, gap", {**_RECORD, **_TRIPLE}),
+    "estimate": ("lambda1 * diam^2 estimates", {
+        **_RECORD, **{flag: {**spec, "required": False} for flag, spec in _TRIPLE.items()},
+        "--berger-extrema": {
+            "action": "store_true",
+            "help": "report the closed-form extrema over the two-equal-parameter families",
+        },
+    }),
+    "rigidity": ("spectral invariants and inversion", {
+        **_RECORD, **_TRIPLE,
+        "--compare": {
+            "type": str, "default": None, "metavar": "A,B,C",
+            "help": "second triple for an isospectrality comparison",
+        },
+        "--lambda-max": {"type": float, "default": None},
+    }),
+    "product": ("estimates for products of factors", {
+        **_RECORD,
+        "--su2": {"action": "append", "metavar": "A,B,C", "help": "add one SU(2) factor"},
+        "--so3": {"action": "append", "metavar": "A,B,C", "help": "add one SO(3) factor"},
+    }),
+    "verify": ("run the acceptance suite", {}),
+}
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by command name, built once."""
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built from ``_COMMANDS``; it holds no
+    handlers, so ``main`` looks each ``_cmd_*`` up at call time.  ``main``
+    builds it only for an argv ``_read`` leaves to it: help and errors."""
     parser = argparse.ArgumentParser(
         prog="homsphere",
         description=(
@@ -326,76 +361,58 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    record = argparse.ArgumentParser(add_help=False)
-    record.add_argument("--format", choices=["json", "csv"], default="json")
+    for name, (text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag, spec in flags.items():
+            command.add_argument(flag, **spec)
+    return parser
 
-    spectrum_p = sub.add_parser(
-        "spectrum", parents=[record], help="truncated spectrum of one metric"
-    )
-    _add_triple_flags(spectrum_p)
-    spectrum_p.add_argument("--lambda-max", type=float, required=True)
-    spectrum_p.add_argument(
-        "--berger-closed-form",
-        action="store_true",
-        help="require two equal parameters",
-    )
 
-    lambda1_p = sub.add_parser(
-        "lambda1", parents=[record], help="closed-form lowest positive eigenvalue"
-    )
-    _add_triple_flags(lambda1_p)
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
+    of the one form read here; None for any other.
 
-    geometry_p = sub.add_parser(
-        "geometry", parents=[record], help="curvature, volume, diameter, gap"
+    The form: a command of ``_COMMANDS``, then its flags by their exact
+    names, each that takes a value followed by one that does not start with
+    ``-``, converts with the flag's type and is one of its choices, with
+    every required flag given.  Abbreviations, ``--flag=value``, ``--``,
+    ``-h`` and every error are left to argparse, whose messages and exit
+    codes stand.  Flags fill the namespace as argparse's actions do.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    values = {
+        flag: False if spec.get("action") == "store_true" else spec.get("default")
+        for flag, spec in flags.items()
+    }
+    words = iter(argv[1:])
+    for word in words:
+        spec = flags.get(word)
+        if spec is None:
+            return None
+        action = spec.get("action")
+        if action == "store_true":
+            values[word] = True
+            continue
+        text = next(words, "-")  # a missing value reads as one starting with "-"
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if text[:1] == "-" or "choices" in spec and value not in spec["choices"]:
+            return None
+        values[word] = (values[word] or []) + [value] if action == "append" else value
+    if any(spec.get("required") and values[flag] is None for flag, spec in flags.items()):
+        return None
+    return argparse.Namespace(
+        command=argv[0], **{flag[2:].replace("-", "_"): value for flag, value in values.items()}
     )
-    _add_triple_flags(geometry_p)
-
-    estimate_p = sub.add_parser(
-        "estimate", parents=[record], help="lambda1 * diam^2 estimates"
-    )
-    _add_triple_flags(estimate_p, required=False)
-    estimate_p.add_argument(
-        "--berger-extrema",
-        action="store_true",
-        help="report the closed-form extrema over the two-equal-parameter families",
-    )
-
-    rigidity_p = sub.add_parser(
-        "rigidity", parents=[record], help="spectral invariants and inversion"
-    )
-    _add_triple_flags(rigidity_p)
-    rigidity_p.add_argument(
-        "--compare", type=str, default=None, metavar="A,B,C",
-        help="second triple for an isospectrality comparison",
-    )
-    rigidity_p.add_argument("--lambda-max", type=float, default=None)
-
-    product_p = sub.add_parser(
-        "product", parents=[record], help="estimates for products of factors"
-    )
-    product_p.add_argument(
-        "--su2", action="append", metavar="A,B,C", help="add one SU(2) factor"
-    )
-    product_p.add_argument(
-        "--so3", action="append", metavar="A,B,C", help="add one SO(3) factor"
-    )
-
-    sub.add_parser("verify", help="run the acceptance suite")
-
-    return parser, sub.choices
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the flags after a leading
-    command name read by that command's parser alone (module docstring)."""
-    parser, commands = _parsers()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error("unrecognized arguments: %s" % " ".join(extra))
-    return args
+    """``build_parser().parse_args(argv)``: read by ``_read`` when it can."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homsphere
 from homsphere import cli
@@ -569,10 +575,9 @@ EDGE_INPUTS = [
      r"error: parameters out of floating-point range: (?!.*must be positive).*abc.*\n"),
     # verify needs numpy, which the child has not got
     (1, "verify", r"error: .*homsphere\[verify\].*\n"),
-    # argv that main does not parse with the named command's parser alone
-    # (none, an unknown command), that this parser rejects (a leftover
-    # argument, a float flag that is no float, a format it does not know)
-    # or that it answers (its help)
+    # argv that cli._read leaves to argparse, which rejects them (none, an
+    # unknown command, a leftover argument, a float flag that is no float,
+    # a format it does not know) or answers them (help)
     (2, "", USAGE),
     (2, "bogus", USAGE),
     (2, "lambda1 --a 1 --b 1 --c 1 --group su2 extra", USAGE),
@@ -757,6 +762,7 @@ def test_command_patched_after_the_first_call_takes_effect(capsys, monkeypatch):
 
 
 _TRIPLE = "--a 2 --b 1 --c 1 --group su2"
+# shell words: '' is an empty argument
 DISPATCH_ARGVS = [
     "",
     "bogus",
@@ -775,6 +781,23 @@ DISPATCH_ARGVS = [
     "lambda1 --a -1 --b 1 --c 1 --group su2",
     "lambda1 --a 2 --b 1 --c 1 --group su3",
     "product --su2 2,1,1 --su2 1.5,1,0.5",
+    # the boundaries of cli._read: store_true and append flags, repeated
+    # flags, values that start with "-" or that float reads oddly, help
+    # after valid flags and a missing required flag
+    f"spectrum {_TRIPLE} --lambda-max 10 --berger-closed-form",
+    f"spectrum {_TRIPLE} --lambda-max 10",
+    "estimate --berger-extrema",
+    "estimate --berger-extrema --c nan",
+    "product --su2 1,1,1 --so3 2,1,0.5 --su2 1,1,1",
+    f"geometry {_TRIPLE} --format csv --format csv --group so3",
+    "lambda1 --a -1e5 --b 1 --c 1 --group su2",
+    f"rigidity {_TRIPLE} --compare -1,1,1",
+    "lambda1 --a '' --b 1 --c 1 --group su2",
+    "lambda1 --a 1_0 --b 1 --c 1 --group su2",
+    "lambda1 --a nan --b 1 --c 1 --group su2",
+    "lambda1 --a ' 1.5' --b 1 --c 1 --group su2",
+    f"lambda1 {_TRIPLE} -h",
+    "lambda1 --a 2 --b 1 --c 1",
 ]
 
 
@@ -787,19 +810,133 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", DISPATCH_ARGVS)
-def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
-    argv = argv.split()
-    got = _outcome(capsys, argv)
+def _argparse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def _parsed(parse, argv):
+    """repr of the namespace (NaN equals itself there), or argparse's exit."""
     try:
-        want = cli.build_parser().parse_args(argv)
-    except SystemExit:
-        pass
-    else:
-        assert cli._parse(argv) == want
-    capsys.readouterr()
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
-    assert got == _outcome(capsys, argv)
+        return repr(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _main_with(parse, argv):
+    """main's status, stdout and stderr with cli._parse replaced by parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_parse", parse), \
+            mock.patch.object(cli, "_cmd_verify", lambda: ("verified", 0)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def _assert_read_as_argparse_would(argv):
+    assert _parsed(cli._parse, argv) == _parsed(_argparse, argv)
+    assert _main_with(cli._parse, argv) == _main_with(_argparse, argv)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS)
+def test_dispatch_matches_the_top_level_parser(argv):
+    _assert_read_as_argparse_would(shlex.split(argv))
+
+
+_ALL_FLAGS = sorted({flag for _, flags in cli._COMMANDS.values() for flag in flags})
+_VALUES = ["1", "2.5", "-1", "-1e5", "", "nan", "1_0", " 1.5", "su2", "so3", "su3", "json",
+           "csv", "xml", "1,1,1", "-1,1,1", "2,1,0.5"]
+
+
+def _accepted(spec):
+    """Values a flag takes: the start of an argv cli._read can read."""
+    if "choices" in spec:
+        return spec["choices"]
+    return ["2", "1_0", " 1.5", "nan"] if spec.get("type") is float else ["1,1,1", "2,1,0.5"]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    flags = cli._COMMANDS.get(command, ("", {}))[1]
+    items = []
+    for flag, spec in flags.items():
+        if spec.get("required") or draw(st.booleans()):
+            value = [] if spec.get("action") == "store_true" else [draw(st.sampled_from(_accepted(spec)))]
+            items.append([flag, *value])
+    names = st.sampled_from(sorted(flags) or _ALL_FLAGS)
+    values = st.sampled_from(_VALUES)
+    noise = st.one_of(
+        st.tuples(names, values).map(list),
+        st.tuples(st.sampled_from(_ALL_FLAGS), values).map(list),
+        names.map(lambda flag: [flag]),
+        st.tuples(names, st.integers(3, 8)).map(lambda fn: [fn[0][:fn[1]]]),  # abbreviations
+        st.tuples(names, values).map(lambda fv: ["=".join(fv)]),
+        st.sampled_from(["--", "-h", *_VALUES]).map(lambda word: [word]),
+    )
+    items += draw(st.lists(noise, max_size=3))
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_argvs())
+def test_reader_equals_argparse(argv):
+    _assert_read_as_argparse_would(argv)
+
+
+# sha256 of each help text at 80 columns, taken before the parsers were
+# built from cli._COMMANDS: (Python 3.10-3.12, 3.13), since 3.13's argparse
+# wraps usage lines at other words
+PINNED_HELP = {
+    "-h": ("7e022ced9ec78958190e3b249325dbd7d5e534fbc0a22236667ea5f35313ded8",
+           "4a07e134b144e1b1bea296129a14bec24fbe0756966f4a385fdaa87b4f3a3dc2"),
+    "spectrum -h": ("bdfd93e046e26fde27787eeebcb6bcf519e1178dac043373725c21da76552d59",
+                    "a519fa998aeb77a74a899171bb80b58797d206957e677d42ec2993fe968c381b"),
+    "lambda1 -h": ("1543d087a7e94be2a1e4de219900536e7e0a9dc93ea3e080c8075ab852a4e276",
+                   "1eff323cdc1f4f7a3c85d3469639491c44ee352b724488fc29c6b8cc86dc2d44"),
+    "geometry -h": ("b1461b050744cc478f9469e9bff25d55bfdeabe79c32007648d12c23578b2946",
+                    "f45b76f35674331ad49e20a6c83cbeb2af9a38f39a1b0c82c341a6d3c74aba61"),
+    "estimate -h": ("d7d9279fe8c7ebb1889b6d91778ad4d540c035ef44c730cc68d64f35f62a52cd",
+                    "d7d9279fe8c7ebb1889b6d91778ad4d540c035ef44c730cc68d64f35f62a52cd"),
+    "rigidity -h": ("8cda021ad4893444ed5b271bc52225b436d0084481ee6e176255e45519a7844f",
+                    "41b0cd29576e5664805f3db00716d48166858751a78defa0df6976c8289ded33"),
+    "product -h": ("fcdf10ca7877af09042f68231fa85f6a7bd676cea2cd99ff5930fa6e2d13b112",
+                   "fcdf10ca7877af09042f68231fa85f6a7bd676cea2cd99ff5930fa6e2d13b112"),
+    "verify -h": ("eb58033c237dc6b02cd846a3771988846d3cfd29cb2f3834c078b612893a1b37",
+                  "eb58033c237dc6b02cd846a3771988846d3cfd29cb2f3834c078b612893a1b37"),
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 14), reason="digests taken on Python 3.10-3.13")
+@pytest.mark.parametrize("argv", sorted(PINNED_HELP))
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = _outcome(capsys, argv.split())
+    assert code == 0
+    digest = PINNED_HELP[argv][sys.version_info >= (3, 13)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_well_formed_argvs_leave_the_parser_unbuilt(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_verify", lambda: ("verified", 0))
+    cli.build_parser.cache_clear()
+    for argv in [
+        f"spectrum {_TRIPLE} --lambda-max 10 --berger-closed-form",
+        f"lambda1 {_TRIPLE}",
+        f"geometry {_TRIPLE} --format csv",
+        "estimate --berger-extrema",
+        f"rigidity {_TRIPLE} --compare 2,1,1 --lambda-max 12",
+        "product --su2 1,1,1 --su2 2,1,0.5",
+        "verify",
+    ]:
+        assert _outcome(capsys, argv.split())[0] == 0, argv
+        assert cli.build_parser.cache_info().currsize == 0, argv
+    for argv in ["lambda1 -h", "lambda1 --a 2 --b 1 --c 1 --group su3"]:
+        cli.build_parser.cache_clear()
+        _outcome(capsys, argv.split())
+        assert cli.build_parser.cache_info().currsize == 1, argv
 
 
 def _reference_json(obj) -> str:
