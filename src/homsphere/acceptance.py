@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .oracle import (
     _diagonal,
-    berger_eigenvalue,
     casimir_matrix,
     casimir_matrix_oracle,
     gershgorin,
@@ -264,17 +263,18 @@ def _closed_berger_rows(
 ) -> list[tuple[float, int, tuple[int, ...]]]:
     """(value, multiplicity, k_sources) of the (a, b, b) spectrum up to lam_max.
 
-    Built from ``oracle.berger_eigenvalue`` alone.  Values within 1e-12
-    relative are one eigenvalue, represented by the smallest: they differ
-    only by the rounding of the closed formula (at (1.3, 1.3, 1.3), k = 4
-    gives both 25.35 and 25.350000000000005).
+    Built from the closed formula ``oracle._diagonal`` alone, on a^2 and
+    b^2 + b^2 as given.  Values within 1e-12 relative are one eigenvalue,
+    represented by the smallest: they differ only by the rounding of the
+    closed formula (at (1.3, 1.3, 1.3), k = 4 gives both 25.35 and
+    25.350000000000005).
     """
     # block k has no value below min(a, b)^2 k(k+2); the factor 2 covers rounding
     floor = min(a, b) ** 2
     contributions = []
     k = 0
     while floor * k * (k + 2) <= 2.0 * lam_max:
-        contributions += [(berger_eigenvalue(k, j, a, b), k + 1, k) for j in range(k + 1)]
+        contributions += [(v, k + 1, k) for v in _diagonal(k, a * a, b * b + b * b, range(k + 1))]
         k += 2 if group is GroupKind.SO3 else 1
     rows: list[list] = []  # [value, multiplicity, k_sources]
     for value, mult, k in sorted(c for c in contributions if c[0] <= lam_max):

@@ -18,10 +18,13 @@ couplings, which the chain derives by the binomial conjugation and
   that nothing lies outside the distance-2 pattern, and returns the two
   blocks as ``TridiagBlock``s.
 
-``_diagonal`` writes the diagonal of the irrep-k matrix alone, which is
-the whole matrix for the squares ``casimir._squares`` gives a triple
-with two equal parameters: ``spectrum._diagonal_runs`` reads the same
-floats in sorted runs.  ``_squares`` picks the frame, (c, a, b) when
+``_diagonal`` writes the diagonal of the irrep-k matrix alone,
+d^2 a^2 + N (b^2 + c^2) with d = k-2l and N = (2l+1)k - 2l^2, the checks'
+one closed Berger formula: ``casimir_matrix`` takes its diagonal from
+it, and it is the whole matrix for the squares ``casimir._squares``
+gives a triple with two equal parameters, whose closed spectrum it
+therefore is; ``spectrum._diagonal_runs`` reads the same floats in
+sorted runs.  ``_squares`` picks the frame, (c, a, b) when
 a^2 - b^2 < b^2 - c^2 (a = b > c included) and (a, b, c) otherwise, for
 the solver and for ``sturm_counter`` alike, while the dense matrices
 here are written in the frame (a, b, c): a test that must not share the
@@ -30,10 +33,9 @@ solver's frame gives the counter the squares of (a, b, c) itself.
 The other references: ``to_dense`` expands a block for a dense solver,
 ``gershgorin`` gives certified eigenvalue intervals, ``sturm_counter``
 counts the eigenvalues below a value without solving for any,
-``berger_eigenvalue`` and ``low_irrep_eigenvalues`` are closed forms the
-spectra are checked against, ``mu_index_of`` looks a value up in a
-table, and ``mult3_auxiliary_root`` and ``sum_eigenvalue_positions`` are
-diagnostics of the inverse problem and of the spectrum's ordering.
+``low_irrep_eigenvalues`` is a closed form the spectra are checked
+against, ``mu_index_of`` looks a value up in a table, and
+``sum_eigenvalue_positions`` is a diagnostic of the spectrum's ordering.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .core import (
     normalize_triple,
 )
 from .eigensolve import _EPS, _sturm_count
-from .rigidity import _bisect
 from .spectrum import _DECOUPLED, spectrum_up_to
 
 
@@ -122,25 +123,19 @@ def casimir_matrix(k: int, t: MetricTriple) -> np.ndarray:
     """Closed-form matrix of the negative Casimir operator on irrep k.
 
     Zero-based entries (column l):
-      [l, l]   = (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2)
+      [l, l]   = (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2), from ``_diagonal``
       [l-2, l] = l(l-1) (c^2 - b^2)
-      [l+2, l] = (k-l)(k-l-1) (c^2 - b^2)
+      [l, l-2] = (k-l+2)(k-l+1) (c^2 - b^2)
     and zero elsewhere.  The off-diagonal sign matches the generator
     product M2^2, M3^2 (see ``casimir_matrix_oracle``); flipping it is a
     similarity that leaves every eigenvalue unchanged.
     """
-    if k < 0:
-        raise ValueError(f"irrep label must be nonnegative, got {k}")
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    n = k + 1
-    m = np.zeros((n, n))
+    m = np.diag(_diagonal(k, a2, b2 + c2, range(k + 1)))
     off = c2 - b2
-    for l in range(n):
-        m[l, l] = (k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * (b2 + c2)
-        if l >= 2:
-            m[l - 2, l] = l * (l - 1) * off
-        if l + 2 <= k:
-            m[l + 2, l] = (k - l) * (k - l - 1) * off
+    for l in range(2, k + 1):
+        m[l - 2, l] = l * (l - 1) * off
+        m[l, l - 2] = (k - l + 2) * (k - l + 1) * off
     return m
 
 
@@ -148,8 +143,9 @@ def _diagonal(k: int, a2: float, bc2: float, ls: range) -> list[float]:
     """Diagonal (k-2l)^2 a2 + ((2l+1)k - 2l^2) bc2 of the irrep-k matrix, l in ``ls``.
 
     ``a2`` is a^2 and ``bc2`` is b^2 + c^2.  With b = c the matrix is
-    this diagonal alone, and 2 b^2 = b^2 + b^2 exactly, so the entries are
-    bitwise the closed Berger eigenvalues.
+    this diagonal alone, so the entries are the closed eigenvalues of
+    (a, b, b); ``casimir_matrix`` takes its diagonal from here, and
+    acceptance criterion 2 checks it against the generator construction.
     """
     if k < 0:
         raise ValueError(f"irrep label must be nonnegative, got {k}")
@@ -332,13 +328,6 @@ def sturm_counter(t: MetricTriple, g: GroupKind, x_max: float) -> Callable[[floa
     return count
 
 
-def berger_eigenvalue(k: int, j: int, a: float, b: float) -> float:
-    """Closed eigenvalue a^2 (k-2j)^2 + 2 b^2 ((2j+1)k - 2j^2) of g_(a,b,b)."""
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
-    return a * a * (k - 2 * j) ** 2 + 2.0 * (b * b) * ((2 * j + 1) * k - 2 * j * j)
-
-
 def low_irrep_eigenvalues(t: MetricTriple) -> dict[int, tuple[float, ...]]:
     """Closed eigenvalues of the first three irrep blocks (k = 0, 1, 2).
 
@@ -354,10 +343,13 @@ def low_irrep_eigenvalues(t: MetricTriple) -> dict[int, tuple[float, ...]]:
 def mu_index_of(value: float, table: SpectrumTable) -> int:
     """Position of ``value`` among the distinct positive eigenvalues (1-based).
 
+    The match is relative, as in ``isospectral_check``, so the index does
+    not depend on the metric's scale.
+
     Raises:
-        NotFound: if no positive entry matches within 1e-9 * max(1, |value|).
+        NotFound: if no positive entry matches within 1e-9 * |value|.
     """
-    slack = 1e-9 * max(1.0, abs(value))
+    slack = 1e-9 * abs(value)
     index = 0
     for entry in table.entries:
         if entry.value == 0.0:
@@ -366,31 +358,6 @@ def mu_index_of(value: float, table: SpectrumTable) -> int:
         if abs(entry.value - value) <= slack:
             return index
     raise NotFound(f"no positive spectrum entry within {slack:.3e} of {value}")
-
-
-def mult3_auxiliary_root(t: MetricTriple) -> float:
-    """Positive root of the auxiliary polynomial that guards branch uniqueness.
-
-    g(x) = x^6 (b^2+c^2)^2 + x^4 a^2 (b^2-c^2)^2 - b^4 c^4 (x^2 + a^2) has
-    exactly one positive root, and that root lies strictly below (abc)^(1/3);
-    a second quartic candidate in the stretch branch would force the volume
-    below its known value.
-    """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    s2 = (b2 + c2) ** 2
-    d2 = a2 * (b2 - c2) ** 2
-    w = b2 * b2 * c2 * c2
-
-    def gfun(x: float) -> float:
-        x2 = x * x
-        return ((s2 * x2 + d2) * x2 - w) * x2 - w * a2
-
-    hi = (t.a * t.b * t.c) ** (1.0 / 3.0)
-    for _ in range(200):
-        if gfun(hi) > 0.0:
-            break
-        hi *= 2.0
-    return _bisect(gfun, 0.0, hi)
 
 
 def sum_eigenvalue_positions(

@@ -92,7 +92,11 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     SU(2): min(a^2+b^2+c^2, 4(b^2+c^2)); multiplicity 4, 7 or 3 according
     to whether a^2+b^2+c^2 is below, equal to, or above 4(b^2+c^2).
     SO(3): 4(b^2+c^2); multiplicity 3 if a > b, 6 if a = b > c, 9 if round.
-    The tie test is exact on the computed floats.
+    The tie test is exact on the computed floats.  The SU(2) value is
+    bitwise the first positive entry of ``spectrum_up_to``'s table.  The
+    SO(3) value can differ from it by up to 2 ulp: the table reads
+    4(b^2+c^2) as the sum of a diagonal entry and a coupling of block 2,
+    which no summation order of the closed form matches bitwise.
 
     Raises:
         OverflowError: if the eigenvalue is not a positive, normal, finite

@@ -10,11 +10,22 @@ import pytest
 from homsphere import acceptance, eigensolve
 from homsphere.acceptance import ALL_CRITERIA, criterion_2, criterion_4
 from homsphere.casimir import _wang_halves
+from homsphere.spectrum import ClusterMergeWarning
+
+# criterion 9's rigidity samples make the near-degenerate cluster merges of
+# ROADMAP item 2, six warnings; no other criterion merges
+KNOWN_MERGES = {"criterion_9": 6}
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
 def test_criterion(criterion):
-    result = criterion()
+    merges = KNOWN_MERGES.get(criterion.__name__, 0)
+    if merges:
+        with pytest.warns(ClusterMergeWarning) as record:
+            result = criterion()
+        assert [w.category for w in record] == [ClusterMergeWarning] * merges
+    else:
+        result = criterion()
     print(result.line())
     assert result.passed, result.line()
 

@@ -110,13 +110,6 @@ def test_berger_diagonal_values():
     assert sorted(_diagonal(2, a2, bc2, range(3))) == [8.0, 40.0, 40.0]
 
 
-def test_berger_diagonal_equals_matrix_diagonal():
-    t = MetricTriple(2.5, 0.7, 0.7)
-    a2, bc2, _ = _squares(t.a, t.b, t.c)
-    for k in range(9):
-        assert _diagonal(k, a2, bc2, range(k + 1)) == list(np.diagonal(casimir_matrix(k, t)))
-
-
 def test_symmetrize_identity_for_small_k_and_berger():
     t = MetricTriple(3, 2, 1)
     for k in (0, 1, 2):

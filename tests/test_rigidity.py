@@ -7,7 +7,6 @@ import pytest
 from homsphere import rigidity
 from homsphere.core import GroupKind, MetricTriple, SpectralInvariants, normalize_triple
 from homsphere.geometry import scalar_curvature
-from homsphere.oracle import mult3_auxiliary_root
 from homsphere.rigidity import (
     InconsistentInvariants,
     IsospectralResult,
@@ -16,7 +15,7 @@ from homsphere.rigidity import (
     isospectral_check,
     recover_triple,
 )
-from homsphere.spectrum import lambda1_closed, spectrum_up_to
+from homsphere.spectrum import ClusterMergeWarning, lambda1_closed, spectrum_up_to
 
 SU2 = GroupKind.SU2
 SO3 = GroupKind.SO3
@@ -282,33 +281,6 @@ def test_so3_recovery_keeps_the_class_its_multiplicity_fixes():
         assert max(abs(x - y) / y for x, y in zip(rec.as_tuple(), t.as_tuple())) <= 1e-8, t
 
 
-def test_auxiliary_root_stays_below_volume_scale():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        t = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
-        root = mult3_auxiliary_root(t)
-        bound = (t.a * t.b * t.c) ** (1.0 / 3.0)
-        assert 0.0 < root < bound
-
-
-def test_auxiliary_root_is_the_only_sign_change():
-    t = MetricTriple(3, 2, 1)
-    root = mult3_auxiliary_root(t)
-    a2, b2, c2 = 9.0, 4.0, 1.0
-
-    def gfun(x):
-        x2 = x * x
-        return ((b2 + c2) ** 2 * x2 + a2 * (b2 - c2) ** 2) * x2 * x2 - b2**2 * c2**2 * (
-            x2 + a2
-        )
-
-    xs = np.linspace(1e-3, 5.0, 2000)
-    signs = np.sign([gfun(x) for x in xs])
-    changes = np.nonzero(np.diff(signs))[0]
-    assert len(changes) == 1
-    assert xs[changes[0]] <= root <= xs[changes[0] + 1]
-
-
 def test_isospectral_identical_and_permuted():
     t = MetricTriple(3, 2, 1)
     res = isospectral_check(t, normalize_triple(1, 3, 2), SU2, 25.0)
@@ -404,11 +376,14 @@ def test_isospectral_requires_bound_past_fundamental_tone():
 
 def test_random_distinct_pairs_never_isometric():
     rng = np.random.default_rng(10)
-    for _ in range(40):
-        t1 = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
-        t2 = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
-        lam_max = 1.2 * max(
-            4 * (t.b * t.b + t.c * t.c) for t in (t1, t2)
-        )
-        res = isospectral_check(t1, t2, SU2, lam_max)
-        assert res.verdict is not IsospectralVerdict.ISOMETRIC
+    # three of the tables merge near-degenerate clusters (ROADMAP item 2)
+    with pytest.warns(ClusterMergeWarning) as record:
+        for _ in range(40):
+            t1 = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
+            t2 = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
+            lam_max = 1.2 * max(
+                4 * (t.b * t.b + t.c * t.c) for t in (t1, t2)
+            )
+            res = isospectral_check(t1, t2, SU2, lam_max)
+            assert res.verdict is not IsospectralVerdict.ISOMETRIC
+    assert [w.category for w in record] == [ClusterMergeWarning] * 3

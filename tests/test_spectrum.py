@@ -18,7 +18,6 @@ from homsphere import eigensolve, oracle, spectrum
 from homsphere.oracle import (
     NotFound,
     _diagonal,
-    berger_eigenvalue,
     low_irrep_eigenvalues,
     mu_index_of,
     sum_eigenvalue_positions,
@@ -119,12 +118,32 @@ def test_su2_lambda1_is_the_tables_first_entry_bitwise():
     assert differ == []
 
 
-def test_berger_eigenvalue_closed_values():
-    assert berger_eigenvalue(1, 0, 2.0, 1.5) == 4.0 + 2 * 2.25
-    assert berger_eigenvalue(2, 1, 9.9, 2.0) == 8 * 4.0
-    assert berger_eigenvalue(0, 0, 3.3, 4.4) == 0.0
+def test_so3_lambda1_is_the_tables_first_entry_within_2_ulp():
+    # criterion 1's SO(3) samples: the table reads 4(b^2 + c^2) as d + e of
+    # block 2's first half in the frame of _squares, which no summation
+    # order of the closed form matches bitwise (57 of the 1,000 differ)
+    from homsphere.acceptance import _lambda1_samples
+
+    far = []
+    for t in _lambda1_samples(SO3):
+        closed = lambda1_closed(t, SO3).value
+        first = spectrum_up_to(1.1 * closed, t, SO3).entries[1].value
+        if abs(first - closed) > 2.0 * math.ulp(closed):
+            far.append(t)
+    assert far == []
+
+
+def _berger(k, a, b):
+    """Block k's closed eigenvalues of (a, b, b), l = 0..k, from ``oracle._diagonal``."""
+    return _diagonal(k, a * a, b * b + b * b, range(k + 1))
+
+
+def test_closed_berger_values():
+    assert _berger(1, 2.0, 1.5) == [4.0 + 2 * 2.25] * 2
+    assert _berger(2, 9.9, 2.0)[1] == 8 * 4.0
+    assert _berger(0, 3.3, 4.4) == [0.0]
     with pytest.raises(ValueError):
-        berger_eigenvalue(2, 3, 1.0, 1.0)
+        _berger(-1, 1.0, 1.0)
 
 
 def test_k_cutoff_examples():
@@ -316,29 +335,24 @@ def test_spectrum_bound_checks_hold_with_the_cluster_slack():
         spectrum_up_to(sys.float_info.max, t, SU2)
 
 
-def test_berger_consistency_is_exact():
-    for a, b in [(2.0, 1.0), (1.0, 1.0), (3.7, 0.9)]:
+@pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 1.0), (3.7, 0.9), (0.5, 1.3)])
+def test_berger_shim_equals_spectrum_up_to(a, b):
+    # both orders: (a, b, b) with a < b normalizes to a metric with its two
+    # large parameters equal
+    for x, y in ((a, b), (b, a)):
         for g in (SU2, SO3):
-            closed = berger_spectrum_up_to(50.0, a, b, g)
-            numeric = spectrum_up_to(50.0, normalize_triple(a, b, b), g)
-            assert closed.entries == numeric.entries
-            assert closed.k_sources == numeric.k_sources
+            shim = berger_spectrum_up_to(50.0, x, y, g)
+            table = spectrum_up_to(50.0, normalize_triple(x, y, y), g)
+            assert shim.entries == table.entries
+            assert shim.k_sources == table.k_sources
 
 
 def test_berger_round_matches_k_law():
-    table = berger_spectrum_up_to(35.0, 1.0, 1.0, SU2)
+    assert all(_berger(k, 1.0, 1.0) == [float(k * (k + 2))] * (k + 1) for k in range(6))
+    table = spectrum_up_to(35.0, normalize_triple(1.0, 1.0, 1.0), SU2)
     assert [(e.value, e.multiplicity) for e in table.entries] == [
         (float(k * (k + 2)), (k + 1) ** 2) for k in range(6)
     ]
-
-
-def test_berger_spectrum_handles_swapped_parameters():
-    # (a, b, b) with a < b normalizes to a metric with its two large
-    # parameters equal; closed form and numeric pipeline must still agree
-    closed = berger_spectrum_up_to(40.0, 0.5, 1.3, SU2)
-    numeric = spectrum_up_to(40.0, normalize_triple(0.5, 1.3, 1.3), SU2)
-    assert closed.entries == numeric.entries
-    assert closed.k_sources == numeric.k_sources
 
 
 @pytest.mark.parametrize(
@@ -510,6 +524,18 @@ def test_mu_index_examples():
         mu_index_of(0.0, round_table)
 
 
+@pytest.mark.parametrize("scale", [1e3, 1.0, 1e-3, 1e-6])
+@pytest.mark.parametrize("g", [SU2, SO3])
+def test_mu_index_reads_every_entrys_own_index_at_any_scale(scale, g):
+    # eigenvalues scale as scale^2: at 1e-6 the entries lie near 1e-11, where
+    # an absolute slack of 1e-9 would match the first entry for every value
+    t = MetricTriple(1.7, 1.2, 0.8).scaled(scale)
+    table = spectrum_up_to(200.0 * scale * scale, t, g)
+    positive = [e.value for e in table.entries if e.value > 0.0]
+    assert len(positive) >= 5
+    assert [mu_index_of(v, table) for v in positive] == list(range(1, len(positive) + 1))
+
+
 def test_four_bc_value_is_first_or_second():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -616,18 +642,6 @@ def test_extreme_aspect_ratio_converges(g):
         assert e.multiplicity == k + 1
 
 
-@pytest.mark.parametrize("a,b", [(2.5, 0.7), (3.7, 0.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
-def test_diagonal_equals_berger_eigenvalue_bitwise(a, b):
-    for x, y in ((a, b), (b, a)):  # swapped, (0.7, 2.5, 2.5) is the a = b > c shape
-        t = MetricTriple(x, y, y)
-        a2, bc2, _ = _squares(t.a, t.b, t.c)
-        for k in range(40):
-            closed = sorted(berger_eigenvalue(k, j, x, y) for j in range(k + 1))
-            diag = _diagonal(k, a2, bc2, range(k + 1))
-            assert sorted(diag) == closed
-            assert diag == diag[::-1]  # l and k - l give bitwise-equal values
-
-
 def test_diagonal_runs_keep_every_entry_below_the_bound():
     # b = c and a = b > c: block k's records are its entries l <= k/2 that
     # are <= the bound, the middle one weighted k+1 and the others 2(k+1)
@@ -646,13 +660,14 @@ def test_diagonal_runs_keep_every_entry_below_the_bound():
 
 @pytest.mark.parametrize("a,b", [(2.5, 0.7), (0.37, 1.9), (1.0, 1.0), (math.sqrt(10.0 / 3.0), 1.0)])
 @pytest.mark.parametrize("g", [SU2, SO3])
-def test_berger_spectrum_values_equal_berger_eigenvalue_bitwise(a, b, g):
+def test_berger_spectrum_values_equal_the_closed_diagonal_bitwise(a, b, g):
     lam = 300.0
-    cutoff = k_cutoff(lam, normalize_triple(a, b, b), g)
+    t = normalize_triple(a, b, b)
     mult = collections.Counter()
-    for k in range(0, cutoff + 1, 2 if g is SO3 else 1):
-        for j in range(k + 1):
-            value = berger_eigenvalue(k, j, a, b)
+    for k in range(0, k_cutoff(lam, t, g) + 1, 2 if g is SO3 else 1):
+        values = _berger(k, a, b)
+        assert values == values[::-1]  # l and k - l give bitwise-equal values
+        for value in values:
             if value <= lam:
                 mult[value] += k + 1
     # the library's rule: a value joins the cluster whose first value it
@@ -663,7 +678,7 @@ def test_berger_spectrum_values_equal_berger_eigenvalue_bitwise(a, b, g):
             clusters[-1][1] += m
         else:
             clusters.append([value, m])
-    table = berger_spectrum_up_to(lam, a, b, g)
+    table = spectrum_up_to(lam, t, g)
     assert [[e.value, e.multiplicity] for e in table.entries] == clusters
 
 
