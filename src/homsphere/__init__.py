@@ -24,7 +24,6 @@ from .core import (
     classify,
     normalize_triple,
 )
-from .eigensolve import NonConvergence
 from .geometry import (
     BergerExtremaReport,
     BoundViolation,
@@ -75,7 +74,6 @@ __all__ = [
     "Lambda1Result",
     "MetricClass",
     "MetricTriple",
-    "NonConvergence",
     "NonPositiveParameter",
     "ProductEstimate",
     "ProductSpec",

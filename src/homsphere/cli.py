@@ -3,7 +3,8 @@
 Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
 Exit codes: 0 success, 1 acceptance failure, ``verify`` without numpy
-(one ``error:`` line), internal error (a one-line ``internal error:``
+(one ``error:`` line), internal error (a ``BoundViolation``, a certified
+window escaping its proven range, as a one-line ``internal error:``
 message on stderr) or a reader that closed stdout early (no message), 2
 invalid parameters (including parameters whose results leave the
 floating-point range, such as a spectrum whose a^2 + b^2 + c^2 underflows
@@ -73,7 +74,6 @@ from .geometry import (
     volume,
     yamabe_gap,
 )
-from .eigensolve import NonConvergence
 from .rigidity import invariants, isospectral_check, recover_triple
 from .spectrum import CutoffTooLarge, lambda1_closed, spectrum_up_to
 
@@ -441,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # NonPositiveParameter, EmptyProduct among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except (BoundViolation, NonConvergence) as exc:
+    except BoundViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ArithmeticError as exc:  # ZeroDivisionError, OverflowError

@@ -161,7 +161,8 @@ class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
     """A distinct Laplace eigenvalue together with its multiplicity.
 
     A validated tuple: it compares equal to ``(value, multiplicity)``.
-    The constructor rejects a negative value and a multiplicity below 1;
+    The constructor rejects a negative value and a multiplicity below 1,
+    NaN in either field among them;
     ``spectrum`` builds its entries with ``tuple.__new__`` instead, and
     ``SpectrumTable`` checks the whole table at once.
     """
@@ -169,9 +170,9 @@ class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
     __slots__ = ()
 
     def __new__(cls, value: float, multiplicity: int) -> EigenPair:
-        if value < 0.0:
+        if not value >= 0.0:
             raise ValueError(f"eigenvalue must be nonnegative, got {value}")
-        if multiplicity < 1:
+        if not multiplicity >= 1:
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
         return super().__new__(cls, value, multiplicity)
 
@@ -206,7 +207,7 @@ class SpectrumTable(_Record):
             raise ValueError("spectrum entries must be strictly increasing")
         if min(mults) < 1:
             raise ValueError("spectrum multiplicities must be >= 1")
-        if values[-1] > truncation_bound:
+        if not values[-1] <= truncation_bound:
             raise ValueError("spectrum entry exceeds the truncation bound")
         # set one by one, not through ``_fill``: see ``MetricTriple``
         _set(self, "entries", entries)

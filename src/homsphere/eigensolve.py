@@ -28,7 +28,11 @@ once per call by ``map`` over ``operator`` functions, not by list
 comprehensions: on CPython 3.11 each comprehension builds and calls a
 function object, which on a half of a few rows costs more than its
 arithmetic.  Midpoints are taken as lo/2 + hi/2, which cannot overflow
-where lo + hi would.  A block is given as its diagonal and off-diagonal
+where lo + hi would and lies strictly inside every bracket wider than
+the stopping width, so neither loop checks that it converges: the one
+error left is ``OverflowError``, raised before the first bracket where
+the Gershgorin hull or a squared coupling overflows, and finite entries
+are the caller's duty.  A block is given as its diagonal and off-diagonal
 sequences, the plain lists of ``casimir._wang_halves``; the
 ``TridiagBlock`` that holds a full block lives in ``homsphere.oracle``.
 ``eigen_block`` solves the Wang halves of one irrep from the three
@@ -48,16 +52,11 @@ from collections.abc import Sequence
 from operator import add, mul, sub
 
 from .casimir import _wang_halves
-from .core import HomsphereError
 
 _EPS = 2.0**-52
 # bisection stops at a bracket width of TOL * max(1, |midpoint|); a Newton
 # result is certified to the same half-width
 TOL = 1e-12
-
-
-class NonConvergence(HomsphereError, RuntimeError):
-    """Bisection cannot shrink an eigenvalue bracket to the tolerance."""
 
 
 def eigenvalues(
@@ -86,12 +85,21 @@ def eigenvalues(
     bound, and its value is kept if it is <= ``upper``: every value is
     bitwise what an unbounded call gives.
 
+    The loops need no convergence check: ``lo`` and ``hi`` stay finite,
+    and a bracket that fails the width test
+    hi - lo <= TOL * max(1, |mid|) has its exact midpoint at least
+    TOL/2 * max(1, |mid|) = 5e-13 * max(1, |mid|) from each end, while
+    rounding lo/2 + hi/2 moves it by at most 2^-53 * |mid| plus 2^-1074
+    for subnormals.  The midpoint is therefore strictly inside, and each
+    split shrinks the bracket.
+
     Raises:
         ValueError: if ``diag`` has fewer than 2 entries or ``offdiag`` is
             not one entry shorter.
-        OverflowError: if an entry or a squared coupling is not finite.
-        NonConvergence: if the midpoint of a bracket is not strictly inside
-            it before the width test passes (a NaN entry).
+        OverflowError: if the Gershgorin hull or a squared coupling
+            overflows.  Finite entries are the caller's duty; no table
+            forms a NaN row, since ``MetricTriple`` rejects non-finite
+            parameters and every half is finite at the unit scale.
     """
     n = len(diag)
     if n < 2 or len(offdiag) != n - 1:
@@ -139,10 +147,6 @@ def eigenvalues(
             if mid <= upper:
                 out.extend([mid] * (last - first))
             continue
-        if not lo < mid < hi:
-            raise NonConvergence(
-                f"eigenvalue {first} of a {n}x{n} block did not converge"
-            )
         split = _sturm_count(mid, d0, rows, pert)
         if split < first:
             split = first
@@ -196,7 +200,11 @@ def _newton(
     step is clipped to the bracket, since an eigenvalue on a Gershgorin
     end is approached from outside; the midpoint replaces it if it is NaN,
     moves nothing, or moves more than half the previous step.  The width
-    test and its midpoint stay in force.  The bound is not an argument:
+    test and its midpoint stay in force, and the midpoint of a bracket
+    that fails it is strictly inside, as ``eigenvalues`` shows, so a pass
+    needs no convergence check.  The caller's entries are finite and so
+    is their Gershgorin hull, which ``eigenvalues`` checks before any
+    bracket; no entry is checked here.  The bound is not an argument:
     ``eigenvalues`` drops a bracket above it before the call and a value
     above it after, so a bounded call solves each kept bracket as an
     unbounded one does.
@@ -207,9 +215,6 @@ def _newton(
         mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= TOL * (mid if mid > 1.0 else -mid if mid < -1.0 else 1.0):
             return mid
-        if not lo < mid < hi:
-            n = len(rows) + 1
-            raise NonConvergence(f"eigenvalue {m} of a {n}x{n} block did not converge")
         d = d0 - x
         if d == 0.0:
             d = pert

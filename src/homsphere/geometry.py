@@ -37,7 +37,7 @@ class DiamBounds(_Record):
     def __init__(self, lower: float, upper: float, exact: float | None = None) -> None:
         if exact is not None and not (lower == exact == upper):
             raise ValueError("exact diameter requires lower = exact = upper")
-        if lower > upper:
+        if not lower <= upper:  # NaN in either bound among them
             raise ValueError("diameter lower bound exceeds upper bound")
         self._fill(lower, upper, exact)
 

@@ -356,19 +356,18 @@ def test_verify_reader_closing_early_exits_1_silently():
     assert err == ""
 
 
-def test_nonconvergence_exit_1(capsys, monkeypatch):
-    from homsphere import NonConvergence, eigensolve
+def test_bound_violation_exit_1(capsys, monkeypatch):
+    from homsphere.geometry import BoundViolation
 
-    def stuck(diag, offdiag, upper=None):
-        n = len(diag)
-        raise NonConvergence(f"eigenvalue 0 of a {n}x{n} block did not converge")
+    def escaped(t, g):
+        raise BoundViolation("lambda1*diam^2 interval [1.0, 2.0] escapes (pi^2, 8 pi^2]")
 
-    monkeypatch.setattr(eigensolve, "eigenvalues", stuck)
-    code, _, err = run_cli(
-        capsys, "spectrum", "--a", "1.7", "--b", "1.2", "--c", "0.8", "--group", "su2",
-        "--lambda-max", "20",
+    monkeypatch.setattr(cli, "lambda1_diam2", escaped)
+    code, out, err = run_cli(
+        capsys, "estimate", "--a", "2", "--b", "1", "--c", "1", "--group", "su2"
     )
     assert code == 1
+    assert out == ""
     assert err.startswith("internal error:")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 

@@ -64,6 +64,11 @@ def test_eigenpair_validation():
         EigenPair(-1.0, 1)
     with pytest.raises(ValueError):
         EigenPair(1.0, 0)
+    # NaN fails every comparison, so each check tests the valid condition
+    with pytest.raises(ValueError, match="nonnegative"):
+        EigenPair(math.nan, 1)
+    with pytest.raises(ValueError, match="multiplicity"):
+        EigenPair(1.0, math.nan)
 
 
 @pytest.mark.parametrize(
@@ -121,6 +126,8 @@ def test_spectrum_table_invariants():
             triple=t,
             k_sources=((0,), (1,)),
         )
+    with pytest.raises(ValueError, match="exceeds the truncation bound"):
+        SpectrumTable(((0.0, 1),), math.nan, GroupKind.SU2, t, ((0,),))
     with pytest.raises(ValueError, match="one tuple per spectrum entry"):
         SpectrumTable(
             entries=(EigenPair(0.0, 1), EigenPair(3.0, 4)),

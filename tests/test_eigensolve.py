@@ -1,5 +1,10 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -541,3 +546,83 @@ def test_values_are_certified_to_tol_and_accurate_to_the_half_norm():
             h = 0.5 * TOL * max(1.0, abs(value))
             assert _sturm_count(t, value - h) <= m < _sturm_count(t, value + h)
             assert abs(value - exact) <= 2 * 2.0**-52 * norm, (len(diag), m)
+
+
+# solves 2,000 seeded blocks of 2-12 rows in a child interpreter with a
+# timeout, so a loop that stops terminating fails the test instead of hanging
+# it.  Same-magnitude blocks (base 10^U(-300, 300), couplings down to 1e-16 of
+# it or 0) must come back certified unless a squared coupling overflows;
+# mixed-magnitude ones, with entries from +-10^U(-320, 307.5), zeros, +-5e-324
+# and the smallest normal, need only return n values or raise OverflowError
+_TERMINATION_CHILD = """
+import json, math, random, sys
+from homsphere.eigensolve import TOL, _EPS, _sturm_count, eigenvalues
+
+def certified(diag, off, values):
+    # counts, taken as the kernel takes them, hold index m within TOL/2 of value m
+    padded = [0.0, *map(abs, off), 0.0]
+    norm = max(abs(d) + padded[i] + padded[i + 1] for i, d in enumerate(diag))
+    rows, pert = list(zip(diag[1:], [o * o for o in off])), _EPS * (norm or 1.0)
+    for m, v in enumerate(values):
+        h = 0.5 * TOL * max(1.0, abs(v))
+        below = _sturm_count(v - h, diag[0], rows, pert)
+        if not below <= m < _sturm_count(v + h, diag[0], rows, pert):
+            return False
+    return True
+
+def entry(rng):
+    u = rng.random()
+    if u < 0.1:
+        return 0.0
+    if u < 0.15:
+        size = 5e-324
+    elif u < 0.2:
+        size = sys.float_info.min
+    else:
+        size = 10.0 ** rng.uniform(-320, 307.5)
+    return rng.choice((-size, size))
+
+rng = random.Random(2026)
+tally = {"same": [0, 0], "mixed": [0, 0]}  # solved, overflowed
+failures = []
+for family in ("same", "mixed"):
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        if family == "same":
+            base = 10.0 ** rng.uniform(-300, 300)
+            diag = [base * rng.uniform(-2, 2) for _ in range(n)]
+            off = [base * rng.uniform(-1, 1) * rng.choice((1, 1e-8, 1e-16, 0))
+                   for _ in range(n - 1)]
+        else:
+            diag = [entry(rng) for _ in range(n)]
+            off = [entry(rng) for _ in range(n - 1)]
+        try:
+            values = eigenvalues(diag, off)
+        except OverflowError:
+            tally[family][1] += 1
+            if family == "same" and all(math.isfinite(o * o) for o in off):
+                failures.append((family, diag, off, "overflow"))
+            continue
+        tally[family][0] += 1
+        if len(values) != n or (family == "same" and not certified(diag, off, values)):
+            failures.append((family, diag, off, values))
+json.dump({"tally": tally, "failures": failures}, sys.stdout)
+"""
+
+
+def test_every_bisection_and_newton_loop_terminates():
+    src = str(Path(eigensolve.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _TERMINATION_CHILD],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["failures"] == []
+    (same_solved, same_overflowed), (mixed_solved, mixed_overflowed) = report["tally"].values()
+    # a squared coupling overflows past base ~1e154, about a quarter of the range
+    assert same_solved > 600 and same_overflowed > 100
+    assert mixed_solved > 100 and mixed_overflowed > 100

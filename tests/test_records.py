@@ -6,6 +6,7 @@ assignment and deletion, and survives ``pickle`` and ``copy.deepcopy``.
 """
 
 import copy
+import math
 import os
 import pickle
 import subprocess
@@ -181,6 +182,15 @@ def test_defaults():
     result = IsospectralResult(IsospectralVerdict.ISOMETRIC)
     assert result.mu_index is None and result.values is None
     assert IsospectralResult(IsospectralVerdict.UNDECIDED, mu_index=3).values is None
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(2.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]
+)
+def test_diam_bounds_need_lower_at_most_upper(lower, upper):
+    # NaN fails every comparison, so the check tests lower <= upper
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        DiamBounds(lower, upper)
 
 
 def test_positional_and_keyword_construction_agree():

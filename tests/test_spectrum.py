@@ -814,7 +814,7 @@ PUBLIC_NAMES = {
     "BergerExtremaReport", "BoundViolation", "ClusterMergeWarning", "CutoffTooLarge",
     "DiamBounds", "EigenPair", "EmptyProduct", "GroupKind", "HomsphereError",
     "InconsistentInvariants", "IsospectralResult", "IsospectralVerdict", "Lambda1Result",
-    "MetricClass", "MetricTriple", "NonConvergence", "NonPositiveParameter",
+    "MetricClass", "MetricTriple", "NonPositiveParameter",
     "ProductEstimate", "ProductSpec", "Regime", "SpectralInvariants", "SpectrumTable",
     "berger_lambda1_diam2_extrema", "classify", "diameter", "invariants",
     "isospectral_check", "lambda1_closed", "lambda1_diam2", "normalize_triple",
@@ -824,7 +824,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_leave_out_solver_internals():
-    assert len(homsphere.__all__) == 36
+    assert len(homsphere.__all__) == 35
     assert set(homsphere.__all__) == PUBLIC_NAMES
     internals = {
         oracle: ("TridiagBlock",),
