@@ -16,11 +16,12 @@ its blocks, and on k only through the integer coefficients and the
 coupling roots of ``_plan(k)``, which is built once per process for
 each k up to ``_PLAN_K_MAX``: a call evaluates the entries from the plan
 in O(k) float operations.  Nothing here builds a full block: the dense
-matrix, its generator construction, the symmetrize/split steps, the
-``TridiagBlock`` that holds a full block and the full diagonal
-``_diagonal`` live in ``homsphere.oracle`` as independent references,
-the only source of full blocks and full diagonals.  Entries are plain
-Python floats, so nothing here needs numpy.
+matrix, its generator construction, the symmetrize/split steps, which
+give the full blocks as the same (diagonal, off-diagonal) list pairs,
+and the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
+independent references, the only source of full blocks and full
+diagonals.  Entries are plain Python floats, so nothing here needs
+numpy.
 """
 
 from __future__ import annotations

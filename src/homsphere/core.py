@@ -17,6 +17,7 @@ else on the command path needs.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -205,7 +206,8 @@ class SpectrumTable(_Record):
         # strict increase from (0, 1) also puts every value at >= 0
         if not all(map(operator.lt, values, values[1:])):
             raise ValueError("spectrum entries must be strictly increasing")
-        if min(mults) < 1:
+        # a NaN fails every comparison, so each multiplicity must pass 1 <= m
+        if not all(map(operator.le, itertools.repeat(1), mults)):
             raise ValueError("spectrum multiplicities must be >= 1")
         if not values[-1] <= truncation_bound:
             raise ValueError("spectrum entry exceeds the truncation bound")

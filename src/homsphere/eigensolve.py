@@ -33,8 +33,10 @@ the stopping width, so neither loop checks that it converges: the one
 error left is ``OverflowError``, raised before the first bracket where
 the Gershgorin hull or a squared coupling overflows, and finite entries
 are the caller's duty.  A block is given as its diagonal and off-diagonal
-sequences, the plain lists of ``casimir._wang_halves``; the
-``TridiagBlock`` that holds a full block lives in ``homsphere.oracle``.
+sequences, the plain lists of ``casimir._wang_halves``, the form in
+which ``oracle.tridiagonal_split`` gives a full block too, and
+``oracle.kernel_rows`` forms a block's pivot rows and ``pert`` for the
+checks exactly as ``eigenvalues`` does.
 ``eigen_block`` solves the Wang halves of one irrep from the three
 squares of ``casimir._squares``, which ``spectrum_up_to`` forms once per
 table, and it is the only code that reads a 1x1 half: that half is its

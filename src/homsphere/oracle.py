@@ -16,7 +16,7 @@ couplings, which the chain derives by the binomial conjugation and
   square roots into a symmetric one, checking the residue;
 * ``tridiagonal_split`` reorders it into even and odd indices, checking
   that nothing lies outside the distance-2 pattern, and returns the two
-  blocks as ``TridiagBlock``s.
+  blocks in the solver's form, (diagonal, off-diagonal) float lists.
 
 ``_diagonal`` writes the diagonal of the irrep-k matrix alone,
 d^2 a^2 + N (b^2 + c^2) with d = k-2l and N = (2l+1)k - 2l^2, the checks'
@@ -31,8 +31,11 @@ here are written in the frame (a, b, c): a test that must not share the
 solver's frame gives the counter the squares of (a, b, c) itself.
 
 The other references: ``to_dense`` expands a block for a dense solver,
-``gershgorin`` gives certified eigenvalue intervals, ``sturm_counter``
-counts the eigenvalues below a value without solving for any,
+``kernel_rows`` forms a block's pivot rows and zero-pivot ``pert`` as
+``eigensolve.eigenvalues`` does, for every check that counts with
+``eigensolve._sturm_count``, ``gershgorin`` gives certified eigenvalue
+intervals, ``sturm_counter`` counts the eigenvalues below a value
+without solving for any,
 ``low_irrep_eigenvalues`` is a closed form the spectra are checked
 against, ``mu_index_of`` looks a value up in a table, and
 ``sum_eigenvalue_positions`` is a diagnostic of the spectrum's ordering.
@@ -74,22 +77,6 @@ class PatternViolation(HomsphereError, ValueError):
 
 class NotFound(HomsphereError, LookupError):
     """No spectrum entry matches the queried eigenvalue."""
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class TridiagBlock:
-    """A real symmetric tridiagonal matrix stored as diagonal/off-diagonal."""
-
-    diag: tuple[float, ...]
-    offdiag: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
-            raise ValueError("offdiag must have length len(diag) - 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
 
 
 def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,12 +189,13 @@ def symmetrize(dense: np.ndarray, k: int) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[TridiagBlock, TridiagBlock]:
+def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[tuple[list, list], tuple[list, list]]:
     """Split a distance-2-coupled symmetric matrix into two tridiagonal blocks.
 
     Even basis indices {0,2,...} give a block of size floor((k+2)/2), odd
-    indices {1,3,...} one of size floor((k+1)/2).  The union of their
-    eigenvalue multisets equals that of the input.
+    indices {1,3,...} one of size floor((k+1)/2), each as the
+    (diagonal, off-diagonal) float lists of ``casimir._wang_halves``.  The
+    union of their eigenvalue multisets equals that of the input.
 
     Raises:
         PatternViolation: if an entry with |i-j| not in {0, 2} exceeds
@@ -224,22 +212,34 @@ def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[TridiagBlock, TridiagBlo
             f"entry outside the distance-2 pattern has magnitude {bad.max():.3e}"
         )
 
-    def block(idx: np.ndarray) -> TridiagBlock:
-        diag = tuple(sym[idx, idx].tolist())
-        off = tuple(sym[idx[:-1], idx[1:]].tolist()) if idx.size > 1 else ()
-        return TridiagBlock(diag=diag, offdiag=off)
+    def block(idx: np.ndarray) -> tuple[list, list]:
+        return sym[idx, idx].tolist(), sym[idx[:-1], idx[1:]].tolist()
 
-    even = block(np.arange(0, n, 2))
-    odd = block(np.arange(1, n, 2))
-    return even, odd
+    return block(np.arange(0, n, 2)), block(np.arange(1, n, 2))
 
 
-def to_dense(block: TridiagBlock) -> np.ndarray:
-    m = np.diag(block.diag)
-    for i, e in enumerate(block.offdiag):
+def to_dense(diag: list[float], offdiag: list[float]) -> np.ndarray:
+    m = np.diag(diag)
+    for i, e in enumerate(offdiag):
         m[i, i + 1] = e
         m[i + 1, i] = e
     return m
+
+
+def kernel_rows(diag: list[float], offdiag: list[float]) -> tuple[float, list, float]:
+    """(d0, rows, pert) of a block, as ``eigensolve.eigenvalues`` forms them.
+
+    ``rows`` holds the pairs (d_i, e_{i-1}^2) for i >= 1 and ``pert``, the
+    value that replaces a zero pivot, is eps * (norm or 1), norm being the
+    largest |d_i| + (|e_{i-1}| + |e_i|) over the rows: the arguments
+    ``eigensolve._sturm_count`` and ``eigensolve._newton`` take.  A 1-row
+    block is allowed.  The checks take these from here, so that they
+    count exactly as the kernel does.
+    """
+    absoff = [abs(e) for e in offdiag]
+    radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
+    norm = max([abs(d) + r for d, r in zip(diag, radius)])
+    return diag[0], list(zip(diag[1:], [e * e for e in offdiag])), _EPS * (norm or 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +291,13 @@ def sturm_counter(t: MetricTriple, g: GroupKind, x_max: float) -> Callable[[floa
 
     N counts the blocks that ``spectrum_up_to`` solves, at its unit scale:
     every Wang half of ``casimir._wang_halves`` by
-    ``eigensolve._sturm_count``, weighted (k+1)(1 + k%2), since an odd-k
-    half stands for its mirror too.  Where the table is read off the
-    closed form (two equal parameters, or a^2 past ``spectrum._DECOUPLED``
-    at the unit scale, capped there as the table caps it), N counts the
-    entries of ``_diagonal``, each weighted k+1.  Every block k whose
+    ``eigensolve._sturm_count``, with the rows and the zero-pivot ``pert``
+    of ``kernel_rows``, so each half is counted as the kernel counts it,
+    weighted (k+1)(1 + k%2), since an odd-k half stands for its mirror
+    too.  Where the table is read off the closed form (two equal
+    parameters, or a^2 past ``spectrum._DECOUPLED`` at the unit scale,
+    capped there as the table caps it), N counts the entries of
+    ``_diagonal``, each weighted k+1.  Every block k whose
     envelope 2k b^2 + k^2 c^2 is at most ``x_max`` is counted (even k only
     for SO(3)), and no other block has an eigenvalue below ``x_max``.
     """
@@ -316,10 +318,7 @@ def sturm_counter(t: MetricTriple, g: GroupKind, x_max: float) -> Callable[[floa
     halves = []
     for k in ks:
         weight = (k + 1) * (1 + k % 2)
-        for diag, offdiag in _wang_halves(k, a2, bc2, off):
-            norm = max(map(abs, diag)) + 2.0 * max(map(abs, offdiag), default=0.0)
-            rows = list(zip(diag[1:], [e * e for e in offdiag]))
-            halves.append((weight, diag[0], rows, _EPS * (norm or 1.0)))
+        halves += [(weight, *kernel_rows(*half)) for half in _wang_halves(k, a2, bc2, off)]
 
     def count(x: float) -> int:
         x = math.ldexp(x, -2 * h)

@@ -10,7 +10,6 @@ from homsphere.core import GroupKind, MetricTriple
 from homsphere.eigensolve import eigen_block
 from homsphere.oracle import (
     PatternViolation,
-    TridiagBlock,
     _diagonal,
     casimir_matrix,
     casimir_matrix_oracle,
@@ -132,14 +131,14 @@ def test_symmetrize_is_symmetric_and_isospectral(k):
 
 
 def test_tridiagonal_split_sizes_and_values():
+    # each block is a (diagonal, off-diagonal) pair of float lists
     t = MetricTriple(3, 2, 1)
     even, odd = tridiagonal_split(symmetrize(casimir_matrix(2, t), 2), 2)
-    assert even.n == 2 and odd.n == 1
-    assert odd.diag[0] == 4.0 * (4.0 + 1.0)  # 4(b^2+c^2)
+    assert len(even[0]) == 2 and len(even[1]) == 1
+    assert odd == ([4.0 * (4.0 + 1.0)], [])  # 4(b^2+c^2)
     even5, odd5 = tridiagonal_split(symmetrize(casimir_matrix(5, t), 5), 5)
-    assert even5.n == 3 and odd5.n == 3
-    even1, odd1 = tridiagonal_split(casimir_matrix(1, t), 1)
-    assert even1.diag[0] == odd1.diag[0] == 14.0
+    assert len(even5[0]) == 3 and len(odd5[0]) == 3
+    assert tridiagonal_split(casimir_matrix(1, t), 1) == (([14.0], []), ([14.0], []))
 
 
 def test_tridiagonal_split_rejects_wrong_pattern():
@@ -153,15 +152,9 @@ def test_tridiagonal_split_rejects_wrong_pattern():
 def test_split_preserves_eigenvalue_multiset():
     t = MetricTriple(2.7, 1.4, 0.6)
     for k in range(13):
-        even, odd = _blocks(k, t)
-        merged = np.sort(
-            np.concatenate(
-                [
-                    np.linalg.eigvalsh(to_dense(even)) if even.n else np.zeros(0),
-                    np.linalg.eigvalsh(to_dense(odd)) if odd.n else np.zeros(0),
-                ]
-            )
-        )
+        # the odd block of irrep 0 is empty
+        values = [np.linalg.eigvalsh(to_dense(*b)) for b in _blocks(k, t) if b[0]]
+        merged = np.sort(np.concatenate(values))
         dense = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
         assert np.allclose(merged, dense, rtol=1e-11, atol=1e-11 * max(1.0, dense.max()))
 
@@ -194,13 +187,7 @@ def test_eigenvalues_nonnegative_and_inside_union():
     for _ in range(20):
         t = MetricTriple(*(10.0 ** rng.uniform(-1, 1, size=3)))
         for k in (1, 4, 9):
-            even, odd = _blocks(k, t)
-            eigs = np.concatenate(
-                [
-                    np.linalg.eigvalsh(to_dense(even)),
-                    np.linalg.eigvalsh(to_dense(odd)) if odd.n else np.zeros(0),
-                ]
-            )
+            eigs = np.concatenate([np.linalg.eigvalsh(to_dense(*b)) for b in _blocks(k, t)])
             assert np.all(eigs > -1e-9)
             g = gershgorin(k, t)
             for value in eigs:
@@ -231,21 +218,19 @@ WANG_TRIPLES = [
 ]
 
 
-def _halves(k, t):
-    """``_wang_halves`` for the squares of the triple as given, as ``TridiagBlock``s."""
-    b2, c2 = t.b * t.b, t.c * t.c
-    halves = _wang_halves(k, t.a * t.a, b2 + c2, c2 - b2)
-    return [TridiagBlock(diag=tuple(d), offdiag=tuple(e)) for d, e in halves]
-
-
-def _frame_squares(a, b, c):
-    """(a^2, b^2 + c^2, c^2 - b^2) of the triple as given."""
+def _given_squares(a, b, c):
+    """(a^2, b^2 + c^2, c^2 - b^2) of the triple as given, in the frame (a, b, c)."""
     return a * a, b * b + c * c, c * c - b * b
+
+
+def _halves(k, t):
+    """``_wang_halves`` for the squares of the triple as given."""
+    return _wang_halves(k, *_given_squares(t.a, t.b, t.c))
 
 
 def test_squares_of_generic_and_diagonal_triples():
     t = MetricTriple(2.9, 1.7, 0.8)
-    assert _squares(t.a, t.b, t.c) == _frame_squares(t.a, t.b, t.c)
+    assert _squares(t.a, t.b, t.c) == _given_squares(t.a, t.b, t.c)
     # two equal parameters: the squares of the diagonal form, (c, a, b) for a = b,
     # bitwise the a^2 + b^2 of the swap a <-> c
     assert _squares(2.5, 0.7, 0.7) == (2.5 * 2.5, 0.7 * 0.7 + 0.7 * 0.7, None)
@@ -269,7 +254,7 @@ def test_squares_of_generic_and_diagonal_triples():
 )
 def test_squares_take_the_frame_with_the_smaller_coupling_to_gap_ratio(triple, frame):
     a, b, c = triple
-    want = _frame_squares(a, b, c) if frame == "a" else _frame_squares(c, a, b)
+    want = _given_squares(a, b, c) if frame == "a" else _given_squares(c, a, b)
     assert _squares(a, b, c) == want
 
 
@@ -285,24 +270,23 @@ def _halves_of_blocks(k, t):
     if k % 2:
         return [(even, None, False)]
     halves = []
-    for block in (even, odd):
-        n, d, e = block.n, block.diag, block.offdiag
+    for d, e in (even, odd):
+        n = len(d)
         m = n // 2
         if n % 2:
             if m:
-                halves.append((TridiagBlock(diag=d[:m], offdiag=e[: m - 1]), None, False))
-            last = (e[m - 1] * math.sqrt(2.0),) if m else ()
-            half = TridiagBlock(diag=d[: m + 1], offdiag=e[: m - 1] + last)
-            halves.append((half, None, bool(m)))
+                halves.append(((d[:m], e[: m - 1]), None, False))
+            last = [e[m - 1] * math.sqrt(2.0)] if m else []
+            halves.append(((d[: m + 1], e[: m - 1] + last), None, bool(m)))
         elif n:
             for edge in (d[m - 1] + e[m - 1], d[m - 1] - e[m - 1]):
-                half = TridiagBlock(diag=d[: m - 1] + (edge,), offdiag=e[: m - 1])
-                halves.append((half, e[m - 1], False))
+                halves.append(((d[: m - 1] + [edge], e[: m - 1]), e[m - 1], False))
     return halves
 
 
 def _bits(block):
-    return (tuple(map(float.hex, block.diag)), tuple(map(float.hex, block.offdiag)))
+    diag, offdiag = block
+    return list(map(float.hex, diag)), list(map(float.hex, offdiag))
 
 
 @pytest.mark.parametrize("t", WANG_TRIPLES + _assembly_triples(), ids=repr)
@@ -314,17 +298,16 @@ def test_wang_halves_are_edited_prefixes_of_the_blocks(t):
     # edited entry d +- e moves only with its e
     for k in (*range(41), 50, 128, 129, 199, _PLAN_K_MAX, _PLAN_K_MAX + 1, 400):
         got, want = _halves(k, t), _halves_of_blocks(k, t)
-        assert [h.n for h in got] == [w.n for w, _, _ in want]
-        for h, (w, e, root2) in zip(got, want):
-            assert len(h.offdiag) == len(w.offdiag)
-            diag, want_diag = h.diag, w.diag
+        assert [len(d) for d, _ in got] == [len(w[0]) for w, _, _ in want]
+        for (diag, off), ((want_diag, want_off), e, root2) in zip(got, want):
+            assert len(off) == len(want_off)
             if e is not None:
                 x, y = diag[-1], want_diag[-1]
                 assert abs(x - y) <= 3 * math.ulp(e) + math.ulp(y)
                 diag, want_diag = diag[:-1], want_diag[:-1]
             assert list(map(float.hex, diag)) == list(map(float.hex, want_diag))
-            for i, (x, y) in enumerate(zip(h.offdiag, w.offdiag)):
-                ulps = 4 if root2 and i == len(w.offdiag) - 1 else 3
+            for i, (x, y) in enumerate(zip(off, want_off)):
+                ulps = 4 if root2 and i == len(want_off) - 1 else 3
                 assert abs(x - y) <= ulps * math.ulp(y)
 
 
@@ -378,7 +361,7 @@ def test_the_plan_memo_keeps_no_block_past_its_bound():
 
 def test_wang_half_sizes():
     t = WANG_TRIPLES[0]
-    sizes = {k: sorted(h.n for h in _halves(k, t)) for k in range(8)}
+    sizes = {k: sorted(len(d) for d, _ in _halves(k, t)) for k in range(8)}
     assert sizes == {
         0: [1], 1: [1], 2: [1, 1, 1], 3: [2], 4: [1, 1, 1, 2], 5: [3],
         6: [1, 2, 2, 2], 7: [4],
@@ -391,7 +374,7 @@ def test_wang_halves_carry_the_spectrum(t):
     for k in range(41):
         dense = np.linalg.eigvalsh(symmetrize(casimir_matrix(k, t), k))
         scale = 1e-12 * max(1.0, float(np.abs(dense).max()))
-        halves = [np.linalg.eigvalsh(to_dense(h)) for h in _halves(k, t)]
+        halves = [np.linalg.eigvalsh(to_dense(*h)) for h in _halves(k, t)]
         union = np.sort(np.concatenate(halves * (2 if k % 2 else 1)))
         assert np.allclose(union, dense, rtol=0.0, atol=scale)
         # an odd block gives one value per Wang mirror pair

@@ -156,14 +156,17 @@ def test_an_empty_spectrum_table_is_rejected():
 
 
 def test_spectrum_table_rejects_a_multiplicity_below_one():
-    # entries built unchecked, as spectrum._cluster builds them
+    # entries built unchecked, as spectrum._cluster builds them; a NaN
+    # multiplicity after the first entry is rejected too, where a minimum
+    # of the multiplicities would not see it
     unchecked = tuple.__new__(EigenPair, (1.0, 0))
     assert unchecked == (1.0, 0) and unchecked.multiplicity == 0
-    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
-        SpectrumTable(
-            entries=(EigenPair(0.0, 1), unchecked),
-            truncation_bound=5.0,
-            group=GroupKind.SU2,
-            triple=MetricTriple(1, 1, 1),
-            k_sources=((0,), (1,)),
-        )
+    for entries in ((EigenPair(0.0, 1), unchecked), ((0.0, 1), (1.0, math.nan))):
+        with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+            SpectrumTable(
+                entries=entries,
+                truncation_bound=5.0,
+                group=GroupKind.SU2,
+                triple=MetricTriple(1, 1, 1),
+                k_sources=((0,), (1,)),
+            )

@@ -14,17 +14,12 @@ from homsphere import eigensolve
 from homsphere.casimir import _squares, _wang_halves
 from homsphere.core import MetricTriple
 from homsphere.eigensolve import TOL, _newton, eigen_block, eigenvalues
-from homsphere.oracle import (
-    TridiagBlock,
-    casimir_matrix,
-    symmetrize,
-    to_dense,
-    tridiagonal_split,
-)
+from homsphere.oracle import casimir_matrix, kernel_rows, symmetrize, to_dense, tridiagonal_split
 
 
 def _block(diag, off):
-    return TridiagBlock(diag=np.asarray(diag, float), offdiag=np.asarray(off, float))
+    """The (diagonal, off-diagonal) float lists of a block, the form ``eigenvalues`` takes."""
+    return list(map(float, diag)), list(map(float, off))
 
 
 def _random_blocks(rng, count, n, scale=5.0):
@@ -44,8 +39,8 @@ def test_eigenvalues_match_dense_oracle():
         diags, offs = _random_blocks(rng, 3, n)
         for diag, off in zip(diags, offs):
             t = _block(diag, off)
-            got = np.array(eigenvalues(t.diag, t.offdiag))
-            want = np.linalg.eigvalsh(to_dense(t))
+            got = np.array(eigenvalues(*t))
+            want = np.linalg.eigvalsh(to_dense(*t))
             assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
@@ -53,8 +48,7 @@ def test_eigenvalue_sum_preserves_trace():
     rng = np.random.default_rng(13)
     diags, offs = _random_blocks(rng, 5, 9)
     for diag, off in zip(diags, offs):
-        t = _block(diag, off)
-        vals = eigenvalues(t.diag, t.offdiag)
+        vals = eigenvalues(*_block(diag, off))
         scale = max(1.0, np.abs(diag).sum())
         assert abs(sum(vals) - diag.sum()) <= 9 * 1e-12 * scale
 
@@ -91,6 +85,14 @@ def test_entries_beyond_float_range_raise_overflow():
         eigenvalues([1.0, 2.0], [1e160], 0.5)
 
 
+def _mp_eigenvalues(diag, off):
+    """The sorted eigenvalues of the block (diag, off), by mpmath at the caller's precision."""
+    block = mpmath.diag(diag)
+    for i, v in enumerate(off):
+        block[i, i + 1] = block[i + 1, i] = v
+    return sorted(mpmath.eigsy(block, eigvals_only=True))
+
+
 def _mp_parity_eigenvalues(k, t, p):
     """Eigenvalues of the parity-p block of irrep k, solved in mpmath from exact entries.
 
@@ -103,12 +105,9 @@ def _mp_parity_eigenvalues(k, t, p):
     """
     a2, b2, c2 = (mpmath.mpf(x) ** 2 for x in (t.a, t.b, t.c))
     ls = range(p, k + 1, 2)
-    block = mpmath.diag([(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * (b2 + c2)
-                         for l in ls])
-    for i, l in enumerate(ls[1:]):
-        n = l * (l - 1) * (k - l + 2) * (k - l + 1)
-        block[i, i + 1] = block[i + 1, i] = (c2 - b2) * mpmath.sqrt(n)
-    return list(mpmath.eigsy(block, eigvals_only=True))
+    diag = [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * (b2 + c2) for l in ls]
+    off = [(c2 - b2) * mpmath.sqrt(l * (l - 1) * (k - l + 2) * (k - l + 1)) for l in ls[1:]]
+    return _mp_eigenvalues(diag, off)
 
 
 @pytest.mark.parametrize("k, upper", [(4, 1e307), (11, math.inf), (12, math.inf), (13, math.inf)])
@@ -152,23 +151,15 @@ def _reference_eigenvalues(t):
     """Per-index bisection from the Gershgorin hull to the width test.
 
     Each index is bisected alone, with the kernel's width test and
-    zero-pivot rule, so every value is within TOL/2 * max(1, |value|) of
-    its eigenvalue.
+    counting by ``_sturm_count``, so every value is within
+    TOL/2 * max(1, |value|) of its eigenvalue.
     """
-    n = t.n
-    diag, off = t.diag, t.offdiag
-    off2 = [v * v for v in off]
-    lo0 = hi0 = diag[0]
-    norm = 0.0
-    for i in range(n):
-        left = abs(off[i - 1]) if i else 0.0
-        right = abs(off[i]) if i < n - 1 else 0.0
-        lo0 = min(lo0, diag[i] - (left + right))
-        hi0 = max(hi0, diag[i] + (left + right))
-        norm = max(norm, abs(diag[i]) + left + right)
-    pert = 2.0**-52 * (norm or 1.0)
+    diag, off = t
+    radius = [abs(left) + abs(right) for left, right in zip((0.0, *off), (*off, 0.0))]
+    lo0 = min(d - r for d, r in zip(diag, radius))
+    hi0 = max(d + r for d, r in zip(diag, radius))
     out = []
-    for m in range(n):
+    for m in range(len(diag)):
         lo, hi = lo0, hi0
         while True:
             mid = 0.5 * (lo + hi)
@@ -176,63 +167,42 @@ def _reference_eigenvalues(t):
                 out.append(mid)
                 break
             assert lo < mid < hi
-            count = 0
-            d = 1.0
-            for i in range(n):
-                d = (diag[i] - mid) - (off2[i - 1] / d if i else 0.0)
-                if d == 0.0:
-                    d = pert
-                if d < 0.0:
-                    count += 1
-            if count >= m + 1:
+            if _sturm_count(t, mid) > m:
                 hi = mid
             else:
                 lo = mid
-    out.sort()
-    return tuple(out)
+    return sorted(out)
 
 
 def _sturm_count(t, x):
-    """Eigenvalues of ``t`` below ``x``, counted as the kernel counts them."""
-    diag, off = t.diag, t.offdiag
-    norm = max(
-        abs(diag[i]) + (abs(off[i - 1]) if i else 0.0) + (abs(off[i]) if i < t.n - 1 else 0.0)
-        for i in range(t.n)
-    )
+    """Eigenvalues of ``t`` below ``x``: the negative pivots of T - x, from the kernel's rows."""
+    d0, rows, pert = kernel_rows(*t)
     count = 0
     d = 1.0
-    for i in range(t.n):
-        d = (diag[i] - x) - (off[i - 1] ** 2 / d if i else 0.0)
+    for di, o2 in [(d0, 0.0), *rows]:
+        d = (di - x) - o2 / d
         if d == 0.0:
-            d = 2.0**-52 * (norm or 1.0)
+            d = pert
         if d < 0.0:
             count += 1
     return count
 
 
-def _mp_eigenvalues(t):
-    """The eigenvalues of ``t`` from a 40-digit mpmath solve."""
-    with mpmath.workdps(40):
-        dense = mpmath.matrix(t.n)
-        for i, v in enumerate(t.diag):
-            dense[i, i] = v
-        for i, v in enumerate(t.offdiag):
-            dense[i, i + 1] = dense[i + 1, i] = v
-        return sorted(mpmath.eigsy(dense, eigvals_only=True))
-
-
 def _assert_contract(t, mp=True):
     """Counts certify every value, which is within TOL/2 of per-index
-    bisection and, with ``mp``, within 1e-14 * max(1, |value|) of mpmath."""
-    got = eigenvalues(t.diag, t.offdiag)
-    assert len(got) == t.n and list(got) == sorted(got)
+    bisection and, with ``mp``, within 1e-14 * max(1, |value|) of a
+    40-digit mpmath solve."""
+    got = eigenvalues(*t)
+    assert len(got) == len(t[0]) and list(got) == sorted(got)
     for m, (value, ref) in enumerate(zip(got, _reference_eigenvalues(t))):
         h = 0.5 * TOL * max(1.0, abs(value))
         assert _sturm_count(t, value - h) <= m < _sturm_count(t, value + h)
         assert abs(value - ref) <= 0.5 * TOL * max(1.0, abs(ref))
     if mp:
-        for value, exact in zip(got, _mp_eigenvalues(t)):
-            assert abs(value - exact) <= 1e-14 * max(1.0, abs(exact))
+        with mpmath.workdps(40):
+            exact = _mp_eigenvalues(*t)
+        for value, want in zip(got, exact):
+            assert abs(value - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def _bits(values):
@@ -240,8 +210,8 @@ def _bits(values):
 
 
 def _assert_bounded_equals_unbounded(t, upper):
-    full = eigenvalues(t.diag, t.offdiag)
-    assert _bits(eigenvalues(t.diag, t.offdiag, upper)) == _bits(v for v in full if v <= upper)
+    full = eigenvalues(*t)
+    assert _bits(eigenvalues(*t, upper)) == _bits(v for v in full if v <= upper)
 
 
 def _random_block(rng, n):
@@ -255,8 +225,7 @@ def test_unbounded_values_are_certified_and_accurate():
         for _ in range(4):
             t = _random_block(rng, n)
             _assert_contract(t, mp=n <= 21)
-            full = eigenvalues(t.diag, t.offdiag)
-            assert _bits(eigenvalues(t.diag, t.offdiag, math.inf)) == _bits(full)
+            assert _bits(eigenvalues(*t, math.inf)) == _bits(eigenvalues(*t))
 
 
 def test_bounded_equals_unbounded_on_random_blocks():
@@ -264,7 +233,7 @@ def test_bounded_equals_unbounded_on_random_blocks():
     for n in (2, 4, 7, 12, 20):
         for _ in range(4):
             t = _random_block(rng, n)
-            full = eigenvalues(t.diag, t.offdiag)
+            full = eigenvalues(*t)
             for upper in (*rng.uniform(full[0] - 1.0, full[-1] + 1.0, 5), full[n // 2]):
                 _assert_bounded_equals_unbounded(t, float(upper))
 
@@ -280,10 +249,10 @@ def test_bounded_with_repeated_eigenvalues():
         # a repeated eigenvalue is never isolated, so it gets the midpoint
         # of its bracket, within TOL/2 but not within 1e-14
         _assert_contract(t, mp=False)
-        for upper in (*eigenvalues(t.diag, t.offdiag), 0.5, 1.5, 2.5, 10.0):
+        for upper in (*eigenvalues(*t), 0.5, 1.5, 2.5, 10.0):
             _assert_bounded_equals_unbounded(t, upper)
     # the simple eigenvalue 3 sits on the Gershgorin end; Newton still finds it
-    assert abs(eigenvalues(blocks[0].diag, blocks[0].offdiag)[-1] - 3.0) <= 1e-15
+    assert abs(eigenvalues(*blocks[0])[-1] - 3.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -305,12 +274,12 @@ def test_bounded_on_near_degenerate_casimir_blocks(triple):
         # eigenvalues takes blocks of two or more rows; eigen_block reads
         # a 1x1 half off itself
         split = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
-        blocks = [(b, False) for b in split if b.n > 1]
+        blocks = [(b, False) for b in split if b[1]]
         halves = _wang_halves(k, *_squares(t.a, t.b, t.c))
-        blocks += [(TridiagBlock(*h), True) for h in halves if h[1]]
+        blocks += [(h, True) for h in halves if h[1]]
         for block, mp in blocks:
             _assert_contract(block, mp)
-            full = eigenvalues(block.diag, block.offdiag)
+            full = eigenvalues(*block)
             for value in (full[0], full[len(full) // 2], full[-1]):
                 for upper in (
                     value,
@@ -326,7 +295,7 @@ def test_newton_never_settles_on_a_neighbour_outside_its_bracket():
     # heads for the eigenvalue 2 - 1e-13 just outside; the counts reject it.
     t = _block([0.0, 2.0 - 1e-13, 2.11725, 3.1, 3.2, 3.3, 4.0], [0.0] * 6)
     _assert_contract(t)
-    assert abs(eigenvalues(t.diag, t.offdiag)[2] - 2.11725) <= 1e-15
+    assert abs(eigenvalues(*t)[2] - 2.11725) <= 1e-15
 
 
 def test_newton_never_settles_on_a_neighbour_above_its_bracket(monkeypatch):
@@ -349,15 +318,15 @@ def test_newton_never_settles_on_a_neighbour_above_its_bracket(monkeypatch):
 
 def test_bound_below_the_hull_returns_nothing():
     t = _block([3.0, 5.0, 4.0], [1.0, 1.0])  # Gershgorin hull [2, 6]
-    assert eigenvalues(t.diag, t.offdiag, 1.999) == ()
-    assert eigenvalues(t.diag, t.offdiag, -math.inf) == ()
+    assert eigenvalues(*t, 1.999) == ()
+    assert eigenvalues(*t, -math.inf) == ()
 
 
 def test_bound_drops_brackets_above_it():
     t = _block([0.0, 10.0, 20.0, 30.0], [0.1, 0.1, 0.1])
-    got = eigenvalues(t.diag, t.offdiag, 5.0)
+    got = eigenvalues(*t, 5.0)
     assert len(got) == 1
-    assert _bits(got) == _bits(eigenvalues(t.diag, t.offdiag)[:1])
+    assert _bits(got) == _bits(eigenvalues(*t)[:1])
     _assert_contract(t)
     # eigenvalues (1 -+ sqrt 2) / 2: the one-index bracket [0.5, 1.5] of
     # the larger reaches past both bounds, and the count at cut drops it
@@ -416,11 +385,7 @@ def test_eigen_block_bound_keeps_every_value_below_it():
 
 def _newton_on(diag, off, lo, hi, m, start=math.nan):
     """``_newton`` on [lo, hi] for index m, with the arguments ``eigenvalues`` forms."""
-    absoff = [abs(v) for v in off]
-    radius = [left + right for left, right in zip((0.0, *absoff), (*absoff, 0.0))]
-    pert = 2.0**-52 * max(abs(d) + r for d, r in zip(diag, radius))
-    rows = [(d, v * v) for d, v in zip(diag[1:], off)]
-    return _newton(lo, hi, m, diag[0], rows, pert, start)
+    return _newton(lo, hi, m, *kernel_rows(diag, off), start)
 
 
 @pytest.mark.parametrize("shift, want", [(-9, "0x1.bfffffffff600p+2"), (9, "0x1.0000000000500p+1")])
@@ -476,6 +441,27 @@ def test_a_start_outside_the_bracket_is_the_midpoint(start):
 def test_a_zero_pivot_is_replaced_by_pert():
     # zero couplings: the Newton iterates reach the diagonal entries 1 and 2
     assert _bits(eigenvalues([2.0, 1.0], [0.0])) == ["0x1.0000000000002p+0", "0x1.0000000000001p+1"]
+
+
+def test_the_checks_count_with_the_kernels_rows_and_pert(monkeypatch):
+    # every count eigenvalues takes, Newton's included, gets the d0, rows
+    # and pert of oracle.kernel_rows bitwise, on blocks whose norm comes
+    # from an interior row or from an end row
+    seen = []
+    count = eigensolve._sturm_count
+
+    def recorded(x, *setup):
+        seen.append(setup)
+        return count(x, *setup)
+
+    monkeypatch.setattr(eigensolve, "_sturm_count", recorded)
+    rng = np.random.default_rng(40)
+    blocks = [_random_block(rng, n) for n in (2, 3, 7)]
+    blocks += [([2.0, 1.0], [0.0]), ([1.0, 5.0, 1.0], [0.0, 0.0]), ([-9.0, 1.0, 2.0], [-1.5, 3.0])]
+    for t in blocks:
+        seen.clear()
+        eigenvalues(*t)
+        assert seen and {repr(setup) for setup in seen} == {repr(kernel_rows(*t))}
 
 
 # the triples of ``_deep_block_values``, each with its bound
@@ -537,12 +523,14 @@ def test_values_are_certified_to_tol_and_accurate_to_the_half_norm():
     # 1.5e-18 relative, and the worst value of the irrep is 0.43 eps * norm.
     # The error follows the half's norm, not the value
     sq = _squares(4 * 4.250640112184861, 4 * 0.35332397722702963, 4 * 0.26419535062341143)
-    for diag, off in _wang_halves(46, *sq):
-        t = _block(diag, off)
+    for t in _wang_halves(46, *sq):
+        diag, off = t
         norm = max(map(abs, diag)) + 2 * max(map(abs, off))
         got = eigenvalues(diag, off)
-        assert len(got) == t.n
-        for m, (value, exact) in enumerate(zip(got, _mp_eigenvalues(t))):
+        assert len(got) == len(diag)
+        with mpmath.workdps(40):
+            exacts = _mp_eigenvalues(diag, off)
+        for m, (value, exact) in enumerate(zip(got, exacts)):
             h = 0.5 * TOL * max(1.0, abs(value))
             assert _sturm_count(t, value - h) <= m < _sturm_count(t, value + h)
             assert abs(value - exact) <= 2 * 2.0**-52 * norm, (len(diag), m)
@@ -556,17 +544,15 @@ def test_values_are_certified_to_tol_and_accurate_to_the_half_norm():
 # and the smallest normal, need only return n values or raise OverflowError
 _TERMINATION_CHILD = """
 import json, math, random, sys
-from homsphere.eigensolve import TOL, _EPS, _sturm_count, eigenvalues
+from homsphere.eigensolve import TOL, _sturm_count, eigenvalues
+from homsphere.oracle import kernel_rows
 
 def certified(diag, off, values):
     # counts, taken as the kernel takes them, hold index m within TOL/2 of value m
-    padded = [0.0, *map(abs, off), 0.0]
-    norm = max(abs(d) + padded[i] + padded[i + 1] for i, d in enumerate(diag))
-    rows, pert = list(zip(diag[1:], [o * o for o in off])), _EPS * (norm or 1.0)
+    setup = kernel_rows(diag, off)
     for m, v in enumerate(values):
         h = 0.5 * TOL * max(1.0, abs(v))
-        below = _sturm_count(v - h, diag[0], rows, pert)
-        if not below <= m < _sturm_count(v + h, diag[0], rows, pert):
+        if not _sturm_count(v - h, *setup) <= m < _sturm_count(v + h, *setup):
             return False
     return True
 

@@ -201,6 +201,7 @@ def test_recover_boundary_multiplicity_seven():
     a = math.sqrt(3.0 * (b * b + c * c))
     t = MetricTriple(a, b, c)
     inv = invariants(t, SU2)
+    assert inv.mult1 == 7
     rec = recover_triple(inv, SU2)
     assert rec.as_tuple() == pytest.approx(t.as_tuple(), rel=1e-9)
 

@@ -65,13 +65,14 @@ def test_lambda1_closed_cases(triple, group, value, mult, regime):
 
 
 def test_lambda1_boundary_multiplicity_seven():
-    # dyadic b, c make 3(b^2+c^2) exact; a is kept only if squaring is exact
-    b = c = 1.0
-    a = np.sqrt(3.0 * (b * b + c * c))
-    if a * a == 3.0 * (b * b + c * c):
-        got = lambda1_closed(MetricTriple(a, b, c), SU2)
-        assert got.multiplicity == 7
-        assert got.regime is Regime.BOUNDARY
+    # sqrt(9.75)^2 rounds to 9.75 = 3(b^2 + c^2), so a^2 + b^2 + c^2 and
+    # 4(b^2 + c^2) tie at 13.0 exactly in floats
+    a = math.sqrt(9.75)
+    assert a * a == 9.75
+    got = lambda1_closed(MetricTriple(a, 1.5, 1.0), SU2)
+    assert got.value == 13.0
+    assert got.multiplicity == 7
+    assert got.regime is Regime.BOUNDARY
 
 
 @pytest.mark.parametrize("group", [SU2, SO3])
@@ -827,7 +828,7 @@ def test_public_names_leave_out_solver_internals():
     assert len(homsphere.__all__) == 35
     assert set(homsphere.__all__) == PUBLIC_NAMES
     internals = {
-        oracle: ("TridiagBlock",),
+        oracle: ("kernel_rows",),
         eigensolve: ("eigenvalues", "eigen_block"),
         homsphere.spectrum: ("k_cutoff",),
     }
