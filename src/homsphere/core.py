@@ -17,10 +17,11 @@ else on the command path needs.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Sequence
+from itertools import repeat
 
 
 class HomsphereError(Exception):
@@ -162,10 +163,11 @@ class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
     """A distinct Laplace eigenvalue together with its multiplicity.
 
     A validated tuple: it compares equal to ``(value, multiplicity)``.
-    The constructor rejects a negative value and a multiplicity below 1,
-    NaN in either field among them;
-    ``spectrum`` builds its entries with ``tuple.__new__`` instead, and
-    ``SpectrumTable`` checks the whole table at once.
+    The constructor rejects a negative value and a multiplicity that is
+    not an ``int`` of at least 1: NaN in either field, and a float or a
+    bool multiplicity, among them.  ``SpectrumTable`` builds its entries
+    with ``tuple.__new__`` instead, after it has checked the whole table
+    at once.
     """
 
     __slots__ = ()
@@ -173,8 +175,8 @@ class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
     def __new__(cls, value: float, multiplicity: int) -> EigenPair:
         if not value >= 0.0:
             raise ValueError(f"eigenvalue must be nonnegative, got {value}")
-        if not multiplicity >= 1:
-            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+        if type(multiplicity) is not int or multiplicity < 1:
+            raise ValueError(f"multiplicity must be an int >= 1, got {multiplicity!r}")
         return super().__new__(cls, value, multiplicity)
 
 
@@ -183,9 +185,15 @@ class SpectrumTable(_Record):
 
     The table is complete below ``truncation_bound``: every eigenvalue of the
     metric not exceeding the bound appears, so the first entry is the
-    constant functions' (0, 1).  ``k_sources[i]`` lists the irrep labels k
-    whose blocks contributed to ``entries[i]``.  The constructor checks all
-    of this but the completeness itself, which ``spectrum_up_to`` provides.
+    constant functions' (0, 1).  Multiplicities are ints >= 1.
+    ``k_sources[i]`` lists the irrep labels k whose blocks contributed to
+    ``entries[i]``.  All of this but the completeness itself, which
+    ``spectrum_up_to`` provides, is checked on the table's columns by one
+    routine, ``_fill_table``.  The constructor runs it on the columns of
+    ``entries``; ``spectrum_up_to`` runs it, through ``_spectrum_table``,
+    on the columns it clusters, with no entries built before.  Either
+    way the table's entries are ``EigenPair`` tuples built from the
+    checked columns.
     """
 
     __slots__ = ("entries", "truncation_bound", "group", "triple", "k_sources")
@@ -198,31 +206,72 @@ class SpectrumTable(_Record):
         triple: MetricTriple,
         k_sources: tuple[tuple[int, ...], ...],
     ) -> None:
-        if not entries or entries[0] != (0.0, 1):
-            raise ValueError("first spectrum entry must be (0, 1)")
-        if len(k_sources) != len(entries):
-            raise ValueError("k_sources must hold one tuple per spectrum entry")
-        values, mults = zip(*entries)
-        # strict increase from (0, 1) also puts every value at >= 0
-        if not all(map(operator.lt, values, values[1:])):
-            raise ValueError("spectrum entries must be strictly increasing")
-        # a NaN fails every comparison, so each multiplicity must pass 1 <= m
-        if not all(map(operator.le, itertools.repeat(1), mults)):
-            raise ValueError("spectrum multiplicities must be >= 1")
-        if not values[-1] <= truncation_bound:
-            raise ValueError("spectrum entry exceeds the truncation bound")
-        # set one by one, not through ``_fill``: see ``MetricTriple``
-        _set(self, "entries", entries)
-        _set(self, "truncation_bound", truncation_bound)
-        _set(self, "group", group)
-        _set(self, "triple", triple)
-        _set(self, "k_sources", k_sources)
+        values, mults = zip(*entries) if entries else ((), ())
+        _fill_table(self, values, mults, truncation_bound, group, triple, k_sources)
 
     def counting_function(self, lam: float) -> int:
-        """Number of eigenvalues <= lam, counted with multiplicity."""
+        """Number of eigenvalues <= lam, counted with multiplicity.
+
+        Raises:
+            ValueError: if ``lam`` is NaN or above ``truncation_bound``,
+                where the table cannot see every eigenvalue <= lam.
+        """
+        if not lam <= self.truncation_bound:
+            raise ValueError(
+                f"lam must be at most the truncation bound {self.truncation_bound}, got {lam}"
+            )
         if lam >= self.entries[-1][0]:
             return sum([m for _, m in self.entries])
         return sum([m for v, m in self.entries if v <= lam])
+
+
+def _fill_table(
+    table: SpectrumTable,
+    values: Sequence[float],
+    mults: Sequence[int],
+    truncation_bound: float,
+    group: GroupKind,
+    triple: MetricTriple,
+    k_sources: tuple[tuple[int, ...], ...],
+) -> None:
+    """Check a spectrum table's columns and set its fields: the one check of both routes.
+
+    Each test runs over a whole column at C speed, with no Python loop
+    per entry, since ``spectrum_up_to`` builds a table on every call.
+    """
+    if not values or values[0] != 0.0 or mults[0] != 1:
+        raise ValueError("first spectrum entry must be (0, 1)")
+    if len(k_sources) != len(values):
+        raise ValueError("k_sources must hold one tuple per spectrum entry")
+    # strict increase from (0, 1) also puts every value at >= 0
+    if not all(map(operator.lt, values, values[1:])):
+        raise ValueError("spectrum entries must be strictly increasing")
+    # an entry that is not an int (NaN, inf, 1.5) makes the sum a non-int,
+    # and below that the minimum compares ints exactly
+    if type(sum(mults)) is not int or min(mults) < 1:
+        raise ValueError("spectrum multiplicities must be >= 1 and ints")
+    if not values[-1] <= truncation_bound:
+        raise ValueError("spectrum entry exceeds the truncation bound")
+    # set one by one, not through ``_fill``: see ``MetricTriple``
+    _set(table, "entries", tuple(map(tuple.__new__, repeat(EigenPair), zip(values, mults))))
+    _set(table, "truncation_bound", truncation_bound)
+    _set(table, "group", group)
+    _set(table, "triple", triple)
+    _set(table, "k_sources", k_sources)
+
+
+def _spectrum_table(
+    values: Sequence[float],
+    mults: Sequence[int],
+    truncation_bound: float,
+    group: GroupKind,
+    triple: MetricTriple,
+    k_sources: tuple[tuple[int, ...], ...],
+) -> SpectrumTable:
+    """The ``SpectrumTable`` with these columns, checked as the constructor checks them."""
+    table = object.__new__(SpectrumTable)
+    _fill_table(table, values, mults, truncation_bound, group, triple, k_sources)
+    return table
 
 
 class SpectralInvariants(_Record):

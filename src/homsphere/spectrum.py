@@ -15,17 +15,16 @@ import math
 import os
 import sys
 import warnings
-from itertools import repeat
 from operator import itemgetter
 
 from .casimir import _squares
 from .core import (
-    EigenPair,
     GroupKind,
     HomsphereError,
     MetricTriple,
     SpectrumTable,
     _Record,
+    _spectrum_table,
     normalize_triple,
 )
 from .eigensolve import eigen_block
@@ -157,32 +156,34 @@ def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
 
 def _cluster(
     contributions: list[tuple[float, int, int]], lam_max: float
-) -> tuple[tuple[EigenPair, ...], tuple[tuple[int, ...], ...]]:
-    """Merge near-equal eigenvalue contributions into (value, multiplicity) pairs.
+) -> tuple[list[float], list[int], tuple[tuple[int, ...], ...]]:
+    """Merge near-equal eigenvalue contributions into a table's columns.
 
     ``contributions`` holds (value, multiplicity, source_k) records, where
     the multiplicity is the weight of the value: k+1 for an eigenvalue of
     irrep k, and 2(k+1) for one that stands for a Wang mirror pair (an
     odd-k solved value, or a diagonal entry l < k/2 with its mirror k-l).
-    They are sorted on the value alone.  A value is merged into the open
-    cluster when it exceeds the cluster's first (smallest) value, its
-    representative, by at most DEFAULT_CLUSTER_TOL times that value.  A
-    value that opens a new cluster above ``lam_max`` ends the table, so
-    values above the bound count only as copies of a representative
-    below it.  Merges with a relative gap above 1e-10 are reported via
-    ClusterMergeWarning, since they may indicate an accidental
-    near-degeneracy rather than a genuinely repeated eigenvalue.  The
-    entries are built unchecked; ``SpectrumTable`` checks them.
+    The list is sorted in place, on the value alone.  A value is merged
+    into the open cluster when it exceeds the cluster's first (smallest)
+    value, its representative, by at most DEFAULT_CLUSTER_TOL times that
+    value.  A value that opens a new cluster above ``lam_max`` ends the
+    table, so values above the bound count only as copies of a
+    representative below it.  Merges with a relative gap above 1e-10 are
+    reported via ClusterMergeWarning, since they may indicate an
+    accidental near-degeneracy rather than a genuinely repeated
+    eigenvalue.  Returns the table's columns unchecked, for
+    ``core._spectrum_table`` to check: the representatives, their
+    multiplicities and their ``k_sources``.
     """
-    ordered = sorted(contributions, key=_VALUE)
+    contributions.sort(key=_VALUE)
     tol, warn_gap = DEFAULT_CLUSTER_TOL, _MERGE_WARN_GAP
     reps: list[float] = []
     mults: list[int] = []
     sources: list[tuple[int, ...]] = []
     suspicious: list[tuple[float, float]] = []
     # the open cluster; the first value joins it, since 0 <= tol * value
-    rep, mult, ks = ordered[0][0], 0, ()
-    for value, m, k in ordered:
+    rep, mult, ks = contributions[0][0], 0, ()
+    for value, m, k in contributions:
         if value - rep <= tol * rep:
             if value - rep > warn_gap * rep:
                 suspicious.append((rep, value - rep))
@@ -206,7 +207,7 @@ def _cluster(
             ClusterMergeWarning,
             stacklevel=_caller_stacklevel(),
         )
-    return tuple(map(tuple.__new__, repeat(EigenPair), zip(reps, mults))), tuple(sources)
+    return reps, mults, tuple(sources)
 
 
 def _caller_stacklevel() -> int:
@@ -274,7 +275,9 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     every row with d != 0 decouples in double precision and lies above
     the bound, so the table is the d = 0 run of ``_diagonal_runs``, with
     a^2 capped at ``_DECOUPLED`` so that no row is +inf.  Equal values
-    are then clustered.  Blocks are cut
+    are then clustered into the table's columns, which
+    ``core._spectrum_table`` checks as the ``SpectrumTable`` constructor
+    checks its entries' columns and then makes the table.  Blocks are cut
     off, solved and clustered up to lam_max (1 + DEFAULT_CLUSTER_TOL),
     capped at the largest float, and the clusters whose representative
     exceeds lam_max are dropped: every copy of a value <= lam_max is
@@ -293,8 +296,8 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
         ValueError: if ``lam_max`` is not a positive finite number.
         OverflowError: if a^2 + b^2 + c^2 is 0 in floating point, where
             ``k_cutoff`` cannot walk the envelope, or if the smallest
-            positive value of the table is below the normal float range,
-            where it keeps too few digits.
+            positive value of the table, read off the value column, is
+            below the normal float range, where it keeps too few digits.
         CutoffTooLarge: if the bound needs more than ``K_CAP`` blocks.
     """
     if not 0.0 < t.a * t.a + t.b * t.b + t.c * t.c:
@@ -320,12 +323,10 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
             weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
             for value in eigen_block(k, a2, bc2, off, upper_unit):
                 contributions.append((math.ldexp(value, 2 * h), weight, k))
-    entries, sources = _cluster(contributions, lam_max)
-    if len(entries) > 1 and entries[1].value < sys.float_info.min:
-        raise OverflowError(
-            f"eigenvalue {entries[1].value:.17g} is below the normal float range"
-        )
-    return SpectrumTable(entries, lam_max, g, t, sources)
+    values, mults, sources = _cluster(contributions, lam_max)
+    if len(values) > 1 and values[1] < sys.float_info.min:
+        raise OverflowError(f"eigenvalue {values[1]:.17g} is below the normal float range")
+    return _spectrum_table(values, mults, lam_max, g, t, sources)
 
 
 def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> SpectrumTable:

@@ -2,9 +2,11 @@ import copy
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 
+from homsphere import spectrum_up_to
 from homsphere.core import (
     EigenPair,
     GroupKind,
@@ -12,6 +14,7 @@ from homsphere.core import (
     MetricTriple,
     NonPositiveParameter,
     SpectrumTable,
+    _spectrum_table,
     classify,
     normalize_triple,
 )
@@ -69,6 +72,11 @@ def test_eigenpair_validation():
         EigenPair(math.nan, 1)
     with pytest.raises(ValueError, match="multiplicity"):
         EigenPair(1.0, math.nan)
+    # a multiplicity is an int: a float, even a whole or infinite one, and
+    # a bool are not
+    for bad in (1.5, math.inf, 2.0, True):
+        with pytest.raises(ValueError, match="multiplicity must be an int"):
+            EigenPair(1.0, bad)
 
 
 @pytest.mark.parametrize(
@@ -110,6 +118,11 @@ def test_spectrum_table_invariants():
     )
     assert good.counting_function(5.0) == 5
     assert good.counting_function(1.0) == 1
+    assert good.counting_function(-math.inf) == 0
+    # above the bound the table cannot see every eigenvalue, and NaN is no bound
+    for lam in (math.nextafter(5.0, math.inf), 1e9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="at most the truncation bound"):
+            good.counting_function(lam)
     with pytest.raises(ValueError, match="first spectrum entry"):
         SpectrumTable(
             entries=(EigenPair(3.0, 4),),
@@ -156,12 +169,15 @@ def test_an_empty_spectrum_table_is_rejected():
 
 
 def test_spectrum_table_rejects_a_multiplicity_below_one():
-    # entries built unchecked, as spectrum._cluster builds them; a NaN
+    # an entry built past EigenPair's own check, with tuple.__new__; a NaN
     # multiplicity after the first entry is rejected too, where a minimum
-    # of the multiplicities would not see it
+    # of the multiplicities would not see it, and so is a float, whose
+    # counting_function would be a float (inf for an inf multiplicity)
     unchecked = tuple.__new__(EigenPair, (1.0, 0))
     assert unchecked == (1.0, 0) and unchecked.multiplicity == 0
-    for entries in ((EigenPair(0.0, 1), unchecked), ((0.0, 1), (1.0, math.nan))):
+    for entries in ((EigenPair(0.0, 1), unchecked), ((0.0, 1), (1.0, math.nan)),
+                    ((0.0, 1), (1.0, math.inf)), ((0.0, 1), (1.0, 1.5)),
+                    ((0.0, 1), (1.0, 4.0)), ((0.0, 1.0), (1.0, 4))):
         with pytest.raises(ValueError, match="multiplicities must be >= 1"):
             SpectrumTable(
                 entries=entries,
@@ -170,3 +186,52 @@ def test_spectrum_table_rejects_a_multiplicity_below_one():
                 triple=MetricTriple(1, 1, 1),
                 k_sources=((0,), (1,)),
             )
+
+
+def test_both_construction_routes_give_equal_tables():
+    # spectrum_up_to's tables, built from their columns, rebuilt through
+    # the public constructor: every metric class, both groups
+    rng = random.Random(41)
+    for i in range(80):
+        a, b, c = (10.0 ** rng.uniform(-1, 1) for _ in range(3))
+        t = normalize_triple(*((a, b, c), (a, a, c), (a, b, b), (a, a, a))[i % 4])
+        g = tuple(GroupKind)[i // 4 % 2]
+        table = spectrum_up_to(rng.uniform(1.1, 6.0) * 4.0 * (t.b**2 + t.c**2), t, g)
+        again = SpectrumTable(
+            table.entries, table.truncation_bound, table.group, table.triple, table.k_sources
+        )
+        assert again == table and hash(again) == hash(table)
+        assert all(type(e) is EigenPair for e in again.entries + table.entries)
+
+
+_FIRST = "first spectrum entry must be (0, 1)"
+_INCREASING = "spectrum entries must be strictly increasing"
+_MULTS = "spectrum multiplicities must be >= 1 and ints"
+_ABOVE = "spectrum entry exceeds the truncation bound"
+_SOURCES = "k_sources must hold one tuple per spectrum entry"
+
+
+@pytest.mark.parametrize(
+    "values,mults,k_sources,message",
+    [
+        ([1.0], [1], ((0,),), _FIRST),
+        ([0.0], [2], ((0,),), _FIRST),
+        ([0.0, 2.0, 2.0], [1, 3, 4], ((0,), (1,), (2,)), _INCREASING),
+        ([0.0, 3.0, 2.0], [1, 3, 4], ((0,), (1,), (2,)), _INCREASING),
+        ([0.0, math.nan], [1, 3], ((0,), (1,)), _INCREASING),
+        ([0.0, 2.0], [1, 0], ((0,), (1,)), _MULTS),
+        ([0.0, 2.0], [1, math.nan], ((0,), (1,)), _MULTS),
+        ([0.0, 2.0], [1, 1.5], ((0,), (1,)), _MULTS),
+        ([0.0, 2.0], [1, math.inf], ((0,), (1,)), _MULTS),
+        ([0.0, 2.0, 6.0], [1, 3, 4], ((0,), (1,), (2,)), _ABOVE),
+        ([0.0, 2.0], [1, 3], ((0,),), _SOURCES),
+    ],
+)
+def test_both_construction_routes_reject_an_invalid_table_alike(values, mults, k_sources, message):
+    # the columns as spectrum_up_to passes them, and as entries to the constructor
+    t = MetricTriple(1, 1, 1)
+    with pytest.raises(ValueError) as columns:
+        _spectrum_table(values, mults, 5.0, GroupKind.SU2, t, k_sources)
+    with pytest.raises(ValueError) as public:
+        SpectrumTable(tuple(zip(values, mults)), 5.0, GroupKind.SU2, t, k_sources)
+    assert str(columns.value) == str(public.value) == message

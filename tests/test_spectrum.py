@@ -279,18 +279,28 @@ def test_multiplicities_count_every_dense_eigenvalue(t, g):
 
 def test_counting_function_equals_the_filtered_sum():
     # bounds at an entry and 1 ulp either side, the last entry (where the
-    # sum needs no comparison) among them, and the truncation bound
+    # sum needs no comparison) among them, and the truncation bound and
+    # 1 ulp above it.  Above the bound, where the table cannot see every
+    # eigenvalue, it raises: there, and 1 ulp above a last entry that
+    # equals the bound (the last two tables, whose bound is an entry)
     rng = random.Random(35)
-    for _ in range(30):
+    for i in range(32):
         a, b, c = (10.0 ** rng.uniform(-1, 1) for _ in range(3))
         t = normalize_triple(*rng.choice([(a, b, c), (a, a, c), (a, b, b), (a, a, a)]))
         for g in (SU2, SO3):
             table = spectrum_up_to(rng.uniform(1.1, 6.0) * lambda1_closed(t, g).value, t, g)
-            bounds = [table.truncation_bound]
+            if i >= 30:
+                table = spectrum_up_to(table.entries[-1].value, t, g)
+                assert table.entries[-1].value == table.truncation_bound
+            bounds = [table.truncation_bound, math.nextafter(table.truncation_bound, math.inf)]
             for e in (table.entries[0], rng.choice(table.entries), table.entries[-1]):
                 bounds += [math.nextafter(e.value, -math.inf), e.value,
                            math.nextafter(e.value, math.inf)]
             for lam in bounds:
+                if lam > table.truncation_bound:
+                    with pytest.raises(ValueError, match="at most the truncation bound"):
+                        table.counting_function(lam)
+                    continue
                 want = sum(m for v, m in table.entries if v <= lam)
                 assert table.counting_function(lam) == want, (t, g, lam)
 
@@ -378,12 +388,13 @@ def test_two_equal_parameters_never_reach_the_solver(monkeypatch, triple, g):
 
 
 def _per_block_table(lam, t, g, block_values):
-    """A table assembled block by block at the unit scale of ``spectrum_up_to``.
+    """A table's columns assembled block by block at the unit scale of ``spectrum_up_to``.
 
     ``block_values(k, a2, bc2, off, upper)`` gives the sorted values <=
     ``upper`` of irrep k, one per Wang mirror pair for odd k; each is
     weighted (k+1)(1 + k%2) and scaled back by ``ldexp``, then
-    ``spectrum._cluster`` builds the table.
+    ``spectrum._cluster`` clusters them into the table's columns:
+    values, multiplicities and k_sources.
     """
     upper = min(lam * (1.0 + DEFAULT_CLUSTER_TOL), sys.float_info.max)
     h = math.frexp(t.b)[1] - 1
@@ -424,9 +435,9 @@ def test_diagonal_runs_equal_the_per_block_assembly_bitwise():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spectrum.ClusterMergeWarning)
                 table = spectrum_up_to(lam, t, g)
-                entries, sources = _per_block_table(lam, t, g, _closed_block)
+                values, mults, sources = _per_block_table(lam, t, g, _closed_block)
             assert [(v.hex(), m) for v, m in table.entries] == [
-                (v.hex(), m) for v, m in entries
+                (v.hex(), m) for v, m in zip(values, mults, strict=True)
             ], (t, g, lam)
             assert table.k_sources == sources, (t, g, lam)
 
@@ -444,9 +455,9 @@ def test_decoupled_tables_equal_the_solved_blocks_bitwise():
         g = (SU2, SO3)[i % 2]
         lam = rng.uniform(1.1, 60.0) * lambda1_closed(t, g).value
         table = spectrum_up_to(lam, t, g)
-        entries, sources = _per_block_table(lam, t, g, eigen_block)
+        values, mults, sources = _per_block_table(lam, t, g, eigen_block)
         assert [(v.hex(), m) for v, m in table.entries] == [
-            (v.hex(), m) for v, m in entries
+            (v.hex(), m) for v, m in zip(values, mults, strict=True)
         ], (t, g, lam)
         assert table.k_sources == sources, (t, g, lam)
 
