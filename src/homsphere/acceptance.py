@@ -3,19 +3,21 @@
 Each criterion function is deterministic (fixed seeds), returns a
 CriterionResult, and is runnable both from the test suite and from the
 ``verify`` CLI subcommand.  Tolerances are pinned here and nowhere else.
+The samples come from ``random.Random``, and the references are the
+plain-Python ones of ``homsphere.oracle``, so the suite runs on the
+standard library alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .casimir import _squares, _wang_halves
 from .core import GroupKind, MetricTriple, normalize_triple
-from .eigensolve import eigen_block
+from .eigensolve import _EPS, TOL, _sturm_count, eigen_block
 from .geometry import (
     SO3_PRODUCT_CAP,
     SU2_PRODUCT_CAP,
@@ -33,7 +35,9 @@ from .oracle import (
     _diagonal,
     casimir_matrix,
     casimir_matrix_oracle,
+    exact_count,
     gershgorin,
+    kernel_rows,
     mu_index_of,
 )
 from .rigidity import IsospectralVerdict, invariants, isospectral_check, recover_triple
@@ -54,13 +58,12 @@ class CriterionResult:
         return f"{status}  criterion {self.cid:2d}  {self.title}: {self.detail}"
 
 
-def _random_triples(rng: np.random.Generator, n: int) -> list[MetricTriple]:
+def _random_triples(rng: random.Random, n: int) -> list[MetricTriple]:
     """Canonical triples with components log-uniform in [0.1, 10]."""
-    vals = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, 3))
-    return [MetricTriple(*row) for row in vals]
+    return [MetricTriple(*[10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)]) for _ in range(n)]
 
 
-def _pinned_boundary_triples(rng: np.random.Generator, n: int) -> list[MetricTriple]:
+def _pinned_boundary_triples(rng: random.Random, n: int) -> list[MetricTriple]:
     """Triples with a^2 + b^2 + c^2 == 4(b^2 + c^2) holding exactly in floats.
 
     b and c are drawn from a dyadic grid so that b^2 + c^2 and its triple
@@ -69,9 +72,9 @@ def _pinned_boundary_triples(rng: np.random.Generator, n: int) -> list[MetricTri
     """
     out: list[MetricTriple] = []
     while len(out) < n:
-        e = int(rng.integers(-2, 3))
-        b = float(rng.integers(1 << 19, 1 << 20)) * 2.0 ** (e - 20)
-        c = float(rng.integers(1 << 19, 1 << 20)) * 2.0 ** (e - 20)
+        e = rng.randrange(-2, 3)
+        b = rng.randrange(1 << 19, 1 << 20) * 2.0 ** (e - 20)
+        c = rng.randrange(1 << 19, 1 << 20) * 2.0 ** (e - 20)
         if b < c:
             b, c = c, b
         bc2 = b * b + c * c
@@ -81,40 +84,32 @@ def _pinned_boundary_triples(rng: np.random.Generator, n: int) -> list[MetricTri
     return out
 
 
-def _round_triples(rng: np.random.Generator, n: int) -> list[MetricTriple]:
-    return [MetricTriple(s, s, s) for s in 10.0 ** rng.uniform(-1.0, 1.0, size=n)]
+def _round_triples(rng: random.Random, n: int) -> list[MetricTriple]:
+    return [MetricTriple(*[10.0 ** rng.uniform(-1.0, 1.0)] * 3) for _ in range(n)]
 
 
-def _berger_ab_triples(rng: np.random.Generator, n: int) -> list[MetricTriple]:
-    out = []
-    for _ in range(n):
-        b = float(10.0 ** rng.uniform(-1.0, 1.0))
-        c = b * float(10.0 ** rng.uniform(-1.0, -0.05))
-        out.append(MetricTriple(b, b, c))
-    return out
+def _berger_ab_triples(rng: random.Random, n: int) -> list[MetricTriple]:
+    bs = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))  # each b drawn before its c
+    return [MetricTriple(b, b, b * 10.0 ** rng.uniform(-1.0, -0.05)) for b in bs]
 
 
-def _berger_bc_triples(rng: np.random.Generator, n: int) -> list[MetricTriple]:
-    out = []
-    for _ in range(n):
-        b = float(10.0 ** rng.uniform(-1.0, 1.0))
-        a = b * float(10.0 ** rng.uniform(0.05, 1.0))
-        out.append(MetricTriple(a, b, b))
-    return out
+def _berger_bc_triples(rng: random.Random, n: int) -> list[MetricTriple]:
+    bs = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n))  # each b drawn before its a
+    return [MetricTriple(b * 10.0 ** rng.uniform(0.05, 1.0), b, b) for b in bs]
 
 
 @functools.lru_cache(maxsize=None)
 def _lambda1_samples(group: GroupKind) -> tuple[MetricTriple, ...]:
     """The 1000-triple sample set per group: 950 random plus 50 boundary-pinned."""
     seed = 20260811 if group is GroupKind.SU2 else 20260812
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return tuple(_random_triples(rng, 950) + _pinned_boundary_triples(rng, 50))
 
 
 @functools.lru_cache(maxsize=None)
 def _rigidity_samples(group: GroupKind) -> tuple[MetricTriple, ...]:
     """1000 triples per group covering every lowest-eigenvalue multiplicity."""
-    rng = np.random.default_rng(911 if group is GroupKind.SU2 else 912)
+    rng = random.Random(911 if group is GroupKind.SU2 else 912)
     triples = _random_triples(rng, 900)
     if group is GroupKind.SU2:
         triples += _pinned_boundary_triples(rng, 50)
@@ -160,7 +155,7 @@ def criterion_2() -> CriterionResult:
     for abc in triples:
         t = MetricTriple(*map(float, abc))
         for k in range(21):
-            if np.array_equal(casimir_matrix(k, t), casimir_matrix_oracle(k, t)):
+            if casimir_matrix(k, t) == casimir_matrix_oracle(k, t):
                 checked += 1
             elif not mismatch:
                 mismatch = f"mismatch at k={k}, triple={abc}"
@@ -172,89 +167,90 @@ def criterion_2() -> CriterionResult:
     )
 
 
-def _stacked_eigvalsh(blocks: tuple[tuple[list[float], list[float]], ...]) -> np.ndarray:
-    """Eigenvalues of same-sized (diagonal, off-diagonal) blocks by one dense LAPACK call."""
-    n = len(blocks[0][0])
-    dense = np.zeros((len(blocks), n, n))
-    i = np.arange(n)
-    dense[:, i, i] = [diag for diag, _ in blocks]
-    dense[:, i[1:], i[:-1]] = [off for _, off in blocks]  # eigvalsh reads the lower half
-    return np.linalg.eigvalsh(dense)
-
-
 def criterion_3() -> CriterionResult:
-    """Certified lower bounds and interval containment for block eigenvalues."""
-    rng = np.random.default_rng(33)
-    samples = _random_triples(rng, 100)
-    violations = 0
-    checked = 0
-    for k in range(1, 51):
-        # the halves of each triple as given, from its own squares (no
-        # diagonal shortcut); the i-th half has the same size for every triple
-        halves = zip(*(_wang_halves(k, t.a * t.a, t.b * t.b + t.c * t.c, t.c * t.c - t.b * t.b)
-                       for t in samples))
-        values = np.concatenate([_stacked_eigvalsh(stack) for stack in halves], axis=1)
-        for t, eigs in zip(samples, values):
-            if k % 2:
-                eigs = np.concatenate([eigs, eigs])  # the odd block repeats the even one
-            intervals = gershgorin(k, t)
-            slack = 1e-9 * (1.0 + np.abs(eigs))
-            checked += eigs.size
-            if np.any(eigs < intervals.floor - slack):
-                violations += 1
-            if intervals.odd_floor is not None and np.any(
-                eigs < intervals.odd_floor - slack
-            ):
-                violations += 1
-            inside = (
-                (intervals.lower[None, :] - slack[:, None] <= eigs[:, None])
-                & (eigs[:, None] <= intervals.upper[None, :] + slack[:, None])
-            ).any(axis=1)
-            if not inside.all():
-                violations += 1
+    """Certified lower bounds and interval containment for block eigenvalues.
+
+    No eigenvalue of irrep k may lie below either floor, below the union
+    of the intervals, above it, or in a gap between its parts, each end
+    moved outward by the slack 1e-9 (1 + |x|).  The eigenvalues are
+    counted, not solved for: N(x), the number below x, sums
+    ``eigensolve._sturm_count`` over the Wang halves of the triple as
+    given, from its own squares (no frame choice, no diagonal shortcut),
+    with the rows and ``pert`` of ``oracle.kernel_rows``, an odd-k half
+    weighted 2 for its mirror.  N must be 0 at each floor and at the
+    union's lower end, k + 1 at its upper end, and the same at the two
+    ends of every gap.
+    """
+    violations = checked = 0
+    for t in _random_triples(random.Random(33), 100):
+        a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
+        for k in range(1, 51):
+            halves = [kernel_rows(*half) for half in _wang_halves(k, a2, b2 + c2, c2 - b2)]
+
+            def below(x: float) -> int:
+                return (1 + k % 2) * sum([_sturm_count(x, *half) for half in halves])
+
+            g = gershgorin(k, t)
+            parts: list[list[float]] = []  # the union of the widened intervals
+            for lo, hi in sorted(zip(g.lower, g.upper)):
+                lo, hi = lo - 1e-9 * (1.0 + abs(lo)), hi + 1e-9 * (1.0 + abs(hi))
+                if parts and lo <= parts[-1][1]:
+                    parts[-1][1] = max(parts[-1][1], hi)
+                else:
+                    parts.append([lo, hi])
+            floors = [f - 1e-9 * (1.0 + abs(f)) for f in (g.floor, g.odd_floor) if f is not None]
+            ends = [0, *[below(x) for part in parts for x in part], k + 1]
+            checked += len(floors) + len(ends) - 2
+            violations += any(map(below, floors)) + (ends[0::2] != ends[1::2])
     return CriterionResult(
         3,
         "Gershgorin floors and interval union contain every block eigenvalue",
         violations == 0,
-        f"{checked} eigenvalues over k <= 50 on 100 triples, {violations} violations",
+        f"{checked} Sturm counts over k <= 50 on 100 triples, {violations} violations",
     )
 
 
 def criterion_4() -> CriterionResult:
-    """Block eigenvalues match a dense eigensolver on the full matrix.
+    """Solved block eigenvalues against exact counts of the full parity blocks.
 
-    The blocks are written in the frame ``casimir._squares`` picks, of
-    (c, a, b) when a^2 - b^2 < b^2 - c^2 and of (a, b, c) otherwise, and
-    the dense matrix in the frame (a, b, c).  The solver gives them for
-    generic samples; where two parameters are equal they are the diagonal
-    of that frame, (c, a, b) when a = b > c.
+    The solver's values are written in the frame ``casimir._squares``
+    picks, of (c, a, b) when a^2 - b^2 < b^2 - c^2 and of (a, b, c)
+    otherwise; where two parameters are equal they are the diagonal of
+    that frame, (c, a, b) when a = b > c.  An odd block's value stands
+    for its Wang mirror pair, so it is taken twice.  Each value v opens a
+    window v +- (TOL max(1, |v|) + 8 eps |T|), |T| the largest column sum
+    of the dense matrix's |entries|, and ``oracle.exact_count`` must find
+    in it, over both parity blocks of the triple in the frame (a, b, c),
+    exactly as many eigenvalues as there are solved values.
     """
-    rng = np.random.default_rng(44)
-    samples = _random_triples(rng, 5) + [
+    samples = _random_triples(random.Random(44), 5) + [
         MetricTriple(1.0, 1.0, 1.0),
         MetricTriple(2.0, 1.0, 1.0),
         MetricTriple(1.9, 1.3, 1.3),
         MetricTriple(1.3, 1.3, 0.6),
     ]
-    worst = 0.0
+    windows = misses = 0
     for t in samples:
         a2, bc2, off = _squares(t.a, t.b, t.c)
         for k in range(13):
             if off is None:
-                # two equal parameters: the diagonal of the frame of _squares,
-                # (c, a, b) when a = b > c
-                solved = np.sort(_diagonal(k, a2, bc2, range(k + 1)))
+                solved = sorted(_diagonal(k, a2, bc2, range(k + 1)))
             else:
-                # an odd block returns one value per Wang mirror pair
-                solved = np.repeat(eigen_block(k, a2, bc2, off), 1 + k % 2)
-            dense = np.sort(np.linalg.eigvals(casimir_matrix(k, t)).real)
-            rel = float(np.max(np.abs(dense - solved) / np.maximum(1.0, np.abs(dense))))
-            worst = max(worst, rel)
+                solved = [v for v in eigen_block(k, a2, bc2, off) for _ in range(1 + k % 2)]
+            misses += len(solved) != k + 1
+            norm = max(gershgorin(k, t).upper)
+            for v in solved:
+                width = TOL * max(1.0, abs(v)) + 8.0 * _EPS * norm
+                lo, hi = v - width, v + width
+                exact = sum(exact_count(k, t, p, hi, inclusive=True) - exact_count(k, t, p, lo)
+                            for p in (0, 1))
+                windows += 1
+                misses += exact != sum(lo <= u <= hi for u in solved)
     return CriterionResult(
         4,
-        "irrep block eigenvalues match a dense solver on the full matrix (k <= 12)",
-        worst <= 1e-9,
-        f"worst relative deviation {worst:.2e}",
+        "irrep block eigenvalues match exact counts on the full blocks (k <= 12)",
+        misses == 0,
+        f"{windows} windows of TOL max(1, |v|) + 8 eps |T|, {misses} misses",
     )
 
 
@@ -441,7 +437,7 @@ def criterion_9() -> CriterionResult:
             if rel > 1e-8:
                 bad += 1
 
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     pair_bad = 0
     for i in range(200):
         group = GroupKind.SU2 if i % 2 == 0 else GroupKind.SO3
@@ -472,9 +468,8 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Positivity of lambda1 - Scal/2, with equality exactly at round metrics."""
     problems = 0
-    rng = np.random.default_rng(1010)
-    for s in 10.0 ** rng.uniform(-1.0, 1.0, size=20):
-        if abs(yamabe_gap(MetricTriple(s, s, s), GroupKind.SU2)) >= 1e-12:
+    for t in _round_triples(random.Random(1010), 20):
+        if abs(yamabe_gap(t, GroupKind.SU2)) >= 1e-12:
             problems += 1
     for t in _lambda1_samples(GroupKind.SU2):
         gap = yamabe_gap(t, GroupKind.SU2)

@@ -20,8 +20,7 @@ matrix, its generator construction, the symmetrize/split steps, which
 give the full blocks as the same (diagonal, off-diagonal) list pairs,
 and the full diagonal ``_diagonal`` live in ``homsphere.oracle`` as
 independent references, the only source of full blocks and full
-diagonals.  Entries are plain Python floats, so nothing here needs
-numpy.
+diagonals.  Entries are plain Python floats.
 """
 
 from __future__ import annotations

@@ -2,36 +2,35 @@
 
 Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
-Exit codes: 0 success, 1 acceptance failure, ``verify`` without numpy
-(one ``error:`` line), internal error (a ``BoundViolation``, a certified
-window escaping its proven range, as a one-line ``internal error:``
-message on stderr) or a reader that closed stdout early (no message), 2
-invalid parameters (including parameters whose results leave the
-floating-point range, such as a spectrum whose a^2 + b^2 + c^2 underflows
-to 0, or a result below the normal range, such as a subnormal eigenvalue
-or volume; squares that overflow are no error for ``spectrum``, which
-solves at a unit scale, where the rows of a metric so prolate that they
-would overflow decouple and the closed form is read off), 3 truncation
-bound needing more than ``spectrum.K_CAP`` irrep blocks.  The
-``EDGE_INPUTS`` table in ``tests/test_cli.py`` is the one place where each
-documented edge input is checked against its exit code and stderr.
+Exit codes: 0 success, 1 acceptance failure, internal error (a
+``BoundViolation``, a certified window escaping its proven range, as a
+one-line ``internal error:`` message on stderr) or a reader that closed
+stdout early (no message), 2 invalid parameters (including parameters
+whose results leave the floating-point range, such as a spectrum whose
+a^2 + b^2 + c^2 underflows to 0, or a result below the normal range,
+such as a subnormal eigenvalue or volume; squares that overflow are no
+error for ``spectrum``, which solves at a unit scale, where the rows of
+a metric so prolate that they would overflow decouple and the closed
+form is read off), 3 truncation bound needing more than
+``spectrum.K_CAP`` irrep blocks.  The ``EDGE_INPUTS`` table in
+``tests/test_cli.py`` is the one place where each documented edge input
+is checked against its exit code and stderr.
 Warnings (for example suspicious cluster merges) go to stderr only.  No
 subcommand takes a tolerance: the solver, clustering and comparison
 tolerances are fixed.
 
-Only ``verify`` imports the acceptance suite, and with it numpy (the
-``homsphere[verify]`` extra) and ``homsphere.oracle``; every other
-subcommand runs on the standard library.  All of them print through
-``main``, which calls ``_cmd_<command>`` by name.  Each command's flags
-are declared once, in ``_COMMANDS``, from which ``build_parser`` builds
-the argparse parsers, once per process.  ``_read`` reads a well-formed
-argv from the same table into the namespace ``parse_args`` would return:
-a command, then its flags by their exact names, each value not starting
-with ``-``, of the flag's type and among its choices, and every required
-flag given.  Any other argv (none, help, an abbreviation,
-``--flag=value``, ``--``, an error) goes to ``parse_args``, so every
-message and exit code is argparse's own; only that fallback builds the
-parser.
+Every subcommand runs on the standard library.  Only ``verify`` imports
+the acceptance suite, and with it ``homsphere.oracle``.  All of them
+print through ``main``, which calls ``_cmd_<command>`` by name.  Each
+command's flags are declared once, in ``_COMMANDS``, from which
+``build_parser`` builds the argparse parsers, once per process.
+``_read`` reads a well-formed argv from the same table into the
+namespace ``parse_args`` would return: a command, then its flags by
+their exact names, each value not starting with ``-``, of the flag's
+type and among its choices, and every required flag given.  Any other
+argv (none, help, an abbreviation, ``--flag=value``, ``--``, an error)
+goes to ``parse_args``, so every message and exit code is argparse's
+own; only that fallback builds the parser.
 
 A spectrum's entries travel as the table's two columns, ``(entries,
 k_sources)``, and ``_rows`` writes them in JSON and in CSV alike with one
@@ -293,7 +292,7 @@ def _cmd_product(args: argparse.Namespace) -> Payload:
 
 
 def _cmd_verify() -> tuple[str, int]:
-    from . import acceptance  # numpy and the oracle load only for this command
+    from . import acceptance  # the oracle loads only for this command
 
     results = acceptance.run_all()
     failed = sum(not r.passed for r in results)
@@ -430,11 +429,6 @@ def main(argv: list[str] | None = None) -> int:
             }
             text = _record_to_csv(results) if args.format == "csv" else _to_json(record)
             status = EXIT_OK
-    except ModuleNotFoundError as exc:  # only verify imports numpy
-        if exc.name != "numpy":
-            raise
-        print("error: verify needs numpy: pip install 'homsphere[verify]'", file=sys.stderr)
-        return EXIT_FAILURE
     except CutoffTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CUTOFF

@@ -193,7 +193,8 @@ class SpectrumTable(_Record):
     ``entries``; ``spectrum_up_to`` runs it, through ``_spectrum_table``,
     on the columns it clusters, with no entries built before.  Either
     way the table's entries are ``EigenPair`` tuples built from the
-    checked columns.
+    checked columns.  The constructor alone also rejects a bool
+    multiplicity, as ``EigenPair`` does.
     """
 
     __slots__ = ("entries", "truncation_bound", "group", "triple", "k_sources")
@@ -207,6 +208,10 @@ class SpectrumTable(_Record):
         k_sources: tuple[tuple[int, ...], ...],
     ) -> None:
         values, mults = zip(*entries) if entries else ((), ())
+        # _fill_table sums a bool as the int it is; spectrum_up_to's columns
+        # never hold one, so only this route pays for the test
+        if bool in map(type, mults):
+            raise ValueError("spectrum multiplicities must be >= 1 and ints")
         _fill_table(self, values, mults, truncation_bound, group, triple, k_sources)
 
     def counting_function(self, lam: float) -> int:

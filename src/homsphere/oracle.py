@@ -1,17 +1,20 @@
 """Verification-only references: nothing on the user path imports this module.
 
-Only this module, the acceptance suite and the tests need numpy.
-``casimir._wang_halves`` writes the Wang halves of the two tridiagonal
-blocks directly; the functions here build the full blocks and their
-full diagonals the long way, the only way anything builds them, and the
-tests check the halves against them: the diagonals bit for bit, the
-couplings, which the chain derives by the binomial conjugation and
-``casimir`` takes as one square root each, to a few ulp:
+Everything here is plain Python: a matrix is a list of rows, a block a
+(diagonal, off-diagonal) pair of float lists, so ``homsphere verify``
+runs on the standard library, and a test that wants a dense solver
+hands these lists to it itself.  ``casimir._wang_halves`` writes the
+Wang halves of the two tridiagonal blocks directly; the functions here
+build the full blocks and their full diagonals the long way, the only
+way anything builds them, and the tests check the halves against them:
+the diagonals bit for bit, the couplings, which the chain derives by
+the binomial conjugation and ``casimir`` takes as one square root each,
+to a few ulp:
 
 * ``casimir_matrix`` writes the dense (k+1)x(k+1) matrix from its closed
   entrywise formula;
-* ``casimir_matrix_oracle`` builds it independently from the generator
-  matrices, and agrees bitwise on integer-scaled inputs;
+* ``casimir_matrix_oracle`` builds it independently from the integer
+  generator matrices, and agrees bitwise on integer-scaled inputs;
 * ``symmetrize`` conjugates the dense matrix by a diagonal of binomial
   square roots into a symmetric one, checking the residue;
 * ``tridiagonal_split`` reorders it into even and odd indices, checking
@@ -30,7 +33,10 @@ the solver and for ``sturm_counter`` alike, while the dense matrices
 here are written in the frame (a, b, c): a test that must not share the
 solver's frame gives the counter the squares of (a, b, c) itself.
 
-The other references: ``to_dense`` expands a block for a dense solver,
+``exact_count`` counts the eigenvalues of a parity block of the float
+triple exactly, by integer continuants, with no solver and no rounding.
+
+The other references: ``to_dense`` expands a block into a full matrix,
 ``kernel_rows`` forms a block's pivot rows and zero-pivot ``pert`` as
 ``eigensolve.eigenvalues`` does, for every check that counts with
 ``eigensolve._sturm_count``, ``gershgorin`` gives certified eigenvalue
@@ -44,12 +50,13 @@ against, ``mu_index_of`` looks a value up in a table, and
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from operator import add, mul, sub
 
 from .casimir import _squares, _wang_halves
 from .core import (
@@ -61,10 +68,6 @@ from .core import (
 )
 from .eigensolve import _EPS, _sturm_count
 from .spectrum import _DECOUPLED, spectrum_up_to
-
-
-class ImaginaryResidue(HomsphereError, ArithmeticError):
-    """The generator-built Casimir matrix had a nonzero imaginary part."""
 
 
 class AsymmetryResidue(HomsphereError, ArithmeticError):
@@ -79,35 +82,35 @@ class NotFound(HomsphereError, LookupError):
     """No spectrum entry matches the queried eigenvalue."""
 
 
-def generator_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices of the three Lie-algebra generators on the k-th irrep.
+def generator_matrices(k: int) -> tuple[list, list, list]:
+    """Integer matrices m1, m2, m3 of the Lie-algebra generators on the k-th irrep.
 
     In the monomial basis (zero-based l), the generators act by
     M1: P_l -> (k-2l)i P_l,
     M2: P_l -> -l P_{l-1} + (k-l) P_{l+1},
     M3: P_l -> -l i P_{l-1} - (k-l) i P_{l+1},
     with terms outside 0..k dropped.  They satisfy [M1,M2] = 2 M3,
-    [M3,M1] = 2 M2, [M2,M3] = 2 M1.
+    [M3,M1] = 2 M2, [M2,M3] = 2 M1.  M1 and M3 are i times integer
+    matrices, so m1 = M1/i, m2 = M2 and m3 = M3/i are returned, each a
+    list of rows of ints, for which the relations read [m1,m2] = 2 m3,
+    [m3,m1] = -2 m2 and [m2,m3] = 2 m1.
     """
     if k < 0:
         raise ValueError(f"irrep label must be nonnegative, got {k}")
     n = k + 1
-    m1 = np.zeros((n, n), dtype=complex)
-    m2 = np.zeros((n, n), dtype=complex)
-    m3 = np.zeros((n, n), dtype=complex)
+    m1, m2, m3 = ([[0] * n for _ in range(n)] for _ in range(3))
     for l in range(n):
-        m1[l, l] = (k - 2 * l) * 1j
+        m1[l][l] = k - 2 * l
         if l >= 1:
-            m2[l - 1, l] = -l
-            m3[l - 1, l] = -l * 1j
+            m2[l - 1][l] = m3[l - 1][l] = -l
         if l < k:
-            m2[l + 1, l] = k - l
-            m3[l + 1, l] = -(k - l) * 1j
+            m2[l + 1][l] = k - l
+            m3[l + 1][l] = l - k
     return m1, m2, m3
 
 
-def casimir_matrix(k: int, t: MetricTriple) -> np.ndarray:
-    """Closed-form matrix of the negative Casimir operator on irrep k.
+def casimir_matrix(k: int, t: MetricTriple) -> list[list[float]]:
+    """Closed-form matrix of the negative Casimir operator on irrep k, a list of rows.
 
     Zero-based entries (column l):
       [l, l]   = (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2), from ``_diagonal``
@@ -118,11 +121,13 @@ def casimir_matrix(k: int, t: MetricTriple) -> np.ndarray:
     similarity that leaves every eigenvalue unchanged.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    m = np.diag(_diagonal(k, a2, b2 + c2, range(k + 1)))
     off = c2 - b2
-    for l in range(2, k + 1):
-        m[l - 2, l] = l * (l - 1) * off
-        m[l, l - 2] = (k - l + 2) * (k - l + 1) * off
+    m = [[0.0] * (k + 1) for _ in range(k + 1)]
+    for l, d in enumerate(_diagonal(k, a2, b2 + c2, range(k + 1))):
+        m[l][l] = d
+        if l >= 2:
+            m[l - 2][l] = l * (l - 1) * off
+            m[l][l - 2] = (k - l + 2) * (k - l + 1) * off
     return m
 
 
@@ -139,27 +144,31 @@ def _diagonal(k: int, a2: float, bc2: float, ls: range) -> list[float]:
     return [(k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2 for l in ls]
 
 
-def casimir_matrix_oracle(k: int, t: MetricTriple) -> np.ndarray:
+def casimir_matrix_oracle(k: int, t: MetricTriple) -> list[list[float]]:
     """Casimir matrix computed independently as -(a^2 M1^2 + b^2 M2^2 + c^2 M3^2).
 
-    On integer-scaled inputs every intermediate is an exactly representable
-    integer, so the result equals ``casimir_matrix(k, t)`` entrywise with no
-    rounding at all.
-
-    Raises:
-        ImaginaryResidue: if any entry has a nonzero imaginary part.
+    With M1 = i m1 and M3 = i m3 for the integer matrices of
+    ``generator_matrices``, i^2 = -1 makes this a^2 m1^2 - b^2 m2^2 +
+    c^2 m3^2, whose three squares are exact integer matrices.  On
+    integer-scaled inputs every entry is then an exactly representable
+    integer, so the result equals ``casimir_matrix(k, t)`` entrywise with
+    no rounding at all.
     """
-    m1, m2, m3 = generator_matrices(k)
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    m = -(a2 * (m1 @ m1) + b2 * (m2 @ m2) + c2 * (m3 @ m3))
-    if np.max(np.abs(m.imag)) != 0.0:
-        raise ImaginaryResidue(
-            f"generator-built Casimir matrix is not real for k={k}, t={t.as_tuple()}"
-        )
-    return m.real.copy()
+    squares = [[[sum(map(mul, row, col)) for col in zip(*m)] for row in m]
+               for m in generator_matrices(k)]
+    return [[a2 * x - b2 * y + c2 * z for x, y, z in zip(*rows)] for rows in zip(*squares)]
 
 
-def symmetrize(dense: np.ndarray, k: int) -> np.ndarray:
+def _order(m: list, k: int) -> int:
+    """k + 1, the order of a matrix of irrep k, which ``m`` must have."""
+    n = k + 1
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
+    return n
+
+
+def symmetrize(dense: list[list[float]], k: int) -> list[list[float]]:
     """Conjugate the dense Casimir matrix into an exactly symmetric one.
 
     Uses the diagonal d_l = sqrt(binom(k, l)).  Only square roots of the
@@ -169,27 +178,24 @@ def symmetrize(dense: np.ndarray, k: int) -> np.ndarray:
     Raises:
         AsymmetryResidue: if max |S_ij - S_ji| > 1e-12 * max|S|.
     """
-    n = k + 1
-    if dense.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
-    s = np.array(dense, dtype=float, copy=True)
+    n = _order(dense, k)
+    s = [list(map(float, row)) for row in dense]
     # ratio[l] = d_l / d_{l-1} = sqrt((k-l+1)/l)
-    ratio = np.ones(n)
-    for l in range(1, n):
-        ratio[l] = math.sqrt((k - l + 1) / l)
+    ratio = [1.0] + [math.sqrt((k - l + 1) / l) for l in range(1, n)]
     for l in range(2, n):
         f = ratio[l] * ratio[l - 1]  # d_l / d_{l-2}
-        s[l - 2, l] = dense[l - 2, l] * f
-        s[l, l - 2] = dense[l, l - 2] / f
-    scale = float(np.max(np.abs(s))) or 1.0
-    asym = float(np.max(np.abs(s - s.T)))
+        s[l - 2][l] *= f
+        s[l][l - 2] /= f
+    pairs = [list(zip(row, col)) for row, col in zip(s, zip(*s))]
+    scale = max([abs(x) for row in s for x in row]) or 1.0
+    asym = max([abs(x - y) for row in pairs for x, y in row])
     if asym > 1e-12 * scale:
         raise AsymmetryResidue(f"symmetrization residual {asym:.3e} exceeds tolerance")
     # land exactly on a symmetric matrix for the downstream split
-    return 0.5 * (s + s.T)
+    return [[0.5 * (x + y) for x, y in row] for row in pairs]
 
 
-def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[tuple[list, list], tuple[list, list]]:
+def tridiagonal_split(sym: list[list[float]], k: int) -> tuple[tuple, tuple]:
     """Split a distance-2-coupled symmetric matrix into two tridiagonal blocks.
 
     Even basis indices {0,2,...} give a block of size floor((k+2)/2), odd
@@ -201,28 +207,26 @@ def tridiagonal_split(sym: np.ndarray, k: int) -> tuple[tuple[list, list], tuple
         PatternViolation: if an entry with |i-j| not in {0, 2} exceeds
             1e-12 * max|sym|.
     """
-    n = k + 1
-    if sym.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix for k={k}")
-    scale = float(np.max(np.abs(sym))) or 1.0
-    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    bad = np.abs(sym[(mask != 0) & (mask != 2)])
-    if bad.size and float(bad.max()) > 1e-12 * scale:
-        raise PatternViolation(
-            f"entry outside the distance-2 pattern has magnitude {bad.max():.3e}"
-        )
+    n = _order(sym, k)
+    scale = max([abs(x) for row in sym for x in row]) or 1.0
+    bad = max([abs(x) for i, row in enumerate(sym) for j, x in enumerate(row)
+               if abs(i - j) not in (0, 2)], default=0.0)
+    if bad > 1e-12 * scale:
+        raise PatternViolation(f"entry outside the distance-2 pattern has magnitude {bad:.3e}")
 
-    def block(idx: np.ndarray) -> tuple[list, list]:
-        return sym[idx, idx].tolist(), sym[idx[:-1], idx[1:]].tolist()
+    def block(idx: range) -> tuple[list, list]:
+        return [sym[i][i] for i in idx], [sym[i][j] for i, j in zip(idx, idx[1:])]
 
-    return block(np.arange(0, n, 2)), block(np.arange(1, n, 2))
+    return block(range(0, n, 2)), block(range(1, n, 2))
 
 
-def to_dense(diag: list[float], offdiag: list[float]) -> np.ndarray:
-    m = np.diag(diag)
+def to_dense(diag: list[float], offdiag: list[float]) -> list[list[float]]:
+    """The block (``diag``, ``offdiag``) as a full symmetric matrix, a list of rows."""
+    m = [[0.0] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        m[i][i] = d
     for i, e in enumerate(offdiag):
-        m[i, i + 1] = e
-        m[i + 1, i] = e
+        m[i][i + 1] = m[i + 1][i] = e
     return m
 
 
@@ -250,13 +254,10 @@ class GershgorinIntervals:
     ``odd_floor`` is the sharper a^2 + (2k-1)*b^2 + k^2*c^2.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: list[float]
+    upper: list[float]
     floor: float
     odd_floor: float | None
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return bool(np.any((self.lower - slack <= x) & (x <= self.upper + slack)))
 
 
 def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
@@ -267,16 +268,64 @@ def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
     nonnegative and self-vanishing when an index falls outside the matrix.
     Every eigenvalue lies in the union of [lower_l, upper_l], is at least
     ``floor`` = 2k b^2 + k^2 c^2, and for odd k at least ``odd_floor``.
+    The largest ``upper`` is the largest column sum of |entries|, a norm
+    of the matrix.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    diag = np.array(_diagonal(k, a2, b2 + c2, range(k + 1)))
-    l = np.arange(k + 1)
-    radius = ((l - 1) * l + (k - l - 1) * (k - l)) * (b2 - c2)
+    diag = _diagonal(k, a2, b2 + c2, range(k + 1))
+    radius = [((l - 1) * l + (k - l - 1) * (k - l)) * (b2 - c2) for l in range(k + 1)]
     floor = 2 * k * b2 + k * k * c2
     odd_floor = a2 + (2 * k - 1) * b2 + k * k * c2 if k % 2 == 1 else None
     return GershgorinIntervals(
-        lower=diag - radius, upper=diag + radius, floor=floor, odd_floor=odd_floor
+        lower=list(map(sub, diag, radius)), upper=list(map(add, diag, radius)),
+        floor=floor, odd_floor=odd_floor,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _exact_block(k: int, t: MetricTriple, parity: int) -> tuple[int, list]:
+    """(D, rows) of a parity block: D d_i and D^2 e_{i-1}^2 as exact ints, for ``exact_count``."""
+    a2, b2, c2 = [Fraction(x) ** 2 for x in t.as_tuple()]
+    scale = math.lcm(a2.denominator, b2.denominator, c2.denominator)
+    a2, bc2, off = int(a2 * scale), int((b2 + c2) * scale), int((c2 - b2) * scale)
+    return scale, [
+        ((k - 2 * l) ** 2 * a2 + ((2 * l + 1) * k - 2 * l * l) * bc2,
+         l * (l - 1) * (k - l + 2) * (k - l + 1) * off * off)
+        for l in range(parity, k + 1, 2)
+    ]
+
+
+def exact_count(k: int, t: MetricTriple, parity: int, x: float, inclusive: bool = False) -> int:
+    """Exact number of eigenvalues of a parity block below ``x``, or at or below it.
+
+    The block holds the basis indices l = ``parity``, ``parity`` + 2, ...
+    of irrep k, in the frame (a, b, c) of ``t``, exactly as the float
+    triple gives it.  Its characteristic polynomial depends on the
+    diagonal d_i = (k-2l)^2 a^2 + ((2l+1)k - 2l^2)(b^2 + c^2) and on
+    e^2 = l(l-1)(k-l+2)(k-l+1)(c^2 - b^2)^2, the product of the two
+    couplings of l-2 and l, and so has rational coefficients, floats
+    being dyadic.  With D the common denominator of a^2, b^2 and c^2 and
+    D x = q/r in lowest terms, the continuants
+    P_i = (r D d_i - q) P_{i-1} - r^2 D^2 e_{i-1}^2 P_{i-2}, from P_0 = 1
+    and P_{-1} = 0, are (rD)^i times the leading principal minors of
+    T - x: exact integers, whose sign changes count the eigenvalues below
+    x (Sturm 1835; Barth, Martin & Wilkinson 1967).  A zero P_i is taken
+    as a pivot P_i / P_{i-1} of +0, its limit from below x, so that an
+    eigenvalue equal to x is not below it; with ``inclusive`` as -0, its
+    limit from above, so that it is counted.  A zero coupling (b = c)
+    splits the block, and the sequence starts again below it.
+    """
+    scale, rows = _exact_block(k, t, parity)
+    q, r = (Fraction(x) * scale).as_integer_ratio()
+    count = 0
+    for d, e2 in rows:
+        if not e2:  # the first row has no coupling either: this starts the sequence
+            prev2, prev, sign = 0, 1, 1
+        p = (r * d - q) * prev - r * r * e2 * prev2
+        new = (p > 0) - (p < 0) or (-sign if inclusive else sign)  # a zero's sign, as above
+        count += new != sign
+        prev2, prev, sign = prev, p, new
+    return count
 
 
 def sturm_counter(t: MetricTriple, g: GroupKind, x_max: float) -> Callable[[float], int]:

@@ -11,6 +11,10 @@ aspect ratios up to 1e4.  ``casimir._squares`` writes a near-oblate
 triple in its (c, a, b) frame for the solver and for the counter alike,
 so further near-oblate tables are certified by counts of the halves in
 the frame (a, b, c) as given, which do not share that choice.
+
+``oracle.exact_count`` counts the eigenvalues of one parity block below
+x in integers, with no rounding: the last tests check it against a dense
+solver and at points where a continuant is exactly 0.
 """
 
 import math
@@ -21,7 +25,15 @@ import pytest
 
 from homsphere import oracle
 from homsphere.core import GroupKind, normalize_triple
-from homsphere.oracle import casimir_matrix, sturm_counter
+from homsphere.oracle import (
+    _diagonal,
+    casimir_matrix,
+    exact_count,
+    sturm_counter,
+    symmetrize,
+    to_dense,
+    tridiagonal_split,
+)
 from homsphere.spectrum import DEFAULT_CLUSTER_TOL, spectrum_up_to
 
 # the counts check the merges that ClusterMergeWarning reports
@@ -122,3 +134,59 @@ def test_closed_form_tables_count_the_full_diagonal():
             for v, m in table.entries[1:]:
                 assert count(v * (1.0 + R)) - count(v * (1.0 - R)) == m
             assert count(lam * (1.0 - R)) == table.counting_function(lam * (1.0 - R))
+
+
+def test_exact_counts_match_a_dense_solver():
+    # points within 1e-9 relative of a float eigenvalue are left out, where
+    # the rounding of the float chain's entries could decide the count
+    rng = random.Random(2029)
+    points = 0
+    for _ in range(60):
+        t = normalize_triple(*_triple(rng, rng.choice(list(TABLES))))
+        k = rng.randrange(40)
+        blocks = tridiagonal_split(symmetrize(casimir_matrix(k, t), k), k)
+        for parity, block in enumerate(blocks):
+            values = np.linalg.eigvalsh(to_dense(*block)) if block[0] else np.array([])
+            top = values.max() if values.size else 1.0
+            for _ in range(8):
+                x = rng.uniform(-0.1 * top, 1.1 * top)
+                if np.any(np.abs(values - x) <= 1e-9 * abs(x)):
+                    continue
+                want = int(np.count_nonzero(values < x))
+                assert exact_count(k, t, parity, x) == want, (t, k, parity, x)
+                assert exact_count(k, t, parity, x, inclusive=True) == want, (t, k, parity, x)
+                points += 1
+    assert points > 900
+
+
+def test_exact_counts_take_an_eigenvalue_at_x_as_not_below_it():
+    t = normalize_triple(3.0, 2.0, 1.0)
+    # k = 2: the even block holds 4(a^2 + c^2) = 40 and 4(a^2 + b^2) = 52,
+    # the odd one 4(b^2 + c^2) = 20, where the last continuant is 0
+    for parity, x, below in [(0, 40.0, 0), (0, 52.0, 1), (1, 20.0, 0)]:
+        assert exact_count(2, t, parity, x) == below
+        assert exact_count(2, t, parity, x, inclusive=True) == below + 1
+    # at the even block's first diagonal entry d0 the first continuant is
+    # 0.  For k = 4, d0 = 164 is also an eigenvalue, below 168 and above 56;
+    # for k = 5 it is none, and both counts are the dense solver's
+    assert casimir_matrix(4, t)[0][0] == 164.0
+    assert exact_count(4, t, 0, 164.0) == 1
+    assert exact_count(4, t, 0, 164.0, inclusive=True) == 2
+    dense = casimir_matrix(5, t)
+    d0 = dense[0][0]
+    even = np.linalg.eigvalsh(to_dense(*tridiagonal_split(symmetrize(dense, 5), 5)[0]))
+    assert np.all(np.abs(even - d0) > 1e-3 * d0)
+    want = int(np.count_nonzero(even < d0))
+    assert exact_count(5, t, 0, d0) == exact_count(5, t, 0, d0, inclusive=True) == want
+
+
+def test_exact_counts_split_at_zero_couplings():
+    # b = c: every coupling is 0 and each block is its diagonal
+    t = normalize_triple(2.0, 1.25, 1.25)  # dyadic: the float diagonal is exact
+    for k in range(9):
+        diag = _diagonal(k, t.a * t.a, t.b * t.b + t.c * t.c, range(k + 1))
+        for parity in (0, 1):
+            entries = diag[parity::2]
+            for x in {*entries, 0.5 * min(diag), 2.0 * max(diag)}:
+                assert exact_count(k, t, parity, x) == sum(d < x for d in entries)
+                assert exact_count(k, t, parity, x, inclusive=True) == sum(d <= x for d in entries)

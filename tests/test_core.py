@@ -188,6 +188,14 @@ def test_spectrum_table_rejects_a_multiplicity_below_one():
             )
 
 
+def test_spectrum_table_rejects_a_bool_multiplicity():
+    # a sum of bools is an int, so the check of the columns lets one pass;
+    # the public constructor rejects it, as EigenPair(0.0, True) does
+    for entries in (((0.0, True), (1.0, 4)), ((0.0, 1), (1.0, True))):
+        with pytest.raises(ValueError, match="multiplicities must be >= 1 and ints"):
+            SpectrumTable(entries, 5.0, GroupKind.SU2, MetricTriple(1, 1, 1), ((0,), (1,)))
+
+
 def test_both_construction_routes_give_equal_tables():
     # spectrum_up_to's tables, built from their columns, rebuilt through
     # the public constructor: every metric class, both groups

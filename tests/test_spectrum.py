@@ -122,7 +122,7 @@ def test_su2_lambda1_is_the_tables_first_entry_bitwise():
 def test_so3_lambda1_is_the_tables_first_entry_within_2_ulp():
     # criterion 1's SO(3) samples: the table reads 4(b^2 + c^2) as d + e of
     # block 2's first half in the frame of _squares, which no summation
-    # order of the closed form matches bitwise (57 of the 1,000 differ)
+    # order of the closed form matches bitwise (61 of the 1,000 differ)
     from homsphere.acceptance import _lambda1_samples
 
     far = []
