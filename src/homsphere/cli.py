@@ -24,24 +24,36 @@ the acceptance suite, and with it ``homsphere.oracle``.  All of them
 print through ``main``, which calls ``_cmd_<command>`` by name.  Each
 command's flags are declared once, in ``_COMMANDS``, from which
 ``build_parser`` builds the argparse parsers, once per process.
-``_read`` reads a well-formed argv from the same table into the
-namespace ``parse_args`` would return: a command, then its flags by
-their exact names, each value not starting with ``-``, of the flag's
-type and among its choices, and every required flag given.  Any other
-argv (none, help, an abbreviation, ``--flag=value``, ``--``, an error)
-goes to ``parse_args``, so every message and exit code is argparse's
-own; only that fallback builds the parser.
 
-A spectrum's entries travel as the table's two columns, ``(entries,
-k_sources)``, and ``_rows`` writes them in JSON and in CSV alike with one
-format per table: the row template, with ``%.17g`` for the value,
-repeated once per row and applied to every row's fields at once.  Rows
-skip ``_fmt``'s finiteness check: every value is at most the truncation
-bound, which ``k_cutoff`` has already checked is finite, and at least 0.
-CSV fields are never quoted, because none can hold a comma, a quote or a
-line break: each is a number, an enum value, ``True``, ``False``,
-``None``, a key path such as ``diameter.lower`` or a ``;``-joined list of
-irrep labels.
+Reading.  ``_READERS``, built from ``_COMMANDS`` once at import, holds
+each command's flags with their attribute names, actions, types and
+choices, the namespace's defaults and the required flags.  ``_read``
+reads a well-formed argv with it into the namespace ``parse_args`` would
+return: a command, then its flags by their exact names, each value not
+starting with ``-``, of the flag's type and among its choices, and every
+required flag given.  Any other argv (none, help, an abbreviation,
+``--flag=value``, ``--``, an error) goes to ``parse_args``, so every
+message and exit code is argparse's own; only that fallback builds the
+parser.
+
+Writing.  A command returns its record's inputs and results as dicts of
+floats, strs, ints, bools, None, lists and tuples.  ``_write_json``
+(JSON) and ``_flatten`` (CSV) dispatch on each value's exact type, dicts
+and floats first; a value of a subclass is first read as a value of its
+base type (``_base_value``).  ``_to_json`` joins once the one list into
+which ``_write_json`` appends the pieces of the whole record.  Every
+float goes through ``_fmt``, which raises OverflowError for an inf or a
+NaN.
+
+A spectrum's ``entries`` are the ``SpectrumTable`` itself, and ``_rows``
+writes them in JSON and in CSV alike with one format per table: the row
+template, with ``%.17g`` for the value, repeated once per row and
+applied to every row's fields at once.  Rows skip ``_fmt``'s finiteness
+check: every value is at most the truncation bound, which ``k_cutoff``
+has already checked is finite, and at least 0.  CSV fields are never
+quoted, because none can hold a comma, a quote or a line break: each is
+a number, an enum value, ``True``, ``False``, ``None``, a key path such
+as ``diameter.lower`` or a ``;``-joined list of irrep labels.
 """
 
 from __future__ import annotations
@@ -59,15 +71,17 @@ from .core import (
     MetricClass,
     MetricTriple,
     NonPositiveParameter,
+    SpectrumTable,
     classify,
     normalize_triple,
 )
 from .geometry import (
     BoundViolation,
+    DiamBounds,
     ProductSpec,
+    _lambda1_diam2_of,
     berger_lambda1_diam2_extrema,
     diameter,
-    lambda1_diam2,
     product_estimate,
     scalar_curvature,
     volume,
@@ -95,6 +109,26 @@ def _fmt(x: float) -> str:
 _ROW_JSON = '{"value":%.17g,"multiplicity":%d,"k_sources":[%s]}'
 _ROW_CSV = "%.17g,%d,%s"
 
+# the JSON writer of each type a record holds but dict, looked up by exact
+# type; a value of a subclass goes through _base_value first
+_WRITERS = {
+    float: _fmt,
+    str: _json_str,
+    int: int.__repr__,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+    **dict.fromkeys((list, tuple), lambda items: "[%s]" % ",".join([_to_json(x) for x in items])),
+    SpectrumTable: lambda table: "[%s]" % _rows(table, _ROW_JSON, ",", ","),
+}
+
+
+def _base_value(obj):
+    """A value of a subclass of float, str, dict, list, tuple or int as a
+    value of that type, read by the type's own method (a str enum as its
+    str); a TypeError for any other type."""
+    bases = ((float, float.__float__), (str, str.__str__), (dict, dict), (list, list), (tuple, tuple))
+    return next((read for base, read in bases if isinstance(obj, base)), int.__int__)(obj)
+
 
 def _to_json(obj) -> str:
     """Serialize with insertion-ordered keys and 17-significant-digit floats.
@@ -103,72 +137,76 @@ def _to_json(obj) -> str:
     value but floats: strs through the C escaper ``json.dumps`` uses, ints
     as ``int.__repr__``.  A spectrum's ``entries`` are written by ``_rows``.
     """
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, dict):
-        return "{%s}" % ",".join(
-            _json_str(key) + ":"
-            + ("[%s]" % _rows(val, _ROW_JSON, ",", ",") if key == "entries" else _to_json(val))
-            for key, val in obj.items()
-        )
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ",".join(map(_to_json, obj))
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    return int.__repr__(obj)
+    return "".join(_write_json(obj, []))
 
 
-def _rows(columns: tuple[tuple, tuple], row: str, sep: str, row_sep: str) -> str:
+def _write_json(obj, out: list[str]) -> list[str]:
+    """Append ``obj``'s JSON to ``out`` piece by piece, dicts and floats
+    first, and return ``out``."""
+    kind = type(obj)
+    if kind is dict:
+        out.append("{")
+        for key, val in obj.items():
+            out.append(_json_str(key) + ":")
+            _write_json(val, out).append(",")
+        out[-1] = "}" if obj else "{}"  # the last comma, or the lone "{"
+    elif kind is float:
+        out.append(_fmt(obj))
+    elif kind in _WRITERS:
+        out.append(_WRITERS[kind](obj))
+    else:
+        _write_json(_base_value(obj), out)
+    return out
+
+
+def _rows(table: SpectrumTable, row: str, sep: str, row_sep: str) -> str:
     """A spectrum's rows, ``row`` filled with (value, multiplicity, k_sources) each.
 
-    ``columns`` is a table's ``(entries, k_sources)``; the labels of one
-    row are joined by ``sep`` and the rows by ``row_sep``, and one ``%``
-    applies the repeated template to every row's fields at once.
+    The labels of one row are joined by ``sep`` and the rows by
+    ``row_sep``, and one ``%`` applies the repeated template to every row's
+    fields at once.
     """
-    pairs, sources = columns
-    values, mults = zip(*pairs)
-    labels = [str(ks[0]) if len(ks) == 1 else sep.join(map(str, ks)) for ks in sources]
+    values, mults = zip(*table.entries)
+    labels = [str(ks[0]) if len(ks) == 1 else sep.join(map(str, ks)) for ks in table.k_sources]
     fields = tuple(itertools.chain.from_iterable(zip(values, mults, labels)))
     return row_sep.join([row] * len(values)) % fields
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
-    if isinstance(obj, dict):
+    kind = type(obj)
+    if kind is dict:
         for key, val in obj.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), val, lines)
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         for i, val in enumerate(obj):
             _flatten(f"{prefix}[{i}]", val, lines)
+    elif kind in _WRITERS:
+        lines.append(f"{prefix},{_fmt(obj) if kind is float else obj}")
     else:
-        lines.append(f"{prefix},{_fmt(obj) if isinstance(obj, float) else obj}")
+        _flatten(prefix, _base_value(obj), lines)
 
 
 def _record_to_csv(results: dict) -> str:
     # no field needs quoting (see the module docstring)
     if "entries" in results:
-        lines = ["value,multiplicity,k_sources", _rows(results["entries"], _ROW_CSV, ";", "\n")]
-    else:
-        lines = ["key,value"]
-        _flatten("", results, lines)
+        return "value,multiplicity,k_sources\n" + _rows(results["entries"], _ROW_CSV, ";", "\n")
+    lines = ["key,value"]
+    _flatten("", results, lines)
     return "\n".join(lines)
 
 
+_GROUPS = {kind.value: kind for kind in GroupKind}
+
+
 def _triple_and_group(args: argparse.Namespace) -> tuple[MetricTriple, GroupKind]:
-    return normalize_triple(args.a, args.b, args.c), GroupKind(args.group)
+    return normalize_triple(args.a, args.b, args.c), _GROUPS[args.group]
 
 
 def _triple_inputs(t: MetricTriple, g: GroupKind) -> dict:
     return {"a": t.a, "b": t.b, "c": t.c, "group": g.value}
 
 
-def _diameter_payload(t: MetricTriple, g: GroupKind) -> dict:
-    d = diameter(t, g)
+def _diameter_payload(d: DiamBounds) -> dict:
     return {"lower": d.lower, "upper": d.upper, "exact": d.exact}
 
 
@@ -191,7 +229,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Payload:
     }
     return inputs, {
         "truncation_bound": table.truncation_bound,
-        "entries": (table.entries, table.k_sources),
+        "entries": table,
         "eigenvalues_counted": table.counting_function(table.truncation_bound),
     }
 
@@ -212,7 +250,7 @@ def _cmd_geometry(args: argparse.Namespace) -> Payload:
         "classification": classify(t).value,
         "scalar_curvature": scalar_curvature(t),
         "volume": volume(t, g),
-        "diameter": _diameter_payload(t, g),
+        "diameter": _diameter_payload(diameter(t, g)),
         "yamabe_gap": yamabe_gap(t, g),
     }
 
@@ -231,10 +269,11 @@ def _cmd_estimate(args: argparse.Namespace) -> Payload:
     if args.a is None or args.b is None or args.c is None or args.group is None:
         raise ValueError("give --a --b --c --group or --berger-extrema")
     t, g = _triple_and_group(args)
-    lo, hi = lambda1_diam2(t, g)
+    lam, d = lambda1_closed(t, g).value, diameter(t, g)
+    lo, hi = _lambda1_diam2_of(lam, d, g)
     return _triple_inputs(t, g), {
-        "lambda1": lambda1_closed(t, g).value,
-        "diameter": _diameter_payload(t, g),
+        "lambda1": lam,
+        "diameter": _diameter_payload(d),
         "lambda1_diam2": {"lower": lo, "upper": hi, "exact_point": lo == hi},
     }
 
@@ -367,6 +406,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reader(flags: dict) -> tuple[dict, dict, tuple]:
+    """One command's flags as ``_read`` takes them: each flag's attribute
+    name, action, type and choices, the namespace's defaults, and the
+    attribute names of the required flags."""
+    names = {flag: flag[2:].replace("-", "_") for flag in flags}
+    return (
+        {flag: (names[flag], spec.get("action"), spec.get("type", str), spec.get("choices"))
+         for flag, spec in flags.items()},
+        {names[flag]: False if spec.get("action") == "store_true" else spec.get("default")
+         for flag, spec in flags.items()},
+        tuple(names[flag] for flag, spec in flags.items() if spec.get("required")),
+    )
+
+
+_READERS = {command: _reader(flags) for command, (_, flags) in _COMMANDS.items()}
+
+
 def _read(argv: list[str]) -> argparse.Namespace | None:
     """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
     of the one form read here; None for any other.
@@ -378,35 +434,30 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     ``-h`` and every error are left to argparse, whose messages and exit
     codes stand.  Flags fill the namespace as argparse's actions do.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _READERS:
         return None
-    flags = _COMMANDS[argv[0]][1]
-    values = {
-        flag: False if spec.get("action") == "store_true" else spec.get("default")
-        for flag, spec in flags.items()
-    }
+    specs, defaults, required = _READERS[argv[0]]
+    values = {"command": argv[0], **defaults}
     words = iter(argv[1:])
     for word in words:
-        spec = flags.get(word)
+        spec = specs.get(word)
         if spec is None:
             return None
-        action = spec.get("action")
+        name, action, kind, choices = spec
         if action == "store_true":
-            values[word] = True
+            values[name] = True
             continue
         text = next(words, "-")  # a missing value reads as one starting with "-"
         try:
-            value = spec.get("type", str)(text)
+            value = kind(text)
         except ValueError:
             return None
-        if text[:1] == "-" or "choices" in spec and value not in spec["choices"]:
+        if text[:1] == "-" or choices is not None and value not in choices:
             return None
-        values[word] = (values[word] or []) + [value] if action == "append" else value
-    if any(spec.get("required") and values[flag] is None for flag, spec in flags.items()):
+        values[name] = (values[name] or []) + [value] if action == "append" else value
+    if any(values[name] is None for name in required):
         return None
-    return argparse.Namespace(
-        command=argv[0], **{flag[2:].replace("-", "_"): value for flag, value in values.items()}
-    )
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -111,12 +111,12 @@ class MetricTriple(_Record):
 
     def __init__(self, a: float, b: float, c: float) -> None:
         vals = (float(a), float(b), float(c))
-        for v in vals:
-            if not math.isfinite(v) or v <= 0.0:
-                raise NonPositiveParameter(
-                    f"metric parameters must be finite and positive, got {vals}"
-                )
         a, b, c = sorted(vals, reverse=True)
+        # every value takes part in one comparison, which a NaN fails
+        if not 0.0 < c <= b <= a < math.inf:
+            raise NonPositiveParameter(
+                f"metric parameters must be finite and positive, got {vals}"
+            )
         # set one by one, not through ``_fill``, which costs about 0.35 us
         # more here and 0.7 us more for the five fields of ``SpectrumTable``
         # (Python 3.11, shared 2-CPU host), against a median bench ``sweep``

@@ -200,8 +200,11 @@ def lambda1_diam2(t: MetricTriple, g: GroupKind) -> tuple[float, float]:
     an implementation bug, reported as BoundViolation.  OverflowError
     means lambda1 or diam^2 left the floating-point range.
     """
-    lam = lambda1_closed(t, g).value
-    d = diameter(t, g)
+    return _lambda1_diam2_of(lambda1_closed(t, g).value, diameter(t, g), g)
+
+
+def _lambda1_diam2_of(lam: float, d: DiamBounds, g: GroupKind) -> tuple[float, float]:
+    """``lambda1_diam2`` from lambda1 and the diameter, for a caller that has both."""
     lo = lam * d.lower * d.lower
     hi = lam * d.upper * d.upper
     cap = SU2_PRODUCT_CAP if g is GroupKind.SU2 else SO3_PRODUCT_CAP

@@ -359,10 +359,10 @@ def test_verify_reader_closing_early_exits_1_silently():
 def test_bound_violation_exit_1(capsys, monkeypatch):
     from homsphere.geometry import BoundViolation
 
-    def escaped(t, g):
+    def escaped(lam, d, g):
         raise BoundViolation("lambda1*diam^2 interval [1.0, 2.0] escapes (pi^2, 8 pi^2]")
 
-    monkeypatch.setattr(cli, "lambda1_diam2", escaped)
+    monkeypatch.setattr(cli, "_lambda1_diam2_of", escaped)
     code, out, err = run_cli(
         capsys, "estimate", "--a", "2", "--b", "1", "--c", "1", "--group", "su2"
     )
@@ -969,6 +969,92 @@ def test_to_json_writes_the_bytes_of_json_dumps():
     assert text == _reference_json(obj)
     assert text.isascii()
     assert json.loads(text) == {**obj, "pair": [1, "two"]}
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+def _reference_csv(results: dict) -> str:
+    lines = ["key,value"]
+
+    def walk(path, obj):
+        if isinstance(obj, dict):
+            for key, val in obj.items():
+                walk(f"{path}.{key}" if path else key, val)
+        elif isinstance(obj, (list, tuple)):
+            for i, val in enumerate(obj):
+                walk(f"{path}[{i}]", val)
+        else:
+            lines.append(f"{path},{obj:.17g}" if isinstance(obj, float) else f"{path},{obj}")
+
+    walk("", results)
+    return "\n".join(lines)
+
+
+# keys and leaves of any record the writers take: escaped text, ints past 64
+# bits, bools, None, -0.0 and subnormals, and subclasses of str, int and float;
+# "entries" is left out, since the CSV writer takes it for a spectrum's table
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.text(), st.integers(), st.sampled_from([2**63, -(2**63) - 1, -0.0, 5e-324, 1e-310]),
+    st.booleans(), st.none(), _FINITE,
+    st.text().map(_Str), st.integers().map(_Int), _FINITE.map(_Float),
+)
+_KEYS = st.text().filter(lambda key: key != "entries")
+_VALUES_OF_RECORDS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4),
+), max_leaves=12)
+_RECORDS = st.dictionaries(_KEYS, _VALUES_OF_RECORDS, max_size=5)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(record=_RECORDS)
+def test_writers_equal_their_references(record):
+    assert cli._to_json(record) == _reference_json(record)
+    assert cli._record_to_csv(record) == _reference_csv(record)
+
+
+def test_csv_writes_key_paths_and_python_spellings():
+    results = {"a": {"b": [1.5, True], "c": (None, False)}, "d": 0.1, "e": -0.0, "f": "x",
+               "g": {}, "h": [], "i": [[2**63]]}
+    assert cli._record_to_csv(results) == "\n".join([
+        "key,value", "a.b[0],1.5", "a.b[1],True", "a.c[0],None", "a.c[1],False",
+        "d,0.10000000000000001", "e,-0", "f,x", "i[0][0],9223372036854775808",
+    ])
+    assert cli._record_to_csv(results) == _reference_csv(results)
+
+
+@st.composite
+def _records_with_a_non_finite_leaf(draw):
+    kind = draw(st.sampled_from([float, _Float]))
+    value = kind(draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(_VALUES_OF_RECORDS, max_size=2))
+        siblings.insert(draw(st.integers(0, len(siblings))), value)
+        value = draw(st.sampled_from([
+            list, tuple, lambda vals: {f"k{i}": val for i, val in enumerate(vals)},
+        ]))(siblings)
+    return {"results": value}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(record=_records_with_a_non_finite_leaf())
+def test_writers_reject_a_non_finite_leaf_at_any_depth(record):
+    with pytest.raises(OverflowError):
+        cli._to_json(record)
+    with pytest.raises(OverflowError):
+        cli._record_to_csv(record)
 
 
 def test_generic_table_low_irreps_match_closed_forms(capsys):

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,26 @@ def test_normalize_sorts_descending():
 def test_normalize_rejects_nonpositive_and_nonfinite(bad):
     with pytest.raises(NonPositiveParameter):
         normalize_triple(*bad)
+
+
+def _accepts_by_the_per_value_loop(vals):
+    # the rule MetricTriple checked value by value before one chained comparison
+    return all(math.isfinite(v) and v > 0.0 for v in vals)
+
+
+_EDGE_PARAMETERS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324,
+                    1.7976931348623157e308, 1.0]
+
+
+def test_the_chained_check_accepts_exactly_what_the_per_value_loop_did():
+    for vals in itertools.product(_EDGE_PARAMETERS, repeat=3):
+        if _accepts_by_the_per_value_loop(vals):
+            t = MetricTriple(*vals)
+            assert t.as_tuple() == tuple(sorted(vals, reverse=True)), vals
+        else:
+            message = f"metric parameters must be finite and positive, got {vals}"
+            with pytest.raises(NonPositiveParameter, match=re.escape(message)):
+                MetricTriple(*vals)
 
 
 def test_normalize_is_idempotent():
