@@ -46,14 +46,16 @@ float goes through ``_fmt``, which raises OverflowError for an inf or a
 NaN.
 
 A spectrum's ``entries`` are the ``SpectrumTable`` itself, and ``_rows``
-writes them in JSON and in CSV alike with one format per table: the row
-template, with ``%.17g`` for the value, repeated once per row and
-applied to every row's fields at once.  Rows skip ``_fmt``'s finiteness
-check: every value is at most the truncation bound, which ``k_cutoff``
-has already checked is finite, and at least 0.  CSV fields are never
-quoted, because none can hold a comma, a quote or a line break: each is
-a number, an enum value, ``True``, ``False``, ``None``, a key path such
-as ``diameter.lower`` or a ``;``-joined list of irrep labels.
+writes them in JSON and in CSV alike from the table's checked value and
+multiplicity columns, building no ``EigenPair``, with one format per
+table: the row template, with ``%.17g`` for the value, repeated once per
+row and applied to every row's fields at once.  Rows skip ``_fmt``'s
+finiteness check: every value is at most the truncation bound, which
+``k_cutoff`` has already checked is finite, and at least 0.  CSV fields
+are never quoted, because none can hold a comma, a quote or a line
+break: each is a number, an enum value, ``True``, ``False``, ``None``, a
+key path such as ``diameter.lower`` or a ``;``-joined list of irrep
+labels.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def _rows(table: SpectrumTable, row: str, sep: str, row_sep: str) -> str:
     ``row_sep``, and one ``%`` applies the repeated template to every row's
     fields at once.
     """
-    values, mults = zip(*table.entries)
+    values, mults = table._values, table._mults
     labels = [str(ks[0]) if len(ks) == 1 else sep.join(map(str, ks)) for ks in table.k_sources]
     fields = tuple(itertools.chain.from_iterable(zip(values, mults, labels)))
     return row_sep.join([row] * len(values)) % fields
@@ -457,7 +459,10 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
         values[name] = (values[name] or []) + [value] if action == "append" else value
     if any(values[name] is None for name in required):
         return None
-    return argparse.Namespace(**values)
+    # Namespace(**values) would set the attributes one by one in Python
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -321,9 +321,13 @@ def isospectral_check(
     tab1 = spectrum_up_to(lam_max, t1, g)
     # a table is a function of (bound, triple, group): equal triples share one
     tab2 = tab1 if t2 == t1 else spectrum_up_to(lam_max, t2, g)
-    # both tables open with (0, 1); one that runs out reads as (None, 0) from there on
-    pairs = zip_longest(tab1.entries[1:], tab2.entries[1:], fillvalue=(None, 0))
-    for idx, ((x, m1), (y, m2)) in enumerate(pairs, 1):
+    # compared on their columns, with no entries built; both tables open
+    # with (0, 1), which never differs, and one that runs out reads as
+    # (None, 0) from there on
+    pairs = zip_longest(
+        zip(tab1._values, tab1._mults), zip(tab2._values, tab2._mults), fillvalue=(None, 0)
+    )
+    for idx, ((x, m1), (y, m2)) in enumerate(pairs):
         if x is None or y is None or abs(x - y) > _ISOSPECTRAL_RTOL * x or m1 != m2:
             return IsospectralResult(IsospectralVerdict.DISTINCT_SPECTRA, idx, (x, y))
     same_triple = all(

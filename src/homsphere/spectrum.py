@@ -156,7 +156,7 @@ def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
 
 def _cluster(
     contributions: list[tuple[float, int, int]], lam_max: float
-) -> tuple[list[float], list[int], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Merge near-equal eigenvalue contributions into a table's columns.
 
     ``contributions`` holds (value, multiplicity, source_k) records, where
@@ -171,8 +171,8 @@ def _cluster(
     representative below it.  Merges with a relative gap above 1e-10 are
     reported via ClusterMergeWarning, since they may indicate an
     accidental near-degeneracy rather than a genuinely repeated
-    eigenvalue.  Returns the table's columns unchecked, for
-    ``core._spectrum_table`` to check: the representatives, their
+    eigenvalue.  Returns the table's columns unchecked, as tuples, for
+    ``core._spectrum_table`` to check and keep: the representatives, their
     multiplicities and their ``k_sources``.
     """
     contributions.sort(key=_VALUE)
@@ -207,7 +207,7 @@ def _cluster(
             ClusterMergeWarning,
             stacklevel=_caller_stacklevel(),
         )
-    return reps, mults, tuple(sources)
+    return tuple(reps), tuple(mults), tuple(sources)
 
 
 def _caller_stacklevel() -> int:

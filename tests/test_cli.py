@@ -714,6 +714,14 @@ PINNED_STDOUT = {
     "spectrum --a 3.1 --b 1.7 --c 1.7 --group so3 --lambda-max 49972.4 --berger-closed-form"
     " --format csv":
         "cd2f8a1d62b0b2939e5b7e0358cab73b151e4efd69174d7f0528b868e9c8fc17",
+    # the shape of the benchmark's spectrum commands: 1,944 entries (JSON)
+    # and 1,414 entries (CSV), pinned before the rows were written from the
+    # table's columns instead of its entries
+    "spectrum --a 1.8 --b 1.8 --c 1 --group su2 --lambda-max 17876 --berger-closed-form":
+        "7c1ec847b402b082047d035be9e198dcfdf847882b258ee94ef40c7c4c863b20",
+    "spectrum --a 1.8 --b 1 --c 1 --group so3 --lambda-max 17292 --berger-closed-form"
+    " --format csv":
+        "705fefd670c767d46fbaea1f12f2abf700d3bf41f5127c3b6d4ec52788b91779",
     # generic, blocks up to k = 25, so thirteen odd-k blocks
     "spectrum --a 1.7 --b 1.2 --c 0.8 --group su2 --lambda-max 500":
         "64a358c5ee9a4dd369be291f0153888a039e00848a2773ff912b95562b49918e",

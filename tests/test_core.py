@@ -217,20 +217,112 @@ def test_spectrum_table_rejects_a_bool_multiplicity():
             SpectrumTable(entries, 5.0, GroupKind.SU2, MetricTriple(1, 1, 1), ((0,), (1,)))
 
 
-def test_both_construction_routes_give_equal_tables():
-    # spectrum_up_to's tables, built from their columns, rebuilt through
-    # the public constructor: every metric class, both groups
-    rng = random.Random(41)
-    for i in range(80):
+def _seeded_tables(seed, n):
+    """``n`` tables of ``spectrum_up_to``: every metric class, both groups."""
+    rng = random.Random(seed)
+    for i in range(n):
         a, b, c = (10.0 ** rng.uniform(-1, 1) for _ in range(3))
         t = normalize_triple(*((a, b, c), (a, a, c), (a, b, b), (a, a, a))[i % 4])
         g = tuple(GroupKind)[i // 4 % 2]
-        table = spectrum_up_to(rng.uniform(1.1, 6.0) * 4.0 * (t.b**2 + t.c**2), t, g)
+        yield spectrum_up_to(rng.uniform(1.1, 6.0) * 4.0 * (t.b**2 + t.c**2), t, g)
+
+
+def test_both_construction_routes_give_equal_tables():
+    # spectrum_up_to's tables, built from their columns, rebuilt through
+    # the public constructor
+    for table in _seeded_tables(41, 80):
         again = SpectrumTable(
             table.entries, table.truncation_bound, table.group, table.triple, table.k_sources
         )
         assert again == table and hash(again) == hash(table)
         assert all(type(e) is EigenPair for e in again.entries + table.entries)
+
+
+def _entries_built(table):
+    # reads the slot itself, past the __getattr__ that builds the entries
+    try:
+        SpectrumTable.entries.__get__(table)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_the_cli_and_the_counting_function_build_no_entries(monkeypatch, capsys):
+    from homsphere import cli, rigidity
+
+    tables = []
+
+    def recording(*args):
+        tables.append(spectrum_up_to(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "spectrum_up_to", recording)
+    monkeypatch.setattr(rigidity, "spectrum_up_to", recording)
+    argv = "spectrum --a 1.8 --b 1.8 --c 1 --group su2 --lambda-max 2000 --berger-closed-form"
+    for extra in ([], ["--format", "csv"]):
+        assert cli.main(argv.split() + extra) == 0
+    compare = "rigidity --a 3 --b 1 --c 1 --group su2 --compare 3.0001,1,1 --lambda-max 12"
+    assert cli.main(compare.split()) == 0
+    capsys.readouterr()
+    assert len(tables) == 4 and len(tables[0]._values) > 100
+    for table in tables:
+        table.counting_function(table.truncation_bound / 2)
+        assert not _entries_built(table)
+
+
+def test_entries_are_built_once_on_the_first_read():
+    for table in _seeded_tables(44, 16):
+        fresh = _spectrum_table(table._values, table._mults, table.truncation_bound,
+                                table.group, table.triple, table.k_sources)
+        assert not _entries_built(table) and not _entries_built(fresh)
+        entries = table.entries
+        assert _entries_built(table) and table.entries is entries
+        assert all(type(e) is EigenPair for e in entries)
+        assert entries == tuple(zip(table._values, table._mults))
+        # a table whose entries were read cannot be told from one whose were not
+        again = SpectrumTable(entries, table.truncation_bound, table.group, table.triple,
+                              table.k_sources)
+        assert not _entries_built(again)
+        for other in (fresh, again):
+            assert repr(other) == repr(table)
+            assert other == table and hash(other) == hash(table)
+        for roundtrip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            back = roundtrip(fresh)
+            assert type(back) is SpectrumTable and back == table and repr(back) == repr(table)
+            assert all(type(e) is EigenPair for e in back.entries)
+
+
+def test_every_slot_of_a_table_is_frozen():
+    table = next(_seeded_tables(45, 1))
+    columns = (table._values, table._mults)
+    for read in (False, True):
+        if read:
+            entries = table.entries
+        for name in SpectrumTable.__slots__ + ("not_a_field",):
+            with pytest.raises(AttributeError):
+                setattr(table, name, ())
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        assert _entries_built(table) is read
+        assert (table._values, table._mults) == columns
+    assert table.entries is entries
+    with pytest.raises(AttributeError, match="not_a_field"):
+        table.not_a_field
+
+
+def test_counting_function_equals_a_sum_over_the_entries():
+    for table in _seeded_tables(46, 40):
+        bound = table.truncation_bound
+        points = [bound]
+        for value, _ in table.entries:
+            points += [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+        for lam in points:
+            if lam <= bound:
+                expect = sum(m for v, m in table.entries if v <= lam)
+                assert table.counting_function(lam) == expect, (table.triple, lam)
+        for lam in (math.nan, math.nextafter(bound, math.inf), math.inf):
+            with pytest.raises(ValueError, match="at most the truncation bound"):
+                table.counting_function(lam)
 
 
 _FIRST = "first spectrum entry must be (0, 1)"
