@@ -131,10 +131,10 @@ def criterion_1() -> CriterionResult:
         for i, t in enumerate(samples):
             closed = lambda1_closed(t, group)
             table = spectrum_up_to(1.1 * closed.value, t, group)
-            first = table.entries[1]
-            rel = abs(first.value - closed.value) / closed.value
+            first, mult = table.values[1], table.multiplicities[1]
+            rel = abs(first - closed.value) / closed.value
             worst = max(worst, rel)
-            if rel > 1e-9 or first.multiplicity != closed.multiplicity:
+            if rel > 1e-9 or mult != closed.multiplicity:
                 bad += 1
             if group is GroupKind.SU2 and i >= 950 and closed.multiplicity == 7:
                 pinned_mult7 += 1
@@ -293,22 +293,19 @@ def criterion_5() -> CriterionResult:
     for a, b in [(2.0, 1.0), (1.0, 1.0), (3.7, 0.9), (1.3, 1.3), (0.5, 1.3)]:
         for group in GroupKind:
             table = spectrum_up_to(lam_max, normalize_triple(a, b, b), group)
-            got = [
-                (e.value, e.multiplicity, ks) for e, ks in zip(table.entries, table.k_sources)
-            ]
+            got = list(zip(table.values, table.multiplicities, table.k_sources))
             if got != _closed_berger_rows(lam_max, a, b, group):
                 ok = False
                 detail.append(f"mismatch at (a,b)=({a},{b}) {group.value}")
     # round case: eigenvalues k(k+2) with multiplicity (k+1)^2
     round_table = spectrum_up_to(99.0, normalize_triple(1.0, 1.0, 1.0), GroupKind.SU2)
     expect = [(float(k * (k + 2)), (k + 1) ** 2) for k in range(10)]
-    got = [(e.value, e.multiplicity) for e in round_table.entries]
-    if got != expect:
+    if list(zip(round_table.values, round_table.multiplicities)) != expect:
         ok = False
         detail.append("round spectrum mismatch")
     so3_round = spectrum_up_to(99.0, normalize_triple(1.0, 1.0, 1.0), GroupKind.SO3)
     expect_so3 = [(float(k * (k + 2)), (k + 1) ** 2) for k in range(0, 10, 2)]
-    if [(e.value, e.multiplicity) for e in so3_round.entries] != expect_so3:
+    if list(zip(so3_round.values, so3_round.multiplicities)) != expect_so3:
         ok = False
         detail.append("even-k round spectrum mismatch")
     return CriterionResult(

@@ -13,14 +13,10 @@ package's start-up.  ``EigenPair`` is a ``collections.namedtuple`` for the
 same reason: ``typing.NamedTuple`` would load ``typing``, which nothing
 else on the command path needs.
 
-A ``SpectrumTable`` keeps the value and multiplicity columns it has
-checked, as tuples, and builds its ``entries`` only when they are first
-read.  An ``EigenPair`` is a tuple subclass, which CPython's cyclic
-collector keeps tracking where it untracks a plain tuple, so a table of
-thousands of entries costs as many allocations and collector work
-besides, a quarter of the wall time of the benchmark's CLI batch; the CLI,
-``counting_function`` and ``isospectral_check`` read the columns and
-never build them.
+A ``SpectrumTable`` is its columns: the distinct values, their
+multiplicities and their irrep labels, checked and stored as tuples by
+its one constructor.  Its ``EigenPair`` entries are a view, built on each
+read, which nothing in the package reads.
 """
 
 from __future__ import annotations
@@ -66,9 +62,7 @@ class _Record:
 
     A record names its fields, in order, in ``__slots__``, and its own
     ``__init__`` validates them and sets each once, through ``_set`` or
-    ``_fill``.  A slot whose name starts with ``_`` holds state kept
-    besides the fields (``SpectrumTable``'s columns) and is no field:
-    ``_fields``, set once per class, lists the fields alone.  The contract:
+    ``_fill``.  The contract:
 
     * frozen: assigning or deleting any attribute raises AttributeError;
     * a record is its constructor call, ``__reduce__()`` = (type, fields):
@@ -81,11 +75,8 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple([name for name in cls.__slots__ if name[0] != "_"])
-
     def _fill(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self.__slots__, values):
             _set(self, name, value)
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -106,11 +97,11 @@ class _Record:
     def __repr__(self) -> str:
         return "%s(%s)" % (
             type(self).__qualname__,
-            ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields]),
+            ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__]),
         )
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple([getattr(self, name) for name in self._fields])
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
 class MetricTriple(_Record):
@@ -131,10 +122,10 @@ class MetricTriple(_Record):
             raise NonPositiveParameter(
                 f"metric parameters must be finite and positive, got {vals}"
             )
-        # set one by one, not through ``_fill``, which costs about 0.35 us
-        # more here and 0.7 us more for the five fields of ``SpectrumTable``
-        # (Python 3.11, shared 2-CPU host), against a median bench ``sweep``
-        # table call of 17 us: both records are built on every table call
+        # set one by one, not through ``_fill``, which costs about 0.3 us
+        # more here and 0.4 us more for the six fields of ``SpectrumTable``
+        # (Python 3.11.7, shared 2-CPU host), against a median bench ``sweep``
+        # table call of 13 us: both records are built on every table call
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -179,9 +170,9 @@ class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
     A validated tuple: it compares equal to ``(value, multiplicity)``.
     The constructor rejects a negative value and a multiplicity that is
     not an ``int`` of at least 1: NaN in either field, and a float or a
-    bool multiplicity, among them.  ``SpectrumTable`` builds its entries
-    with ``tuple.__new__`` instead, after it has checked the whole table
-    at once.
+    bool multiplicity, among them.  ``SpectrumTable.entries`` builds its
+    pairs with ``tuple.__new__`` instead, from columns the table has
+    checked whole.
     """
 
     __slots__ = ()
@@ -197,62 +188,66 @@ class EigenPair(namedtuple("EigenPair", ("value", "multiplicity"))):
 class SpectrumTable(_Record):
     """Sorted distinct eigenvalues <= truncation_bound, with multiplicities.
 
-    The table is complete below ``truncation_bound``: every eigenvalue of the
-    metric not exceeding the bound appears, so the first entry is the
-    constant functions' (0, 1).  Multiplicities are ints >= 1.
-    ``k_sources[i]`` lists the irrep labels k whose blocks contributed to
-    ``entries[i]``.  All of this but the completeness itself, which
-    ``spectrum_up_to`` provides, is checked on the table's columns by one
-    routine, ``_fill_table``.  The constructor runs it on the columns of
-    ``entries``; ``spectrum_up_to`` runs it, through ``_spectrum_table``,
-    on the columns it clusters, with no entries built before.  The
-    constructor alone also rejects a bool multiplicity, as ``EigenPair``
-    does.
+    The table is its columns: ``values[i]`` is a distinct eigenvalue,
+    ``multiplicities[i]`` its multiplicity and ``k_sources[i]`` the irrep
+    labels k whose blocks contributed to it.  The table is complete below
+    ``truncation_bound``: every eigenvalue of the metric not exceeding the
+    bound appears, so the first entry is the constant functions' (0, 1).
+    The constructor stores the three columns as tuples and checks all of
+    this but the completeness itself, which ``spectrum_up_to`` provides:
+    each test runs over a whole column at C speed, with no Python loop per
+    entry, since ``spectrum_up_to`` builds a table on every call.  The
+    label groups inside ``k_sources`` are kept as given: making each one a
+    tuple would cost about 17 ns per entry, 35 us on a table of 2,000
+    entries (Python 3.11.7).
 
-    Either way the table keeps the checked value and multiplicity columns,
-    as tuples in the private slots ``_values`` and ``_mults``, and builds
-    ``entries``, ``EigenPair`` tuples, from them on its first read, which
-    ``__getattr__`` stores in the slot that later reads find.  The
-    package's own readers (``counting_function``, the CLI's row writer and
-    ``isospectral_check``) read the columns and build no entries: an
-    ``EigenPair`` is a tuple subclass, which CPython's cyclic collector
-    keeps tracking where it untracks a plain tuple, so each entry costs an
-    allocation and collector work besides.  Building no entries cut the
-    wall time of the benchmark's ``commands`` batch, whose 24 closed-form
-    tables hold about 1,000-3,000 entries each, by a quarter, from 0.094
-    to 0.071 s (Python 3.11.7, shared 2-CPU Xeon).  The stored entries
-    cannot be told from entries built at construction: every read returns
-    equal tuples, and equality, hashing, the repr and ``pickle`` read
-    ``entries`` as the constructor takes them.
+    ``entries``, the table as ``EigenPair``s, is built from the columns on
+    each read.  Nothing in the package reads it: an ``EigenPair`` is a
+    tuple subclass, which CPython's cyclic collector keeps tracking where
+    it untracks a plain tuple, so each one costs an allocation and
+    collector work besides.
     """
 
-    __slots__ = (
-        "entries", "truncation_bound", "group", "triple", "k_sources", "_values", "_mults"
-    )
+    __slots__ = ("values", "multiplicities", "truncation_bound", "group", "triple", "k_sources")
 
     def __init__(
         self,
-        entries: tuple[EigenPair, ...],
+        values: tuple[float, ...],
+        multiplicities: tuple[int, ...],
         truncation_bound: float,
         group: GroupKind,
         triple: MetricTriple,
         k_sources: tuple[tuple[int, ...], ...],
     ) -> None:
-        values, mults = zip(*entries) if entries else ((), ())
-        # _fill_table sums a bool as the int it is; spectrum_up_to's columns
-        # never hold one, so only this route pays for the test
-        if bool in map(type, mults):
+        values, mults, k_sources = tuple(values), tuple(multiplicities), tuple(k_sources)
+        if len(mults) != len(values):
+            raise ValueError("spectrum values and multiplicities must have equal lengths")
+        if not values or values[0] != 0.0 or mults[0] != 1:
+            raise ValueError("first spectrum entry must be (0, 1)")
+        if len(k_sources) != len(values):
+            raise ValueError("k_sources must hold one tuple per spectrum entry")
+        # strict increase from (0, 1) also puts every value at >= 0
+        if not all(map(operator.lt, values, values[1:])):
+            raise ValueError("spectrum entries must be strictly increasing")
+        # a NaN, an inf, a float or a bool is no int; reading every type
+        # costs a median bench ``sweep`` table call about 0.3 us (2%) more
+        # than testing the type of the sum, which a bool passes
+        if {*map(type, mults)} != {int} or min(mults) < 1:
             raise ValueError("spectrum multiplicities must be >= 1 and ints")
-        _fill_table(self, values, mults, truncation_bound, group, triple, k_sources)
+        if not values[-1] <= truncation_bound:
+            raise ValueError("spectrum entry exceeds the truncation bound")
+        # set one by one, not through ``_fill``: see ``MetricTriple``
+        _set(self, "values", values)
+        _set(self, "multiplicities", mults)
+        _set(self, "truncation_bound", truncation_bound)
+        _set(self, "group", group)
+        _set(self, "triple", triple)
+        _set(self, "k_sources", k_sources)
 
-    def __getattr__(self, name: str) -> tuple[EigenPair, ...]:
-        # reached only for an attribute that normal lookup does not find:
-        # ``entries`` before its first read, or a name the table lacks
-        if name != "entries":
-            return object.__getattribute__(self, name)  # raises AttributeError
-        pairs = zip(self._values, self._mults)
-        _set(self, "entries", tuple(map(tuple.__new__, repeat(EigenPair), pairs)))
-        return self.entries
+    @property
+    def entries(self) -> tuple[EigenPair, ...]:
+        """The (value, multiplicity) pairs as ``EigenPair``s, built on each read."""
+        return tuple(map(tuple.__new__, repeat(EigenPair), zip(self.values, self.multiplicities)))
 
     def counting_function(self, lam: float) -> int:
         """Number of eigenvalues <= lam, counted with multiplicity.
@@ -265,58 +260,7 @@ class SpectrumTable(_Record):
             raise ValueError(
                 f"lam must be at most the truncation bound {self.truncation_bound}, got {lam}"
             )
-        return sum(islice(self._mults, bisect_right(self._values, lam)))
-
-
-def _fill_table(
-    table: SpectrumTable,
-    values: tuple[float, ...],
-    mults: tuple[int, ...],
-    truncation_bound: float,
-    group: GroupKind,
-    triple: MetricTriple,
-    k_sources: tuple[tuple[int, ...], ...],
-) -> None:
-    """Check a spectrum table's columns and set its fields: the one check of both routes.
-
-    Each test runs over a whole column at C speed, with no Python loop
-    per entry, since ``spectrum_up_to`` builds a table on every call.  The
-    table keeps the columns, tuples from both routes, as they are.
-    """
-    if not values or values[0] != 0.0 or mults[0] != 1:
-        raise ValueError("first spectrum entry must be (0, 1)")
-    if len(k_sources) != len(values):
-        raise ValueError("k_sources must hold one tuple per spectrum entry")
-    # strict increase from (0, 1) also puts every value at >= 0
-    if not all(map(operator.lt, values, values[1:])):
-        raise ValueError("spectrum entries must be strictly increasing")
-    # an entry that is not an int (NaN, inf, 1.5) makes the sum a non-int,
-    # and below that the minimum compares ints exactly
-    if type(sum(mults)) is not int or min(mults) < 1:
-        raise ValueError("spectrum multiplicities must be >= 1 and ints")
-    if not values[-1] <= truncation_bound:
-        raise ValueError("spectrum entry exceeds the truncation bound")
-    # set one by one, not through ``_fill``: see ``MetricTriple``
-    _set(table, "_values", values)
-    _set(table, "_mults", mults)
-    _set(table, "truncation_bound", truncation_bound)
-    _set(table, "group", group)
-    _set(table, "triple", triple)
-    _set(table, "k_sources", k_sources)
-
-
-def _spectrum_table(
-    values: tuple[float, ...],
-    mults: tuple[int, ...],
-    truncation_bound: float,
-    group: GroupKind,
-    triple: MetricTriple,
-    k_sources: tuple[tuple[int, ...], ...],
-) -> SpectrumTable:
-    """The ``SpectrumTable`` with these columns, checked as the constructor checks them."""
-    table = object.__new__(SpectrumTable)
-    _fill_table(table, values, mults, truncation_bound, group, triple, k_sources)
-    return table
+        return sum(islice(self.multiplicities, bisect_right(self.values, lam)))
 
 
 class SpectralInvariants(_Record):

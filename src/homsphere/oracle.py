@@ -398,12 +398,9 @@ def mu_index_of(value: float, table: SpectrumTable) -> int:
         NotFound: if no positive entry matches within 1e-9 * |value|.
     """
     slack = 1e-9 * abs(value)
-    index = 0
-    for entry in table.entries:
-        if entry.value == 0.0:
-            continue
-        index += 1
-        if abs(entry.value - value) <= slack:
+    # a table opens with its one zero value, (0, 1)
+    for index, entry in enumerate(table.values[1:], 1):
+        if abs(entry - value) <= slack:
             return index
     raise NotFound(f"no positive spectrum entry within {slack:.3e} of {value}")
 

@@ -321,11 +321,12 @@ def isospectral_check(
     tab1 = spectrum_up_to(lam_max, t1, g)
     # a table is a function of (bound, triple, group): equal triples share one
     tab2 = tab1 if t2 == t1 else spectrum_up_to(lam_max, t2, g)
-    # compared on their columns, with no entries built; both tables open
-    # with (0, 1), which never differs, and one that runs out reads as
-    # (None, 0) from there on
+    # compared on their columns; both tables open with (0, 1), which never
+    # differs, and one that runs out reads as (None, 0) from there on
     pairs = zip_longest(
-        zip(tab1._values, tab1._mults), zip(tab2._values, tab2._mults), fillvalue=(None, 0)
+        zip(tab1.values, tab1.multiplicities),
+        zip(tab2.values, tab2.multiplicities),
+        fillvalue=(None, 0),
     )
     for idx, ((x, m1), (y, m2)) in enumerate(pairs):
         if x is None or y is None or abs(x - y) > _ISOSPECTRAL_RTOL * x or m1 != m2:

@@ -24,7 +24,6 @@ from .core import (
     MetricTriple,
     SpectrumTable,
     _Record,
-    _spectrum_table,
     normalize_triple,
 )
 from .eigensolve import eigen_block
@@ -171,9 +170,9 @@ def _cluster(
     representative below it.  Merges with a relative gap above 1e-10 are
     reported via ClusterMergeWarning, since they may indicate an
     accidental near-degeneracy rather than a genuinely repeated
-    eigenvalue.  Returns the table's columns unchecked, as tuples, for
-    ``core._spectrum_table`` to check and keep: the representatives, their
-    multiplicities and their ``k_sources``.
+    eigenvalue.  Returns the table's columns unchecked, as tuples, for the
+    ``SpectrumTable`` constructor to check and keep: the representatives,
+    their multiplicities and their ``k_sources``.
     """
     contributions.sort(key=_VALUE)
     tol, warn_gap = DEFAULT_CLUSTER_TOL, _MERGE_WARN_GAP
@@ -275,9 +274,8 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     every row with d != 0 decouples in double precision and lies above
     the bound, so the table is the d = 0 run of ``_diagonal_runs``, with
     a^2 capped at ``_DECOUPLED`` so that no row is +inf.  Equal values
-    are then clustered into the table's columns, which
-    ``core._spectrum_table`` checks as the ``SpectrumTable`` constructor
-    checks its entries' columns and then makes the table.  Blocks are cut
+    are then clustered into the table's columns, from which the
+    ``SpectrumTable`` constructor checks and makes the table.  Blocks are cut
     off, solved and clustered up to lam_max (1 + DEFAULT_CLUSTER_TOL),
     capped at the largest float, and the clusters whose representative
     exceeds lam_max are dropped: every copy of a value <= lam_max is
@@ -326,7 +324,7 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     values, mults, sources = _cluster(contributions, lam_max)
     if len(values) > 1 and values[1] < sys.float_info.min:
         raise OverflowError(f"eigenvalue {values[1]:.17g} is below the normal float range")
-    return _spectrum_table(values, mults, lam_max, g, t, sources)
+    return SpectrumTable(values, mults, lam_max, g, t, sources)
 
 
 def berger_spectrum_up_to(lam_max: float, a: float, b: float, g: GroupKind) -> SpectrumTable:

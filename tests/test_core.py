@@ -15,7 +15,6 @@ from homsphere.core import (
     MetricTriple,
     NonPositiveParameter,
     SpectrumTable,
-    _spectrum_table,
     classify,
     normalize_triple,
 )
@@ -131,7 +130,8 @@ def test_eigenpair_is_a_named_pair():
 def test_spectrum_table_invariants():
     t = MetricTriple(1, 1, 1)
     good = SpectrumTable(
-        entries=(EigenPair(0.0, 1), EigenPair(3.0, 4)),
+        values=(0.0, 3.0),
+        multiplicities=(1, 4),
         truncation_bound=5.0,
         group=GroupKind.SU2,
         triple=t,
@@ -146,7 +146,8 @@ def test_spectrum_table_invariants():
             good.counting_function(lam)
     with pytest.raises(ValueError, match="first spectrum entry"):
         SpectrumTable(
-            entries=(EigenPair(3.0, 4),),
+            values=(3.0,),
+            multiplicities=(4,),
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=t,
@@ -154,17 +155,19 @@ def test_spectrum_table_invariants():
         )
     with pytest.raises(ValueError, match="exceeds the truncation bound"):
         SpectrumTable(
-            entries=(EigenPair(0.0, 1), EigenPair(9.0, 4)),
+            values=(0.0, 9.0),
+            multiplicities=(1, 4),
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=t,
             k_sources=((0,), (1,)),
         )
     with pytest.raises(ValueError, match="exceeds the truncation bound"):
-        SpectrumTable(((0.0, 1),), math.nan, GroupKind.SU2, t, ((0,),))
+        SpectrumTable((0.0,), (1,), math.nan, GroupKind.SU2, t, ((0,),))
     with pytest.raises(ValueError, match="one tuple per spectrum entry"):
         SpectrumTable(
-            entries=(EigenPair(0.0, 1), EigenPair(3.0, 4)),
+            values=(0.0, 3.0),
+            multiplicities=(1, 4),
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=t,
@@ -172,7 +175,7 @@ def test_spectrum_table_invariants():
         )
     with pytest.raises(TypeError):  # k_sources has no default
         SpectrumTable(
-            entries=(EigenPair(0.0, 1),), truncation_bound=5.0, group=GroupKind.SU2, triple=t
+            values=(0.0,), multiplicities=(1,), truncation_bound=5.0, group=GroupKind.SU2, triple=t
         )
 
 
@@ -181,7 +184,8 @@ def test_an_empty_spectrum_table_is_rejected():
     # complete below its bound holds (0, 1)
     with pytest.raises(ValueError, match="first spectrum entry"):
         SpectrumTable(
-            entries=(),
+            values=(),
+            multiplicities=(),
             truncation_bound=5.0,
             group=GroupKind.SU2,
             triple=MetricTriple(1, 1, 1),
@@ -190,18 +194,14 @@ def test_an_empty_spectrum_table_is_rejected():
 
 
 def test_spectrum_table_rejects_a_multiplicity_below_one():
-    # an entry built past EigenPair's own check, with tuple.__new__; a NaN
-    # multiplicity after the first entry is rejected too, where a minimum
-    # of the multiplicities would not see it, and so is a float, whose
-    # counting_function would be a float (inf for an inf multiplicity)
-    unchecked = tuple.__new__(EigenPair, (1.0, 0))
-    assert unchecked == (1.0, 0) and unchecked.multiplicity == 0
-    for entries in ((EigenPair(0.0, 1), unchecked), ((0.0, 1), (1.0, math.nan)),
-                    ((0.0, 1), (1.0, math.inf)), ((0.0, 1), (1.0, 1.5)),
-                    ((0.0, 1), (1.0, 4.0)), ((0.0, 1.0), (1.0, 4))):
+    # a NaN multiplicity after the first entry is rejected too, where a
+    # minimum of the multiplicities would not see it, and so is a float,
+    # whose counting_function would be a float (inf for an inf multiplicity)
+    for mults in ((1, 0), (1, math.nan), (1, math.inf), (1, 1.5), (1, 4.0), (1.0, 4)):
         with pytest.raises(ValueError, match="multiplicities must be >= 1"):
             SpectrumTable(
-                entries=entries,
+                values=(0.0, 1.0),
+                multiplicities=mults,
                 truncation_bound=5.0,
                 group=GroupKind.SU2,
                 triple=MetricTriple(1, 1, 1),
@@ -210,11 +210,12 @@ def test_spectrum_table_rejects_a_multiplicity_below_one():
 
 
 def test_spectrum_table_rejects_a_bool_multiplicity():
-    # a sum of bools is an int, so the check of the columns lets one pass;
-    # the public constructor rejects it, as EigenPair(0.0, True) does
-    for entries in (((0.0, True), (1.0, 4)), ((0.0, 1), (1.0, True))):
+    # True == 1 and a sum of bools is an int; the constructor rejects a
+    # bool as EigenPair(0.0, True) does
+    for mults in ((True, 4), (1, True)):
         with pytest.raises(ValueError, match="multiplicities must be >= 1 and ints"):
-            SpectrumTable(entries, 5.0, GroupKind.SU2, MetricTriple(1, 1, 1), ((0,), (1,)))
+            SpectrumTable((0.0, 1.0), mults, 5.0, GroupKind.SU2, MetricTriple(1, 1, 1),
+                          ((0,), (1,)))
 
 
 def _seeded_tables(seed, n):
@@ -227,27 +228,22 @@ def _seeded_tables(seed, n):
         yield spectrum_up_to(rng.uniform(1.1, 6.0) * 4.0 * (t.b**2 + t.c**2), t, g)
 
 
-def test_both_construction_routes_give_equal_tables():
-    # spectrum_up_to's tables, built from their columns, rebuilt through
-    # the public constructor
+def _rebuilt(table):
+    return SpectrumTable(table.values, table.multiplicities, table.truncation_bound,
+                         table.group, table.triple, table.k_sources)
+
+
+def test_a_table_rebuilt_from_its_columns_is_equal():
+    # spectrum_up_to's tables, rebuilt through the constructor from the
+    # public columns
     for table in _seeded_tables(41, 80):
-        again = SpectrumTable(
-            table.entries, table.truncation_bound, table.group, table.triple, table.k_sources
-        )
-        assert again == table and hash(again) == hash(table)
-        assert all(type(e) is EigenPair for e in again.entries + table.entries)
+        again = _rebuilt(table)
+        assert again == table and hash(again) == hash(table) and repr(again) == repr(table)
+        for name in SpectrumTable.__slots__:
+            assert type(getattr(table, name)) is type(getattr(again, name))
 
 
-def _entries_built(table):
-    # reads the slot itself, past the __getattr__ that builds the entries
-    try:
-        SpectrumTable.entries.__get__(table)
-    except AttributeError:
-        return False
-    return True
-
-
-def test_the_cli_and_the_counting_function_build_no_entries(monkeypatch, capsys):
+def test_a_table_compares_copies_and_writes_without_its_entries(monkeypatch, capsys):
     from homsphere import cli, rigidity
 
     tables = []
@@ -256,6 +252,10 @@ def test_the_cli_and_the_counting_function_build_no_entries(monkeypatch, capsys)
         tables.append(spectrum_up_to(*args))
         return tables[-1]
 
+    def refuse(table):
+        raise AssertionError("entries were built")
+
+    monkeypatch.setattr(SpectrumTable, "entries", property(refuse))
     monkeypatch.setattr(cli, "spectrum_up_to", recording)
     monkeypatch.setattr(rigidity, "spectrum_up_to", recording)
     argv = "spectrum --a 1.8 --b 1.8 --c 1 --group su2 --lambda-max 2000 --berger-closed-form"
@@ -264,50 +264,52 @@ def test_the_cli_and_the_counting_function_build_no_entries(monkeypatch, capsys)
     compare = "rigidity --a 3 --b 1 --c 1 --group su2 --compare 3.0001,1,1 --lambda-max 12"
     assert cli.main(compare.split()) == 0
     capsys.readouterr()
-    assert len(tables) == 4 and len(tables[0]._values) > 100
-    for table in tables:
+    assert len(tables) == 4 and len(tables[0].values) > 100
+    for table in tables + list(_seeded_tables(44, 16)):
         table.counting_function(table.truncation_bound / 2)
-        assert not _entries_built(table)
-
-
-def test_entries_are_built_once_on_the_first_read():
-    for table in _seeded_tables(44, 16):
-        fresh = _spectrum_table(table._values, table._mults, table.truncation_bound,
-                                table.group, table.triple, table.k_sources)
-        assert not _entries_built(table) and not _entries_built(fresh)
-        entries = table.entries
-        assert _entries_built(table) and table.entries is entries
-        assert all(type(e) is EigenPair for e in entries)
-        assert entries == tuple(zip(table._values, table._mults))
-        # a table whose entries were read cannot be told from one whose were not
-        again = SpectrumTable(entries, table.truncation_bound, table.group, table.triple,
-                              table.k_sources)
-        assert not _entries_built(again)
-        for other in (fresh, again):
-            assert repr(other) == repr(table)
-            assert other == table and hash(other) == hash(table)
+        again = _rebuilt(table)
+        assert again == table and not again != table and hash(again) == hash(table)
+        assert repr(again) == repr(table)
         for roundtrip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
-            back = roundtrip(fresh)
-            assert type(back) is SpectrumTable and back == table and repr(back) == repr(table)
-            assert all(type(e) is EigenPair for e in back.entries)
+            assert roundtrip(table) == table
 
 
-def test_every_slot_of_a_table_is_frozen():
+def test_entries_are_the_columns_as_eigenpairs():
+    for table in _seeded_tables(44, 16):
+        entries = table.entries
+        assert all(type(e) is EigenPair for e in entries)
+        assert entries == tuple(zip(table.values, table.multiplicities))
+        assert table.entries == entries
+
+
+def test_every_field_of_a_table_is_frozen():
     table = next(_seeded_tables(45, 1))
-    columns = (table._values, table._mults)
-    for read in (False, True):
-        if read:
-            entries = table.entries
-        for name in SpectrumTable.__slots__ + ("not_a_field",):
-            with pytest.raises(AttributeError):
-                setattr(table, name, ())
-            with pytest.raises(AttributeError):
-                delattr(table, name)
-        assert _entries_built(table) is read
-        assert (table._values, table._mults) == columns
-    assert table.entries is entries
+    fields = [getattr(table, name) for name in SpectrumTable.__slots__]
+    for name in SpectrumTable.__slots__ + ("entries", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, ())
+        with pytest.raises(AttributeError):
+            delattr(table, name)
+    assert [getattr(table, name) for name in SpectrumTable.__slots__] == fields
     with pytest.raises(AttributeError, match="not_a_field"):
         table.not_a_field
+
+
+def test_a_table_keeps_no_list_of_its_caller():
+    t = MetricTriple(1, 1, 1)
+    values, mults, labels = [0.0, 3.0], [1, 4], [(0,), (1,)]
+    table = SpectrumTable(values, mults, 5.0, GroupKind.SU2, t, labels)
+    values.append(4.0)
+    mults.append(5)
+    labels.append((2,))
+    for name in ("values", "multiplicities", "k_sources"):
+        assert type(getattr(table, name)) is tuple
+    assert table == SpectrumTable((0.0, 3.0), (1, 4), 5.0, GroupKind.SU2, t, ((0,), (1,)))
+    assert hash(table) == hash(_rebuilt(table))
+    # the label groups themselves are kept as given: a list among them
+    # leaves the table unhashable
+    with pytest.raises(TypeError):
+        hash(SpectrumTable(values[:2], mults[:2], 5.0, GroupKind.SU2, t, [(0,), [1]]))
 
 
 def test_counting_function_equals_a_sum_over_the_entries():
@@ -330,6 +332,7 @@ _INCREASING = "spectrum entries must be strictly increasing"
 _MULTS = "spectrum multiplicities must be >= 1 and ints"
 _ABOVE = "spectrum entry exceeds the truncation bound"
 _SOURCES = "k_sources must hold one tuple per spectrum entry"
+_LENGTHS = "spectrum values and multiplicities must have equal lengths"
 
 
 @pytest.mark.parametrize(
@@ -346,13 +349,13 @@ _SOURCES = "k_sources must hold one tuple per spectrum entry"
         ([0.0, 2.0], [1, math.inf], ((0,), (1,)), _MULTS),
         ([0.0, 2.0, 6.0], [1, 3, 4], ((0,), (1,), (2,)), _ABOVE),
         ([0.0, 2.0], [1, 3], ((0,),), _SOURCES),
+        ([0.0, 2.0], [1, 3], [(0,)], _SOURCES),
+        ([0.0, 2.0], [1], ((0,), (1,)), _LENGTHS),
+        ([0.0], [1, 3], ((0,), (1,)), _LENGTHS),
     ],
 )
-def test_both_construction_routes_reject_an_invalid_table_alike(values, mults, k_sources, message):
-    # the columns as spectrum_up_to passes them, and as entries to the constructor
-    t = MetricTriple(1, 1, 1)
-    with pytest.raises(ValueError) as columns:
-        _spectrum_table(values, mults, 5.0, GroupKind.SU2, t, k_sources)
-    with pytest.raises(ValueError) as public:
-        SpectrumTable(tuple(zip(values, mults)), 5.0, GroupKind.SU2, t, k_sources)
-    assert str(columns.value) == str(public.value) == message
+def test_the_constructor_rejects_an_invalid_table(values, mults, k_sources, message):
+    with pytest.raises(ValueError) as error:
+        SpectrumTable(values, mults, 5.0, GroupKind.SU2, MetricTriple(1, 1, 1), k_sources)
+    assert str(error.value) == message
+

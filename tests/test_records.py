@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from homsphere.core import (
-    EigenPair,
     GroupKind,
     MetricTriple,
     SpectralInvariants,
@@ -38,14 +37,14 @@ CASES = {
     "SpectrumTable": (
         SpectrumTable,
         dict(
-            entries=(EigenPair(0.0, 1), EigenPair(8.0, 3)),
+            values=(0.0, 8.0),
+            multiplicities=(1, 3),
             truncation_bound=10.0,
             group=GroupKind.SU2,
             triple=MetricTriple(1.0, 1.0, 1.0),
             k_sources=((0,), (1, 2)),
         ),
-        "SpectrumTable(entries=(EigenPair(value=0.0, multiplicity=1),"
-        " EigenPair(value=8.0, multiplicity=3)), truncation_bound=10.0,"
+        "SpectrumTable(values=(0.0, 8.0), multiplicities=(1, 3), truncation_bound=10.0,"
         f" group=<GroupKind.SU2: 'su2'>, triple={_ROUND}, k_sources=((0,), (1, 2)))",
     ),
     "SpectralInvariants": (

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -820,6 +821,17 @@ def test_user_path_does_not_import_the_oracle():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_the_readme_quickstart_prints_what_the_readme_shows():
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    code, shown = re.search(r"```python\n(.*?)```\n.*?```text\n(.*?)```", section, re.S).groups()
+    src = str(Path(homsphere.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert (out.stdout, out.stderr) == (shown, "")
 
 
 PUBLIC_NAMES = {
