@@ -6,6 +6,12 @@ CriterionResult, and is runnable both from the test suite and from the
 The samples come from ``random.Random``, and the references are the
 plain-Python ones of ``homsphere.oracle``, so the suite runs on the
 standard library alone.
+
+``run_all`` runs each criterion under a guard: one that raises (a faulty
+library can make a check index past a short table, say) becomes a FAIL
+line for its position in ``ALL_CRITERIA``, titled with the function's
+name and with ``raised <Type>: <message>`` as its detail, so ``verify``
+reports it and exits 1 instead of ending in a traceback.
 """
 
 from __future__ import annotations
@@ -514,5 +520,16 @@ ALL_CRITERIA = (
 )
 
 
+def _run(cid: int, criterion) -> CriterionResult:
+    """``criterion()``, or a FAIL numbered ``cid`` and named by the function
+    if it raises, with the exception's type and message as its detail."""
+    try:
+        return criterion()
+    except Exception as exc:
+        return CriterionResult(
+            cid, criterion.__name__, False, f"raised {type(exc).__name__}: {exc}"
+        )
+
+
 def run_all() -> list[CriterionResult]:
-    return [fn() for fn in ALL_CRITERIA]
+    return [_run(cid, criterion) for cid, criterion in enumerate(ALL_CRITERIA, start=1)]

@@ -2,19 +2,19 @@
 
 Every numeric field is emitted with 17 significant digits, so output is
 byte-identical across runs and parses back to the exact same doubles.
-Exit codes: 0 success, 1 acceptance failure, internal error (a
-``BoundViolation``, a certified window escaping its proven range, as a
-one-line ``internal error:`` message on stderr) or a reader that closed
-stdout early (no message), 2 invalid parameters (including parameters
-whose results leave the floating-point range, such as a spectrum whose
-a^2 + b^2 + c^2 underflows to 0, or a result below the normal range,
-such as a subnormal eigenvalue or volume; squares that overflow are no
-error for ``spectrum``, which solves at a unit scale, where the rows of
-a metric so prolate that they would overflow decouple and the closed
-form is read off), 3 truncation bound needing more than
-``spectrum.K_CAP`` irrep blocks.  The ``EDGE_INPUTS`` table in
-``tests/test_cli.py`` is the one place where each documented edge input
-is checked against its exit code and stderr.
+Exit codes: 0 success, 1 acceptance failure (a criterion that fails or
+raises), internal error (a ``BoundViolation``, a certified window
+escaping its proven range, as a one-line ``internal error:`` message on
+stderr) or a reader that closed stdout early (no message), 2 invalid
+parameters (including parameters whose results leave the floating-point
+range, such as a spectrum whose a^2 + b^2 + c^2 underflows to 0, or a
+result below the normal range, such as a subnormal eigenvalue or volume;
+squares that overflow are no error for ``spectrum``, which solves at a
+unit scale, where the rows of a metric so prolate that they would
+overflow decouple and the closed form is read off), 3 truncation bound
+needing more than ``spectrum.K_CAP`` irrep blocks.  The ``EDGE_INPUTS``
+table in ``tests/test_cli.py`` is the one place where each documented
+edge input is checked against its exit code and stderr.
 Warnings (for example suspicious cluster merges) go to stderr only.  No
 subcommand takes a tolerance: the solver, clustering and comparison
 tolerances are fixed.
@@ -36,11 +36,13 @@ required flag given.  Any other argv (none, help, an abbreviation,
 message and exit code is argparse's own; only that fallback builds the
 parser.
 
-Writing.  A command returns its record's inputs and results as dicts of
-floats, strs, ints, bools, None, lists and tuples.  ``_write_json``
-(JSON) and ``_flatten`` (CSV) dispatch on each value's exact type, dicts
-and floats first; a value of a subclass is first read as a value of its
-base type (``_base_value``).  ``_to_json`` joins once the one list into
+Writing.  A command returns its record's inputs and results as dicts,
+lists, floats, strs, ints, bools and None, of exactly these types, and
+one ``SpectrumTable``, a spectrum's ``entries``.  ``_write_json`` (JSON)
+and ``_flatten`` (CSV) dispatch on each value's exact type, dicts and
+floats first, then through ``_WRITERS``; a value of any other type, a
+subclass or a tuple among them, raises KeyError at that lookup in both
+writers and is never coerced.  ``_to_json`` joins once the one list into
 which ``_write_json`` appends the pieces of the whole record.  Every
 float goes through ``_fmt``, which raises OverflowError for an inf or a
 NaN.
@@ -111,25 +113,17 @@ def _fmt(x: float) -> str:
 _ROW_JSON = '{"value":%.17g,"multiplicity":%d,"k_sources":[%s]}'
 _ROW_CSV = "%.17g,%d,%s"
 
-# the JSON writer of each type a record holds but dict, looked up by exact
-# type; a value of a subclass goes through _base_value first
+# the JSON writer of each type a command's record holds but dict, looked up
+# by exact type: a value of any other type raises KeyError
 _WRITERS = {
     float: _fmt,
     str: _json_str,
     int: int.__repr__,
     bool: lambda flag: "true" if flag else "false",
     type(None): lambda _: "null",
-    **dict.fromkeys((list, tuple), lambda items: "[%s]" % ",".join([_to_json(x) for x in items])),
+    list: lambda items: "[%s]" % ",".join([_to_json(x) for x in items]),
     SpectrumTable: lambda table: "[%s]" % _rows(table, _ROW_JSON, ",", ","),
 }
-
-
-def _base_value(obj):
-    """A value of a subclass of float, str, dict, list, tuple or int as a
-    value of that type, read by the type's own method (a str enum as its
-    str); a TypeError for any other type."""
-    bases = ((float, float.__float__), (str, str.__str__), (dict, dict), (list, list), (tuple, tuple))
-    return next((read for base, read in bases if isinstance(obj, base)), int.__int__)(obj)
 
 
 def _to_json(obj) -> str:
@@ -154,10 +148,8 @@ def _write_json(obj, out: list[str]) -> list[str]:
         out[-1] = "}" if obj else "{}"  # the last comma, or the lone "{"
     elif kind is float:
         out.append(_fmt(obj))
-    elif kind in _WRITERS:
-        out.append(_WRITERS[kind](obj))
     else:
-        _write_json(_base_value(obj), out)
+        out.append(_WRITERS[kind](obj))
     return out
 
 
@@ -178,13 +170,11 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
     if kind is dict:
         for key, val in obj.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), val, lines)
-    elif kind is list or kind is tuple:
+    elif kind is list:
         for i, val in enumerate(obj):
             _flatten(f"{prefix}[{i}]", val, lines)
-    elif kind in _WRITERS:
-        lines.append(f"{prefix},{_fmt(obj) if kind is float else obj}")
-    else:
-        _flatten(prefix, _base_value(obj), lines)
+    else:  # a leaf, written as Python spells it; the lookup raises as in JSON
+        lines.append(f"{prefix},{_fmt(obj) if _WRITERS[kind] is _fmt else obj}")
 
 
 def _record_to_csv(results: dict) -> str:

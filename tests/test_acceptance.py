@@ -12,12 +12,14 @@ import pytest
 from homsphere import acceptance, eigensolve, oracle
 from homsphere.acceptance import (
     ALL_CRITERIA,
+    criterion_1,
     criterion_2,
     criterion_3,
     criterion_4,
     criterion_5,
 )
 from homsphere.casimir import _wang_halves
+from homsphere.core import SpectrumTable
 from homsphere.spectrum import ClusterMergeWarning
 
 # criterion 9's rigidity samples make the near-degenerate cluster merges of
@@ -102,3 +104,17 @@ def test_criterion_2_names_itself_alike_on_pass_and_fail(monkeypatch):
     assert passed.passed and not failed.passed, failed.line()
     assert failed.title == passed.title
     assert failed.detail == "mismatch at k=0, triple=(1, 1, 1)"
+
+
+def test_a_criterion_that_raises_is_reported_as_a_failure(monkeypatch):
+    # the last solver block dropped can leave a table of (0, 1) alone, where
+    # criterion 1's read of the first positive eigenvalue raises IndexError
+    def dropped(lam, t, g):
+        return SpectrumTable((0.0,), (1,), lam, g, t, ((0,),))
+
+    monkeypatch.setattr(acceptance, "spectrum_up_to", dropped)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (criterion_1,))
+    [result] = acceptance.run_all()
+    assert result == acceptance.CriterionResult(
+        1, "criterion_1", False, "raised IndexError: tuple index out of range"
+    )

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from homsphere import casimir
 from homsphere.casimir import _PLAN_K_MAX, _squares, _wang_halves
 from homsphere.core import GroupKind, MetricTriple
 from homsphere.eigensolve import eigen_block
+from homsphere.geometry import DiamBounds
 from homsphere.oracle import (
+    AsymmetryResidue,
     PatternViolation,
     _diagonal,
     casimir_matrix,
@@ -150,6 +153,20 @@ def test_tridiagonal_split_rejects_wrong_pattern():
     bad[1, 0] = 5.0
     with pytest.raises(PatternViolation):
         tridiagonal_split(bad.tolist(), 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DiamBounds(1.0, 2.0, 1.0), ValueError,
+     "exact diameter requires lower = exact = upper"),
+    (lambda: eigen_block(-1, 4.0, 2.0, 0.5), ValueError, "irrep label must be nonnegative, got -1"),
+    (lambda: generator_matrices(-1), ValueError, "irrep label must be nonnegative, got -1"),
+    (lambda: symmetrize([[0.0]], 2), ValueError, "expected a 3x3 matrix for k=2"),
+    (lambda: symmetrize([[0.0, 0.0, 1.0], [0.0] * 3, [0.0] * 3], 2), AsymmetryResidue,
+     "symmetrization residual 1.000e+00 exceeds tolerance"),
+], ids=["diam-bounds", "eigen-block", "generators", "symmetrize-order", "symmetrize-residue"])
+def test_validators_reject_their_invalid_inputs(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_split_preserves_eigenvalue_multiset():
