@@ -47,7 +47,7 @@ from .oracle import (
     mu_index_of,
 )
 from .rigidity import IsospectralVerdict, invariants, isospectral_check, recover_triple
-from .spectrum import lambda1_closed, spectrum_up_to
+from .spectrum import _irreps, lambda1_closed, spectrum_up_to
 
 PI2 = math.pi**2
 
@@ -269,15 +269,18 @@ def _closed_berger_rows(
     b^2 + b^2 as given.  Values within 1e-12 relative are one eigenvalue,
     represented by the smallest: they differ only by the rounding of the
     closed formula (at (1.3, 1.3, 1.3), k = 4 gives both 25.35 and
-    25.350000000000005).
+    25.350000000000005).  The labels come from ``spectrum._irreps``, and
+    the floor test that ends them is this function's own.
     """
-    # block k has no value below min(a, b)^2 k(k+2); the factor 2 covers rounding
-    floor = min(a, b) ** 2
-    contributions = []
-    k = 0
-    while floor * k * (k + 2) <= 2.0 * lam_max:
-        contributions += [(v, k + 1, k) for v in _diagonal(k, a * a, b * b + b * b, range(k + 1))]
-        k += 2 if group is GroupKind.SO3 else 1
+    # block k has no value below min(a, b)^2 k(k+2) = min(a, b)^2 ((k+1)^2 - 1),
+    # and top is the last k where that is at most 2 lam_max: the factor 2
+    # covers rounding
+    top = int(math.sqrt(2.0 * lam_max / min(a, b) ** 2 + 1.0)) - 1
+    contributions = [
+        (v, k + 1, k)
+        for k in _irreps(group, top)
+        for v in _diagonal(k, a * a, b * b + b * b, range(k + 1))
+    ]
     rows: list[list] = []  # [value, multiplicity, k_sources]
     for value, mult, k in sorted(c for c in contributions if c[0] <= lam_max):
         if rows and value - rows[-1][0] <= 1e-12 * rows[-1][0]:

@@ -291,9 +291,7 @@ def _cmd_rigidity(args: argparse.Namespace) -> Payload:
         other = _parse_triple_arg(args.compare)
         lam_max = args.lambda_max
         if lam_max is None:
-            lam_max = 1.2 * max(
-                lambda1_closed(t, g).value, lambda1_closed(other, g).value
-            )
+            lam_max = 1.2 * max(inv.lambda1, lambda1_closed(other, g).value)
         outcome = isospectral_check(t, other, g, lam_max)
         inputs["compare"] = list(other.as_tuple())
         results["isospectral"] = {
@@ -336,7 +334,7 @@ _TRIPLE = {
     "--b": {"type": float, "required": True},
     "--c": {"type": float, "required": True},
     "--group": {
-        "choices": ["su2", "so3"], "required": True,
+        "choices": list(_GROUPS), "required": True,
         "help": "su2 for the 3-sphere, so3 for real projective 3-space",
     },
 }

@@ -67,7 +67,7 @@ from .core import (
     normalize_triple,
 )
 from .eigensolve import _EPS, _sturm_count
-from .spectrum import _DECOUPLED, spectrum_up_to
+from .spectrum import _DECOUPLED, _irreps, spectrum_up_to
 
 
 class AsymmetryResidue(HomsphereError, ArithmeticError):
@@ -346,17 +346,18 @@ def sturm_counter(t: MetricTriple, g: GroupKind, x_max: float) -> Callable[[floa
     too.  Where the table is read off the closed form (two equal
     parameters, or a^2 past ``spectrum._DECOUPLED`` at the unit scale,
     capped there as the table caps it), N counts the entries of
-    ``_diagonal``, each weighted k+1.  Every block k whose
-    envelope 2k b^2 + k^2 c^2 is at most ``x_max`` is counted (even k only
-    for SO(3)), and no other block has an eigenvalue below ``x_max``.
+    ``_diagonal``, each weighted k+1.  The blocks are the labels of
+    ``spectrum._irreps`` (even k only for SO(3)) whose envelope
+    2k b^2 + k^2 c^2 is at most ``x_max``, tested here on its own: no
+    other block has an eigenvalue below ``x_max``.
     """
     h = math.frexp(t.b)[1] - 1
     a, b, c = [math.ldexp(x, -h) for x in t.as_tuple()]
     a2, bc2, off = _squares(a, b, c)
     top = math.ldexp(x_max, -2 * h)
-    step = 2 if g is GroupKind.SO3 else 1
+    # b >= 1 at this scale, so no label past top has its envelope <= top
     ks = itertools.takewhile(
-        lambda k: 2.0 * k * (b * b) + float(k) * k * (c * c) <= top, itertools.count(0, step)
+        lambda k: 2.0 * k * (b * b) + float(k) * k * (c * c) <= top, _irreps(g, int(top))
     )
     if off is None or a2 > _DECOUPLED:
         a2 = min(a2, _DECOUPLED)

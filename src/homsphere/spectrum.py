@@ -2,10 +2,12 @@
 
 Every eigenvalue of the Laplace-Beltrami operator of a left-invariant
 metric arises from the Casimir matrix of some irrep k, repeated (k+1)
-times.  SO(3) sees only the even-k irreps.  The lower envelope
-2k b^2 + k^2 c^2 of the block eigenvalues turns any truncation bound into
-a finite, provably complete set of blocks to solve.  Tolerances and the
-block cap are module constants, and every comparison is relative.
+times.  SO(3) sees only the even-k irreps, with the same weight k+1:
+``_irreps`` is the one place that decides which labels a group keeps.
+The lower envelope 2k b^2 + k^2 c^2 of the block eigenvalues turns any
+truncation bound into a finite, provably complete set of blocks to
+solve.  Tolerances and the block cap are module constants, and every
+comparison is relative.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ _DECOUPLED = 2.0**128
 _MERGE_WARN_GAP = 1e-10
 # the sort key of a (value, weight, k) record
 _VALUE = itemgetter(0)
+# GroupKind.SO3, read once: on Python 3.11 every attribute read on an enum
+# class goes through EnumType.__getattr__'s slow path, about 0.15 us
+_SO3 = GroupKind.SO3
 # warnings are attributed to the first frame outside this directory
 _PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")
 
@@ -122,20 +127,34 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     return Lambda1Result(value=value, multiplicity=mult, regime=regime)
 
 
+def _irreps(g: GroupKind, top: int) -> range:
+    """The labels k <= ``top`` of the irreps that live on the group, in order.
+
+    By Peter-Weyl, irrep k of SU(2) occurs k+1 times in L^2(SU(2)), so
+    every eigenvalue of its Casimir block has weight k+1.  SO(3), the
+    quotient of SU(2) by {+-1}, keeps the functions that -1 fixes, and -1
+    acts on irrep k as (-1)^k: so SO(3) keeps the even k, each with the
+    same weight k+1, and no odd k, while SU(2) keeps every k.  Every walk
+    over irreps by group takes its labels from here.
+    """
+    return range(0, top + 1, 2 if g is _SO3 else 1)
+
+
 def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
     """Largest irrep label whose block can still contain an eigenvalue <= lam_max.
 
     Every eigenvalue of block k is at least 2k b^2 + k^2 c^2, so the
-    returned K satisfies 2K b^2 + K^2 c^2 <= lam_max while K+1 (K+2 for
-    SO(3), which only sees even k) does not.  Blocks beyond K cannot
-    contribute, which makes truncated tables complete.  K is found by
-    walking the admissible k upwards along the envelope as computed in
-    floating point.  Each of its two terms is a rounded product of
-    nondecreasing factors, so the computed envelope never decreases in k,
-    and the first k whose envelope exceeds ``lam_max`` ends the walk.  The
-    walk also ends at the first admissible k past ``K_CAP``, so it takes
-    at most ``K_CAP`` + 1 steps whatever the parameters: where b^2 and c^2
-    underflow to 0, every envelope reads 0 and the walk ends at the cap.
+    returned K satisfies 2K b^2 + K^2 c^2 <= lam_max while the next label
+    of ``_irreps`` (K+1 on SU(2), K+2 on SO(3)) does not.  Blocks beyond K
+    cannot contribute, which makes truncated tables complete.  K is found
+    by walking the labels of ``_irreps`` upwards along the envelope as
+    computed in floating point.  Each of its two terms is a rounded
+    product of nondecreasing factors, so the computed envelope never
+    decreases in k, and the first k whose envelope exceeds ``lam_max``
+    ends the walk.  The walk also ends past the labels up to ``K_CAP`` + 2,
+    so it takes at most ``K_CAP`` + 3 steps whatever the parameters: where
+    b^2 and c^2 underflow to 0, every envelope reads 0 and the walk ends
+    at the cap.
 
     Raises:
         ValueError: if ``lam_max`` is not a positive finite number.
@@ -144,13 +163,16 @@ def k_cutoff(lam_max: float, t: MetricTriple, g: GroupKind) -> int:
     if not 0.0 < lam_max < math.inf:
         raise ValueError(f"truncation bound must be positive and finite, got {lam_max}")
     b2, c2 = t.b * t.b, t.c * t.c
-    step = 2 if g is GroupKind.SO3 else 1
-    k = step  # the next admissible label to test
-    while 2.0 * k * b2 + float(k) * k * c2 <= lam_max:
-        if k > K_CAP:
-            raise CutoffTooLarge(lam_max)
-        k += step
-    return k - step
+    cutoff = 0
+    # K_CAP + 2 reaches a label past K_CAP on either group; k * k < 2^53
+    # converts to float exactly
+    for k in _irreps(g, K_CAP + 2):
+        if 2.0 * k * b2 + k * k * c2 > lam_max:
+            break
+        cutoff = k
+    if cutoff > K_CAP:
+        raise CutoffTooLarge(lam_max)
+    return cutoff
 
 
 def _cluster(
@@ -224,9 +246,9 @@ def _caller_stacklevel() -> int:
 
 
 def _diagonal_runs(
-    cutoff: int, step: int, a2: float, bc2: float, upper: float, shift: int
+    irreps: range, a2: float, bc2: float, upper: float, shift: int
 ) -> list[tuple[float, int, int]]:
-    """(value, weight, k) records of the diagonal blocks k <= ``cutoff``, one per mirror pair.
+    """(value, weight, k) records of the diagonal blocks k in ``irreps``, one per mirror pair.
 
     With d = k-2l >= 0 and p = l, entry l of block k is
     d^2 a2 + (2p(p+d+1) + d) bc2: the integer coefficients of
@@ -234,20 +256,21 @@ def _diagonal_runs(
     equals entry l, so the pair is one record of weight 2(k+1) when
     d > 0, and the middle entry d = 0 weighs k+1.  For fixed d the values
     never decrease in p, since rounding is monotone, so each d gives a
-    sorted run, read up to its first value above ``upper`` or its first
-    k above ``cutoff``.  The starts d^2 a2 never decrease in d either, so
-    the first start above ``upper`` ends the walk.  ``a2`` is finite.
-    With ``step`` = 2 (SO(3), even k only) d is even too.  Values are
-    scaled by 2^``shift``.
+    sorted run, read up to its first value above ``upper`` or the end of
+    ``irreps``.  The starts d^2 a2 never decrease in d either, so the
+    first start above ``upper`` ends the walk.  ``a2`` is finite.  The
+    labels come from ``_irreps``, so every k with the parity of a label d
+    is a label too (on SO(3) d and k are even).  Values are scaled by
+    2^``shift``.
     """
     out = []
-    for d in range(0, cutoff + 1, step):
+    for d in irreps:
         start = d * d * a2
         if start > upper:
             break
         double = 2 if d else 1
         coeff = d  # 2p(p+d+1) + d at p = 0; p+1 exceeds p by 2k + 4
-        for k in range(d, cutoff + 1, 2):
+        for k in range(d, irreps.stop, 2):
             value = start + coeff * bc2
             if value > upper:
                 break
@@ -266,7 +289,7 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     entry.  Any other triple reads irrep 0, the constant functions, off
     as the record (0, 1, 0), bitwise what ``eigen_block`` gives for its
     one entry 0 a2 + 0 bc2, and takes the eigenvalues of one Casimir
-    block per admissible irrep k > 0 (even k only for SO(3)) from
+    block per irrep k > 0 of ``_irreps`` (even k only for SO(3)) from
     ``eigen_block``, whose solver works only below the bound: each value
     is weighted by the irrep dimension k+1, and an odd-k value by
     2(k+1), since ``eigen_block`` returns one value per Wang mirror pair
@@ -310,14 +333,13 @@ def spectrum_up_to(lam_max: float, t: MetricTriple, g: GroupKind) -> SpectrumTab
     h = math.frexp(t.b)[1] - 1
     a2, bc2, off = _squares(math.ldexp(t.a, -h), math.ldexp(t.b, -h), math.ldexp(t.c, -h))
     upper_unit = math.ldexp(upper, -2 * h)
-    step = 2 if g is GroupKind.SO3 else 1
     if off is None or a2 > _DECOUPLED:
         contributions = _diagonal_runs(
-            cutoff, step, min(a2, _DECOUPLED), bc2, upper_unit, 2 * h
+            _irreps(g, cutoff), min(a2, _DECOUPLED), bc2, upper_unit, 2 * h
         )
     else:
         contributions = [(0.0, 1, 0)]  # irrep 0: the constant functions
-        for k in range(step, cutoff + 1, step):
+        for k in _irreps(g, cutoff)[1:]:
             weight = (k + 1) * (1 + k % 2)  # an odd-k value stands for its mirror too
             for value in eigen_block(k, a2, bc2, off, upper_unit):
                 contributions.append((math.ldexp(value, 2 * h), weight, k))

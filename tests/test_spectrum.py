@@ -237,6 +237,51 @@ def test_round_spectrum_so3_even_blocks_only():
     assert [(e.value, e.multiplicity) for e in table.entries] == [(0.0, 1), (8.0, 9)]
 
 
+@pytest.mark.parametrize("g,gamma", [(SU2, (1,)), (SO3, (1, -1))])
+def test_irreps_keep_exactly_the_labels_with_invariants(g, gamma):
+    # on Gamma\SU(2), irrep k weighs the dimension of its Gamma-invariants,
+    # the character average (1/|Gamma|) sum chi_k(gamma), with
+    # chi_k(+-1) = (+-1)^k (k+1): SU(2) is Gamma = {1}, SO(3) is {+-1}
+    kept = spectrum._irreps(g, 400)
+    for k in range(401):
+        average = Fraction(sum(s**k * (k + 1) for s in gamma), len(gamma))
+        assert (k in kept) == (average > 0), k
+        if k in kept:
+            assert average == k + 1
+
+
+# merges warn (ROADMAP.md item 2), and the tolerance below allows for them
+@pytest.mark.filterwarnings("ignore::homsphere.spectrum.ClusterMergeWarning")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_so3_tables_are_the_even_k_part_of_su2(seed):
+    # every SO(3) label is even, and every SO(3) value has an SU(2) value of
+    # the same triple and bound within the cluster tolerance whose k_sources
+    # hold its label; the other way round too, for SU(2) values whose
+    # cluster cannot reach past the bound
+    rng = random.Random(seed)
+    a, b, c = sorted((10 ** rng.uniform(-0.5, 0.5) for _ in range(3)), reverse=True)
+    tol = DEFAULT_CLUSTER_TOL
+
+    def near(value, label, table):
+        return any(label in ks and abs(value - v) <= tol * max(value, v)
+                   for v, ks in zip(table.values, table.k_sources))
+
+    # generic, both Berger classes (a > b = c and a = b > c) and round
+    for t in (MetricTriple(a, b, c), MetricTriple(a, c, c), normalize_triple(a, a, c),
+              MetricTriple(b, b, b)):
+        for factor in (1.5, 4.0, 12.0):
+            lam = factor * lambda1_closed(t, SO3).value
+            su2, so3 = spectrum_up_to(lam, t, SU2), spectrum_up_to(lam, t, SO3)
+            for value, ks in zip(so3.values, so3.k_sources):
+                for k in ks:
+                    assert k % 2 == 0, (t, lam, value, ks)
+                    assert near(value, k, su2), (t, lam, value, k)
+            for value, ks in zip(su2.values, su2.k_sources):
+                if value * (1.0 + tol) <= lam:
+                    for k in ks:
+                        assert k % 2 or near(value, k, so3), (t, lam, value, k)
+
+
 def test_generic_spectrum_smallest_entry_matches_closed_form():
     t = MetricTriple(3, 1, 1)
     table = spectrum_up_to(9.0, t, SU2)
@@ -664,7 +709,7 @@ def test_diagonal_runs_keep_every_entry_below_the_bound():
             half = _diagonal(k, a2, bc2, range(k // 2 + 1))
             ordered = sorted(half)
             for upper in (ordered[0], ordered[len(ordered) // 2], 0.5 * (ordered[0] + ordered[-1])):
-                records = [r for r in spectrum._diagonal_runs(14, 1, a2, bc2, upper, 0)
+                records = [r for r in spectrum._diagonal_runs(range(15), a2, bc2, upper, 0)
                            if r[2] == k]
                 want = [(v, (k + 1) * (1 if 2 * l == k else 2), k)
                         for l, v in enumerate(half) if v <= upper]
