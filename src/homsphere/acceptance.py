@@ -1,11 +1,12 @@
 """Self-contained acceptance suite; every check prints one pass/fail line.
 
 Each criterion function is deterministic (fixed seeds), returns a
-CriterionResult, and is runnable both from the test suite and from the
-``verify`` CLI subcommand.  Tolerances are pinned here and nowhere else.
-The samples come from ``random.Random``, and the references are the
-plain-Python ones of ``homsphere.oracle``, so the suite runs on the
-standard library alone.
+``CriterionResult``, and is runnable both from the test suite and from
+the ``verify`` CLI subcommand.  Tolerances are pinned here and nowhere
+else.  The samples come from ``random.Random``, and the references are
+the plain-Python ones of ``homsphere.oracle``, so the suite runs on the
+standard library alone.  ``CriterionResult`` is a ``core._Record``, as
+every record of the package is (see ``core``).
 
 ``run_all`` runs each criterion under a guard: one that raises (a faulty
 library can make a check index past a short table, say) becomes a FAIL
@@ -19,10 +20,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 from .casimir import _squares, _wang_halves
-from .core import GroupKind, MetricTriple, normalize_triple
+from .core import GroupKind, MetricTriple, _Record, normalize_triple
 from .eigensolve import _EPS, TOL, _sturm_count, eigen_block
 from .geometry import (
     SO3_PRODUCT_CAP,
@@ -52,12 +52,13 @@ from .spectrum import _irreps, lambda1_closed, spectrum_up_to
 PI2 = math.pi**2
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    cid: int
-    title: str
-    passed: bool
-    detail: str
+class CriterionResult(_Record):
+    """One criterion's outcome: its number, title, verdict and detail."""
+
+    __slots__ = ("cid", "title", "passed", "detail")
+
+    def __init__(self, cid: int, title: str, passed: bool, detail: str) -> None:
+        self._fill(cid, title, passed, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -104,7 +105,7 @@ def _berger_bc_triples(rng: random.Random, n: int) -> list[MetricTriple]:
     return [MetricTriple(b * 10.0 ** rng.uniform(0.05, 1.0), b, b) for b in bs]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _lambda1_samples(group: GroupKind) -> tuple[MetricTriple, ...]:
     """The 1000-triple sample set per group: 950 random plus 50 boundary-pinned."""
     seed = 20260811 if group is GroupKind.SU2 else 20260812
@@ -112,7 +113,7 @@ def _lambda1_samples(group: GroupKind) -> tuple[MetricTriple, ...]:
     return tuple(_random_triples(rng, 950) + _pinned_boundary_triples(rng, 50))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _rigidity_samples(group: GroupKind) -> tuple[MetricTriple, ...]:
     """1000 triples per group covering every lowest-eigenvalue multiplicity."""
     rng = random.Random(911 if group is GroupKind.SU2 else 912)

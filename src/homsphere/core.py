@@ -4,14 +4,16 @@ A left-invariant metric on SU(2) or SO(3) is described by three positive
 parameters ``(a, b, c)``; permuting them does not change the isometry
 class, so triples are stored in canonical descending order.
 
-The package's result records (``MetricTriple``, ``SpectrumTable`` and the
-records of ``geometry``, ``rigidity`` and ``spectrum``) are frozen slotted
-classes on ``_Record``, not dataclasses: every command runs in a fresh
-interpreter, and ``dataclasses`` would load ``inspect``, ``ast`` and
-``dis`` and build each record by ``exec`` at import, about a fifth of the
-package's start-up.  ``EigenPair`` is a ``collections.namedtuple`` for the
-same reason: ``typing.NamedTuple`` would load ``typing``, which nothing
-else on the command path needs.
+Every record in the package (``MetricTriple``, ``SpectrumTable``, the
+records of ``geometry``, ``rigidity`` and ``spectrum``, and those of the
+checks, ``oracle.GershgorinIntervals`` and ``acceptance.CriterionResult``)
+is a frozen slotted class on ``_Record``, not a dataclass: every command,
+``verify`` included, runs in a fresh interpreter, and ``dataclasses``
+would load ``inspect``, ``ast`` and ``dis`` and build each record by
+``exec`` at import, about a fifth of the package's start-up.  The one
+exception, ``EigenPair``, is a ``collections.namedtuple``, since its
+contract is tuple equality; ``typing.NamedTuple`` would load ``typing``,
+which nothing else on the command path needs.
 
 A ``SpectrumTable`` is its columns: the distinct values, their
 multiplicities and their irrep labels, checked and stored as tuples by
@@ -42,6 +44,12 @@ class GroupKind(enum.Enum):
 
     SU2 = "su2"
     SO3 = "so3"
+
+
+# the members, read once: on Python 3.11 every attribute read on an enum
+# class goes through EnumType.__getattr__'s slow path, about 0.15 us, so
+# the per-call group tests read these
+_SU2, _SO3 = GroupKind.SU2, GroupKind.SO3
 
 
 class MetricClass(enum.Enum):

@@ -184,7 +184,7 @@ def _sturm_count(x: float, d0: float, rows: list, pert: float) -> int:
 
 
 def _newton(
-    lo: float, hi: float, m: int, d0: float, rows: list, pert: float, start: float = math.nan
+    lo: float, hi: float, m: int, d0: float, rows: list, pert: float, start: float
 ) -> float:
     """Eigenvalue m, the only one in [lo, hi].
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import GroupKind, HomsphereError, MetricTriple, _Record
+from .core import _SO3, _SU2, GroupKind, HomsphereError, MetricTriple, _Record
 from .spectrum import lambda1_closed
 
 # tolerance for float dust on closed-form boundary comparisons
@@ -122,7 +122,7 @@ def volume(t: MetricTriple, g: GroupKind) -> float:
     """
     abc = t.a * t.b * t.c
     base = 2.0 * math.pi**2 / abc if abc else math.inf
-    vol = base if g is GroupKind.SU2 else 0.5 * base
+    vol = base if g is _SU2 else 0.5 * base
     if not sys.float_info.min <= vol < math.inf:
         raise OverflowError(
             f"volume = 2 pi^2 / abc with abc = {abc:.17g}, {vol:.17g} on {g.value},"
@@ -162,7 +162,7 @@ def diameter(t: MetricTriple, g: GroupKind) -> DiamBounds:
     (SO(3)) the two bounds are the same float.  So the diameter is exact
     iff a = b or b = c.
     """
-    if g is GroupKind.SU2:
+    if g is _SU2:
         lo = _su2_lower_diameter(t)
         hi = lo if t.b == t.c else math.pi / t.b
     else:
@@ -207,7 +207,7 @@ def _lambda1_diam2_of(lam: float, d: DiamBounds, g: GroupKind) -> tuple[float, f
     """``lambda1_diam2`` from lambda1 and the diameter, for a caller that has both."""
     lo = lam * d.lower * d.lower
     hi = lam * d.upper * d.upper
-    cap = SU2_PRODUCT_CAP if g is GroupKind.SU2 else SO3_PRODUCT_CAP
+    cap = SU2_PRODUCT_CAP if g is _SU2 else SO3_PRODUCT_CAP
     _check_window("lambda1*diam^2 interval", lo, hi, cap)
     return lo, hi
 
@@ -229,9 +229,9 @@ def berger_lambda1_diam2_extrema() -> BergerExtremaReport:
     min_triple = MetricTriple(math.sqrt(1.0 + math.sqrt(3.0)), 1.0, 1.0)
     max_triple = MetricTriple(1.0, 1.0, 1.0)
     return BergerExtremaReport(
-        min_value=lambda1_diam2(min_triple, GroupKind.SU2)[0],
+        min_value=lambda1_diam2(min_triple, _SU2)[0],
         min_triple=min_triple,
-        max_value=lambda1_diam2(max_triple, GroupKind.SU2)[0],
+        max_value=lambda1_diam2(max_triple, _SU2)[0],
         max_triple=max_triple,
     )
 
@@ -249,8 +249,8 @@ def product_estimate(p: ProductSpec) -> ProductEstimate:
         BoundViolation: if the certified interval escapes the range above.
         OverflowError: if lambda1 or diam^2 leaves the floating-point range.
     """
-    factors = [(t, GroupKind.SU2) for t in p.su2_factors]
-    factors += [(t, GroupKind.SO3) for t in p.so3_factors]
+    factors = [(t, _SU2) for t in p.su2_factors]
+    factors += [(t, _SO3) for t in p.so3_factors]
     if not factors:
         raise EmptyProduct("a product needs at least one factor")
     lam = min(lambda1_closed(t, g).value for t, g in factors)

@@ -45,6 +45,9 @@ without solving for any,
 ``low_irrep_eigenvalues`` is a closed form the spectra are checked
 against, ``mu_index_of`` looks a value up in a table, and
 ``sum_eigenvalue_positions`` is a diagnostic of the spectrum's ordering.
+
+``gershgorin``'s record, ``GershgorinIntervals``, is a ``core._Record``,
+as every record of the package is (see ``core``).
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -64,9 +66,11 @@ from .core import (
     HomsphereError,
     MetricTriple,
     SpectrumTable,
+    _Record,
     normalize_triple,
 )
 from .eigensolve import _EPS, _sturm_count
+from .rigidity import _ISOSPECTRAL_RTOL
 from .spectrum import _DECOUPLED, _irreps, spectrum_up_to
 
 
@@ -246,18 +250,21 @@ def kernel_rows(diag: list[float], offdiag: list[float]) -> tuple[float, list, f
     return diag[0], list(zip(diag[1:], [e * e for e in offdiag])), _EPS * (norm or 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class GershgorinIntervals:
+class GershgorinIntervals(_Record):
     """Per-column eigenvalue intervals [lower_j, upper_j] plus closed floors.
 
     ``floor`` is the global lower envelope 2k*b^2 + k^2*c^2; for odd k,
-    ``odd_floor`` is the sharper a^2 + (2k-1)*b^2 + k^2*c^2.
+    ``odd_floor`` is the sharper a^2 + (2k-1)*b^2 + k^2*c^2.  It compares
+    by its fields, and hashing one raises TypeError, since its interval
+    columns are lists.
     """
 
-    lower: list[float]
-    upper: list[float]
-    floor: float
-    odd_floor: float | None
+    __slots__ = ("lower", "upper", "floor", "odd_floor")
+
+    def __init__(
+        self, lower: list[float], upper: list[float], floor: float, odd_floor: float | None
+    ) -> None:
+        self._fill(lower, upper, floor, odd_floor)
 
 
 def gershgorin(k: int, t: MetricTriple) -> GershgorinIntervals:
@@ -396,9 +403,10 @@ def mu_index_of(value: float, table: SpectrumTable) -> int:
     not depend on the metric's scale.
 
     Raises:
-        NotFound: if no positive entry matches within 1e-9 * |value|.
+        NotFound: if no positive entry lies within
+            ``rigidity._ISOSPECTRAL_RTOL`` (1e-9) times |value| of it.
     """
-    slack = 1e-9 * abs(value)
+    slack = _ISOSPECTRAL_RTOL * abs(value)
     # a table opens with its one zero value, (0, 1)
     for index, entry in enumerate(table.values[1:], 1):
         if abs(entry - value) <= slack:

@@ -41,6 +41,8 @@ import sys
 from itertools import zip_longest
 
 from .core import (
+    _SO3,
+    _SU2,
     GroupKind,
     HomsphereError,
     MetricTriple,
@@ -248,7 +250,7 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
             f" is 0 once scaled by 4^-{h} to bring v / lambda1 below 2^499"
         )
     try:
-        if g is GroupKind.SU2 and inv.mult1 in (4, 7):
+        if g is _SU2 and inv.mult1 in (4, 7):
             # e2^2 = (ab)^4 + (ac)^4 + (bc)^4 + 2 lambda1 v^2, and the sum of
             # fourth powers is (4 lambda1 - Scal) v^2 / 2, so e2 = v sqrt(e2_v)
             e2_v = 4.0 * lam - 0.5 * scal
@@ -262,9 +264,7 @@ def recover_triple(inv: SpectralInvariants, g: GroupKind) -> MetricTriple:
             # b^2 ~ c^2 (a near-triple root): the floor scales as u / (u - P/2)
             floor = 1e-13 * u / max(1.5 * u - 0.5 * lam, 1e-13 * u)
             t = _split(u, lam - u, v, floor)
-        elif (g is GroupKind.SU2 and inv.mult1 == 3) or (
-            g is GroupKind.SO3 and inv.mult1 in (3, 6, 9)
-        ):
+        elif (g is _SU2 and inv.mult1 == 3) or (g is _SO3 and inv.mult1 in (3, 6, 9)):
             p_sum, v = math.ldexp(lam, -2 * h) / 4.0, math.ldexp(v, -3 * h)
             z = _z_root(p_sum, v, math.ldexp(scal, -2 * h))
             if inv.mult1 == 9:  # SO(3) round: lambda1 = 8 a^2

@@ -21,6 +21,7 @@ from operator import itemgetter
 
 from .casimir import _squares
 from .core import (
+    _SO3,
     GroupKind,
     HomsphereError,
     MetricTriple,
@@ -51,9 +52,6 @@ _DECOUPLED = 2.0**128
 _MERGE_WARN_GAP = 1e-10
 # the sort key of a (value, weight, k) record
 _VALUE = itemgetter(0)
-# GroupKind.SO3, read once: on Python 3.11 every attribute read on an enum
-# class goes through EnumType.__getattr__'s slow path, about 0.15 us
-_SO3 = GroupKind.SO3
 # warnings are attributed to the first frame outside this directory
 _PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "")
 
@@ -111,7 +109,7 @@ def lambda1_closed(t: MetricTriple, g: GroupKind) -> Lambda1Result:
     a2, bc2, _ = _squares(t.a, t.b, t.c)
     s = a2 + bc2
     f = 4.0 * (t.b * t.b + t.c * t.c)
-    if g is GroupKind.SO3:
+    if g is _SO3:
         value, regime = f, Regime.SO3
         mult = 3 if t.a > t.b else 6 if t.b > t.c else 9
     elif s < f:

@@ -2,25 +2,21 @@
 
 Each test prints the one-line PASS/FAIL summary for its criterion (visible
 with ``pytest -s`` or on failure) and asserts the criterion holds.  The
-same checks back the ``homsphere verify`` CLI subcommand.
+same checks back the ``homsphere verify`` CLI subcommand.  ``MUTANTS``
+shows that they can fail: each row puts one library fault in place and
+names the criteria that must then fail.
 """
 
-import dataclasses
+import functools
 
 import pytest
 
 from homsphere import acceptance, eigensolve, oracle
-from homsphere.acceptance import (
-    ALL_CRITERIA,
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-)
+from homsphere.acceptance import ALL_CRITERIA, criterion_1
 from homsphere.casimir import _wang_halves
 from homsphere.core import SpectrumTable
-from homsphere.spectrum import ClusterMergeWarning
+from homsphere.geometry import scalar_curvature
+from homsphere.spectrum import ClusterMergeWarning, lambda1_closed
 
 # criterion 9's rigidity samples make the near-degenerate cluster merges of
 # ROADMAP item 2, eleven warnings; no other criterion merges
@@ -40,7 +36,7 @@ def test_criterion(criterion):
     assert result.passed, result.line()
 
 
-def test_criterion_4_checks_the_halves_the_solver_solves(monkeypatch):
+def _skew_a_coupling(monkeypatch):
     # one coupling of one Wang half off by 1e-6 relative, as eigen_block sees it
     def skewed(k, a2, bc2, off):
         halves = _wang_halves(k, a2, bc2, off)
@@ -51,11 +47,9 @@ def test_criterion_4_checks_the_halves_the_solver_solves(monkeypatch):
         return halves
 
     monkeypatch.setattr(eigensolve, "_wang_halves", skewed)
-    result = criterion_4()
-    assert not result.passed, result.line()
 
 
-def test_criterion_4_sees_one_solved_value_off_by_1e_11(monkeypatch):
+def _move_a_solved_value(monkeypatch):
     # the largest value of one k = 12 block moved by 1e-11 relative, far
     # past its window of about 1e-12
     def moved(k, a2, bc2, off):
@@ -63,23 +57,19 @@ def test_criterion_4_sees_one_solved_value_off_by_1e_11(monkeypatch):
         return (*values[:-1], values[-1] * (1 + 1e-11)) if k == 12 else values
 
     monkeypatch.setattr(acceptance, "eigen_block", moved)
-    result = criterion_4()
-    assert not result.passed, result.line()
 
 
-def test_criterion_3_sees_the_floor_raised_by_1_percent(monkeypatch):
+def _raise_the_floor(monkeypatch):
     # at k = 2 the floor 4(b^2 + c^2) is an eigenvalue, which a raised
     # floor puts below it
     def raised(k, t):
         g = oracle.gershgorin(k, t)
-        return dataclasses.replace(g, floor=g.floor * 1.01)
+        return oracle.GershgorinIntervals(g.lower, g.upper, g.floor * 1.01, g.odd_floor)
 
     monkeypatch.setattr(acceptance, "gershgorin", raised)
-    result = criterion_3()
-    assert not result.passed, result.line()
 
 
-def test_criteria_2_and_5_see_the_closed_diagonal_off_by_4e_16(monkeypatch):
+def _skew_the_closed_diagonal(monkeypatch):
     # entries of odd l scaled by 1 + 4e-16, at least one rounding step
     # for every nonzero entry
     diagonal = oracle._diagonal
@@ -89,21 +79,56 @@ def test_criteria_2_and_5_see_the_closed_diagonal_off_by_4e_16(monkeypatch):
 
     for module in (oracle, acceptance):
         monkeypatch.setattr(module, "_diagonal", skewed)
-    for criterion in (criterion_2, criterion_5):
-        result = criterion()
-        assert not result.passed, result.line()
 
 
-def test_criterion_2_names_itself_alike_on_pass_and_fail(monkeypatch):
-    def skewed(k, t):
+def _shift_the_generator_oracle(monkeypatch):
+    def shifted(k, t):
         return [[x + 1.0 for x in row] for row in acceptance.casimir_matrix(k, t)]
 
-    passed = criterion_2()
-    monkeypatch.setattr(acceptance, "casimir_matrix_oracle", skewed)
-    failed = criterion_2()
-    assert passed.passed and not failed.passed, failed.line()
-    assert failed.title == passed.title
-    assert failed.detail == "mismatch at k=0, triple=(1, 1, 1)"
+    monkeypatch.setattr(acceptance, "casimir_matrix_oracle", shifted)
+
+
+def _shrink_the_scal_term(monkeypatch):
+    # lambda1 - 0.49 Scal: the round metrics' gap is no longer 0
+    def gap(t, g):
+        return lambda1_closed(t, g).value - 0.49 * scalar_curvature(t)
+
+    monkeypatch.setattr(acceptance, "yamabe_gap", gap)
+
+
+# fault -> (its patch, {criterion that must fail: its exact detail, or None})
+MUTANTS = {
+    "a Wang-half coupling off by 1e-6": (_skew_a_coupling, {"criterion_4": None}),
+    "a solved value off by 1e-11": (_move_a_solved_value, {"criterion_4": None}),
+    "the Gershgorin floor raised by 1%": (_raise_the_floor, {"criterion_3": None}),
+    "the closed diagonal off by 4e-16": (
+        _skew_the_closed_diagonal, {"criterion_2": None, "criterion_5": None}
+    ),
+    "the generator oracle off by 1": (
+        _shift_the_generator_oracle, {"criterion_2": "mismatch at k=0, triple=(1, 1, 1)"}
+    ),
+    "yamabe_gap with 0.49 Scal": (
+        _shrink_the_scal_term, {"criterion_10": "20 violations over 2020 checks"}
+    ),
+}
+
+
+@functools.cache
+def _unpatched(name):
+    return getattr(acceptance, name)()
+
+
+@pytest.mark.parametrize("fault", MUTANTS)
+def test_a_library_fault_fails_its_criteria(fault, monkeypatch):
+    patch, must_fail = MUTANTS[fault]
+    passed = {name: _unpatched(name) for name in must_fail}
+    patch(monkeypatch)
+    for name, detail in must_fail.items():
+        failed = getattr(acceptance, name)()
+        assert passed[name].passed and not failed.passed, failed.line()
+        # a criterion names itself alike on pass and fail
+        assert (failed.cid, failed.title) == (passed[name].cid, passed[name].title)
+        assert detail is None or failed.detail == detail
 
 
 def test_a_criterion_that_raises_is_reported_as_a_failure(monkeypatch):
